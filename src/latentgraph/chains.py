@@ -6,7 +6,9 @@ the earlier record to the later one (the default threshold is 0.1, and a
 similarity of exactly 0.1 does not connect).  The resulting DAG is unrolled
 into all maximal source-to-sink paths, so branching conversations duplicate
 into separate linear chains, each node having one predecessor and one
-successor inside its chain.
+successor inside its chain.  The census sorts threads by the DAG's shape:
+no edge, only single-edge paths, or a node with both a predecessor and a
+successor; it needs no path enumeration and no cap applies to it.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import RawRecord, RecordKind
-from .profiles import DEFAULT_DIM, vectorize_user
+from .profiles import vectorize_user
 
 DEFAULT_SIM_THRESHOLD = 0.1
 DEFAULT_TOP_K = 35
 DEFAULT_MAX_CHAINS_PER_POST = 200
 DEFAULT_MAX_DEPTH = 64
 
-CENSUS_CSV_FIELDS = ["threshold", "no_chain", "len_eq_1", "len_gt_1"]
+CENSUS_CATEGORIES = ("no_chain", "len_eq_1", "len_gt_1")
+CENSUS_CSV_FIELDS = ["threshold", *CENSUS_CATEGORIES]
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,6 @@ class ChainNode:
     record_id: str
     author_agent: str
     time: int
-    topic_vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,48 +97,66 @@ class InteractionChain:
         return self.nodes[0].time
 
 
+def _similarities(thread: Thread) -> tuple[list[RawRecord], np.ndarray]:
+    """Records ordered by (time, id) and their pairwise cosines.
+
+    Entry (i, j) with i < j is ``float(v_i @ v_j)``; every other entry is
+    -inf, so no threshold links it.  Each pair takes its own dot product,
+    because a matrix product can round the last bit differently and flip
+    the strict threshold test.  The vectors are dropped on return.
+    """
+    ordered = sorted(thread.records, key=lambda r: (r.created_utc, r.id))
+    vectors = [vectorize_user([rec.text]) for rec in ordered]
+    sims = np.full((len(ordered), len(ordered)), -np.inf)
+    for i, v_i in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            sims[i, j] = float(v_i @ vectors[j])
+    return ordered, sims
+
+
+def _children(
+    ordered: Sequence[RawRecord], sims: np.ndarray, threshold: float
+) -> tuple[tuple[int, ...], ...]:
+    # Children are visited in record-id order during linearization.
+    return tuple(
+        tuple(sorted(np.flatnonzero(row > threshold).tolist(), key=lambda j: ordered[j].id))
+        for row in sims
+    )
+
+
+def _category(children: Sequence[Sequence[int]]) -> str:
+    """Census category of one DAG, read from its structure.
+
+    A node with both a predecessor and a successor lies on a maximal path
+    of at least two edges; without one, every maximal path is one edge.
+    """
+    has_parent = {j for succ in children for j in succ}
+    if not has_parent:
+        return "no_chain"
+    if any(succ and i in has_parent for i, succ in enumerate(children)):
+        return "len_gt_1"
+    return "len_eq_1"
+
+
 def connect(
     thread: Thread,
     sim_threshold: float = DEFAULT_SIM_THRESHOLD,
-    dim: int = DEFAULT_DIM,
     agent_of: Mapping[str, str] | None = None,
-    vectors: Mapping[str, np.ndarray] | None = None,
 ) -> SemanticGraph:
     """Build the semantic DAG of one thread.
 
     Records are ordered by (time, id); i links to j when i precedes j and
-    cosine(v_i, v_j) exceeds the threshold (strictly).  Precomputed vectors
-    win over hashed-term vectorization when supplied.
+    cosine(v_i, v_j) exceeds the threshold (strictly).
     """
-    ordered = sorted(thread.records, key=lambda r: (r.created_utc, r.id))
-    nodes = []
-    for rec in ordered:
-        if vectors is not None and rec.id in vectors:
-            vec = np.asarray(vectors[rec.id], dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            if norm > 0:
-                vec = vec / norm
-        else:
-            vec = vectorize_user([rec.text], dim)
-        agent = agent_of.get(rec.author, rec.author) if agent_of is not None else rec.author
-        nodes.append(
-            ChainNode(
-                record_id=rec.id,
-                author_agent=agent,
-                time=rec.created_utc,
-                topic_vector=vec,
-            )
-        )
-    children: list[tuple[int, ...]] = []
-    for i, node in enumerate(nodes):
-        succ = []
-        for j in range(i + 1, len(nodes)):
-            if float(node.topic_vector @ nodes[j].topic_vector) > sim_threshold:
-                succ.append(j)
-        # Children are visited in record-id order during linearization.
-        succ.sort(key=lambda j: nodes[j].record_id)
-        children.append(tuple(succ))
-    return SemanticGraph(post_id=thread.post.id, nodes=tuple(nodes), children=tuple(children))
+    ordered, sims = _similarities(thread)
+    agent_of = agent_of or {}
+    nodes = tuple(
+        ChainNode(rec.id, agent_of.get(rec.author, rec.author), rec.created_utc)
+        for rec in ordered
+    )
+    return SemanticGraph(
+        post_id=thread.post.id, nodes=nodes, children=_children(ordered, sims, sim_threshold)
+    )
 
 
 @dataclass
@@ -214,20 +234,23 @@ def extract_chains(
     records: Sequence[RawRecord],
     sim_threshold: float = DEFAULT_SIM_THRESHOLD,
     top_k: int = DEFAULT_TOP_K,
-    dim: int = DEFAULT_DIM,
     agent_of: Mapping[str, str] | None = None,
-    max_chains: int = DEFAULT_MAX_CHAINS_PER_POST,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> tuple[list[InteractionChain], dict]:
-    """Full pass: thread grouping, semantic DAGs, linearization, ranking."""
+    """Full pass: thread grouping, semantic DAGs, linearization, ranking.
+
+    The manifest carries the census counts of the threads at
+    ``sim_threshold``.
+    """
     all_chains: list[InteractionChain] = []
     truncated_posts = 0
+    census = dict.fromkeys(CENSUS_CATEGORIES, 0)
     threads = group_threads(records)
     for thread in threads:
-        dag = connect(thread, sim_threshold, dim, agent_of)
-        chains, stats = linearize(dag, max_chains, max_depth)
+        dag = connect(thread, sim_threshold, agent_of)
+        chains, stats = linearize(dag)
         if stats.truncated_chains or stats.truncated_depth:
             truncated_posts += 1
+        census[_category(dag.children)] += 1
         all_chains.extend(chains)
     manifest = {
         "threads": len(threads),
@@ -235,6 +258,7 @@ def extract_chains(
         "truncated_posts": truncated_posts,
         "sim_threshold": sim_threshold,
         "top_k": top_k,
+        "census": census,
     }
     return rank_and_select(all_chains, top_k), manifest
 
@@ -243,44 +267,23 @@ def extract_chains(
 # Census
 # ---------------------------------------------------------------------------
 
-def chain_census(
-    threads: Sequence[Thread],
-    thresholds: Sequence[float],
-    dim: int = DEFAULT_DIM,
-    max_chains: int = DEFAULT_MAX_CHAINS_PER_POST,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> list[dict]:
+def chain_census(threads: Sequence[Thread], thresholds: Sequence[float]) -> list[dict]:
     """Post counts per chain-complexity category at each threshold.
 
-    Categories: no chains at all, only single-edge chains, or at least one
-    longer chain.  Counts per threshold always sum to the thread count.
+    Categories: no edge at all, only single-edge maximal paths, or at least
+    one longer path.  Each thread's similarities are computed once and
+    serve every threshold.  Counts per threshold always sum to the thread
+    count.
     """
     for threshold in thresholds:
         if not 0.0 < threshold < 1.0:
             raise ConfigError(f"census thresholds must lie in (0, 1), got {threshold}")
-    rows = []
-    for threshold in thresholds:
-        no_chain = 0
-        len_eq_1 = 0
-        len_gt_1 = 0
-        for thread in threads:
-            dag = connect(thread, threshold, dim)
-            chains, _ = linearize(dag, max_chains, max_depth)
-            if not chains:
-                no_chain += 1
-            elif max(c.length for c in chains) == 1:
-                len_eq_1 += 1
-            else:
-                len_gt_1 += 1
-        rows.append(
-            {
-                "threshold": threshold,
-                "no_chain": no_chain,
-                "len_eq_1": len_eq_1,
-                "len_gt_1": len_gt_1,
-            }
-        )
-    return rows
+    counts = [dict.fromkeys(CENSUS_CATEGORIES, 0) for _ in thresholds]
+    for thread in threads:
+        ordered, sims = _similarities(thread)
+        for row, threshold in zip(counts, thresholds):
+            row[_category(_children(ordered, sims, threshold))] += 1
+    return [{"threshold": t, **row} for t, row in zip(thresholds, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -319,4 +322,4 @@ def write_census_csv(rows: Sequence[dict], path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CENSUS_CSV_FIELDS)
         for row in rows:
-            writer.writerow([row["threshold"], row["no_chain"], row["len_eq_1"], row["len_gt_1"]])
+            writer.writerow([row[field] for field in CENSUS_CSV_FIELDS])

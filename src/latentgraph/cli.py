@@ -223,7 +223,7 @@ def cmd_triads(args: argparse.Namespace) -> int:
     edges = infermod.load_edges_csv(args.edges)
     series = temporalmod.triad_series(
         edges,
-        args.interval_days * temporalmod.SECONDS_PER_DAY,
+        config.interval_days * temporalmod.SECONDS_PER_DAY,
         use_status_time=args.use_status_time,
     )
     out = Path(args.out)
@@ -387,10 +387,8 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
             final_records, sim_threshold=config.sim_threshold, agent_of=agent_of
         )
         chainsmod.write_chains_jsonl(selected, out / "chains.jsonl")
-        census = chainsmod.chain_census(
-            chainsmod.group_threads(final_records), [config.sim_threshold]
-        )
-        chainsmod.write_census_csv(census, out / "census.csv")
+        census = {"threshold": config.sim_threshold, **chain_manifest["census"]}
+        chainsmod.write_census_csv([census], out / "census.csv")
 
     manifest = {
         "config": config.to_dict(),
@@ -541,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triads", help="triadic closure time series")
     _add_common(p)
     p.add_argument("--edges", required=True)
-    p.add_argument("--interval-days", dest="interval_days", type=int, default=182)
+    p.add_argument("--interval-days", dest="interval_days", type=int, default=None)
     p.add_argument("--use-status-time", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_triads)
@@ -584,9 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-threshold", dest="sim_threshold", type=float, default=None)
     p.add_argument("--k-agents", dest="k_agents", type=int, default=None)
     p.add_argument("--level", choices=["agent", "user"], default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="upper bound on worker threads for stage internals "
-                        "(stages currently execute serially, always within the cap)")
     p.add_argument("--replicate", action="store_true",
                    help="emit a side-by-side report against published reference metrics")
     p.set_defaults(func=cmd_run_all)

@@ -30,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, SchemaError
 
@@ -42,7 +42,6 @@ NOISE_REMOVAL = "noise_removal"
 COMMENT_TRUNCATION = "comment_truncation"
 ACTIVITY_THRESHOLD = "activity_threshold"
 DELETED_REMOVAL = "deleted_removal"
-LANGUAGE_FILTER = "language_filter"
 FEATURE_EXTRACTION = "feature_extraction"
 FEATURE_ENRICHMENT = "feature_enrichment"
 INFERENCE_HANDOFF = "inference_handoff"
@@ -274,9 +273,6 @@ class PipelineSettings:
     noise_min_chars: int = 3
     max_comments_per_post: int = 10
     min_interactions: int = 2
-    # Pluggable language predicate; the default accepts everything so no
-    # model has to ship with the library.
-    language_filter: Callable[[RawRecord], bool] | None = None
 
 
 def _split_bots(records: Sequence[RawRecord], rule: BotRule) -> tuple[list[RawRecord], int]:
@@ -332,15 +328,6 @@ def is_deleted(rec: RawRecord) -> bool:
 
 def _split_deleted(records: Sequence[RawRecord]) -> tuple[list[RawRecord], int]:
     kept = [r for r in records if not is_deleted(r)]
-    return kept, len(records) - len(kept)
-
-
-def _split_language(
-    records: Sequence[RawRecord], predicate: Callable[[RawRecord], bool] | None
-) -> tuple[list[RawRecord], int]:
-    if predicate is None:
-        return list(records), 0
-    kept = [r for r in records if predicate(r)]
     return kept, len(records) - len(kept)
 
 
@@ -404,11 +391,8 @@ def run_pipeline(
     current = list(stage0.records)
     current, n_bots = _split_bots(current, settings.bot_rule)
     current, n_noise = _split_noise(current, settings.noise_min_chars)
-    current, n_lang = _split_language(current, settings.language_filter)
     current, n_trunc = _split_truncation(current, settings.max_comments_per_post)
     manifest1 = {BOT_REMOVAL: n_bots, NOISE_REMOVAL: n_noise, COMMENT_TRUNCATION: n_trunc}
-    if settings.language_filter is not None:
-        manifest1[LANGUAGE_FILTER] = n_lang
     stages.append(snapshot(1, current, manifest1))
 
     current, n_act = _split_activity(current, settings.min_interactions)

@@ -8,8 +8,6 @@ import random
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from latentgraph import chains as chainsmod
 from latentgraph.chains import connect, linearize
 from latentgraph.cli import run_all
@@ -241,7 +239,7 @@ def test_criterion_7_chain_extraction_equivalence():
         }
         nodes = tuple(
             chainsmod.ChainNode(record_id=f"r{i:02d}", author_agent="a",
-                                time=100 + i, topic_vector=np.zeros(4))
+                                time=100 + i)
             for i in range(n)
         )
         children = tuple(

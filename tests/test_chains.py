@@ -100,8 +100,7 @@ def dag_to_semantic(n, edges):
     from latentgraph.chains import ChainNode
 
     nodes = tuple(
-        ChainNode(record_id=f"r{i:02d}", author_agent="a", time=100 + i,
-                  topic_vector=np.zeros(4))
+        ChainNode(record_id=f"r{i:02d}", author_agent="a", time=100 + i)
         for i in range(n)
     )
     children = tuple(
@@ -181,8 +180,7 @@ class TestRankAndSelect:
         c = chains[0]
         nodes = tuple(
             type(n)(record_id=(first_id if i == 0 else n.record_id),
-                    author_agent=n.author_agent, time=start + i,
-                    topic_vector=n.topic_vector)
+                    author_agent=n.author_agent, time=start + i)
             for i, n in enumerate(c.nodes)
         )
         return type(c)(post_id=c.post_id, nodes=nodes)
@@ -247,6 +245,20 @@ class TestChainCensus:
         gt1 = [r["len_gt_1"] for r in rows]
         assert gt1 == sorted(gt1, reverse=True)
 
+    def test_long_linear_thread_not_capped(self):
+        # 70 records where only neighbours share a token: one path of 69
+        # edges, deeper than linearize's depth cap.
+        records = [post("p1", text="w00 w01")]
+        for i in range(1, 70):
+            records.append(com(f"c{i:02d}", 100 + i, f"w{i:02d} w{i + 1:02d}"))
+        threads = group_threads(records)
+        assert connect(threads[0], 0.1).edge_count == 69
+        rows = chain_census(threads, [0.1])
+        assert rows[0] == {"threshold": 0.1, "no_chain": 0, "len_eq_1": 0, "len_gt_1": 1}
+        _, manifest = extract_chains(records, 0.1)
+        assert manifest["census"] == {"no_chain": 0, "len_eq_1": 0, "len_gt_1": 1}
+        assert manifest["truncated_posts"] == 1
+
     def test_threshold_domain(self):
         with pytest.raises(ConfigError):
             chain_census([], [0.0])
@@ -268,6 +280,7 @@ class TestEndToEnd:
 
         dump = make_synthetic_dump(40, 240, seed=6)
         selected, manifest = extract_chains(dump.records, 0.1, top_k=10)
+        text_of = {r.id: r.text for r in dump.records}
         assert len(selected) <= 10
         assert manifest["chains_total"] >= len(selected)
         lengths = [c.length for c in selected]
@@ -275,7 +288,9 @@ class TestEndToEnd:
         for chain in selected:
             pairs = zip(chain.nodes, chain.nodes[1:])
             for a, b in pairs:
-                assert float(a.topic_vector @ b.topic_vector) > 0.1
+                v_a = vectorize_user([text_of[a.record_id]])
+                v_b = vectorize_user([text_of[b.record_id]])
+                assert float(v_a @ v_b) > 0.1
                 assert (a.time, a.record_id) < (b.time, b.record_id)
 
     def test_jsonl_and_census_outputs(self, tmp_path):

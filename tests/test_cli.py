@@ -204,6 +204,37 @@ class TestRunAll:
         assert "latent-graph 0.1.0" in capsys.readouterr().out
 
 
+class TestTriads:
+    def interval_lengths(self, args, tmp_path):
+        from latentgraph.inference import FollowEdge, FollowStatus, write_edges_csv
+
+        day = 86_400
+        edges = [
+            FollowEdge(a, b, windows_hit=3, total_comments=3, status=FollowStatus.FORSURE,
+                       first_seen=t * day, last_seen=t * day, status_time=t * day)
+            for a, b, t in [("a", "b", 0), ("b", "c", 40), ("a", "c", 90)]
+        ]
+        edges_path = tmp_path / "edges.csv"
+        write_edges_csv(edges, edges_path)
+        out = tmp_path / "triads.csv"
+        assert main(["triads", "--edges", str(edges_path), "--out", str(out), *args]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows
+        return {(int(end) - int(start)) // day
+                for start, end, *_ in (row.split(",") for row in rows)}
+
+    def test_config_interval_applies(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"interval_days": 30}))
+        assert self.interval_lengths(["--config", str(config)], tmp_path) == {30}
+
+    def test_flag_overrides_config(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"interval_days": 30}))
+        args = ["--config", str(config), "--interval-days", "7"]
+        assert self.interval_lengths(args, tmp_path) == {7}
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical(self, small_dump, tmp_path):
         lexicon = write_lexicon_csv(tmp_path / "lexicon.csv")

@@ -61,7 +61,6 @@ class InteractionGraph:
     nodes: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
     edge_class_filter: EdgeClass
-    built_at: int = 0
     # Nodes kept even when no retained edge touches them (known agents).
     extra_nodes: tuple[str, ...] = ()
 
@@ -82,7 +81,6 @@ def build(
     include: EdgeClass = EdgeClass.ALL,
     known_agents: Iterable[str] = (),
     keep_isolated: bool = True,
-    built_at: int = 0,
 ) -> InteractionGraph:
     """Materialize the graph from classified edges.
 
@@ -122,7 +120,6 @@ def build(
         nodes=tuple(sorted(nodes)),
         edges=tuple(retained),
         edge_class_filter=include,
-        built_at=built_at,
         extra_nodes=extra,
     )
 

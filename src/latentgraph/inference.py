@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
 from .ingest import RawRecord, RecordKind
@@ -193,14 +194,6 @@ def extract_events(
     return events, stats
 
 
-def _status_for(windows_hit: int, maybe_min: int, forsure_min: int) -> FollowStatus:
-    if windows_hit >= forsure_min:
-        return FollowStatus.FORSURE
-    if windows_hit >= maybe_min:
-        return FollowStatus.MAYBE
-    return FollowStatus.NONE
-
-
 def _check_thresholds(maybe_min: int, forsure_min: int) -> None:
     if maybe_min < 1:
         raise ConfigError(f"maybe_min must be >= 1, got {maybe_min}")
@@ -208,6 +201,59 @@ def _check_thresholds(maybe_min: int, forsure_min: int) -> None:
         raise ConfigError(
             f"forsure_min ({forsure_min}) must be >= maybe_min ({maybe_min})"
         )
+
+
+class PairHistory(NamedTuple):
+    """An ordered pair's sorted event ``times`` and ``hits``, the first time in
+    each distinct window it touches: its k-th active window opens at ``hits[k - 1]``."""
+
+    source: str
+    target: str
+    times: list[int]
+    hits: list[int]
+
+    def edge(self, maybe_min: int, forsure_min: int, cutoff: int | None = None) -> FollowEdge | None:
+        """The edge over the events at or before ``cutoff``; None if none are."""
+        source, target, times, hits = self
+        n = len(times) if cutoff is None else bisect_right(times, cutoff)
+        if not n:
+            return None
+        windows_hit = len(hits) if cutoff is None else bisect_right(hits, cutoff)
+        maybe_time = hits[maybe_min - 1] if windows_hit >= maybe_min else None
+        forsure_time = hits[forsure_min - 1] if windows_hit >= forsure_min else None
+        status, status_time = FollowStatus.NONE, times[0]
+        if maybe_time is not None:
+            status, status_time = FollowStatus.MAYBE, maybe_time
+        if forsure_time is not None:
+            status, status_time = FollowStatus.FORSURE, forsure_time
+        return FollowEdge(source, target, windows_hit, n, status, times[0], times[n - 1],
+                          status_time, maybe_time, forsure_time)
+
+
+def pair_histories(events: Iterable[InteractionEvent], grid: WindowGrid) -> Iterator[PairHistory]:
+    """Every ordered pair's history in (source, target) order; raises
+    ValueError for an event time outside ``grid``.  Lazy, so that reading
+    each history once never holds them all."""
+    pairs: dict[tuple[str, str], list[int]] = defaultdict(list)
+    for event in events:
+        pairs[(event.source, event.target)].append(event.time)
+    for key in sorted(pairs):
+        times = sorted(pairs[key])
+        hits, last = [], -1
+        for time in times:
+            window = grid.index(time)
+            if window != last:
+                hits.append(time)
+                last = window
+        yield PairHistory(*key, times, hits)
+
+
+def edges_at(
+    histories: Iterable[PairHistory], maybe_min: int, forsure_min: int, cutoff: int | None = None
+) -> list[FollowEdge]:
+    """Every pair's edge at ``cutoff``, skipping pairs with no event by then."""
+    _check_thresholds(maybe_min, forsure_min)
+    return [e for h in histories if (e := h.edge(maybe_min, forsure_min, cutoff)) is not None]
 
 
 def classify(
@@ -221,52 +267,14 @@ def classify(
     All events must share the same (source, target).  An empty event list
     yields a NONE edge with zero counts.
     """
-    _check_thresholds(maybe_min, forsure_min)
-    if not events:
+    edges = infer_all(events, grid, maybe_min, forsure_min)
+    if len(edges) > 1:
+        raise ValueError("classify expects events of a single ordered pair")
+    if not edges:
         return FollowEdge(
             source="", target="", windows_hit=0, total_comments=0, status=FollowStatus.NONE
         )
-    source, target = events[0].source, events[0].target
-    for event in events:
-        if event.source != source or event.target != target:
-            raise ValueError("classify expects events of a single ordered pair")
-
-    ordered = sorted(events, key=lambda e: (e.time, e.comment_id))
-    seen: set[int] = set()
-    maybe_time: int | None = None
-    forsure_time: int | None = None
-    for event in ordered:
-        idx = grid.index(event.time)
-        if idx in seen:
-            continue
-        seen.add(idx)
-        if len(seen) == maybe_min and maybe_time is None:
-            maybe_time = event.time
-        if len(seen) == forsure_min and forsure_time is None:
-            forsure_time = event.time
-
-    windows_hit = len(seen)
-    status = _status_for(windows_hit, maybe_min, forsure_min)
-    first_seen = ordered[0].time
-    last_seen = ordered[-1].time
-    if status is FollowStatus.FORSURE:
-        status_time = forsure_time
-    elif status is FollowStatus.MAYBE:
-        status_time = maybe_time
-    else:
-        status_time = first_seen
-    return FollowEdge(
-        source=source,
-        target=target,
-        windows_hit=windows_hit,
-        total_comments=len(ordered),
-        status=status,
-        first_seen=first_seen,
-        last_seen=last_seen,
-        status_time=status_time,
-        maybe_time=maybe_time,
-        forsure_time=forsure_time,
-    )
+    return edges[0]
 
 
 def infer_all(
@@ -276,14 +284,7 @@ def infer_all(
     forsure_min: int = DEFAULT_FORSURE_MIN,
 ) -> list[FollowEdge]:
     """Classify every ordered pair; output sorted by (source, target)."""
-    _check_thresholds(maybe_min, forsure_min)
-    pairs: dict[tuple[str, str], list[InteractionEvent]] = defaultdict(list)
-    for event in events:
-        pairs[(event.source, event.target)].append(event)
-    return [
-        classify(pairs[key], grid, maybe_min, forsure_min)
-        for key in sorted(pairs)
-    ]
+    return edges_at(pair_histories(events, grid), maybe_min, forsure_min)
 
 
 @dataclass(frozen=True)

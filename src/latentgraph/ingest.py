@@ -140,12 +140,18 @@ def _parse_post(obj: dict) -> RawRecord:
     )
 
 
+def _bare_id(value: object) -> str:
+    """Strip a Pushshift fullname prefix: ``t3_abc`` (post) / ``t1_xyz`` (comment)."""
+    text = str(value)
+    return text[3:] if text.startswith(("t1_", "t3_")) else text
+
+
 def _parse_comment(obj: dict) -> RawRecord:
     created = int(obj["created_utc"])
     if created <= 0:
         raise ValueError("created_utc must be positive")
-    link_id = str(obj["link_id"])
-    parent_id = str(obj["parent_id"])
+    link_id = _bare_id(obj["link_id"])
+    parent_id = _bare_id(obj["parent_id"])
     if not link_id or not parent_id:
         raise ValueError("comments need link_id and parent_id")
     return RawRecord(

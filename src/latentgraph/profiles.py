@@ -28,6 +28,7 @@ from .ingest import RawRecord
 
 DEFAULT_DIM = 4096
 RESIDUAL_LABEL = "GeneralChat"
+KMEANS_MAX_ITER = 100
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
@@ -218,13 +219,7 @@ def _kmeans_pp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return matrix[centers].copy()
 
 
-def cluster_users(
-    vectors: Sequence[UserVector],
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    residual_label: str = RESIDUAL_LABEL,
-) -> list[AgentProfile]:
+def cluster_users(vectors: Sequence[UserVector], k: int, seed: int) -> list[AgentProfile]:
     """Spherical k-means over the nonzero user vectors.
 
     Zero-vector users (no usable text) go to a dedicated residual agent
@@ -246,7 +241,7 @@ def cluster_users(
     centroids = _kmeans_pp_init(matrix, k, rng)
 
     assign = np.full(len(usable), -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sims = matrix @ centroids.T
         new_assign = np.argmax(sims, axis=1)
         # Revive empty clusters with the point that fits its own cluster
@@ -289,7 +284,7 @@ def cluster_users(
         profiles.append(
             AgentProfile(
                 agent_id=f"A{k:03d}",
-                label=residual_label,
+                label=RESIDUAL_LABEL,
                 members=tuple(uv.user for uv in idle),
                 centroid=np.zeros(dim, dtype=np.float64),
             )

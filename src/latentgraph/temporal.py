@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from . import graph as graphmod
+from . import inference as infermod
 from . import metrics as metricsmod
 from .graph import EdgeClass, InteractionGraph
 from .inference import (
@@ -26,7 +27,7 @@ from .inference import (
     FollowStatus,
     InteractionEvent,
     WindowGrid,
-    infer_all,
+    infer_all,  # noqa: F401 - re-exported; perfbench's tracer test patches it here
 )
 
 SECONDS_PER_DAY = 86400
@@ -66,18 +67,6 @@ class TriadSeries:
     @property
     def n_intervals(self) -> int:
         return len(self.intervals)
-
-
-def _pair_first_seen(edges: Sequence[FollowEdge]) -> dict[tuple[str, str], int]:
-    """Undirected pair -> earliest first_seen among its directed edges."""
-    seen: dict[tuple[str, str], int] = {}
-    for edge in edges:
-        if edge.first_seen is None:
-            continue
-        key = (edge.source, edge.target) if edge.source <= edge.target else (edge.target, edge.source)
-        if key not in seen or edge.first_seen < seen[key]:
-            seen[key] = edge.first_seen
-    return seen
 
 
 def triangle_closures(pair_times: dict[tuple[str, str], int]) -> list[int]:
@@ -210,8 +199,11 @@ def build_graph_at(
     config: SnapshotConfig,
     cutoff: int | None = None,
 ) -> InteractionGraph:
-    subset = events if cutoff is None else [e for e in events if e.time <= cutoff]
-    edges = infer_all(subset, grid, config.maybe_min, config.forsure_min)
+    return _graph_at(infermod.pair_histories(events, grid), config, cutoff)
+
+
+def _graph_at(histories: Iterable[infermod.PairHistory], config: SnapshotConfig, cutoff: int | None):
+    edges = infermod.edges_at(histories, config.maybe_min, config.forsure_min, cutoff)
     built = graphmod.build(edges, config.include, known_agents=config.known_agents)
     return graphmod.apply_coverage(built, config.coverage)
 
@@ -225,15 +217,13 @@ def snapshot_series(
     """Inference plus a full metric report at each cutoff time."""
     if list(checkpoints) != sorted(checkpoints):
         raise ConfigError("checkpoints must be ascending")
-    reports = []
-    for cutoff in checkpoints:
-        g = build_graph_at(events, grid, config, cutoff)
-        reports.append(
-            metricsmod.full_report(
-                g, seed=config.seed, config={"checkpoint": cutoff}
-            )
+    histories = list(infermod.pair_histories(events, grid))
+    return [
+        metricsmod.full_report(
+            _graph_at(histories, config, cutoff), seed=config.seed, config={"checkpoint": cutoff}
         )
-    return reports
+        for cutoff in checkpoints
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +267,12 @@ def sweep(
     cells = []
     for window_days in window_days_list:
         window_len = max(1, int(round(window_days * SECONDS_PER_DAY)))
-        grid = WindowGrid.from_events(events, window_len)
+        histories = list(infermod.pair_histories(events, WindowGrid.from_events(events, window_len)))
         for maybe_min in maybe_min_list:
             for forsure_min in forsure_min_list:
-                edges = infer_all(events, grid, maybe_min, forsure_min)
+                edges = infermod.edges_at(histories, maybe_min, forsure_min)
+                built = graphmod.build(edges, include, known_agents=known_agents)
                 for coverage in coverage_list:
-                    built = graphmod.build(edges, include, known_agents=known_agents)
                     covered = graphmod.apply_coverage(built, coverage)
 
                     def try_metric(fn):
@@ -291,11 +281,7 @@ def sweep(
                         except metricsmod.UndefinedMetricError:
                             return None
 
-                    mod_value: float | None
-                    if covered.node_count:
-                        _, mod_value = metricsmod.communities(covered)
-                    else:
-                        mod_value = None
+                    modularity = metricsmod.communities(covered)[1] if covered.node_count else None
                     cells.append(
                         SweepCell(
                             window_days=window_days,
@@ -306,7 +292,7 @@ def sweep(
                             edges=covered.edge_count,
                             clustering=try_metric(metricsmod.clustering),
                             reciprocity=try_metric(metricsmod.reciprocity),
-                            modularity=mod_value,
+                            modularity=modularity,
                         )
                     )
     return SweepReport(cells=tuple(cells))

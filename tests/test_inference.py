@@ -15,6 +15,7 @@ from latentgraph.inference import (
     infer_all,
     load_edges_csv,
     load_events_jsonl,
+    pair_histories,
     write_edges_csv,
     write_events_jsonl,
     write_timeline_csv,
@@ -212,6 +213,36 @@ def test_monotonicity_new_window_never_demotes(times, extra_time, window_len):
     before = classify(evs, grid)
     after = classify(events_at(all_times), grid)
     assert after.status.rank >= before.status.rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["ab", "ba", "ac"]), st.integers(min_value=0, max_value=40)),
+        min_size=1, max_size=40,
+    ),
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=4),
+)
+def test_history_at_cutoff_matches_oracle_on_filtered_events(
+    pairs_times, window_len, maybe_min, extra, cutoffs
+):
+    """A pair's history read at a cutoff is the oracle on its events up to it."""
+    events = [ev(pair[0], pair[1], t, f"c{i:03d}") for i, (pair, t) in enumerate(pairs_times)]
+    grid = WindowGrid.from_events(events, window_len)
+    forsure_min = maybe_min + extra
+    times = [e.time for e in events]
+    for cutoff in [min(times) - 1, max(times) + 1, None] + cutoffs:
+        for history in pair_histories(events, grid):
+            kept = [e for e in events if (e.source, e.target) == history[:2]
+                    and (cutoff is None or e.time <= cutoff)]
+            got = history.edge(maybe_min, forsure_min, cutoff)
+            if kept:
+                assert got == oracle_classify(kept, grid, maybe_min, forsure_min)
+            else:
+                assert got is None
 
 
 class TestExtractEvents:

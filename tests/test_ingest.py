@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from latentgraph.chains import group_threads
 from latentgraph.errors import DataError, SchemaError
+from latentgraph.inference import extract_events
 from latentgraph.ingest import (
     ACTIVITY_THRESHOLD,
     BOT_REMOVAL,
@@ -99,6 +101,26 @@ class TestParseDump:
         records, skipped = load_dump(path, RecordKind.COMMENT)
         assert [r.id for r in records] == ["c2"]
         assert skipped == 1
+
+    def test_pushshift_fullnames_link_comments(self, tmp_path):
+        posts_path = tmp_path / "posts.jsonl"
+        posts_path.write_text(json.dumps(
+            {"id": "abc", "author": "A", "created_utc": 100, "title": "t",
+             "selftext": "s", "subreddit": "x"}) + "\n")
+        comments_path = tmp_path / "comments.jsonl"
+        comments_path.write_text("".join(json.dumps(c) + "\n" for c in [
+            {"id": "xyz", "author": "B", "created_utc": 200, "body": "hi",
+             "subreddit": "x", "link_id": "t3_abc", "parent_id": "t3_abc"},
+            {"id": "c2", "author": "C", "created_utc": 300, "body": "yo",
+             "subreddit": "x", "link_id": "t3_abc", "parent_id": "t1_xyz"},
+        ]))
+        posts, _ = load_dump(posts_path, RecordKind.POST)
+        comments, _ = load_dump(comments_path, RecordKind.COMMENT)
+        assert [(c.link_id, c.parent_id) for c in comments] == [("abc", "abc"), ("abc", "xyz")]
+        events, stats = extract_events(posts, comments)
+        assert (stats.events, stats.orphans) == (2, 0)
+        (thread,) = group_threads(posts + comments)
+        assert [c.id for c in thread.comments] == ["xyz", "c2"]
 
     def test_gzip_dump(self, tmp_path):
         path = tmp_path / "posts.jsonl.gz"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,14 @@ from latentgraph.inference import (
     WindowGrid,
     infer_all,
 )
-from latentgraph.metrics import full_report
+from latentgraph.graph import EdgeClass, apply_coverage, build
+from latentgraph.metrics import (
+    UndefinedMetricError,
+    clustering,
+    communities,
+    full_report,
+    reciprocity,
+)
 from latentgraph.temporal import (
     SnapshotConfig,
     build_graph_at,
@@ -140,6 +148,23 @@ def build_event_fixture():
     return events
 
 
+def busy_event_fixture():
+    """The two-pair fixture plus seeded traffic among seven users."""
+    rng = random.Random(11)
+    extra = []
+    for i in range(80):
+        u, v = rng.sample("abcdefg", 2)
+        extra.append(InteractionEvent(u, v, rng.randint(0, 460 * DAY), "p", f"x{i:03d}"))
+    return sorted(build_event_fixture() + extra, key=lambda e: (e.time, e.comment_id))
+
+
+def defined(metric, graph):
+    try:
+        return metric(graph)
+    except UndefinedMetricError:
+        return None
+
+
 class TestSnapshotSeries:
     def test_checkpoint_past_all_data_equals_global(self):
         events = build_event_fixture()
@@ -165,21 +190,43 @@ class TestSnapshotSeries:
         counts = [r.edges for r in reports]
         assert counts == sorted(counts)
 
+    def test_each_checkpoint_equals_inference_on_filtered_events(self):
+        events = busy_event_fixture()
+        grid = WindowGrid.from_events(events, 30 * DAY)
+        config = SnapshotConfig(coverage=0.05, seed=3, known_agents=("k",))
+        checkpoints = [-1, 0, 45 * DAY, 200 * DAY, 460 * DAY, 10**12]
+        reports = snapshot_series(events, grid, config, checkpoints)
+        for cutoff, report in zip(checkpoints, reports):
+            subset = [e for e in events if e.time <= cutoff]
+            edges = infer_all(subset, grid, config.maybe_min, config.forsure_min)
+            graph = apply_coverage(build(edges, known_agents=config.known_agents), 0.05)
+            want = full_report(graph, seed=3, config={"checkpoint": cutoff})
+            assert report.to_dict() == want.to_dict()
+
     def test_unsorted_checkpoints_rejected(self):
         with pytest.raises(ConfigError):
             snapshot_series([], WindowGrid(0, DAY, 0), SnapshotConfig(), [5, 1])
 
 
 class TestSweep:
-    def test_single_cell_matches_direct_run(self):
-        events = build_event_fixture()
-        report = sweep(events, [30], [2], [3], [0.0])
-        assert len(report.cells) == 1
-        cell = report.cells[0]
-        grid = WindowGrid.from_events(events, 30 * DAY)
-        direct = build_graph_at(events, grid, SnapshotConfig())
-        assert cell.nodes == direct.node_count
-        assert cell.edges == direct.edge_count
+    def test_every_cell_matches_direct_run(self):
+        events = busy_event_fixture()
+        windows, maybes, forsures, coverages = [7, 30, 90], [1, 2], [2, 3, 4], [0.0, 0.05, 0.1]
+        # Forsure-only edges, so that every threshold can change the graph.
+        only = EdgeClass.FORSURE_ONLY
+        report = sweep(events, windows, maybes, forsures, coverages, only, known_agents=("k",))
+        params = list(itertools.product(windows, maybes, forsures, coverages))
+        assert len(report.cells) == len(params)
+        for cell, (window_days, maybe_min, forsure_min, coverage) in zip(report.cells, params):
+            assert (cell.window_days, cell.maybe_min, cell.forsure_min, cell.coverage) == (
+                window_days, maybe_min, forsure_min, coverage)
+            grid = WindowGrid.from_events(events, window_days * DAY)
+            edges = infer_all(events, grid, maybe_min, forsure_min)
+            direct = apply_coverage(build(edges, only, known_agents=("k",)), coverage)
+            assert (cell.nodes, cell.edges) == (direct.node_count, direct.edge_count)
+            assert cell.clustering == defined(clustering, direct)
+            assert cell.reciprocity == defined(reciprocity, direct)
+            assert cell.modularity == communities(direct)[1]
 
     def test_grid_shape_and_order(self):
         events = build_event_fixture()

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import RawRecord, RecordKind
+from .ingest import RawRecord, RecordKind, atomic_write
 from .profiles import vectorize_user
 
 DEFAULT_SIM_THRESHOLD = 0.1
@@ -291,9 +291,7 @@ def chain_census(threads: Sequence[Thread], thresholds: Sequence[float]) -> list
 # ---------------------------------------------------------------------------
 
 def write_chains_jsonl(chains: Sequence[InteractionChain], path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for chain in chains:
             fh.write(
                 json.dumps(
@@ -316,9 +314,7 @@ def write_chains_jsonl(chains: Sequence[InteractionChain], path: str | Path) -> 
 
 
 def write_census_csv(rows: Sequence[dict], path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CENSUS_CSV_FIELDS)
         for row in rows:

@@ -47,7 +47,7 @@ def _write_sidecar(out_path: Path, config: RunConfig, extra: dict | None = None)
     if extra:
         payload.update(extra)
     sidecar = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with ingestmod.atomic_write(sidecar) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -95,8 +95,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out = Path(args.out)
     posts, skipped_posts = ingestmod.load_dump(args.posts, ingestmod.RecordKind.POST)
     comments, skipped_comments = ingestmod.load_dump(args.comments, ingestmod.RecordKind.COMMENT)
-    stage0 = ingestmod.snapshot(0, posts + comments, {})
-    ingestmod.write_snapshot(stage0, out, {"config_digest": config_digest(config)})
+    stage0 = ingestmod.snapshot(0, posts + comments)
+    ingestmod.write_stages([stage0], out, {"config_digest": config_digest(config)})
     summary = {
         "posts": stage0.post_count,
         "comments": stage0.comment_count,
@@ -276,6 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         maybe_min_list=int_list(args.maybe),
         forsure_min_list=int_list(args.forsure),
         coverage_list=float_list(args.coverage_list),
+        seed=config.seed,
     )
     out = Path(args.out)
     temporalmod.write_sweep_csv(report, out)
@@ -403,7 +404,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         ],
         "timings_seconds": timings,
     }
-    with open(out / "run_manifest.json", "w", encoding="utf-8") as fh:
+    with ingestmod.atomic_write(out / "run_manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
@@ -442,7 +443,7 @@ def _write_replication_report(config: RunConfig, report, out: Path) -> None:
         ),
         "metrics": rows,
     }
-    with open(out / "replication_report.json", "w", encoding="utf-8") as fh:
+    with ingestmod.atomic_write(out / "replication_report.json") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

@@ -18,6 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DataError
 from .inference import EDGES_CSV_FIELDS, FollowEdge, FollowStatus
+from .ingest import atomic_write
 
 
 class EdgeClass(str, Enum):
@@ -152,9 +153,7 @@ def _opt(value: int | None) -> str:
 
 
 def write_graph_edges_csv(graph: InteractionGraph, path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EDGES_CSV_FIELDS + ["weight"])
         for edge in graph.edges:
@@ -212,8 +211,6 @@ def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
 
     Edges carry ``weight`` and ``status`` attributes.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -232,7 +229,8 @@ def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_graphml(path: str | Path) -> InteractionGraph:
@@ -279,8 +277,6 @@ def _dot_quote(name: str) -> str:
 
 
 def write_dot(graph: InteractionGraph, path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     lines = ["digraph interactions {"]
     for node in graph.nodes:
         lines.append(f"  {_dot_quote(node)};")
@@ -290,7 +286,8 @@ def write_dot(graph: InteractionGraph, path: str | Path) -> None:
             f'[weight={edge.weight}, status="{edge.status.value}"];'
         )
     lines.append("}")
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def export(graph: InteractionGraph, fmt: ExportFormat | str, path: str | Path) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, RecordKind
+from .ingest import RawRecord, RecordKind, atomic_write
 
 SECONDS_PER_DAY = 86400
 DEFAULT_WINDOW_SECONDS = 30 * SECONDS_PER_DAY
@@ -329,9 +329,7 @@ def _opt(value: int | None) -> str:
 
 
 def write_edges_csv(edges: Sequence[FollowEdge], path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EDGES_CSV_FIELDS)
         for edge in edges:
@@ -376,9 +374,7 @@ def load_edges_csv(path: str | Path) -> list[FollowEdge]:
 
 
 def write_timeline_csv(rows: Sequence[TimelineRow], path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TIMELINE_CSV_FIELDS)
         for row in rows:
@@ -386,9 +382,7 @@ def write_timeline_csv(rows: Sequence[TimelineRow], path: str | Path) -> None:
 
 
 def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for event in events:
             fh.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
 

@@ -10,7 +10,7 @@ filter removed, so the whole reduction is auditable stage by stage.
 Stage map:
 
 ====  =============================================================
- 0    raw records (no filtering)
+ 0    raw records, sorted, with repeats of a (kind, id) pair removed
  1    bot removal, noise filtering, truncation to the earliest
       ``max_comments_per_post`` comments per post
  2    user activity thresholding (authors below ``min_interactions``)
@@ -19,24 +19,31 @@ Stage map:
  5    feature enrichment (record set unchanged; handled downstream)
  6    handoff to relation inference (record set unchanged)
 ====  =============================================================
+
+On disk, stage 0 is ``stage0.records.jsonl`` and every later stage is a
+ledger of the records it removed, ``stageK.removed.jsonl``, so stage k is
+stage 0 less the ledgers 1..k.  Each stage also has ``stageK.manifest.json``.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import os
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataError, SchemaError
 
 N_STAGES = 7
 
 # Manifest keys, shared with fixtures and tests.
+DUPLICATE_REMOVAL = "duplicate_removal"
 BOT_REMOVAL = "bot_removal"
 NOISE_REMOVAL = "noise_removal"
 COMMENT_TRUNCATION = "comment_truncation"
@@ -73,16 +80,7 @@ class RawRecord:
     parent_id: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind.value,
-            "author": self.author,
-            "created_utc": self.created_utc,
-            "text": self.text,
-            "subreddit": self.subreddit,
-            "link_id": self.link_id,
-            "parent_id": self.parent_id,
-        }
+        return {**vars(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RawRecord":
@@ -105,11 +103,12 @@ def record_sort_key(rec: RawRecord) -> tuple[int, str]:
 
 @dataclass(frozen=True)
 class StageSnapshot:
-    """Immutable record set plus removal manifest after one stage."""
+    """Immutable record set after one stage, with the records each of the
+    stage's filters removed, keyed by the filter's manifest key."""
 
     stage_id: int
     records: tuple[RawRecord, ...]
-    manifest: dict[str, int]
+    removed: dict[str, tuple[RawRecord, ...]]
     post_count: int = field(init=False)
     comment_count: int = field(init=False)
 
@@ -117,6 +116,10 @@ class StageSnapshot:
         posts = sum(1 for r in self.records if r.kind is RecordKind.POST)
         object.__setattr__(self, "post_count", posts)
         object.__setattr__(self, "comment_count", len(self.records) - posts)
+
+    @property
+    def manifest(self) -> dict[str, int]:
+        return {key: len(recs) for key, recs in self.removed.items()}
 
     @property
     def total(self) -> int:
@@ -228,7 +231,7 @@ def load_dump(path: str | Path, kind: RecordKind) -> tuple[list[RawRecord], int]
 
 
 # ---------------------------------------------------------------------------
-# Filter rules
+# Filters and stages; each filter keeps the order of the records it is given
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -281,77 +284,51 @@ class PipelineSettings:
     min_interactions: int = 2
 
 
-def _split_bots(records: Sequence[RawRecord], rule: BotRule) -> tuple[list[RawRecord], int]:
-    burst = rule.burst_authors(records)
-    kept = [r for r in records if not rule.matches(r.author, burst)]
-    return kept, len(records) - len(kept)
-
-
 def is_noise(rec: RawRecord, min_chars: int = 3) -> bool:
     text = rec.text.strip()
     return len(text) < min_chars or bool(_URL_ONLY_RE.match(text))
-
-
-def _split_noise(records: Sequence[RawRecord], min_chars: int) -> tuple[list[RawRecord], int]:
-    kept = [r for r in records if not is_noise(r, min_chars)]
-    return kept, len(records) - len(kept)
-
-
-def _split_truncation(
-    records: Sequence[RawRecord], max_per_post: int
-) -> tuple[list[RawRecord], int]:
-    per_post: dict[str, list[RawRecord]] = defaultdict(list)
-    for rec in records:
-        if rec.kind is RecordKind.COMMENT:
-            per_post[rec.link_id].append(rec)
-    dropped: set[str] = set()
-    for comments in per_post.values():
-        if len(comments) <= max_per_post:
-            continue
-        comments.sort(key=record_sort_key)
-        dropped.update(c.id for c in comments[max_per_post:])
-    kept = [
-        r
-        for r in records
-        if r.kind is RecordKind.POST or r.id not in dropped
-    ]
-    return kept, len(dropped)
-
-
-def _split_activity(
-    records: Sequence[RawRecord], min_interactions: int
-) -> tuple[list[RawRecord], int]:
-    counts: dict[str, int] = defaultdict(int)
-    for rec in records:
-        counts[rec.author] += 1
-    kept = [r for r in records if counts[r.author] >= min_interactions]
-    return kept, len(records) - len(kept)
 
 
 def is_deleted(rec: RawRecord) -> bool:
     return rec.author == "[deleted]" or rec.text.strip() in ("[removed]", "[deleted]")
 
 
-def _split_deleted(records: Sequence[RawRecord]) -> tuple[list[RawRecord], int]:
-    kept = [r for r in records if not is_deleted(r)]
-    return kept, len(records) - len(kept)
+def _drop(
+    stage_id: int, records: Iterable[RawRecord], key: str, drop: Callable[[RawRecord], bool]
+) -> StageSnapshot:
+    """Snapshot of ``records`` less those ``drop`` flags, which are removed under ``key``."""
+    kept: list[RawRecord] = []
+    removed: list[RawRecord] = []
+    for rec in records:
+        (removed if drop(rec) else kept).append(rec)
+    return StageSnapshot(stage_id, tuple(kept), {key: tuple(removed)})
 
 
-# ---------------------------------------------------------------------------
-# Stage-level operations
-# ---------------------------------------------------------------------------
+def snapshot(stage_id: int, records: Iterable[RawRecord]) -> StageSnapshot:
+    """The canonical snapshot of raw input, as stage 0 of a run.
 
-def snapshot(stage_id: int, records: Iterable[RawRecord], manifest: dict[str, int] | None = None) -> StageSnapshot:
-    ordered = tuple(sorted(records, key=record_sort_key))
-    return StageSnapshot(stage_id=stage_id, records=ordered, manifest=dict(manifest or {}))
+    Records are sorted once by :func:`record_sort_key`; later stages keep that
+    order.  Repeats of a (kind, id) pair are dropped, keeping the earliest copy
+    (the first in input order on a tie), and counted under ``duplicate_removal``.
+    """
+    seen: set[tuple[RecordKind, str]] = set()
+
+    def repeat(rec: RawRecord) -> bool:
+        key = (rec.kind, rec.id)
+        if key in seen:
+            return True
+        seen.add(key)
+        return False
+
+    return _drop(stage_id, sorted(records, key=record_sort_key), DUPLICATE_REMOVAL, repeat)
 
 
 def filter_bots(
     records: Sequence[RawRecord], rule: BotRule = BotRule(), stage_id: int = 1
 ) -> StageSnapshot:
     """Drop bot-authored records; the manifest counts the removals."""
-    kept, removed = _split_bots(records, rule)
-    return snapshot(stage_id, kept, {BOT_REMOVAL: removed})
+    burst = rule.burst_authors(records)
+    return _drop(stage_id, records, BOT_REMOVAL, lambda r: rule.matches(r.author, burst))
 
 
 def truncate_comments(
@@ -361,23 +338,32 @@ def truncate_comments(
 
     Earliest by (created_utc, id); posts themselves are never dropped here.
     """
-    kept, removed = _split_truncation(records, max_per_post)
-    return snapshot(stage_id, kept, {COMMENT_TRUNCATION: removed})
+    per_post: dict[str, list[RawRecord]] = defaultdict(list)
+    for rec in records:
+        if rec.kind is RecordKind.COMMENT:
+            per_post[rec.link_id].append(rec)
+    late: set[str] = set()
+    for comments in per_post.values():
+        if len(comments) > max_per_post:
+            comments.sort(key=record_sort_key)
+            late.update(c.id for c in comments[max_per_post:])
+    return _drop(stage_id, records, COMMENT_TRUNCATION,
+                 lambda r: r.kind is RecordKind.COMMENT and r.id in late)
 
 
 def threshold_activity(
     records: Sequence[RawRecord], min_interactions: int = 2, stage_id: int = 2
 ) -> StageSnapshot:
     """Remove every record of authors with fewer than ``min_interactions`` records."""
-    kept, removed = _split_activity(records, min_interactions)
-    return snapshot(stage_id, kept, {ACTIVITY_THRESHOLD: removed})
+    counts = Counter(r.author for r in records)
+    return _drop(stage_id, records, ACTIVITY_THRESHOLD,
+                 lambda r: counts[r.author] < min_interactions)
 
 
 def drop_deleted(records: Sequence[RawRecord], stage_id: int = 3) -> StageSnapshot:
     """Remove records authored by "[deleted]" or whose trimmed text is a
     deletion marker ("[removed]" / "[deleted]")."""
-    kept, removed = _split_deleted(records)
-    return snapshot(stage_id, kept, {DELETED_REMOVAL: removed})
+    return _drop(stage_id, records, DELETED_REMOVAL, is_deleted)
 
 
 def run_pipeline(
@@ -390,80 +376,80 @@ def run_pipeline(
     records (their work happens in the profile and inference layers) but are
     materialized so manifests line up with the stage numbering.
     """
-    stages: list[StageSnapshot] = []
-    stage0 = snapshot(0, records, {})
-    stages.append(stage0)
-
-    current = list(stage0.records)
-    current, n_bots = _split_bots(current, settings.bot_rule)
-    current, n_noise = _split_noise(current, settings.noise_min_chars)
-    current, n_trunc = _split_truncation(current, settings.max_comments_per_post)
-    manifest1 = {BOT_REMOVAL: n_bots, NOISE_REMOVAL: n_noise, COMMENT_TRUNCATION: n_trunc}
-    stages.append(snapshot(1, current, manifest1))
-
-    current, n_act = _split_activity(current, settings.min_interactions)
-    stages.append(snapshot(2, current, {ACTIVITY_THRESHOLD: n_act}))
-
-    current, n_del = _split_deleted(current)
-    stages.append(snapshot(3, current, {DELETED_REMOVAL: n_del}))
-
-    stages.append(snapshot(4, current, {FEATURE_EXTRACTION: 0}))
-    stages.append(snapshot(5, current, {FEATURE_ENRICHMENT: 0}))
-    stages.append(snapshot(6, current, {INFERENCE_HANDOFF: 0}))
-    return stages
+    s = settings
+    stage0 = snapshot(0, records)
+    bots = filter_bots(stage0.records, s.bot_rule)
+    noise = _drop(1, bots.records, NOISE_REMOVAL, lambda r: is_noise(r, s.noise_min_chars))
+    late = truncate_comments(noise.records, s.max_comments_per_post)
+    stage1 = StageSnapshot(1, late.records, {**bots.removed, **noise.removed, **late.removed})
+    stage2 = threshold_activity(stage1.records, s.min_interactions)
+    stage3 = drop_deleted(stage2.records)
+    downstream = [StageSnapshot(stage_id, stage3.records, {key: ()}) for stage_id, key in
+                  ((4, FEATURE_EXTRACTION), (5, FEATURE_ENRICHMENT), (6, INFERENCE_HANDOFF))]
+    return [stage0, stage1, stage2, stage3, *downstream]
 
 
 # ---------------------------------------------------------------------------
 # Snapshot persistence
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Write UTF-8 text to a temp file beside ``path`` that replaces ``path`` only
+    when the block exits cleanly, so a crash never leaves a half-written file."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def records_path(out_dir: Path, stage_id: int) -> Path:
-    return out_dir / f"stage{stage_id}.records.jsonl"
+    """The record file of a stage: stage 0's records, or stage k's removal ledger."""
+    return out_dir / (f"stage{stage_id}.removed.jsonl" if stage_id else "stage0.records.jsonl")
 
 
 def manifest_path(out_dir: Path, stage_id: int) -> Path:
     return out_dir / f"stage{stage_id}.manifest.json"
 
 
-def write_snapshot(snap: StageSnapshot, out_dir: str | Path, extra: dict | None = None) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(records_path(out, snap.stage_id), "w", encoding="utf-8") as fh:
-        for rec in snap.records:
-            fh.write(json.dumps(rec.to_dict(), separators=(",", ":")) + "\n")
-    payload = {
-        "stage_id": snap.stage_id,
-        "post_count": snap.post_count,
-        "comment_count": snap.comment_count,
-        "removed": snap.manifest,
-    }
-    if extra:
-        payload.update(extra)
-    with open(manifest_path(out, snap.stage_id), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def write_stages(
     stages: Sequence[StageSnapshot], out_dir: str | Path, extra: dict | None = None
 ) -> None:
-    """Persist all snapshots; on failure, partially written files are removed."""
+    """Persist snapshots as one record ledger, all files or none.
+
+    Stage 0 is written whole, every later stage as the records it removed:
+    one ``{"kind", "id", "reason"}`` line each, the reason being the filter's
+    manifest key.  No file replaces its target before all are written.
+    """
     out = Path(out_dir)
-    written: list[Path] = []
-    try:
+    with ExitStack() as files:
         for snap in stages:
-            # Track targets first so a mid-write crash still cleans them up.
-            written.append(records_path(out, snap.stage_id))
-            written.append(manifest_path(out, snap.stage_id))
-            write_snapshot(snap, out, extra)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+            if snap.stage_id == 0:
+                rows = (rec.to_dict() for rec in snap.records)
+            else:
+                rows = ({"kind": r.kind.value, "id": r.id, "reason": key}
+                        for key, recs in snap.removed.items() for r in recs)
+            fh = files.enter_context(atomic_write(records_path(out, snap.stage_id)))
+            fh.writelines(_compact_json(row) + "\n" for row in rows)
+            payload = {"stage_id": snap.stage_id, "post_count": snap.post_count,
+                       "comment_count": snap.comment_count, "removed": snap.manifest}
+            fh = files.enter_context(atomic_write(manifest_path(out, snap.stage_id)))
+            json.dump({**payload, **(extra or {})}, fh, indent=2)
+            fh.write("\n")
 
 
-def load_records(path: str | Path) -> list[RawRecord]:
-    """Read a normalized stage records file."""
+def load_records(
+    path: str | Path, drop: Container[tuple[str, str]] = frozenset()
+) -> list[RawRecord]:
+    """Read a normalized records file, leaving out the (kind, id) pairs in ``drop``."""
     source = Path(path)
     if not source.exists():
         raise DataError(f"records file not found: {source}")
@@ -474,17 +460,30 @@ def load_records(path: str | Path) -> list[RawRecord]:
             if not line:
                 continue
             try:
-                records.append(RawRecord.from_dict(json.loads(line)))
+                obj = json.loads(line)
+                if (obj["kind"], str(obj["id"])) not in drop:
+                    records.append(RawRecord.from_dict(obj))
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise SchemaError(f"{source}:{n}: bad stage record: {exc}") from exc
     return records
 
 
 def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
-    """Load the highest-numbered stageK.records.jsonl in a directory."""
+    """Records of the highest stage with a removal ledger (stage 0 without one):
+    stage 0 less every record the ledgers up to that stage name."""
     base = Path(directory)
-    for stage_id in range(N_STAGES - 1, -1, -1):
-        candidate = records_path(base, stage_id)
-        if candidate.exists():
-            return stage_id, load_records(candidate)
-    raise DataError(f"no stage records found under {base}")
+    if not records_path(base, 0).exists():
+        raise DataError(f"no stage records found under {base}")
+    if any(base.glob("stage[1-9].records.jsonl")):
+        raise DataError(f"{base} holds per-stage record files of an older format; "
+                        "preprocess into a fresh directory")
+    stage_id = max((k for k in range(1, N_STAGES) if records_path(base, k).exists()), default=0)
+    removed: set[tuple[str, str]] = set()
+    for k in range(1, stage_id + 1):
+        ledger = records_path(base, k)
+        try:
+            with open(ledger, encoding="utf-8") as fh:
+                removed.update((row["kind"], row["id"]) for row in map(json.loads, fh))
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{ledger}: unreadable removal ledger: {exc}") from exc
+    return stage_id, load_records(records_path(base, 0), removed)

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 from .errors import UndefinedMetricError
 from .graph import InteractionGraph
+from .ingest import atomic_write
 
 DEFAULT_DEGREE_TOP_K = 10
 
@@ -502,6 +503,5 @@ def full_report(
 
 
 def write_report(report: MetricsReport, path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(report.to_json(), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(report.to_json())

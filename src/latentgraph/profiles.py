@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, UnmappedAuthorError
-from .ingest import RawRecord
+from .ingest import RawRecord, atomic_write
 
 DEFAULT_DIM = 4096
 RESIDUAL_LABEL = "GeneralChat"
@@ -452,9 +452,7 @@ def assign_agent(
 
 
 def save_profiles(profiles: Sequence[AgentProfile], path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump([p.to_dict() for p in profiles], fh, indent=2)
         fh.write("\n")
 

@@ -25,6 +25,7 @@ from .ingest import (
     BOT_REMOVAL,
     COMMENT_TRUNCATION,
     DELETED_REMOVAL,
+    DUPLICATE_REMOVAL,
     FEATURE_ENRICHMENT,
     FEATURE_EXTRACTION,
     INFERENCE_HANDOFF,
@@ -352,7 +353,7 @@ def make_synthetic_dump(
     stage3_comments = stage2_comments - n_deleted_comments - n_removed_body
 
     expected_removed = {
-        0: {},
+        0: {DUPLICATE_REMOVAL: 0},
         1: {
             BOT_REMOVAL: n_bots,
             NOISE_REMOVAL: n_noise,

@@ -29,6 +29,7 @@ from .inference import (
     WindowGrid,
     infer_all,  # noqa: F401 - re-exported; perfbench's tracer test patches it here
 )
+from .ingest import atomic_write
 
 SECONDS_PER_DAY = 86400
 DEFAULT_INTERVAL_SECONDS = 182 * SECONDS_PER_DAY
@@ -161,9 +162,7 @@ def triad_series(
 
 
 def write_triads_csv(series: TriadSeries, path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRIADS_CSV_FIELDS)
         for i, (start, end) in enumerate(series.intervals):
@@ -256,11 +255,13 @@ def sweep(
     coverage_list: Sequence[float] = (0.0,),
     include: EdgeClass = EdgeClass.ALL,
     known_agents: Sequence[str] = (),
+    seed: int = 0,
 ) -> SweepReport:
     """Cross-product robustness sweep over grid and threshold parameters.
 
     Cells run in deterministic parameter order; per-cell metrics that are
-    undefined on the resulting graph are left as None.
+    undefined on the resulting graph are left as None.  ``seed`` seeds the
+    community search behind each cell's modularity.
     """
     if not (window_days_list and maybe_min_list and forsure_min_list and coverage_list):
         raise ConfigError("sweep parameter lists must be non-empty")
@@ -281,7 +282,9 @@ def sweep(
                         except metricsmod.UndefinedMetricError:
                             return None
 
-                    modularity = metricsmod.communities(covered)[1] if covered.node_count else None
+                    modularity = (
+                        metricsmod.communities(covered, seed)[1] if covered.node_count else None
+                    )
                     cells.append(
                         SweepCell(
                             window_days=window_days,
@@ -299,13 +302,10 @@ def sweep(
 
 
 def write_sweep_csv(report: SweepReport, path: str | Path) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-
     def fmt(value: float | None) -> str:
         return "" if value is None else repr(value)
 
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_CSV_FIELDS)
         for cell in report.cells:

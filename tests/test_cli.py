@@ -153,6 +153,19 @@ class TestSubcommandFlow:
         assert len(sweep_path.read_text().splitlines()) == 1 + 4
 
 
+    def test_ingest_only_directory_reads_stage_0(self, small_dump, tmp_path):
+        from latentgraph import ingest as ingestmod
+
+        _, posts, comments, _ = small_dump
+        assert main(["ingest", "--posts", str(posts), "--comments", str(comments),
+                     "--out", str(tmp_path)]) == 0
+        parsed = (ingestmod.load_dump(posts, ingestmod.RecordKind.POST)[0]
+                  + ingestmod.load_dump(comments, ingestmod.RecordKind.COMMENT)[0])
+        stage_id, records = ingestmod.latest_stage_records(tmp_path)
+        assert stage_id == 0
+        assert records == list(ingestmod.snapshot(0, parsed).records)
+
+
 class TestRunAll:
     def run_config(self, small_dump, out_dir, lexicon=None):
         _, posts, comments, _ = small_dump
@@ -233,6 +246,33 @@ class TestTriads:
         config.write_text(json.dumps({"interval_days": 30}))
         args = ["--config", str(config), "--interval-days", "7"]
         assert self.interval_lengths(args, tmp_path) == {7}
+
+
+class TestSweep:
+    def test_config_seed_reaches_communities(self, tmp_path, monkeypatch):
+        from latentgraph import metrics as metricsmod
+        from latentgraph.inference import InteractionEvent, write_events_jsonl
+
+        day = 86_400
+        pairs = [("a", "b", 0), ("b", "a", 1), ("a", "c", 40), ("c", "a", 41)]
+        events = [InteractionEvent(a, b, t * day, "p1", f"c{i}")
+                  for i, (a, b, t) in enumerate(pairs)]
+        events_path = tmp_path / "events.jsonl"
+        write_events_jsonl(events, events_path)
+        seeds = []
+        real_communities = metricsmod.communities
+
+        def spy(graph, seed=0):
+            seeds.append(seed)
+            return real_communities(graph, seed)
+
+        monkeypatch.setattr(metricsmod, "communities", spy)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 7}))
+        assert main(["sweep", "--config", str(config), "--events", str(events_path),
+                     "--windows", "30", "--maybe", "1", "--forsure", "1,2",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert seeds == [7, 7]
 
 
 class TestDeterminism:

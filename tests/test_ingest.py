@@ -1,8 +1,12 @@
 import gzip
 import json
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentgraph.chains import group_threads
 from latentgraph.errors import DataError, SchemaError
@@ -12,16 +16,20 @@ from latentgraph.ingest import (
     BOT_REMOVAL,
     COMMENT_TRUNCATION,
     DELETED_REMOVAL,
+    DUPLICATE_REMOVAL,
     BotRule,
     PipelineSettings,
     RawRecord,
     RecordKind,
+    atomic_write,
     drop_deleted,
     filter_bots,
+    latest_stage_records,
     load_dump,
     load_records,
     parse_dump,
     record_sort_key,
+    records_path,
     run_pipeline,
     snapshot,
     threshold_activity,
@@ -245,6 +253,34 @@ class TestDropDeleted:
         assert snap.manifest == {DELETED_REMOVAL: 0}
 
 
+class TestDuplicates:
+    def test_repeated_comment_counted_once(self):
+        recs = [post("p1"), comment("c1"), comment("c1")]
+        stages = run_pipeline(recs, PipelineSettings(min_interactions=1))
+        assert stages[0].manifest == {DUPLICATE_REMOVAL: 1}
+        final = stages[-1].records
+        assert [r.id for r in final] == ["p1", "c1"]
+        _, stats = extract_events(
+            [r for r in final if r.kind is RecordKind.POST],
+            [r for r in final if r.kind is RecordKind.COMMENT],
+        )
+        assert stats.events == 1
+
+    def test_earliest_copy_kept_first_in_input_on_tie(self):
+        early = comment("c1", t=100, text="the first words")
+        late = comment("c1", t=300, text="some later words")
+        tie = comment("c1", t=100, text="tied with the first")
+        snap = snapshot(0, [late, early, tie])
+        assert snap.records == (early,)
+        assert snap.manifest == {DUPLICATE_REMOVAL: 2}
+        assert snapshot(0, [late, tie, early]).records == (tie,)
+
+    def test_post_and_comment_may_share_an_id(self):
+        snap = snapshot(0, [post("x1"), comment("x1")])
+        assert snap.total == 2
+        assert snap.manifest == {DUPLICATE_REMOVAL: 0}
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -313,9 +349,8 @@ class TestPersistence:
         dump = make_synthetic_dump(30, 150, seed=2)
         stages = run_pipeline(dump.records, PipelineSettings())
         write_stages(stages, tmp_path)
-        for snap in stages:
-            loaded = load_records(tmp_path / f"stage{snap.stage_id}.records.jsonl")
-            assert tuple(loaded) == snap.records
+        assert tuple(load_records(tmp_path / "stage0.records.jsonl")) == stages[0].records
+        for snap in reversed(stages):
             manifest = json.loads(
                 (tmp_path / f"stage{snap.stage_id}.manifest.json").read_text()
             )
@@ -323,6 +358,31 @@ class TestPersistence:
             assert manifest["post_count"] == snap.post_count
             assert manifest["comment_count"] == snap.comment_count
             assert manifest["removed"] == snap.manifest
+            assert latest_stage_records(tmp_path) == (snap.stage_id, list(snap.records))
+            if snap.stage_id == 0:
+                break
+            ledger_path = tmp_path / f"stage{snap.stage_id}.removed.jsonl"
+            ledger = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+            reasons = Counter(row["reason"] for row in ledger)
+            assert reasons == {key: n for key, n in snap.manifest.items() if n}
+            ledger_path.unlink()
+
+    def test_older_per_stage_record_files_rejected(self, tmp_path):
+        stages = run_pipeline(make_synthetic_dump(30, 150, seed=3).records, PipelineSettings())
+        write_stages(stages, tmp_path)
+        (tmp_path / "stage6.records.jsonl").write_text("")
+        with pytest.raises(DataError):
+            latest_stage_records(tmp_path)
+
+    def test_atomic_write_keeps_old_file_on_failure(self, tmp_path):
+        target = tmp_path / "metrics.json"
+        target.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as fh:
+                fh.write("new")
+                raise RuntimeError("crash mid-write")
+        assert target.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_sort_key_total_order(self):
         records = [post("b", t=5), post("a", t=5), post("c", t=1)]
@@ -335,16 +395,54 @@ class TestPersistence:
 
         import latentgraph.ingest as ingestmod
 
-        real_write = ingestmod.write_snapshot
+        real_write = ingestmod.atomic_write
         calls = {"n": 0}
 
-        def failing_write(snap, out_dir, extra=None):
+        def failing_write(path, newline=None):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise OSError("disk full")
-            real_write(snap, out_dir, extra)
+            return real_write(path, newline)
 
-        monkeypatch.setattr(ingestmod, "write_snapshot", failing_write)
+        monkeypatch.setattr(ingestmod, "atomic_write", failing_write)
         with pytest.raises(OSError):
             write_stages(stages, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+
+# Small pools, so random lists hold repeated (kind, id) pairs, a post and a
+# comment sharing an id, bots, noise, deleted records and over-long threads.
+LEDGER_AUTHORS = ["alice", "bob", "carol", "dave", "erin", "AutoModerator", "newsbot",
+                  "[deleted]"]
+LEDGER_TEXTS = ["a decent chunk of text", "a fine reply here", "more words here",
+                "ok", "https://example.com/x", "[removed]", " [deleted] "]
+
+
+@st.composite
+def ledger_records(draw):
+    kind = draw(st.sampled_from(list(RecordKind)))
+    link = f"{draw(st.integers(0, 1))}" if kind is RecordKind.COMMENT else None
+    return RawRecord(
+        id=f"{draw(st.integers(0, 15))}",
+        kind=kind,
+        author=draw(st.sampled_from(LEDGER_AUTHORS)),
+        created_utc=draw(st.integers(1, 40)),
+        text=draw(st.sampled_from(LEDGER_TEXTS)),
+        subreddit="s",
+        link_id=link,
+        parent_id=link,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(ledger_records(), max_size=40))
+def test_ledger_replay_gives_every_stage(records):
+    pipeline = PipelineSettings(bot_rule=BotRule(burst_limit=3, burst_window_seconds=2),
+                                max_comments_per_post=2)
+    stages = run_pipeline(records, pipeline)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_stages(stages, out)
+        for snap in reversed(stages):
+            assert latest_stage_records(out) == (snap.stage_id, list(snap.records))
+            records_path(out, snap.stage_id).unlink()

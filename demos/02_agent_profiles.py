@@ -17,11 +17,12 @@ clean = run_pipeline(dump.records, PipelineSettings())[-1].records
 user_texts = user_texts_from_records(clean)
 print(f"{len(user_texts)} surviving users")
 
-vectors, vocab = build_user_vectors(user_texts)
+# One pass over the text gives the vectors, the keyword vocabulary and each
+# user's counts; enrichment only sums its members' counts.
+vectors, vocab, counts = build_user_vectors(user_texts, lexicon=DEMO_LEXICON)
 profiles = cluster_users(vectors, k=4, seed=42)
 profiles = [
-    enrich(p, [t for u in p.members for t in user_texts[u]], DEMO_LEXICON, vocab)
-    for p in profiles
+    enrich(p, [counts[u] for u in p.members], DEMO_LEXICON, vocab) for p in profiles
 ]
 
 for p in profiles:

@@ -20,7 +20,7 @@ dump = make_synthetic_dump(300, 1800, seed=11)
 clean = run_pipeline(dump.records, PipelineSettings())[-1].records
 
 user_texts = user_texts_from_records(clean)
-vectors, _ = build_user_vectors(user_texts)
+vectors, _, _ = build_user_vectors(user_texts)
 profiles = cluster_users(vectors, k=6, seed=11)
 index = build_member_index(profiles)
 

@@ -13,7 +13,6 @@ successor; it needs no path enumeration and no cap applies to it.
 
 from __future__ import annotations
 
-import json
 import csv
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import RawRecord, RecordKind, atomic_write
+from .ingest import RawRecord, RecordKind, atomic_write, compact_json
 from .profiles import vectorize_user
 
 DEFAULT_SIM_THRESHOLD = 0.1
@@ -292,25 +291,17 @@ def chain_census(threads: Sequence[Thread], thresholds: Sequence[float]) -> list
 
 def write_chains_jsonl(chains: Sequence[InteractionChain], path: str | Path) -> None:
     with atomic_write(path) as fh:
-        for chain in chains:
-            fh.write(
-                json.dumps(
-                    {
-                        "post_id": chain.post_id,
-                        "length": chain.length,
-                        "nodes": [
-                            {
-                                "record_id": node.record_id,
-                                "agent": node.author_agent,
-                                "time": node.time,
-                            }
-                            for node in chain.nodes
-                        ],
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        fh.writelines(
+            compact_json({
+                "post_id": chain.post_id,
+                "length": chain.length,
+                "nodes": [
+                    {"record_id": node.record_id, "agent": node.author_agent, "time": node.time}
+                    for node in chain.nodes
+                ],
+            }) + "\n"
+            for chain in chains
+        )
 
 
 def write_census_csv(rows: Sequence[dict], path: str | Path) -> None:

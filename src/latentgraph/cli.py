@@ -121,19 +121,18 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _build_profiles(records, config: RunConfig):
-    user_texts = profilesmod.user_texts_from_records(records)
-    vectors, vocab = profilesmod.build_user_vectors(user_texts)
-    if config.embeddings_path:
-        vectors = profilesmod.load_embeddings(config.embeddings_path, sorted(user_texts))
-    profiles = profilesmod.cluster_users(vectors, config.k_agents, config.seed)
     lexicon: dict[str, str] = {}
     if config.lexicon_path:
         lexicon = profilesmod.load_lexicon(config.lexicon_path)
-    enriched = []
-    for profile in profiles:
-        member_texts = [t for user in profile.members for t in user_texts[user]]
-        enriched.append(profilesmod.enrich(profile, member_texts, lexicon, vocab))
-    return enriched
+    user_texts = profilesmod.user_texts_from_records(records)
+    vectors, vocab, counts = profilesmod.build_user_vectors(user_texts, lexicon=lexicon)
+    if config.embeddings_path:
+        vectors = profilesmod.load_embeddings(config.embeddings_path, sorted(user_texts))
+    profiles = profilesmod.cluster_users(vectors, config.k_agents, config.seed)
+    return [
+        profilesmod.enrich(p, [counts[user] for user in p.members], lexicon, vocab)
+        for p in profiles
+    ]
 
 
 def cmd_agents(args: argparse.Namespace) -> int:

@@ -81,13 +81,12 @@ def build(
     edges: Iterable[FollowEdge],
     include: EdgeClass = EdgeClass.ALL,
     known_agents: Iterable[str] = (),
-    keep_isolated: bool = True,
 ) -> InteractionGraph:
     """Materialize the graph from classified edges.
 
     Only maybe/forsure edges can be retained; NONE pairs never form edges.
-    Known agents are kept as isolated nodes when ``keep_isolated`` is set so
-    node counts line up with the agent roster.
+    Known agents are kept as isolated nodes so node counts line up with the
+    agent roster.
     """
     retained = []
     for edge in edges:
@@ -112,7 +111,7 @@ def build(
             )
         )
     retained.sort(key=lambda e: (e.source, e.target))
-    extra = tuple(sorted(set(known_agents))) if keep_isolated else ()
+    extra = tuple(sorted(set(known_agents)))
     nodes = set(extra)
     for edge in retained:
         nodes.add(edge.source)

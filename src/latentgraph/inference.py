@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, RecordKind, atomic_write
+from .ingest import RawRecord, RecordKind, atomic_write, compact_json
 
 SECONDS_PER_DAY = 86400
 DEFAULT_WINDOW_SECONDS = 30 * SECONDS_PER_DAY
@@ -383,8 +383,7 @@ def write_timeline_csv(rows: Sequence[TimelineRow], path: str | Path) -> None:
 
 def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> None:
     with atomic_write(path) as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
+        fh.writelines(compact_json(event.to_dict()) + "\n" for event in events)
 
 
 def load_events_jsonl(path: str | Path) -> list[InteractionEvent]:

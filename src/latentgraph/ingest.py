@@ -417,7 +417,8 @@ def manifest_path(out_dir: Path, stage_id: int) -> Path:
     return out_dir / f"stage{stage_id}.manifest.json"
 
 
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# One encoder for every JSONL writer; json.dumps builds a new one per call.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def write_stages(
@@ -438,7 +439,7 @@ def write_stages(
                 rows = ({"kind": r.kind.value, "id": r.id, "reason": key}
                         for key, recs in snap.removed.items() for r in recs)
             fh = files.enter_context(atomic_write(records_path(out, snap.stage_id)))
-            fh.writelines(_compact_json(row) + "\n" for row in rows)
+            fh.writelines(compact_json(row) + "\n" for row in rows)
             payload = {"stage_id": snap.stage_id, "post_count": snap.post_count,
                        "comment_count": snap.comment_count, "removed": snap.manifest}
             fh = files.enter_context(atomic_write(manifest_path(out, snap.stage_id)))

@@ -29,6 +29,7 @@ from .ingest import RawRecord, atomic_write
 DEFAULT_DIM = 4096
 RESIDUAL_LABEL = "GeneralChat"
 KMEANS_MAX_ITER = 100
+TOP_KEYWORDS = 10
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
@@ -61,7 +62,37 @@ def token_bucket(token: str, dim: int) -> int:
 class UserVector:
     user: str
     vector: np.ndarray
-    record_count: int
+
+
+@dataclass(frozen=True)
+class TextCounts:
+    """Integer counts over one user's texts; enrichment sums them per agent."""
+
+    tokens: int
+    sentences: int
+    questions: int
+    exclamations: int
+    hits: Counter  # lexicon hits per emotion
+
+
+def add_terms(vec: np.ndarray, text: str) -> list[str]:
+    """Add the text's hashed term counts to ``vec`` and return its tokens.
+
+    The one place text becomes terms: chains vectorize each record and
+    agents each user through it.
+    """
+    dim = vec.shape[0]
+    tokens = tokenize(text)
+    for token in tokens:
+        vec[token_bucket(token, dim)] += 1.0
+    return tokens
+
+
+def _normalize(vec: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 def vectorize_user(texts: Sequence[str], dim: int = DEFAULT_DIM) -> np.ndarray:
@@ -73,39 +104,51 @@ def vectorize_user(texts: Sequence[str], dim: int = DEFAULT_DIM) -> np.ndarray:
         raise ConfigError(f"vector dimension must be >= 16, got {dim}")
     vec = np.zeros(dim, dtype=np.float64)
     for text in texts:
-        for token in tokenize(text):
-            vec[token_bucket(token, dim)] += 1.0
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+        add_terms(vec, text)
+    return _normalize(vec)
 
 
 def build_user_vectors(
-    user_texts: Mapping[str, Sequence[str]], dim: int = DEFAULT_DIM
-) -> tuple[list[UserVector], dict[int, Counter]]:
-    """Vectorize each user and keep a bucket -> original-token dictionary.
+    user_texts: Mapping[str, Sequence[str]],
+    dim: int = DEFAULT_DIM,
+    lexicon: Mapping[str, str] | None = None,
+) -> tuple[list[UserVector], dict[int, Counter], dict[str, TextCounts]]:
+    """One pass over each user's texts: vector, vocabulary and counts.
 
-    The dictionary is what lets keywords come back out of the hashed space.
-    Users are processed in sorted order so the result is reproducible.
+    The bucket -> original-token dictionary is what lets keywords come back
+    out of the hashed space.  Sentences split on whitespace only, so a
+    text's tokens are its sentences' tokens.  Users are processed in sorted
+    order so the result is reproducible.
     """
     if dim < 16:
         raise ConfigError(f"vector dimension must be >= 16, got {dim}")
-    vocab: dict[int, Counter] = {}
+    lexicon = lexicon or {}
+    token_totals: Counter = Counter()
     vectors: list[UserVector] = []
+    counts: dict[str, TextCounts] = {}
     for user in sorted(user_texts):
-        texts = user_texts[user]
         vec = np.zeros(dim, dtype=np.float64)
-        for text in texts:
-            for token in tokenize(text):
-                bucket = token_bucket(token, dim)
-                vec[bucket] += 1.0
-                vocab.setdefault(bucket, Counter())[token] += 1
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        vectors.append(UserVector(user=user, vector=vec, record_count=len(texts)))
-    return vectors, vocab
+        terms: Counter = Counter()
+        sentences = questions = exclamations = 0
+        for text in user_texts[user]:
+            terms.update(add_terms(vec, text))
+            for segment in _SENTENCE_RE.split(text.strip()):
+                if segment:
+                    sentences += 1
+                    questions += segment.endswith("?")
+                    exclamations += segment.endswith("!")
+        hits: Counter = Counter()
+        for token, n in terms.items():
+            token_totals[token] += n
+            emotion = lexicon.get(token)
+            if emotion is not None:
+                hits[emotion] += n
+        vectors.append(UserVector(user=user, vector=_normalize(vec)))
+        counts[user] = TextCounts(sum(terms.values()), sentences, questions, exclamations, hits)
+    vocab: dict[int, Counter] = {}
+    for token, n in token_totals.items():
+        vocab.setdefault(token_bucket(token, dim), Counter())[token] = n
+    return vectors, vocab, counts
 
 
 def user_texts_from_records(records: Iterable[RawRecord]) -> dict[str, list[str]]:
@@ -149,7 +192,7 @@ def load_embeddings(path: str | Path, users: Sequence[str]) -> list[UserVector]:
         vec = table.get(user)
         if vec is None:
             vec = np.zeros(dim, dtype=np.float64)
-        out.append(UserVector(user=user, vector=vec, record_count=1))
+        out.append(UserVector(user=user, vector=vec))
     return out
 
 
@@ -300,8 +343,12 @@ def _camel(token: str) -> str:
     return token[:1].upper() + token[1:]
 
 
+def _share(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
+
+
 def top_terms(
-    centroid: np.ndarray, vocab: Mapping[int, Counter], top_k: int = 10
+    centroid: np.ndarray, vocab: Mapping[int, Counter], top_k: int = TOP_KEYWORDS
 ) -> list[str]:
     """Highest-weight centroid buckets mapped back to their dominant token."""
     nonzero = [(float(-centroid[b]), b) for b in np.flatnonzero(centroid)]
@@ -317,76 +364,33 @@ def top_terms(
     return terms
 
 
-def style_features(texts: Sequence[str]) -> dict[str, float]:
-    """Average sentence length plus question/exclamation rates.
-
-    A sentence is a segment ending in '.', '!' or '?' (or the text's end);
-    rates are fractions of sentences by their terminal mark.
-    """
-    sentences = 0
-    questions = 0
-    exclaims = 0
-    token_total = 0
-    for text in texts:
-        stripped = text.strip()
-        if not stripped:
-            continue
-        for segment in _SENTENCE_RE.split(stripped):
-            segment = segment.strip()
-            if not segment:
-                continue
-            sentences += 1
-            token_total += len(tokenize(segment))
-            if segment.endswith("?"):
-                questions += 1
-            elif segment.endswith("!"):
-                exclaims += 1
-    if sentences == 0:
-        return {"avg_sentence_length": 0.0, "question_rate": 0.0, "exclamation_rate": 0.0}
-    return {
-        "avg_sentence_length": token_total / sentences,
-        "question_rate": questions / sentences,
-        "exclamation_rate": exclaims / sentences,
-    }
-
-
-def emotion_frequencies(
-    texts: Sequence[str], lexicon: Mapping[str, str]
-) -> dict[str, float]:
-    """Lexicon hits per emotion divided by the total token count."""
-    emotions = sorted(set(lexicon.values()))
-    counts = {emotion: 0 for emotion in emotions}
-    total = 0
-    for text in texts:
-        for token in tokenize(text):
-            total += 1
-            emotion = lexicon.get(token)
-            if emotion is not None:
-                counts[emotion] += 1
-    if total == 0:
-        return {emotion: 0.0 for emotion in emotions}
-    return {emotion: counts[emotion] / total for emotion in emotions}
-
-
 def enrich(
     agent: AgentProfile,
-    member_texts: Sequence[str],
+    member_counts: Sequence[TextCounts],
     lexicon: Mapping[str, str],
     vocab: Mapping[int, Counter],
-    top_k: int = 10,
 ) -> AgentProfile:
-    """Fill keywords, emotion frequencies, and style features for one agent."""
-    keywords = tuple(top_terms(agent.centroid, vocab, top_k))
+    """Fill keywords, emotion frequencies, and style features for one agent.
+
+    Emotion is lexicon hits per emotion over tokens; style is tokens per
+    sentence and the share of sentences ending in '?' or '!'.
+    """
+    keywords = tuple(top_terms(agent.centroid, vocab))
     label = agent.label
     if keywords:
         label = "".join(_camel(t) for t in keywords[:2])
-    return replace(
-        agent,
-        label=label,
-        keywords=keywords,
-        emotion=emotion_frequencies(member_texts, lexicon),
-        style=style_features(member_texts),
-    )
+    tokens = sum(c.tokens for c in member_counts)
+    sentences = sum(c.sentences for c in member_counts)
+    emotion = {
+        e: _share(sum(c.hits[e] for c in member_counts), tokens)
+        for e in sorted(set(lexicon.values()))
+    }
+    style = {
+        "avg_sentence_length": _share(tokens, sentences),
+        "question_rate": _share(sum(c.questions for c in member_counts), sentences),
+        "exclamation_rate": _share(sum(c.exclamations for c in member_counts), sentences),
+    }
+    return replace(agent, label=label, keywords=keywords, emotion=emotion, style=style)
 
 
 def load_lexicon(path: str | Path) -> dict[str, str]:

@@ -51,7 +51,7 @@ class TestBuild:
         edges = [follow_edge("A", "B", MAYBE)]
         g = build(edges, EdgeClass.ALL, known_agents=["A", "B", "Z"])
         assert g.nodes == ("A", "B", "Z")
-        g2 = build(edges, EdgeClass.ALL, known_agents=["Z"], keep_isolated=False)
+        g2 = build(edges, EdgeClass.ALL)
         assert g2.nodes == ("A", "B")
 
     def test_weight_is_interaction_count(self):

@@ -1,18 +1,23 @@
 import json
 import random
+import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentgraph import chains, cli, profiles
+from latentgraph.config import default_config
 from latentgraph.errors import ConfigError, UnmappedAuthorError
-from latentgraph.ingest import RawRecord, RecordKind
+from latentgraph.ingest import PipelineSettings, RawRecord, RecordKind, run_pipeline
 from latentgraph.profiles import (
     AgentProfile,
+    add_terms,
     build_member_index,
     build_user_vectors,
     cluster_users,
-    emotion_frequencies,
     enrich,
     fnv1a_64,
     load_embeddings,
@@ -20,14 +25,14 @@ from latentgraph.profiles import (
     load_profiles,
     residual_agent_id,
     save_profiles,
-    style_features,
     token_bucket,
     tokenize,
     top_terms,
     assign_agent,
     vectorize_user,
-    UserVector,
+    TextCounts,
 )
+from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
 
 
 def independent_fnv1a(data: bytes) -> int:
@@ -75,6 +80,21 @@ class TestVectorize:
     def test_bucket_stable(self):
         assert token_bucket("solar", 4096) == independent_fnv1a(b"solar") % 4096
 
+    def test_add_terms_counts_and_returns_tokens(self):
+        vec = np.zeros(4096)
+        assert add_terms(vec, "Solar solar, wind!") == ["solar", "solar", "wind"]
+        assert vec[independent_fnv1a(b"solar") % 4096] == 2.0
+        assert vec[independent_fnv1a(b"wind") % 4096] == 1.0
+        assert vec.sum() == 3.0
+
+    def test_user_vector_is_vectorize_user(self):
+        # Agents and chains read the same terms: a user's vector is the
+        # per-record vector of all its texts.
+        texts = planted_users(3)
+        vectors, _, _ = build_user_vectors(texts, 256)
+        for uv in vectors:
+            assert np.array_equal(uv.vector, vectorize_user(texts[uv.user], 256))
+
 
 def planted_users(n_per_group=20, seed=0):
     rng = random.Random(seed)
@@ -90,7 +110,7 @@ def planted_users(n_per_group=20, seed=0):
 class TestClustering:
     def test_planted_partition_recovery(self):
         texts = planted_users()
-        vectors, _ = build_user_vectors(texts, 512)
+        vectors, _, _ = build_user_vectors(texts, 512)
         profiles = cluster_users(vectors, 2, seed=13)
         assert len(profiles) == 2
         groups = [set(p.members) for p in profiles]
@@ -99,13 +119,13 @@ class TestClustering:
         assert groups == expected or groups == expected[::-1]
 
     def test_k1_single_agent(self):
-        vectors, _ = build_user_vectors(planted_users(5), 256)
+        vectors, _, _ = build_user_vectors(planted_users(5), 256)
         profiles = cluster_users(vectors, 1, seed=0)
         assert len(profiles) == 1
         assert len(profiles[0].members) == 10
 
     def test_seeded_determinism(self):
-        vectors, _ = build_user_vectors(planted_users(8), 256)
+        vectors, _, _ = build_user_vectors(planted_users(8), 256)
         a = cluster_users(vectors, 3, seed=21)
         b = cluster_users(vectors, 3, seed=21)
         assert [p.members for p in a] == [p.members for p in b]
@@ -114,7 +134,7 @@ class TestClustering:
 
     def test_partition_property(self):
         texts = planted_users(10)
-        vectors, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = build_user_vectors(texts, 256)
         profiles = cluster_users(vectors, 4, seed=3)
         members = [u for p in profiles for u in p.members]
         assert len(members) == len(set(members)) == len(texts)
@@ -123,7 +143,7 @@ class TestClustering:
         texts = planted_users(5)
         texts["mute01"] = [""]
         texts["mute02"] = ["?!"]
-        vectors, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = build_user_vectors(texts, 256)
         profiles = cluster_users(vectors, 2, seed=1)
         assert len(profiles) == 3
         residual = residual_agent_id(profiles)
@@ -131,7 +151,7 @@ class TestClustering:
         assert set(by_id[residual].members) == {"mute01", "mute02"}
 
     def test_k_exceeding_usable_users(self):
-        vectors, _ = build_user_vectors(planted_users(2), 256)
+        vectors, _, _ = build_user_vectors(planted_users(2), 256)
         with pytest.raises(ConfigError):
             cluster_users(vectors, 5, seed=0)
 
@@ -139,7 +159,7 @@ class TestClustering:
         # Degenerate input where every cluster but one would empty out;
         # revival must fill each empty cluster with a distinct user.
         texts = {f"u{i}": ["same words every time"] for i in range(5)}
-        vectors, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = build_user_vectors(texts, 256)
         profiles = cluster_users(vectors, 3, seed=0)
         assert len(profiles) == 3
         assert all(p.members for p in profiles)
@@ -148,7 +168,7 @@ class TestClustering:
 
     def test_centroid_is_normalized_mean(self):
         texts = planted_users(6)
-        vectors, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = build_user_vectors(texts, 256)
         by_user = {v.user: v.vector for v in vectors}
         for profile in cluster_users(vectors, 2, seed=5):
             mean = np.mean([by_user[u] for u in profile.members], axis=0)
@@ -156,39 +176,59 @@ class TestClustering:
             assert np.allclose(profile.centroid, mean, atol=1e-12)
 
 
+def features(texts, lexicon):
+    """Emotion and style of one user's texts, through the one text pass."""
+    _, vocab, counts = build_user_vectors({"u": texts}, 64, lexicon)
+    agent = AgentProfile("A000", "Agent000", ("u",), np.zeros(64))
+    enriched = enrich(agent, [counts["u"]], lexicon, vocab)
+    return enriched.emotion, enriched.style
+
+
 class TestEnrichment:
     def test_emotion_fixture(self):
         lexicon = {"angry": "anger", "happy": "joy"}
-        freqs = emotion_frequencies(["angry angry happy"], lexicon)
+        freqs, _ = features(["angry angry happy"], lexicon)
         assert freqs == {"anger": pytest.approx(2 / 3), "joy": pytest.approx(1 / 3)}
 
     def test_no_lexicon_hits_all_zeros(self):
         lexicon = {"angry": "anger", "happy": "joy"}
-        freqs = emotion_frequencies(["calm neutral words here"], lexicon)
+        freqs, _ = features(["calm neutral words here"], lexicon)
         assert freqs == {"anger": 0.0, "joy": 0.0}
 
     def test_all_questions(self):
-        style = style_features(["is it so? really? are we sure?"])
+        _, style = features(["is it so? really? are we sure?"], {})
         assert style["question_rate"] == 1.0
         assert style["exclamation_rate"] == 0.0
 
     def test_avg_sentence_length(self):
-        style = style_features(["one two three. four five."])
+        _, style = features(["one two three. four five."], {})
         assert style["avg_sentence_length"] == pytest.approx(2.5)
 
     def test_enrich_sets_keywords_and_label(self):
         texts = {"u1": ["solar solar wind power"], "u2": ["solar wind wind power"]}
-        vectors, vocab = build_user_vectors(texts, 512)
+        vectors, vocab, counts = build_user_vectors(texts, 512)
         profile = cluster_users(vectors, 1, seed=0)[0]
-        enriched = enrich(profile, [t for ts in texts.values() for t in ts], {}, vocab)
+        enriched = enrich(profile, [counts[u] for u in profile.members], {}, vocab)
         assert set(enriched.keywords) == {"solar", "wind", "power"}
         assert enriched.label == "".join(
             w.capitalize() for w in enriched.keywords[:2]
         )
 
+    def test_counts_sum_over_members(self):
+        lexicon = {"angry": "anger"}
+        texts = {"u1": ["angry words. more?"], "u2": ["calm!", ""]}
+        _, _, counts = build_user_vectors(texts, 64, lexicon)
+        assert counts["u1"] == TextCounts(3, 2, 1, 0, Counter(anger=1))
+        assert counts["u2"] == TextCounts(1, 1, 0, 1, Counter())
+        agent = AgentProfile("A000", "Agent000", ("u1", "u2"), np.zeros(64))
+        enriched = enrich(agent, [counts["u1"], counts["u2"]], lexicon, {})
+        assert enriched.emotion == {"anger": 1 / 4}
+        assert enriched.style == {"avg_sentence_length": 4 / 3,
+                                  "question_rate": 1 / 3, "exclamation_rate": 1 / 3}
+
     def test_top_terms_maps_buckets_back(self):
         texts = {"u": ["alpha alpha alpha beta beta gamma"]}
-        vectors, vocab = build_user_vectors(texts, 512)
+        vectors, vocab, _ = build_user_vectors(texts, 512)
         terms = top_terms(vectors[0].vector, vocab, top_k=3)
         assert terms == ["alpha", "beta", "gamma"]
 
@@ -231,11 +271,11 @@ class TestAssignAgent:
 class TestPersistence:
     def test_profiles_round_trip(self, tmp_path):
         texts = planted_users(4)
-        vectors, vocab = build_user_vectors(texts, 256)
+        lexicon = {"goal": "joy"}
+        vectors, vocab, counts = build_user_vectors(texts, 256, lexicon)
         profiles = cluster_users(vectors, 2, seed=9)
         profiles = [
-            enrich(p, [t for u in p.members for t in texts[u]], {"goal": "joy"}, vocab)
-            for p in profiles
+            enrich(p, [counts[u] for u in p.members], lexicon, vocab) for p in profiles
         ]
         path = tmp_path / "agents.json"
         save_profiles(profiles, path)
@@ -251,12 +291,9 @@ class TestPersistence:
     def test_byte_identical_across_runs(self, tmp_path):
         texts = planted_users(6)
         for name in ("one.json", "two.json"):
-            vectors, vocab = build_user_vectors(texts, 256)
+            vectors, vocab, counts = build_user_vectors(texts, 256)
             profiles = cluster_users(vectors, 2, seed=4)
-            profiles = [
-                enrich(p, [t for u in p.members for t in texts[u]], {}, vocab)
-                for p in profiles
-            ]
+            profiles = [enrich(p, [counts[u] for u in p.members], {}, vocab) for p in profiles]
             save_profiles(profiles, tmp_path / name)
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
@@ -284,7 +321,7 @@ class TestPersistence:
     st.integers(min_value=0, max_value=999),
 )
 def test_cluster_partition_invariant(user_texts, seed):
-    vectors, _ = build_user_vectors(user_texts, 64)
+    vectors, _, _ = build_user_vectors(user_texts, 64)
     usable = sum(1 for v in vectors if np.any(v.vector != 0))
     if usable < 2:
         return
@@ -292,3 +329,115 @@ def test_cluster_partition_invariant(user_texts, seed):
     members = [u for p in profiles for u in p.members]
     assert sorted(members) == sorted(user_texts)
     assert len(members) == len(set(members))
+
+
+# ---------------------------------------------------------------------------
+# One tokenizer pass per text
+# ---------------------------------------------------------------------------
+
+def counting_tokenize(monkeypatch):
+    calls = []
+    real = profiles.tokenize
+
+    def tokenize_counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(profiles, "tokenize", tokenize_counted)
+    return calls
+
+
+def final_records(seed):
+    dump = make_synthetic_dump(30, 180, seed=seed)
+    return list(run_pipeline(dump.records, PipelineSettings())[-1].records)
+
+
+def test_agents_tokenize_each_record_once(monkeypatch, tmp_path):
+    records = final_records(3)
+    lexicon = write_lexicon_csv(tmp_path / "lexicon.csv")
+    config = replace(default_config(), k_agents=3, lexicon_path=str(lexicon))
+    calls = counting_tokenize(monkeypatch)
+    built = cli._build_profiles(records, config)
+    assert len(calls) == len(records)
+    assert any(any(p.emotion.values()) for p in built)
+
+
+def test_chains_tokenize_each_thread_record_once(monkeypatch):
+    records = final_records(4)
+    threads = chains.group_threads(records)
+    calls = counting_tokenize(monkeypatch)
+    chains.extract_chains(records)
+    assert len(calls) == sum(len(t.records) for t in threads)
+
+
+_ORACLE_TOKEN = re.compile(r"[a-z0-9]+")
+_ORACLE_SENTENCE = re.compile(r"(?<=[.!?])\s+")
+
+
+def oracle_style(texts):
+    # The per-text, per-sentence computation the single pass replaced.
+    sentences = questions = exclaims = token_total = 0
+    for text in texts:
+        stripped = text.strip()
+        if not stripped:
+            continue
+        for segment in _ORACLE_SENTENCE.split(stripped):
+            segment = segment.strip()
+            if not segment:
+                continue
+            sentences += 1
+            token_total += len(_ORACLE_TOKEN.findall(segment.lower()))
+            if segment.endswith("?"):
+                questions += 1
+            elif segment.endswith("!"):
+                exclaims += 1
+    if sentences == 0:
+        return {"avg_sentence_length": 0.0, "question_rate": 0.0, "exclamation_rate": 0.0}
+    return {
+        "avg_sentence_length": token_total / sentences,
+        "question_rate": questions / sentences,
+        "exclamation_rate": exclaims / sentences,
+    }
+
+
+def oracle_emotion(texts, lexicon):
+    emotions = sorted(set(lexicon.values()))
+    counts = {emotion: 0 for emotion in emotions}
+    total = 0
+    for text in texts:
+        for token in _ORACLE_TOKEN.findall(text.lower()):
+            total += 1
+            if token in lexicon:
+                counts[lexicon[token]] += 1
+    if total == 0:
+        return {emotion: 0.0 for emotion in emotions}
+    return {emotion: counts[emotion] / total for emotion in emotions}
+
+
+_PIECES = st.one_of(
+    st.sampled_from([
+        "angry", "Happy", "calm", "word", "42", " ", "  ", "\t", "\n", "\u00a0",
+        "\u2003", "\u3000", "\u2028", "\x85", "\x1c", ".", "!", "?", "...", "?!",
+        "!?", "İ", "Σ", "ΣA", "aΣ", "İi", "ß", "ﬁ",
+    ]),
+    st.characters(codec="utf-8"),
+)
+_TEXTS = st.lists(st.lists(_PIECES, max_size=12).map("".join), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["u1", "u2", "u3"]), _TEXTS, min_size=1),
+    st.dictionaries(
+        st.sampled_from(["angry", "happy", "calm", "word", "42", "i", "a"]),
+        st.sampled_from(["anger", "joy", "fear"]),
+    ),
+)
+def test_counts_match_per_text_features(user_texts, lexicon):
+    _, vocab, counts = build_user_vectors(user_texts, 64, lexicon)
+    members = tuple(sorted(user_texts))
+    agent = AgentProfile("A000", "Agent000", members, np.zeros(64))
+    enriched = enrich(agent, [counts[u] for u in members], lexicon, vocab)
+    texts = [t for u in members for t in user_texts[u]]
+    assert enriched.emotion == oracle_emotion(texts, lexicon)
+    assert enriched.style == oracle_style(texts)

@@ -2,8 +2,10 @@
 
 Subcommands mirror the pipeline stages (ingest, preprocess, agents, infer,
 graph, metrics, triads, chains, sweep) plus ``run-all`` which chains them
-end to end from one JSON config.  Exit codes: 0 success, 1 usage or config
-error, 2 data error, 3 internal failure.
+end to end from one JSON config.  ``main`` turns the flags and the config
+file into one ``RunConfig`` (``config.merge_config``) and hands it to the
+subcommand.  Exit codes: 0 success, 1 usage or config error, 2 data error,
+3 internal failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -24,12 +26,13 @@ from . import metrics as metricsmod
 from . import profiles as profilesmod
 from . import temporal as temporalmod
 from .config import (
+    FIELD_NAMES,
     REFERENCE_METRICS,
     RunConfig,
     config_digest,
-    default_config,
     file_digest,
-    load_config,
+    merge_config,
+    read_config_file,
     require_valid,
     validate,
 )
@@ -53,30 +56,15 @@ def _write_sidecar(out_path: Path, config: RunConfig, extra: dict | None = None)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else default_config(
-        getattr(args, "domain", None) or "generic"
-    )
-    overrides = {}
-    for key in (
-        "domain",
-        "window_days",
-        "maybe_min",
-        "forsure_min",
-        "coverage",
-        "sim_threshold",
-        "k_agents",
-        "seed",
-        "max_comments_per_post",
-        "min_interactions",
-        "level",
-        "interval_days",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    """Every given flag whose ``dest`` names a ``RunConfig`` field overrides it."""
+    flags = {k: v for k, v in vars(args).items() if k in FIELD_NAMES and v is not None}
+    file_keys = read_config_file(args.config) if args.config else {}
+    return merge_config(flags, file_keys)
+
+
+def _numbers(text: str, kind=float) -> list:
+    """A comma-separated flag value as a list of numbers."""
+    return [kind(v) for v in text.split(",") if v]
 
 
 def _pipeline_settings(config: RunConfig) -> ingestmod.PipelineSettings:
@@ -90,8 +78,7 @@ def _pipeline_settings(config: RunConfig) -> ingestmod.PipelineSettings:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.out)
     posts, skipped_posts = ingestmod.load_dump(args.posts, ingestmod.RecordKind.POST)
     comments, skipped_comments = ingestmod.load_dump(args.comments, ingestmod.RecordKind.COMMENT)
@@ -106,8 +93,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def cmd_preprocess(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     records = ingestmod.load_records(ingestmod.records_path(Path(args.indir), 0))
     stages = ingestmod.run_pipeline(records, _pipeline_settings(config))
@@ -118,6 +104,29 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             f"comments={snap.comment_count} removed={snap.manifest}"
         )
     return EXIT_OK
+
+
+def _infer_edges(events, config: RunConfig, edges_out, timeline_out) -> list[infermod.FollowEdge]:
+    """Classify every pair and write the edge list and its event timeline."""
+    grid = infermod.WindowGrid.from_events(
+        events, config.window_days * infermod.SECONDS_PER_DAY
+    )
+    edges = infermod.infer_all(events, grid, config.maybe_min, config.forsure_min)
+    infermod.write_edges_csv(edges, edges_out)
+    infermod.write_timeline_csv(infermod.event_timeline(edges), timeline_out)
+    return edges
+
+
+def _report_metrics(graph, config: RunConfig, out) -> metricsmod.MetricsReport:
+    """Full metric report stamped with the config digest and seed, written to ``out``."""
+    report = metricsmod.full_report(
+        graph,
+        seed=config.seed,
+        degree_top_k=config.degree_top_k,
+        config={"config_digest": config_digest(config), "seed": config.seed},
+    )
+    metricsmod.write_report(report, out)
+    return report
 
 
 def _build_profiles(records, config: RunConfig):
@@ -135,14 +144,7 @@ def _build_profiles(records, config: RunConfig):
     ]
 
 
-def cmd_agents(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    if args.k is not None:
-        config = replace(config, k_agents=args.k)
-    if args.embeddings:
-        config = replace(config, embeddings_path=args.embeddings)
-    if args.lexicon:
-        config = replace(config, lexicon_path=args.lexicon)
+def cmd_agents(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     stage_id, records = ingestmod.latest_stage_records(args.indir)
     profiles = _build_profiles(records, config)
@@ -153,28 +155,18 @@ def cmd_agents(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def cmd_infer(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     events = infermod.load_events_jsonl(args.events)
-    grid = infermod.WindowGrid.from_events(
-        events, config.window_days * infermod.SECONDS_PER_DAY
-    )
-    edges = infermod.infer_all(events, grid, config.maybe_min, config.forsure_min)
     out = Path(args.out)
-    infermod.write_edges_csv(edges, out)
+    edges = _infer_edges(events, config, out, args.timeline or out.parent / "timeline.csv")
     _write_sidecar(out, config, {"events": len(events), "pairs": len(edges)})
-    timeline_out = args.timeline or str(out.parent / "timeline.csv")
-    infermod.write_timeline_csv(infermod.event_timeline(edges), timeline_out)
     positive = sum(1 for e in edges if e.status is not infermod.FollowStatus.NONE)
     print(f"classified {len(edges)} pairs ({positive} with follow relations)")
     return EXIT_OK
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    if args.coverage is not None:
-        config = replace(config, coverage=args.coverage)
+def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     edges = infermod.load_edges_csv(args.edges)
     known: list[str] = []
@@ -197,27 +189,19 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def cmd_metrics(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     graph_path = Path(args.graph)
     if graph_path.suffix == ".csv":
         graph = graphmod.load_graph_edges_csv(graph_path)
     else:
         graph = graphmod.load_graphml(graph_path)
-    report = metricsmod.full_report(
-        graph,
-        seed=config.seed,
-        degree_top_k=config.degree_top_k,
-        config={"config_digest": config_digest(config), "seed": config.seed},
-    )
-    metricsmod.write_report(report, args.out)
+    report = _report_metrics(graph, config, args.out)
     print(report.to_json(), end="")
     return EXIT_OK
 
 
-def cmd_triads(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def cmd_triads(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     edges = infermod.load_edges_csv(args.edges)
     series = temporalmod.triad_series(
@@ -233,10 +217,7 @@ def cmd_triads(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_chains(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    if args.threshold is not None:
-        config = replace(config, sim_threshold=args.threshold)
+def cmd_chains(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     _, records = ingestmod.latest_stage_records(args.indir)
     agent_of = None
@@ -251,30 +232,22 @@ def cmd_chains(args: argparse.Namespace) -> int:
     out = Path(args.out)
     chainsmod.write_chains_jsonl(selected, out)
     _write_sidecar(out, config, manifest)
-    thresholds = [float(t) for t in args.census_thresholds.split(",") if t]
-    census = chainsmod.chain_census(chainsmod.group_threads(records), thresholds)
+    census = chainsmod.chain_census(chainsmod.group_threads(records),
+                                    _numbers(args.census_thresholds))
     chainsmod.write_census_csv(census, out.parent / "census.csv")
     print(f"{manifest['chains_total']} chains extracted, kept top {len(selected)} -> {out}")
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
     events = infermod.load_events_jsonl(args.events)
-
-    def int_list(text: str) -> list[int]:
-        return [int(v) for v in text.split(",") if v]
-
-    def float_list(text: str) -> list[float]:
-        return [float(v) for v in text.split(",") if v]
-
     report = temporalmod.sweep(
         events,
-        window_days_list=float_list(args.windows),
-        maybe_min_list=int_list(args.maybe),
-        forsure_min_list=int_list(args.forsure),
-        coverage_list=float_list(args.coverage_list),
+        window_days_list=_numbers(args.windows),
+        maybe_min_list=_numbers(args.maybe, int),
+        forsure_min_list=_numbers(args.forsure, int),
+        coverage_list=_numbers(args.coverage_list),
         seed=config.seed,
     )
     out = Path(args.out)
@@ -284,8 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def cmd_validate(args: argparse.Namespace, config: RunConfig) -> int:
     problems = validate(config)
     for problem in problems:
         print(problem)
@@ -308,25 +280,15 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
     timings: dict[str, float] = {}
     digest = config_digest(config)
 
+    @contextmanager
     def timed(name: str):
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        yield
+        timings[name] = round(time.perf_counter() - t0, 3)
 
-            def __exit__(self, *exc):
-                timings[name] = round(time.perf_counter() - self.t0, 3)
-                return False
-
-        return _Timer()
-
-    input_digests = {
-        "posts": file_digest(config.posts_path),
-        "comments": file_digest(config.comments_path),
-    }
-    if config.lexicon_path:
-        input_digests["lexicon"] = file_digest(config.lexicon_path)
-    if config.embeddings_path:
-        input_digests["embeddings"] = file_digest(config.embeddings_path)
+    inputs = {"posts": config.posts_path, "comments": config.comments_path,
+              "lexicon": config.lexicon_path, "embeddings": config.embeddings_path}
+    input_digests = {name: file_digest(path) for name, path in inputs.items() if path}
 
     with timed("ingest"):
         posts, skipped_p = ingestmod.load_dump(config.posts_path, ingestmod.RecordKind.POST)
@@ -352,12 +314,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         clean_comments = [r for r in final_records if r.kind is ingestmod.RecordKind.COMMENT]
         events, stats = infermod.extract_events(clean_posts, clean_comments, id_map)
         infermod.write_events_jsonl(events, out / "events.jsonl")
-        grid = infermod.WindowGrid.from_events(
-            events, config.window_days * infermod.SECONDS_PER_DAY
-        )
-        edges = infermod.infer_all(events, grid, config.maybe_min, config.forsure_min)
-        infermod.write_edges_csv(edges, out / "edges.csv")
-        infermod.write_timeline_csv(infermod.event_timeline(edges), out / "timeline.csv")
+        edges = _infer_edges(events, config, out / "edges.csv", out / "timeline.csv")
 
     with timed("graph"):
         known = [p.agent_id for p in profiles] if config.level == "agent" else []
@@ -367,13 +324,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         graphmod.write_graph_edges_csv(covered, out / "graph.edges.csv")
 
     with timed("metrics"):
-        report = metricsmod.full_report(
-            covered,
-            seed=config.seed,
-            degree_top_k=config.degree_top_k,
-            config={"config_digest": digest, "seed": config.seed},
-        )
-        metricsmod.write_report(report, out / "metrics.json")
+        report = _report_metrics(covered, config, out / "metrics.json")
 
     with timed("triads"):
         series = temporalmod.triad_series(
@@ -382,9 +333,8 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         temporalmod.write_triads_csv(series, out / "triads.csv")
 
     with timed("chains"):
-        agent_of = id_map if config.level == "agent" else None
         selected, chain_manifest = chainsmod.extract_chains(
-            final_records, sim_threshold=config.sim_threshold, agent_of=agent_of
+            final_records, sim_threshold=config.sim_threshold, agent_of=id_map
         )
         chainsmod.write_chains_jsonl(selected, out / "chains.jsonl")
         census = {"threshold": config.sim_threshold, **chain_manifest["census"]}
@@ -447,21 +397,7 @@ def _write_replication_report(config: RunConfig, report, out: Path) -> None:
         fh.write("\n")
 
 
-def cmd_run_all(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    overrides = {}
-    if args.posts:
-        overrides["posts_path"] = args.posts
-    if args.comments:
-        overrides["comments_path"] = args.comments
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.lexicon:
-        overrides["lexicon_path"] = args.lexicon
-    if args.embeddings:
-        overrides["embeddings_path"] = args.embeddings
-    if overrides:
-        config = replace(config, **overrides)
+def cmd_run_all(args: argparse.Namespace, config: RunConfig) -> int:
     return run_all(config, replicate=args.replicate)
 
 
@@ -503,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("agents", help="cluster users into agent profiles")
     _add_common(p)
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", dest="k_agents", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--lexicon", default=None)
+    p.add_argument("--embeddings", dest="embeddings_path", default=None)
+    p.add_argument("--lexicon", dest="lexicon_path", default=None)
     p.set_defaults(func=cmd_agents)
 
     p = sub.add_parser("infer", help="classify follow relations from events")
@@ -547,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chains", help="extract linear interaction chains")
     _add_common(p)
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", dest="sim_threshold", type=float, default=None)
     p.add_argument("--top", type=int, default=chainsmod.DEFAULT_TOP_K)
     p.add_argument("--agents", default=None)
     p.add_argument("--census-thresholds", default="0.1,0.2,0.3,0.4,0.5")
@@ -570,11 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-all", help="full pipeline from one config")
     _add_common(p)
-    p.add_argument("--posts", default=None)
-    p.add_argument("--comments", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--embeddings", default=None)
+    p.add_argument("--posts", dest="posts_path", default=None)
+    p.add_argument("--comments", dest="comments_path", default=None)
+    p.add_argument("--out", dest="out_dir", default=None)
+    p.add_argument("--lexicon", dest="lexicon_path", default=None)
+    p.add_argument("--embeddings", dest="embeddings_path", default=None)
     p.add_argument("--window-days", dest="window_days", type=int, default=None)
     p.add_argument("--maybe-min", dest="maybe_min", type=int, default=None)
     p.add_argument("--forsure-min", dest="forsure_min", type=int, default=None)
@@ -598,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return EXIT_CONFIG if code else EXIT_OK
     try:
-        return args.func(args)
+        return args.func(args, _merge_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,17 +1,22 @@
 """Run configuration: one JSON document drives the whole pipeline.
 
-Flags override file values; ``validate`` returns every violated invariant
-as a diagnostic string (empty list = usable config), and the sha256 digest
-of the canonical config JSON is stamped into output manifests so artifacts
-can always be traced back to the parameters that produced them.
+``merge_config`` is the one precedence rule: a flag wins, then a key the
+config file itself sets, then ``default_config(domain)``.  The domain is
+resolved by the same order and is ``"generic"`` when neither sets it, so a
+domain given only as a flag still picks its published agent count.
+``validate`` returns every violated invariant, wrong types included, as a
+diagnostic string (empty list = usable config), and the sha256 digest of
+the canonical config JSON is stamped into output manifests so artifacts can
+always be traced back to the parameters that produced them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Mapping
 
 from .errors import ConfigError
 
@@ -89,7 +94,14 @@ def default_config(domain: str = "generic") -> RunConfig:
     return RunConfig(domain=domain, k_agents=k)
 
 
-def load_config(path: str | Path) -> RunConfig:
+_PATH_FIELDS = ("posts_path", "comments_path", "out_dir", "lexicon_path", "embeddings_path")
+
+
+FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
+
+
+def read_config_file(path: str | Path) -> dict:
+    """The keys a JSON config file itself sets, with no defaults filled in."""
     source = Path(path)
     if not source.exists():
         raise ConfigError(f"config file not found: {source}")
@@ -100,46 +112,62 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
-    base = default_config(str(data.get("domain", "generic")))
-    known = set(base.to_dict())
-    unknown = set(data) - known
+    unknown = set(data) - FIELD_NAMES
     if unknown:
         raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
-    return replace(base, **data)
+    return data
+
+
+def merge_config(flags: Mapping[str, object], file_keys: Mapping[str, object]) -> RunConfig:
+    """Flag, then file key, then ``default_config(domain)``, field by field."""
+    merged = {**file_keys, **flags}
+    return replace(default_config(str(merged.get("domain", "generic"))), **merged)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return merge_config({}, read_config_file(path))
+
+
+_COUNT_FIELDS = ("window_days", "maybe_min", "forsure_min", "k_agents",
+                 "max_comments_per_post", "min_interactions", "interval_days", "degree_top_k")
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    """JSON numbers of the given kinds; ``True`` and ``False`` are not numbers here."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def validate(config: RunConfig) -> list[str]:
-    """Every violated invariant, in a stable order."""
+    """Every violated invariant, wrong types included, in a stable order."""
     diagnostics = []
-    counts = {
-        "window_days": config.window_days,
-        "maybe_min": config.maybe_min,
-        "forsure_min": config.forsure_min,
-        "k_agents": config.k_agents,
-        "max_comments_per_post": config.max_comments_per_post,
-        "min_interactions": config.min_interactions,
-        "interval_days": config.interval_days,
-        "degree_top_k": config.degree_top_k,
-    }
-    for name, value in counts.items():
-        if not isinstance(value, int) or value < 1:
+    if not isinstance(config.domain, str):
+        diagnostics.append(f"domain must be a string (got {config.domain!r})")
+    for name in _COUNT_FIELDS:
+        value = getattr(config, name)
+        if not _is_number(value, int) or value < 1:
             diagnostics.append(f"{name} must be an integer >= 1 (got {value!r})")
+    if not _is_number(config.seed, int) or config.seed < 0:
+        diagnostics.append(f"seed must be an integer >= 0 (got {config.seed!r})")
     if (
-        isinstance(config.maybe_min, int)
-        and isinstance(config.forsure_min, int)
+        _is_number(config.maybe_min, int)
+        and _is_number(config.forsure_min, int)
         and config.maybe_min > config.forsure_min
     ):
         diagnostics.append(
             f"maybe_min ({config.maybe_min}) must be <= forsure_min ({config.forsure_min})"
         )
-    if not 0.0 <= config.coverage <= 1.0:
-        diagnostics.append(f"coverage must lie in [0, 1] (got {config.coverage!r})")
-    if not 0.0 < config.sim_threshold < 1.0:
+    if not (_is_number(config.coverage) and 0.0 <= config.coverage <= 1.0):
+        diagnostics.append(f"coverage must be a number in [0, 1] (got {config.coverage!r})")
+    if not (_is_number(config.sim_threshold) and 0.0 < config.sim_threshold < 1.0):
         diagnostics.append(
-            f"sim_threshold must lie in (0, 1) (got {config.sim_threshold!r})"
+            f"sim_threshold must be a number in (0, 1) (got {config.sim_threshold!r})"
         )
     if config.level not in ("agent", "user"):
         diagnostics.append(f"level must be 'agent' or 'user' (got {config.level!r})")
+    for name in _PATH_FIELDS:
+        value = getattr(config, name)
+        if value is not None and not isinstance(value, str):
+            diagnostics.append(f"{name} must be a path string (got {value!r})")
     return diagnostics
 
 
@@ -147,9 +175,6 @@ def require_valid(config: RunConfig) -> None:
     problems = validate(config)
     if problems:
         raise ConfigError("; ".join(problems))
-
-
-_PATH_FIELDS = ("posts_path", "comments_path", "out_dir", "lexicon_path", "embeddings_path")
 
 
 def config_digest(config: RunConfig) -> str:

@@ -323,17 +323,13 @@ def snapshot(stage_id: int, records: Iterable[RawRecord]) -> StageSnapshot:
     return _drop(stage_id, sorted(records, key=record_sort_key), DUPLICATE_REMOVAL, repeat)
 
 
-def filter_bots(
-    records: Sequence[RawRecord], rule: BotRule = BotRule(), stage_id: int = 1
-) -> StageSnapshot:
+def filter_bots(records: Sequence[RawRecord], rule: BotRule = BotRule()) -> StageSnapshot:
     """Drop bot-authored records; the manifest counts the removals."""
     burst = rule.burst_authors(records)
-    return _drop(stage_id, records, BOT_REMOVAL, lambda r: rule.matches(r.author, burst))
+    return _drop(1, records, BOT_REMOVAL, lambda r: rule.matches(r.author, burst))
 
 
-def truncate_comments(
-    records: Sequence[RawRecord], max_per_post: int = 10, stage_id: int = 1
-) -> StageSnapshot:
+def truncate_comments(records: Sequence[RawRecord], max_per_post: int = 10) -> StageSnapshot:
     """Keep only the earliest ``max_per_post`` comments of each post.
 
     Earliest by (created_utc, id); posts themselves are never dropped here.
@@ -347,23 +343,21 @@ def truncate_comments(
         if len(comments) > max_per_post:
             comments.sort(key=record_sort_key)
             late.update(c.id for c in comments[max_per_post:])
-    return _drop(stage_id, records, COMMENT_TRUNCATION,
+    return _drop(1, records, COMMENT_TRUNCATION,
                  lambda r: r.kind is RecordKind.COMMENT and r.id in late)
 
 
-def threshold_activity(
-    records: Sequence[RawRecord], min_interactions: int = 2, stage_id: int = 2
-) -> StageSnapshot:
+def threshold_activity(records: Sequence[RawRecord], min_interactions: int = 2) -> StageSnapshot:
     """Remove every record of authors with fewer than ``min_interactions`` records."""
     counts = Counter(r.author for r in records)
-    return _drop(stage_id, records, ACTIVITY_THRESHOLD,
+    return _drop(2, records, ACTIVITY_THRESHOLD,
                  lambda r: counts[r.author] < min_interactions)
 
 
-def drop_deleted(records: Sequence[RawRecord], stage_id: int = 3) -> StageSnapshot:
+def drop_deleted(records: Sequence[RawRecord]) -> StageSnapshot:
     """Remove records authored by "[deleted]" or whose trimmed text is a
     deletion marker ("[removed]" / "[deleted]")."""
-    return _drop(stage_id, records, DELETED_REMOVAL, is_deleted)
+    return _drop(3, records, DELETED_REMOVAL, is_deleted)
 
 
 def run_pipeline(

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,10 +58,11 @@ def token_bucket(token: str, dim: int) -> int:
     return fnv1a_64(token.encode("utf-8")) % dim
 
 
-@dataclass(frozen=True)
-class UserVector:
-    user: str
-    vector: np.ndarray
+class UserVectors(NamedTuple):
+    """One L2-normalized row per user, in sorted user order; zero rows have no text."""
+
+    users: tuple[str, ...]
+    matrix: np.ndarray  # (len(users), dim) float64
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,7 @@ def add_terms(vec: np.ndarray, text: str) -> list[str]:
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
+    """Scale ``vec`` to unit L2 norm in place; the zero vector stays zero."""
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
@@ -112,7 +114,7 @@ def build_user_vectors(
     user_texts: Mapping[str, Sequence[str]],
     dim: int = DEFAULT_DIM,
     lexicon: Mapping[str, str] | None = None,
-) -> tuple[list[UserVector], dict[int, Counter], dict[str, TextCounts]]:
+) -> tuple[UserVectors, dict[int, Counter], dict[str, TextCounts]]:
     """One pass over each user's texts: vector, vocabulary and counts.
 
     The bucket -> original-token dictionary is what lets keywords come back
@@ -124,10 +126,10 @@ def build_user_vectors(
         raise ConfigError(f"vector dimension must be >= 16, got {dim}")
     lexicon = lexicon or {}
     token_totals: Counter = Counter()
-    vectors: list[UserVector] = []
+    users = tuple(sorted(user_texts))
+    matrix = np.zeros((len(users), dim), dtype=np.float64)
     counts: dict[str, TextCounts] = {}
-    for user in sorted(user_texts):
-        vec = np.zeros(dim, dtype=np.float64)
+    for user, vec in zip(users, matrix):
         terms: Counter = Counter()
         sentences = questions = exclamations = 0
         for text in user_texts[user]:
@@ -143,12 +145,12 @@ def build_user_vectors(
             emotion = lexicon.get(token)
             if emotion is not None:
                 hits[emotion] += n
-        vectors.append(UserVector(user=user, vector=_normalize(vec)))
+        _normalize(vec)
         counts[user] = TextCounts(sum(terms.values()), sentences, questions, exclamations, hits)
     vocab: dict[int, Counter] = {}
     for token, n in token_totals.items():
         vocab.setdefault(token_bucket(token, dim), Counter())[token] = n
-    return vectors, vocab, counts
+    return UserVectors(users, matrix), vocab, counts
 
 
 def user_texts_from_records(records: Iterable[RawRecord]) -> dict[str, list[str]]:
@@ -158,7 +160,7 @@ def user_texts_from_records(records: Iterable[RawRecord]) -> dict[str, list[str]
     return out
 
 
-def load_embeddings(path: str | Path, users: Sequence[str]) -> list[UserVector]:
+def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
     """Load per-user embedding vectors from JSONL lines {"user", "vector"}.
 
     Vectors are L2-normalized on load; users missing from the file get the
@@ -184,16 +186,13 @@ def load_embeddings(path: str | Path, users: Sequence[str]) -> list[UserVector]:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
                 raise DataError(f"{source}:{n}: inconsistent embedding dimension")
-            norm = float(np.linalg.norm(vec))
-            table[user] = vec / norm if norm > 0 else vec
-    dim = dim or DEFAULT_DIM
-    out = []
-    for user in sorted(users):
-        vec = table.get(user)
-        if vec is None:
-            vec = np.zeros(dim, dtype=np.float64)
-        out.append(UserVector(user=user, vector=vec))
-    return out
+            table[user] = _normalize(vec)
+    ordered = tuple(sorted(users))
+    matrix = np.zeros((len(ordered), dim or DEFAULT_DIM), dtype=np.float64)
+    for row, user in enumerate(ordered):
+        if user in table:
+            matrix[row] = table[user]
+    return UserVectors(ordered, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +235,6 @@ class AgentProfile:
         )
 
 
-def _normalized_mean(rows: np.ndarray) -> np.ndarray:
-    centroid = rows.mean(axis=0)
-    norm = float(np.linalg.norm(centroid))
-    return centroid / norm if norm > 0 else centroid
-
-
 def _kmeans_pp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding in cosine space (squared distance = 2 - 2*sim)."""
     n = matrix.shape[0]
@@ -262,24 +255,26 @@ def _kmeans_pp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return matrix[centers].copy()
 
 
-def cluster_users(vectors: Sequence[UserVector], k: int, seed: int) -> list[AgentProfile]:
-    """Spherical k-means over the nonzero user vectors.
+def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]:
+    """Spherical k-means over the nonzero rows of the user matrix.
 
-    Zero-vector users (no usable text) go to a dedicated residual agent
+    Rows are read in place; only dropping zero-vector users (no usable
+    text) copies the matrix.  Those users go to a dedicated residual agent
     appended after the k clusters.  Raises ConfigError when k exceeds the
     usable user count.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    ordered = sorted(vectors, key=lambda uv: uv.user)
-    usable = [uv for uv in ordered if np.any(uv.vector != 0.0)]
-    idle = [uv for uv in ordered if not np.any(uv.vector != 0.0)]
+    users, matrix = vectors
+    nonzero = matrix.any(axis=1)
+    usable = np.flatnonzero(nonzero)
     if len(usable) < k:
         raise ConfigError(
             f"k={k} exceeds the {len(usable)} users with nonzero vectors"
         )
+    if len(usable) < len(users):
+        matrix = matrix[usable]
 
-    matrix = np.stack([uv.vector for uv in usable])
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(matrix, k, rng)
 
@@ -302,34 +297,31 @@ def cluster_users(vectors: Sequence[UserVector], k: int, seed: int) -> list[Agen
         for cluster in range(k):
             rows = matrix[assign == cluster]
             if len(rows):
-                centroids[cluster] = _normalized_mean(rows)
+                centroids[cluster] = _normalize(rows.mean(axis=0))
 
-    groups: list[list[UserVector]] = [[] for _ in range(k)]
-    for uv, cluster in zip(usable, assign):
-        groups[int(cluster)].append(uv)
-    # Stable agent numbering: clusters ordered by their smallest member id.
-    order = sorted(range(k), key=lambda c: groups[c][0].user)
+    groups = [np.flatnonzero(assign == cluster) for cluster in range(k)]
+    # Stable agent numbering: clusters ordered by their smallest member id,
+    # which is their first row because rows are in sorted user order.
+    order = sorted(range(k), key=lambda c: users[usable[groups[c][0]]])
 
     profiles = []
     for rank, cluster in enumerate(order):
-        members = tuple(uv.user for uv in groups[cluster])
-        centroid = _normalized_mean(np.stack([uv.vector for uv in groups[cluster]]))
+        rows = groups[cluster]
         profiles.append(
             AgentProfile(
                 agent_id=f"A{rank:03d}",
                 label=f"Agent{rank:03d}",
-                members=members,
-                centroid=centroid,
+                members=tuple(users[i] for i in usable[rows]),
+                centroid=_normalize(matrix[rows].mean(axis=0)),
             )
         )
-    if idle:
-        dim = matrix.shape[1]
+    if len(usable) < len(users):
         profiles.append(
             AgentProfile(
                 agent_id=f"A{k:03d}",
                 label=RESIDUAL_LABEL,
-                members=tuple(uv.user for uv in idle),
-                centroid=np.zeros(dim, dtype=np.float64),
+                members=tuple(users[i] for i in np.flatnonzero(~nonzero)),
+                centroid=np.zeros(matrix.shape[1], dtype=np.float64),
             )
         )
     return profiles

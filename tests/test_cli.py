@@ -1,10 +1,14 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from latentgraph.cli import main, run_all
+from latentgraph.cli import _merge_config, build_parser, main, run_all
 from latentgraph.config import (
+    DOMAIN_AGENT_COUNTS,
     RunConfig,
     config_digest,
     default_config,
@@ -58,6 +62,95 @@ class TestValidate:
         path.write_text(json.dumps({"no_such_knob": 1}))
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def first_given(*values):
+    return next(v for v in values if v is not None)
+
+
+DOMAINS = ["technology", "climate", "covid", "generic", "other"]
+
+
+@settings(max_examples=150, deadline=None)
+# A domain flag beside a file that sets no domain still picks the domain's k.
+@example(flag_domain="covid", file_domain=None, flag_k=None, file_k=None,
+         flag_seed=None, file_seed=1, with_file=True)
+@given(
+    flag_domain=st.none() | st.sampled_from(DOMAINS),
+    file_domain=st.none() | st.sampled_from(DOMAINS),
+    flag_k=st.none() | st.integers(1, 50),
+    file_k=st.none() | st.integers(1, 50),
+    flag_seed=st.none() | st.integers(0, 99),
+    file_seed=st.none() | st.integers(0, 99),
+    with_file=st.booleans(),
+)
+def test_precedence_flag_then_file_then_domain_default(
+    flag_domain, file_domain, flag_k, file_k, flag_seed, file_seed, with_file
+):
+    argv = ["run-all"]
+    for flag, value in (("--domain", flag_domain), ("--k-agents", flag_k),
+                        ("--seed", flag_seed)):
+        if value is not None:
+            argv += [flag, str(value)]
+    file_keys = {}
+    if with_file:
+        file_keys = {key: value for key, value in (("domain", file_domain),
+                     ("k_agents", file_k), ("seed", file_seed)) if value is not None}
+    else:
+        file_domain = file_k = file_seed = None
+    with tempfile.TemporaryDirectory() as tmp:
+        if with_file:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(file_keys))
+            argv += ["--config", str(path)]
+        config = _merge_config(build_parser().parse_args(argv))
+    domain = first_given(flag_domain, file_domain, "generic")
+    assert config.domain == domain
+    assert config.k_agents == first_given(flag_k, file_k, DOMAIN_AGENT_COUNTS.get(domain, 8))
+    assert config.seed == first_given(flag_seed, file_seed, RunConfig().seed)
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (["agents", "--in", "w", "--out", "a.json", "--k", "5"], "k_agents", 5),
+    (["agents", "--in", "w", "--out", "a.json", "--embeddings", "e.jsonl"],
+     "embeddings_path", "e.jsonl"),
+    (["agents", "--in", "w", "--out", "a.json", "--lexicon", "l.csv"], "lexicon_path", "l.csv"),
+    (["run-all", "--embeddings", "e.jsonl"], "embeddings_path", "e.jsonl"),
+    (["run-all", "--lexicon", "l.csv"], "lexicon_path", "l.csv"),
+    (["chains", "--in", "w", "--out", "c.jsonl", "--threshold", "0.3"], "sim_threshold", 0.3),
+    (["run-all", "--posts", "p.jsonl"], "posts_path", "p.jsonl"),
+    (["run-all", "--comments", "c.jsonl"], "comments_path", "c.jsonl"),
+    (["run-all", "--out", "work"], "out_dir", "work"),
+    (["graph", "build", "--edges", "e.csv", "--out", "g.csv", "--coverage", "0.2"],
+     "coverage", 0.2),
+])
+def test_flag_reaches_its_field(argv, field, value):
+    config = _merge_config(build_parser().parse_args(argv))
+    assert getattr(config, field) == value
+    assert replace(config, **{field: getattr(default_config(), field)}) == default_config()
+
+
+@pytest.mark.parametrize("keys", [
+    {"coverage": "0.1"},
+    {"coverage": True},
+    {"sim_threshold": False},
+    {"seed": "7"},
+    {"seed": -1},
+    {"seed": 1.0},
+    {"k_agents": True},
+    {"window_days": 1.5},
+    {"domain": 7},
+    {"posts_path": 5},
+])
+@pytest.mark.parametrize("command", ["validate", "run-all"])
+def test_mistyped_config_exits_1(tmp_path, command, keys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(keys))
+    assert main([command, "--config", str(path)]) == 1
+
+
+def test_negative_seed_flag_exits_1():
+    assert main(["validate", "--seed", "-1"]) == 1
 
 
 class TestExitCodes:

@@ -92,8 +92,9 @@ class TestVectorize:
         # per-record vector of all its texts.
         texts = planted_users(3)
         vectors, _, _ = build_user_vectors(texts, 256)
-        for uv in vectors:
-            assert np.array_equal(uv.vector, vectorize_user(texts[uv.user], 256))
+        assert vectors.users == tuple(sorted(texts))
+        for user, row in zip(*vectors):
+            assert np.array_equal(row, vectorize_user(texts[user], 256))
 
 
 def planted_users(n_per_group=20, seed=0):
@@ -169,7 +170,7 @@ class TestClustering:
     def test_centroid_is_normalized_mean(self):
         texts = planted_users(6)
         vectors, _, _ = build_user_vectors(texts, 256)
-        by_user = {v.user: v.vector for v in vectors}
+        by_user = dict(zip(*vectors))
         for profile in cluster_users(vectors, 2, seed=5):
             mean = np.mean([by_user[u] for u in profile.members], axis=0)
             mean /= np.linalg.norm(mean)
@@ -229,7 +230,7 @@ class TestEnrichment:
     def test_top_terms_maps_buckets_back(self):
         texts = {"u": ["alpha alpha alpha beta beta gamma"]}
         vectors, vocab, _ = build_user_vectors(texts, 512)
-        terms = top_terms(vectors[0].vector, vocab, top_k=3)
+        terms = top_terms(vectors.matrix[0], vocab, top_k=3)
         assert terms == ["alpha", "beta", "gamma"]
 
     def test_lexicon_loader(self, tmp_path):
@@ -305,9 +306,9 @@ class TestPersistence:
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         vectors = load_embeddings(path, ["u1", "u2", "u3"])
-        assert [v.user for v in vectors] == ["u1", "u2", "u3"]
-        assert np.allclose(vectors[0].vector, [0.6, 0.8])
-        assert not np.any(vectors[2].vector)
+        assert vectors.users == ("u1", "u2", "u3")
+        assert np.allclose(vectors.matrix[0], [0.6, 0.8])
+        assert not np.any(vectors.matrix[2])
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,7 +323,7 @@ class TestPersistence:
 )
 def test_cluster_partition_invariant(user_texts, seed):
     vectors, _, _ = build_user_vectors(user_texts, 64)
-    usable = sum(1 for v in vectors if np.any(v.vector != 0))
+    usable = int(vectors.matrix.any(axis=1).sum())
     if usable < 2:
         return
     profiles = cluster_users(vectors, 2, seed=seed)

@@ -79,6 +79,7 @@ def _pipeline_settings(config: RunConfig) -> ingestmod.PipelineSettings:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
+    require_valid(config)
     out = Path(args.out)
     posts, skipped_posts = ingestmod.load_dump(args.posts, ingestmod.RecordKind.POST)
     comments, skipped_comments = ingestmod.load_dump(args.comments, ingestmod.RecordKind.COMMENT)
@@ -347,6 +348,10 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         "skipped_lines": {"posts": skipped_p, "comments": skipped_c},
         "extraction": stats.to_dict(),
         "chains": chain_manifest,
+        # Greedy modularity runs behind metrics.json; none on an edgeless graph.
+        "community_restarts": (
+            metricsmod.community_restarts(covered.node_count) if covered.edge_count else 0
+        ),
         "stage_counts": [
             {"stage": s.stage_id, "posts": s.post_count, "comments": s.comment_count}
             for s in stages

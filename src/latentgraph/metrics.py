@@ -12,12 +12,18 @@ Conventions (also echoed into every metrics.json):
   as null plus a ``<name>_reason`` string.
 
 Community detection is greedy agglomerative modularity maximization with a
-fixed tie rule (merge the pair whose sorted community ids are smallest), so
-results are identical across runs and platforms.
+fixed tie rule (the largest gain wins, then the pair whose sorted community
+ids are smallest), so results are identical across runs and platforms.
+Each merge phase builds one community-pair table and one sorted list of the
+improving pairs; a merge folds one row into another and rescores only the
+merged community's pairs (Clauset, Newman & Moore, 2004), instead of
+rescanning every edge.  Integer edge weights keep every sum exact, so the
+merge order matches a full rebuild after each merge.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import dataclass, field
@@ -207,6 +213,10 @@ def modularity(graph: InteractionGraph, partition: Sequence[set[str]]) -> float:
 
 
 _GAIN_EPS = 1e-12
+# Seeded restarts escape local maxima on small graphs; large graphs get few.
+SMALL_GRAPH_MAX_NODES = 256
+SMALL_GRAPH_RESTARTS = 24
+LARGE_GRAPH_RESTARTS = 4
 
 
 class _CommunityState:
@@ -228,8 +238,13 @@ class _CommunityState:
         self.members: dict[str, set[str]] = {node: {node} for node in graph.nodes}
         self.deg: dict[str, float] = {node: self.k[node] for node in graph.nodes}
 
-    def between(self) -> dict[tuple[str, str], float]:
-        table: dict[tuple[str, str], float] = {}
+    def pair_table(self) -> dict[str, dict[str, float]]:
+        """Projection weight between distinct communities, one row each.
+
+        ``table[c][d] == table[d][c]`` is the weight joining ``c`` and ``d``;
+        communities without an outside edge get an empty row.
+        """
+        table: dict[str, dict[str, float]] = {c: {} for c in self.members}
         for u, nbrs in self.adj.items():
             cu = self.com_of[u]
             for v, w in nbrs.items():
@@ -238,8 +253,8 @@ class _CommunityState:
                 cv = self.com_of[v]
                 if cu == cv:
                     continue
-                key = (cu, cv) if cu <= cv else (cv, cu)
-                table[key] = table.get(key, 0.0) + w
+                table[cu][cv] = table[cu].get(cv, 0.0) + w
+                table[cv][cu] = table[cv].get(cu, 0.0) + w
         return table
 
     def merge(self, a: str, b: str) -> None:
@@ -276,6 +291,94 @@ class _CommunityState:
                 self.com_of[other] = node
 
 
+def _merge_phase(
+    state: _CommunityState, m: float, rng: random.Random | None, greedy_width: int
+) -> bool:
+    """Merge community pairs until no merge raises modularity.
+
+    The pair table is built once per phase.  A merge folds the row of the
+    community that disappears into the row of the one that stays and
+    rescores only the merged community's pairs (Clauset, Newman & Moore,
+    2004); no other gain changes.  ``scored`` holds ``(-gain, a, b)`` for
+    every improving pair ``a < b`` in sorted order, so ``scored[0]`` is the
+    best gain with ties to the smallest pair.
+    """
+    table = state.pair_table()
+    entry: dict[tuple[str, str], tuple[float, str, str]] = {}
+
+    def score(a: str, b: str) -> tuple[float, str, str] | None:
+        gain = table[a][b] / m - (state.deg[a] * state.deg[b]) / (2.0 * m * m)
+        if gain <= _GAIN_EPS:
+            return None
+        entry[(a, b)] = item = (-gain, a, b)
+        return item
+
+    scored = sorted(filter(None, (score(a, b) for a, row in table.items() for b in row if a < b)))
+    changed = False
+    while scored:
+        if rng is None:
+            _, a, b = scored[0]
+        elif greedy_width == 0:
+            _, a, b = rng.choice(scored)
+        else:
+            _, a, b = rng.choice(scored[:greedy_width])
+        for x in (a, b):
+            for c in table[x]:
+                item = entry.pop((x, c) if x < c else (c, x), None)
+                if item is not None:
+                    del scored[bisect.bisect_left(scored, item)]
+        row_a, row_b = table[a], table.pop(b)
+        del row_a[b], row_b[a]
+        for c, w in row_b.items():
+            del table[c][b]
+            row_a[c] = table[c][a] = row_a.get(c, 0.0) + w
+        state.merge(a, b)
+        for c in row_a:
+            item = score(a, c) if a < c else score(c, a)
+            if item is not None:
+                bisect.insort(scored, item)
+        changed = True
+    return changed
+
+
+def _move_phase(state: _CommunityState, m: float) -> bool:
+    """Relocate single nodes, in id order, while a move raises modularity."""
+    changed = False
+    while True:
+        moved = False
+        for node in sorted(state.com_of):
+            src = state.com_of[node]
+            w_to: dict[str, float] = {}
+            for neighbor, w in state.adj[node].items():
+                c = state.com_of[neighbor]
+                w_to[c] = w_to.get(c, 0.0) + w
+            w_src = w_to.get(src, 0.0)
+            d_src = state.deg[src]
+            k_node = state.k[node]
+            best_dq = _GAIN_EPS
+            best_dest: str | None = None
+            found = False
+            candidates: list[str | None] = sorted(c for c in w_to if c != src)
+            if len(state.members[src]) > 1:
+                candidates.append(None)  # break out into a fresh singleton
+            for dest in candidates:
+                w_dest = w_to.get(dest, 0.0) if dest is not None else 0.0
+                d_dest = state.deg[dest] if dest is not None else 0.0
+                dq = (w_dest - w_src) / m - k_node * (
+                    d_dest - d_src + k_node
+                ) / (2.0 * m * m)
+                if dq > best_dq:
+                    best_dq = dq
+                    best_dest = dest
+                    found = True
+            if found:
+                state.move(node, best_dest)
+                moved = True
+                changed = True
+        if not moved:
+            return changed
+
+
 def _optimize_partition(
     graph: InteractionGraph,
     weights: Mapping[tuple[str, str], float],
@@ -291,70 +394,17 @@ def _optimize_partition(
     wins, ties toward the smallest id pair.
     """
     state = _CommunityState(graph, weights)
-
-    def merge_phase() -> bool:
-        changed = False
-        while True:
-            between = state.between()
-            scored = []
-            for a, b in sorted(between):
-                gain = between[(a, b)] / m - (state.deg[a] * state.deg[b]) / (2.0 * m * m)
-                if gain > _GAIN_EPS:
-                    scored.append((gain, (a, b)))
-            if not scored:
-                return changed
-            scored.sort(key=lambda item: (-item[0], item[1]))
-            if rng is None:
-                pair = scored[0][1]
-            elif greedy_width == 0:
-                pair = rng.choice(scored)[1]
-            else:
-                pair = rng.choice(scored[: min(greedy_width, len(scored))])[1]
-            state.merge(*pair)
-            changed = True
-
-    def move_phase() -> bool:
-        changed = False
-        while True:
-            moved = False
-            for node in sorted(state.com_of):
-                src = state.com_of[node]
-                w_to: dict[str, float] = {}
-                for neighbor, w in state.adj[node].items():
-                    c = state.com_of[neighbor]
-                    w_to[c] = w_to.get(c, 0.0) + w
-                w_src = w_to.get(src, 0.0)
-                d_src = state.deg[src]
-                k_node = state.k[node]
-                best_dq = _GAIN_EPS
-                best_dest: str | None = None
-                found = False
-                candidates: list[str | None] = sorted(c for c in w_to if c != src)
-                if len(state.members[src]) > 1:
-                    candidates.append(None)  # break out into a fresh singleton
-                for dest in candidates:
-                    w_dest = w_to.get(dest, 0.0) if dest is not None else 0.0
-                    d_dest = state.deg[dest] if dest is not None else 0.0
-                    dq = (w_dest - w_src) / m - k_node * (
-                        d_dest - d_src + k_node
-                    ) / (2.0 * m * m)
-                    if dq > best_dq:
-                        best_dq = dq
-                        best_dest = dest
-                        found = True
-                if found:
-                    state.move(node, best_dest)
-                    moved = True
-                    changed = True
-            if not moved:
-                return changed
-
     while True:
-        any_change = merge_phase()
-        any_change |= move_phase()
+        any_change = _merge_phase(state, m, rng, greedy_width)
+        any_change |= _move_phase(state, m)
         if not any_change:
             break
     return [state.members[key] for key in sorted(state.members)]
+
+
+def community_restarts(n: int) -> int:
+    """Greedy runs ``communities`` makes on an n-node graph, the deterministic one included."""
+    return SMALL_GRAPH_RESTARTS if n <= SMALL_GRAPH_MAX_NODES else LARGE_GRAPH_RESTARTS
 
 
 def communities(
@@ -375,8 +425,7 @@ def communities(
 
     best = _optimize_partition(graph, weights, m, rng=None)
     best_q = modularity(graph, best)
-    restarts = 24 if graph.node_count <= 256 else 4
-    for r in range(1, restarts):
+    for r in range(1, community_restarts(graph.node_count)):
         rng = random.Random(seed * 1_000_003 + r)
         width = 3 if r % 2 else 0
         candidate = _optimize_partition(graph, weights, m, rng, greedy_width=width)

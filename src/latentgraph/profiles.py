@@ -160,6 +160,18 @@ def user_texts_from_records(records: Iterable[RawRecord]) -> dict[str, list[str]
     return out
 
 
+def _finite_vector(value) -> np.ndarray:
+    """``value`` as a float vector if it is a non-empty list of finite numbers."""
+    if not (isinstance(value, list) and value and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    )):
+        raise ValueError("vector must be a non-empty list of numbers")
+    vec = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise ValueError("vector has a NaN or infinite entry")
+    return vec
+
+
 def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
     """Load per-user embedding vectors from JSONL lines {"user", "vector"}.
 
@@ -178,9 +190,9 @@ def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
                 continue
             try:
                 obj = json.loads(line)
-                vec = np.asarray(obj["vector"], dtype=np.float64)
+                vec = _finite_vector(obj["vector"])
                 user = str(obj["user"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{source}:{n}: bad embedding row: {exc}") from exc
             if dim is None:
                 dim = vec.shape[0]

@@ -3,15 +3,16 @@
 Each oracle deliberately takes a different computational route than the
 library: window materialization instead of index arithmetic, Floyd-Warshall
 instead of BFS, triple loops instead of adjacency intersection, exhaustive
-partition search instead of greedy merging, and path collection by dynamic
-programming instead of DFS enumeration.
+partition search instead of greedy merging, a greedy modularity run that
+rebuilds its community-pair table after every merge instead of updating it,
+and path collection by dynamic programming instead of DFS enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -217,6 +218,151 @@ def oracle_best_partition(graph: InteractionGraph) -> tuple[list[set[str]], floa
             best_q = q
             best = partition
     return best, best_q
+
+
+# ---------------------------------------------------------------------------
+# Greedy modularity, rebuilding the community-pair table after every merge
+# ---------------------------------------------------------------------------
+
+_GAIN_EPS = 1e-12
+
+
+class _ReferenceState:
+    """Partition bookkeeping, communities keyed by their smallest member."""
+
+    def __init__(self, graph: InteractionGraph, weights: Mapping[tuple[str, str], float]):
+        self.adj: dict[str, dict[str, float]] = {node: {} for node in graph.nodes}
+        self.k: dict[str, float] = {node: 0.0 for node in graph.nodes}
+        for (u, v), w in weights.items():
+            self.adj[u][v] = self.adj[u].get(v, 0.0) + w
+            self.adj[v][u] = self.adj[v].get(u, 0.0) + w
+            self.k[u] += w
+            self.k[v] += w
+        self.com_of: dict[str, str] = {node: node for node in graph.nodes}
+        self.members: dict[str, set[str]] = {node: {node} for node in graph.nodes}
+        self.deg: dict[str, float] = {node: self.k[node] for node in graph.nodes}
+
+    def between(self) -> dict[tuple[str, str], float]:
+        table: dict[tuple[str, str], float] = {}
+        for u, nbrs in self.adj.items():
+            cu = self.com_of[u]
+            for v, w in nbrs.items():
+                if u >= v:
+                    continue
+                cv = self.com_of[v]
+                if cu == cv:
+                    continue
+                key = (cu, cv) if cu <= cv else (cv, cu)
+                table[key] = table.get(key, 0.0) + w
+        return table
+
+    def merge(self, a: str, b: str) -> None:
+        keep, gone = (a, b) if a <= b else (b, a)
+        for node in self.members[gone]:
+            self.com_of[node] = keep
+        self.members[keep] |= self.members.pop(gone)
+        self.deg[keep] += self.deg.pop(gone)
+
+    def move(self, node: str, dest: str | None) -> None:
+        src = self.com_of[node]
+        self.members[src].discard(node)
+        self.deg[src] -= self.k[node]
+        if not self.members[src]:
+            del self.members[src], self.deg[src]
+        elif src == node:
+            new_key = min(self.members[src])
+            self.members[new_key] = self.members.pop(src)
+            self.deg[new_key] = self.deg.pop(src)
+            for other in self.members[new_key]:
+                self.com_of[other] = new_key
+        if dest is None:
+            self.com_of[node] = node
+            self.members[node] = {node}
+            self.deg[node] = self.k[node]
+            return
+        self.com_of[node] = dest
+        self.members[dest].add(node)
+        self.deg[dest] += self.k[node]
+        if node < dest:
+            self.members[node] = self.members.pop(dest)
+            self.deg[node] = self.deg.pop(dest)
+            for other in self.members[node]:
+                self.com_of[other] = node
+
+
+def oracle_optimize_partition(
+    graph: InteractionGraph,
+    weights: Mapping[tuple[str, str], float],
+    m: float,
+    rng: random.Random | None,
+    greedy_width: int = 3,
+) -> list[set[str]]:
+    """One greedy run that rescans every edge and re-sorts every pair per merge."""
+    state = _ReferenceState(graph, weights)
+
+    def merge_phase() -> bool:
+        changed = False
+        while True:
+            between = state.between()
+            scored = []
+            for a, b in sorted(between):
+                gain = between[(a, b)] / m - (state.deg[a] * state.deg[b]) / (2.0 * m * m)
+                if gain > _GAIN_EPS:
+                    scored.append((gain, (a, b)))
+            if not scored:
+                return changed
+            scored.sort(key=lambda item: (-item[0], item[1]))
+            if rng is None:
+                pair = scored[0][1]
+            elif greedy_width == 0:
+                pair = rng.choice(scored)[1]
+            else:
+                pair = rng.choice(scored[: min(greedy_width, len(scored))])[1]
+            state.merge(*pair)
+            changed = True
+
+    def move_phase() -> bool:
+        changed = False
+        while True:
+            moved = False
+            for node in sorted(state.com_of):
+                src = state.com_of[node]
+                w_to: dict[str, float] = {}
+                for neighbor, w in state.adj[node].items():
+                    c = state.com_of[neighbor]
+                    w_to[c] = w_to.get(c, 0.0) + w
+                w_src = w_to.get(src, 0.0)
+                d_src = state.deg[src]
+                k_node = state.k[node]
+                best_dq = _GAIN_EPS
+                best_dest: str | None = None
+                found = False
+                candidates: list[str | None] = sorted(c for c in w_to if c != src)
+                if len(state.members[src]) > 1:
+                    candidates.append(None)
+                for dest in candidates:
+                    w_dest = w_to.get(dest, 0.0) if dest is not None else 0.0
+                    d_dest = state.deg[dest] if dest is not None else 0.0
+                    dq = (w_dest - w_src) / m - k_node * (
+                        d_dest - d_src + k_node
+                    ) / (2.0 * m * m)
+                    if dq > best_dq:
+                        best_dq = dq
+                        best_dest = dest
+                        found = True
+                if found:
+                    state.move(node, best_dest)
+                    moved = True
+                    changed = True
+            if not moved:
+                return changed
+
+    while True:
+        any_change = merge_phase()
+        any_change |= move_phase()
+        if not any_change:
+            break
+    return [state.members[key] for key in sorted(state.members)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from latentgraph.config import (
     validate,
 )
 from latentgraph.errors import ConfigError
+from latentgraph.metrics import community_restarts
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
 
 
@@ -177,6 +178,16 @@ class TestExitCodes:
     def test_usage_error(self):
         assert main(["no-such-command"]) == 1
 
+    def test_ingest_invalid_config_writes_nothing(self, tmp_path, small_dump):
+        _, posts, comments, _ = small_dump
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"coverage": "0.1"}))
+        out = tmp_path / "out"
+        rc = main(["ingest", "--config", str(config), "--posts", str(posts),
+                   "--comments", str(comments), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestSubcommandFlow:
     def test_staged_cli_flow(self, small_dump, tmp_path):
@@ -290,6 +301,9 @@ class TestRunAll:
         assert {"posts", "comments", "lexicon"} <= set(manifest["input_digests"])
         counts = [s["comments"] for s in manifest["stage_counts"]]
         assert counts == sorted(counts, reverse=True)
+        assert manifest["community_restarts"] == community_restarts(
+            json.loads((out / "metrics.json").read_text())["nodes"]
+        )
 
     def test_replicate_mode_report(self, small_dump, tmp_path):
         out = tmp_path / "rep"

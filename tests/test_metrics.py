@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from latentgraph import metrics as metricsmod
 from latentgraph.errors import UndefinedMetricError
 from latentgraph.metrics import (
     assortativity,
@@ -16,6 +19,7 @@ from latentgraph.metrics import (
     full_report,
     modularity,
     reciprocity,
+    undirected_weights,
     write_report,
 )
 from oracles import (
@@ -26,6 +30,7 @@ from oracles import (
     oracle_clustering,
     oracle_density,
     oracle_modularity,
+    oracle_optimize_partition,
     oracle_reciprocity,
     oracle_triangle_count,
     random_digraph,
@@ -216,6 +221,79 @@ class TestCommunities:
             _, best_q = oracle_best_partition(g)
             # 1e-9 absorbs float noise in the oracle's matrix-form Q.
             assert q >= 0.95 * best_q - 1e-9
+
+
+# Node count plus (source, target, weight) index triples; self-pairs are
+# dropped, so small draws give isolated nodes and several components.  Low
+# weights make equal gains, and so the tie rule, common.
+graph_specs = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+            min_size=1,
+            max_size=3 * n,
+        ),
+    )
+)
+
+
+class TestIncrementalMerges:
+    """The per-merge pair-table update against the rebuild-per-merge reference."""
+
+    @staticmethod
+    def graph_of(spec):
+        n, triples = spec
+        # Unpadded ids, so sorted id order differs from index order.
+        nodes = [f"n{i}" for i in range(n)]
+        weight = {(nodes[i], nodes[j]): w for i, j, w in triples if i != j}
+        return make_graph(list(weight), nodes=nodes, weights=list(weight.values()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=graph_specs, seed=st.integers(0, 2**32 - 1))
+    def test_same_partition_as_reference(self, spec, seed):
+        g = self.graph_of(spec)
+        weights = undirected_weights(g)
+        m = sum(weights.values())
+        assume(m > 0)
+
+        def both(rng_seed, width):
+            def rng():
+                return None if rng_seed is None else random.Random(rng_seed)
+
+            return (
+                metricsmod._optimize_partition(g, weights, m, rng(), greedy_width=width),
+                oracle_optimize_partition(g, weights, m, rng(), greedy_width=width),
+            )
+
+        got, want = both(None, 3)
+        assert got == want
+        for rng_seed in (seed, seed + 1, seed + 2):
+            for width in (3, 0):
+                got, want = both(rng_seed, width)
+                assert got == want, (rng_seed, width)
+
+    def test_pair_table_built_once_per_merge_phase(self, monkeypatch):
+        calls: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        state = metricsmod._CommunityState
+        monkeypatch.setattr(state, "pair_table", counted("table", state.pair_table))
+        monkeypatch.setattr(state, "merge", counted("merge", state.merge))
+        monkeypatch.setattr(metricsmod, "_merge_phase", counted("phase", metricsmod._merge_phase))
+        communities(random_digraph(random.Random(5), 60, 0.05))
+        assert calls["phase"] > 0
+        assert calls["table"] == calls["phase"]
+        assert calls["merge"] > 10 * calls["phase"]
+
+    def test_restart_budget(self):
+        assert metricsmod.community_restarts(metricsmod.SMALL_GRAPH_MAX_NODES) == 24
+        assert metricsmod.community_restarts(metricsmod.SMALL_GRAPH_MAX_NODES + 1) == 4
 
 
 class TestFilterBubble:

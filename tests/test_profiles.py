@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from latentgraph import chains, cli, profiles
 from latentgraph.config import default_config
-from latentgraph.errors import ConfigError, UnmappedAuthorError
+from latentgraph.errors import ConfigError, DataError, UnmappedAuthorError
 from latentgraph.ingest import PipelineSettings, RawRecord, RecordKind, run_pipeline
 from latentgraph.profiles import (
     AgentProfile,
@@ -33,6 +33,23 @@ from latentgraph.profiles import (
     TextCounts,
 )
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
+
+
+# JSON text of ``vector`` values that are not a non-empty 1-D list of finite
+# numbers.
+BAD_EMBEDDING_VECTORS = [
+    "5",
+    "[[1, 2], [3, 4]]",
+    "[[1], [2, 3]]",
+    "[]",
+    "[1, NaN]",
+    "[Infinity, 0]",
+    "[-Infinity]",
+    "[1e999]",
+    "[" + "9" * 400 + "]",
+    '["1", "2"]',
+    "[true, false]",
+]
 
 
 def independent_fnv1a(data: bytes) -> int:
@@ -310,6 +327,14 @@ class TestPersistence:
         assert np.allclose(vectors.matrix[0], [0.6, 0.8])
         assert not np.any(vectors.matrix[2])
 
+    @pytest.mark.parametrize("vector", BAD_EMBEDDING_VECTORS)
+    def test_bad_embedding_vector_is_data_error(self, tmp_path, vector):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"user": "u1", "vector": [1.0, 2.0]}\n'
+                        f'{{"user": "u2", "vector": {vector}}}\n')
+        with pytest.raises(DataError, match="emb.jsonl:2"):
+            load_embeddings(path, ["u1", "u2"])
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -351,6 +376,22 @@ def counting_tokenize(monkeypatch):
 def final_records(seed):
     dump = make_synthetic_dump(30, 180, seed=seed)
     return list(run_pipeline(dump.records, PipelineSettings())[-1].records)
+
+
+@pytest.fixture(scope="module")
+def dump_files(tmp_path_factory):
+    return make_synthetic_dump(30, 180, seed=5).write_dumps(tmp_path_factory.mktemp("dump"))
+
+
+@pytest.mark.parametrize("vector", BAD_EMBEDDING_VECTORS)
+def test_run_all_bad_embedding_vector_exits_2(dump_files, tmp_path, vector):
+    posts, comments = dump_files
+    embeddings = tmp_path / "emb.jsonl"
+    embeddings.write_text(f'{{"user": "u1", "vector": {vector}}}\n')
+    rc = cli.main(["run-all", "--posts", str(posts), "--comments", str(comments),
+                   "--out", str(tmp_path / "out"), "--embeddings", str(embeddings)])
+    assert rc == 2
+    assert not (tmp_path / "out" / "agents.json").exists()
 
 
 def test_agents_tokenize_each_record_once(monkeypatch, tmp_path):

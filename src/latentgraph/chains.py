@@ -13,7 +13,6 @@ successor; it needs no path enumeration and no cap applies to it.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import RawRecord, RecordKind, atomic_write, compact_json
+from .ingest import RawRecord, RecordKind, atomic_write, compact_json, write_csv
 from .profiles import vectorize_user
 
 DEFAULT_SIM_THRESHOLD = 0.1
@@ -240,6 +239,8 @@ def extract_chains(
     The manifest carries the census counts of the threads at
     ``sim_threshold``.
     """
+    if top_k < 0:
+        raise ConfigError(f"top_k must be >= 0, got {top_k}")
     all_chains: list[InteractionChain] = []
     truncated_posts = 0
     census = dict.fromkeys(CENSUS_CATEGORIES, 0)
@@ -305,8 +306,4 @@ def write_chains_jsonl(chains: Sequence[InteractionChain], path: str | Path) -> 
 
 
 def write_census_csv(rows: Sequence[dict], path: str | Path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CENSUS_CSV_FIELDS)
-        for row in rows:
-            writer.writerow([row[field] for field in CENSUS_CSV_FIELDS])
+    write_csv(path, CENSUS_CSV_FIELDS, ([row[field] for field in CENSUS_CSV_FIELDS] for row in rows))

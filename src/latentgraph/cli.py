@@ -63,8 +63,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _numbers(text: str, kind=float) -> list:
-    """A comma-separated flag value as a list of numbers."""
+    """A comma-separated flag value as a list of numbers (an argparse ``type=``,
+    so a bad number is a usage error)."""
     return [kind(v) for v in text.split(",") if v]
+
+
+def _integers(text: str) -> list[int]:
+    return _numbers(text, int)
 
 
 def _pipeline_settings(config: RunConfig) -> ingestmod.PipelineSettings:
@@ -169,22 +174,22 @@ def cmd_infer(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
     require_valid(config)
+    out = Path(args.out)
+    write = {
+        ".csv": graphmod.write_graph_edges_csv,
+        ".graphml": graphmod.write_graphml,
+        ".dot": graphmod.write_dot,
+    }.get(out.suffix)
+    if write is None:
+        raise ConfigError(f"cannot infer export format from {out.name!r} "
+                          "(use .csv, .graphml, or .dot)")
     edges = infermod.load_edges_csv(args.edges)
     known: list[str] = []
     if args.agents:
         known = [p.agent_id for p in profilesmod.load_profiles(args.agents)]
     built = graphmod.build(edges, graphmod.EdgeClass(args.edge_class), known_agents=known)
     covered = graphmod.apply_coverage(built, config.coverage)
-    out = Path(args.out)
-    fmt = {
-        ".csv": graphmod.ExportFormat.EDGES_CSV,
-        ".graphml": graphmod.ExportFormat.GRAPHML,
-        ".dot": graphmod.ExportFormat.DOT,
-    }.get(out.suffix)
-    if fmt is None:
-        raise ConfigError(f"cannot infer export format from {out.name!r} "
-                          "(use .csv, .graphml, or .dot)")
-    graphmod.export(covered, fmt, out)
+    write(covered, out)
     _write_sidecar(out, config, {"nodes": covered.node_count, "edges": covered.edge_count})
     print(f"graph: {covered.node_count} nodes, {covered.edge_count} edges -> {out}")
     return EXIT_OK
@@ -233,8 +238,7 @@ def cmd_chains(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.out)
     chainsmod.write_chains_jsonl(selected, out)
     _write_sidecar(out, config, manifest)
-    census = chainsmod.chain_census(chainsmod.group_threads(records),
-                                    _numbers(args.census_thresholds))
+    census = chainsmod.chain_census(chainsmod.group_threads(records), args.census_thresholds)
     chainsmod.write_census_csv(census, out.parent / "census.csv")
     print(f"{manifest['chains_total']} chains extracted, kept top {len(selected)} -> {out}")
     return EXIT_OK
@@ -245,10 +249,10 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     events = infermod.load_events_jsonl(args.events)
     report = temporalmod.sweep(
         events,
-        window_days_list=_numbers(args.windows),
-        maybe_min_list=_numbers(args.maybe, int),
-        forsure_min_list=_numbers(args.forsure, int),
-        coverage_list=_numbers(args.coverage_list),
+        window_days_list=args.windows,
+        maybe_min_list=args.maybe,
+        forsure_min_list=args.forsure,
+        coverage_list=args.coverage_list,
         seed=config.seed,
     )
     out = Path(args.out)
@@ -491,17 +495,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", dest="sim_threshold", type=float, default=None)
     p.add_argument("--top", type=int, default=chainsmod.DEFAULT_TOP_K)
     p.add_argument("--agents", default=None)
-    p.add_argument("--census-thresholds", default="0.1,0.2,0.3,0.4,0.5")
+    p.add_argument("--census-thresholds", type=_numbers, default="0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("sweep", help="parameter robustness sweep")
     _add_common(p)
     p.add_argument("--events", required=True)
-    p.add_argument("--windows", default="7,30,90")
-    p.add_argument("--maybe", default="2")
-    p.add_argument("--forsure", default="2,3,4")
-    p.add_argument("--coverage", dest="coverage_list", default="0.0")
+    p.add_argument("--windows", type=_numbers, default="7,30,90")
+    p.add_argument("--maybe", type=_integers, default="2")
+    p.add_argument("--forsure", type=_integers, default="2,3,4")
+    p.add_argument("--coverage", dest="coverage_list", type=_numbers, default="0.0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -24,6 +24,3 @@ class SchemaError(DataError):
 class UndefinedMetricError(LatentGraphError):
     """A metric has no defined value on this graph (reported as null)."""
 
-
-class UnmappedAuthorError(LatentGraphError):
-    """An author does not belong to any agent profile (strict mode)."""

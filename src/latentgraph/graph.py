@@ -1,14 +1,14 @@
 """Directed weighted interaction graph over agents.
 
-A graph snapshot is immutable: nodes, classified edges with weights (the
-total interaction count of the pair), and the edge-class filter it was built
-with.  Exports are bit-stable: nodes and edges are always written in sorted
-order so identical inputs produce identical files.
+A graph snapshot is immutable: its nodes and the classified follow edges it
+admitted, each weighted by the pair's interaction count
+(``FollowEdge.weight``, its ``total_comments``).  Exports are bit-stable:
+nodes and edges are always written in sorted order so identical inputs
+produce identical files.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -17,8 +17,8 @@ from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DataError
-from .inference import EDGES_CSV_FIELDS, FollowEdge, FollowStatus
-from .ingest import atomic_write
+from .inference import GRAPH_EDGES_CSV_FIELDS, FollowEdge, FollowStatus, edge_row, read_edge_rows
+from .ingest import atomic_write, write_csv
 
 
 class EdgeClass(str, Enum):
@@ -36,32 +36,14 @@ class EdgeClass(str, Enum):
         return status is FollowStatus.MAYBE
 
 
-class ExportFormat(str, Enum):
-    EDGES_CSV = "edges_csv"
-    GRAPHML = "graphml"
-    DOT = "dot"
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    """One directed edge of a built graph; weight is the interaction count."""
-
-    source: str
-    target: str
-    status: FollowStatus
-    weight: int
-    windows_hit: int = 0
-    total_comments: int = 0
-    first_seen: int | None = None
-    last_seen: int | None = None
-    status_time: int | None = None
+def _by_pair(edge: FollowEdge) -> tuple[str, str]:
+    return edge.source, edge.target
 
 
 @dataclass(frozen=True)
 class InteractionGraph:
     nodes: tuple[str, ...]
-    edges: tuple[GraphEdge, ...]
-    edge_class_filter: EdgeClass
+    edges: tuple[FollowEdge, ...]
     # Nodes kept even when no retained edge touches them (known agents).
     extra_nodes: tuple[str, ...] = ()
 
@@ -82,46 +64,23 @@ def build(
     include: EdgeClass = EdgeClass.ALL,
     known_agents: Iterable[str] = (),
 ) -> InteractionGraph:
-    """Materialize the graph from classified edges.
+    """The graph of the admitted edges themselves, in (source, target) order.
 
-    Only maybe/forsure edges can be retained; NONE pairs never form edges.
-    Known agents are kept as isolated nodes so node counts line up with the
-    agent roster.
+    Only maybe/forsure edges can be retained; NONE pairs, self-loops and
+    pairs without a comment never form edges.  Known agents are kept as
+    isolated nodes so node counts line up with the agent roster.
     """
-    retained = []
-    for edge in edges:
-        if not include.admits(edge.status):
-            continue
-        if edge.source == edge.target:
-            continue  # graph snapshots never carry self-loops
-        weight = edge.total_comments
-        if weight < 1:
-            continue
-        retained.append(
-            GraphEdge(
-                source=edge.source,
-                target=edge.target,
-                status=edge.status,
-                weight=weight,
-                windows_hit=edge.windows_hit,
-                total_comments=edge.total_comments,
-                first_seen=edge.first_seen,
-                last_seen=edge.last_seen,
-                status_time=edge.status_time,
-            )
-        )
-    retained.sort(key=lambda e: (e.source, e.target))
+    retained = sorted(
+        (e for e in edges
+         if include.admits(e.status) and e.source != e.target and e.weight >= 1),
+        key=_by_pair,
+    )
     extra = tuple(sorted(set(known_agents)))
     nodes = set(extra)
     for edge in retained:
         nodes.add(edge.source)
         nodes.add(edge.target)
-    return InteractionGraph(
-        nodes=tuple(sorted(nodes)),
-        edges=tuple(retained),
-        edge_class_filter=include,
-        extra_nodes=extra,
-    )
+    return InteractionGraph(nodes=tuple(sorted(nodes)), edges=tuple(retained), extra_nodes=extra)
 
 
 def apply_coverage(graph: InteractionGraph, fraction: float = 0.0001) -> InteractionGraph:
@@ -147,62 +106,14 @@ def apply_coverage(graph: InteractionGraph, fraction: float = 0.0001) -> Interac
 # Export / import
 # ---------------------------------------------------------------------------
 
-def _opt(value: int | None) -> str:
-    return "" if value is None else str(value)
-
-
 def write_graph_edges_csv(graph: InteractionGraph, path: str | Path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EDGES_CSV_FIELDS + ["weight"])
-        for edge in graph.edges:
-            writer.writerow(
-                [
-                    edge.source,
-                    edge.target,
-                    edge.status.value,
-                    edge.windows_hit,
-                    edge.total_comments,
-                    _opt(edge.first_seen),
-                    _opt(edge.last_seen),
-                    _opt(edge.status_time),
-                    edge.weight,
-                ]
-            )
+    write_csv(path, GRAPH_EDGES_CSV_FIELDS, (edge_row(e) + [e.weight] for e in graph.edges))
 
 
-def load_graph_edges_csv(
-    path: str | Path, edge_class: EdgeClass = EdgeClass.ALL
-) -> InteractionGraph:
-    source = Path(path)
-    if not source.exists():
-        raise DataError(f"graph edges file not found: {source}")
-    edges = []
-    with open(source, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = set(EDGES_CSV_FIELDS) | {"weight"}
-        missing = needed - set(reader.fieldnames or [])
-        if missing:
-            raise DataError(f"{source}: missing graph edge columns {sorted(missing)}")
-        for row in reader:
-            edges.append(
-                GraphEdge(
-                    source=row["source"],
-                    target=row["target"],
-                    status=FollowStatus(row["status"]),
-                    weight=int(row["weight"]),
-                    windows_hit=int(row["windows_hit"] or 0),
-                    total_comments=int(row["total_comments"] or 0),
-                    first_seen=int(row["first_seen"]) if row["first_seen"] else None,
-                    last_seen=int(row["last_seen"]) if row["last_seen"] else None,
-                    status_time=int(row["status_time"]) if row["status_time"] else None,
-                )
-            )
-    edges.sort(key=lambda e: (e.source, e.target))
+def load_graph_edges_csv(path: str | Path) -> InteractionGraph:
+    edges = sorted(read_edge_rows(path, weighted=True), key=_by_pair)
     nodes = sorted({e.source for e in edges} | {e.target for e in edges})
-    return InteractionGraph(
-        nodes=tuple(nodes), edges=tuple(edges), edge_class_filter=edge_class
-    )
+    return InteractionGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
@@ -257,18 +168,16 @@ def load_graphml(path: str | Path) -> InteractionGraph:
             elif data_el.get("key") == "status":
                 status = FollowStatus(data_el.text or "maybe")
         edges.append(
-            GraphEdge(
+            FollowEdge(
                 source=edge_el.get("source") or "",
                 target=edge_el.get("target") or "",
-                status=status,
-                weight=weight,
+                windows_hit=0,
                 total_comments=weight,
+                status=status,
             )
         )
-    edges.sort(key=lambda e: (e.source, e.target))
-    return InteractionGraph(
-        nodes=tuple(sorted(nodes)), edges=tuple(edges), edge_class_filter=EdgeClass.ALL
-    )
+    edges.sort(key=_by_pair)
+    return InteractionGraph(nodes=tuple(sorted(nodes)), edges=tuple(edges))
 
 
 def _dot_quote(name: str) -> str:
@@ -287,17 +196,3 @@ def write_dot(graph: InteractionGraph, path: str | Path) -> None:
     lines.append("}")
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def export(graph: InteractionGraph, fmt: ExportFormat | str, path: str | Path) -> None:
-    """Write the graph in the requested format (sorted, reproducible)."""
-    try:
-        fmt = ExportFormat(fmt)
-    except ValueError:
-        raise ValueError(f"unknown export format: {fmt!r}") from None
-    if fmt is ExportFormat.EDGES_CSV:
-        write_graph_edges_csv(graph, path)
-    elif fmt is ExportFormat.GRAPHML:
-        write_graphml(graph, path)
-    else:
-        write_dot(graph, path)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, RecordKind, atomic_write, compact_json
+from .ingest import RawRecord, RecordKind, atomic_write, compact_json, write_csv
 
 SECONDS_PER_DAY = 86400
 DEFAULT_WINDOW_SECONDS = 30 * SECONDS_PER_DAY
@@ -38,6 +38,7 @@ EDGES_CSV_FIELDS = [
     "last_seen",
     "status_time",
 ]
+GRAPH_EDGES_CSV_FIELDS = EDGES_CSV_FIELDS + ["weight"]
 
 TIMELINE_CSV_FIELDS = ["time", "source", "target", "status"]
 
@@ -132,6 +133,11 @@ class FollowEdge:
     status_time: int | None = None
     maybe_time: int | None = None
     forsure_time: int | None = None
+
+    @property
+    def weight(self) -> int:
+        """The pair's weight in the interaction graph: its comment count."""
+        return self.total_comments
 
 
 @dataclass
@@ -328,57 +334,77 @@ def _opt(value: int | None) -> str:
     return "" if value is None else str(value)
 
 
-def write_edges_csv(edges: Sequence[FollowEdge], path: str | Path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EDGES_CSV_FIELDS)
-        for edge in edges:
-            writer.writerow(
-                [
-                    edge.source,
-                    edge.target,
-                    edge.status.value,
-                    edge.windows_hit,
-                    edge.total_comments,
-                    _opt(edge.first_seen),
-                    _opt(edge.last_seen),
-                    _opt(edge.status_time),
-                ]
-            )
+def _opt_int(text: str) -> int | None:
+    return int(text) if text else None
 
 
-def load_edges_csv(path: str | Path) -> list[FollowEdge]:
+def edge_row(edge: FollowEdge) -> list:
+    """The ``EDGES_CSV_FIELDS`` row of one edge."""
+    return [
+        edge.source,
+        edge.target,
+        edge.status.value,
+        edge.windows_hit,
+        edge.total_comments,
+        _opt(edge.first_seen),
+        _opt(edge.last_seen),
+        _opt(edge.status_time),
+    ]
+
+
+def write_edges_csv(edges: Iterable[FollowEdge], path: str | Path) -> None:
+    write_csv(path, EDGES_CSV_FIELDS, map(edge_row, edges))
+
+
+def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]:
+    """The edges of an edges.csv, in file order.
+
+    With ``weighted`` the file is a graph.edges.csv: it must also have a
+    ``weight`` column, equal to ``total_comments`` on every row.  A missing
+    file or column, or a row that does not parse, is a DataError naming the
+    file (and line).
+    """
+    kind = "graph edge" if weighted else "edge"
+    fields = GRAPH_EDGES_CSV_FIELDS if weighted else EDGES_CSV_FIELDS
     source = Path(path)
     if not source.exists():
-        raise DataError(f"edges file not found: {source}")
+        raise DataError(f"{kind}s file not found: {source}")
     edges = []
     with open(source, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(EDGES_CSV_FIELDS) - set(reader.fieldnames or [])
+        missing = set(fields) - set(reader.fieldnames or [])
         if missing:
-            raise DataError(f"{source}: missing edge columns {sorted(missing)}")
+            raise DataError(f"{source}: missing {kind} columns {sorted(missing)}")
         for row in reader:
-            edges.append(
-                FollowEdge(
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                edge = FollowEdge(
                     source=row["source"],
                     target=row["target"],
                     status=FollowStatus(row["status"]),
                     windows_hit=int(row["windows_hit"]),
                     total_comments=int(row["total_comments"]),
-                    first_seen=int(row["first_seen"]) if row["first_seen"] else None,
-                    last_seen=int(row["last_seen"]) if row["last_seen"] else None,
-                    status_time=int(row["status_time"]) if row["status_time"] else None,
+                    first_seen=_opt_int(row["first_seen"]),
+                    last_seen=_opt_int(row["last_seen"]),
+                    status_time=_opt_int(row["status_time"]),
                 )
-            )
+                if weighted and int(row["weight"]) != edge.total_comments:
+                    raise ValueError(f"weight {row['weight']} is not total_comments "
+                                     f"{edge.total_comments}")
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{source}:{reader.line_num}: bad {kind} row: {exc}") from exc
+            edges.append(edge)
     return edges
 
 
-def write_timeline_csv(rows: Sequence[TimelineRow], path: str | Path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIMELINE_CSV_FIELDS)
-        for row in rows:
-            writer.writerow([row.time, row.source, row.target, row.status.value])
+def load_edges_csv(path: str | Path) -> list[FollowEdge]:
+    return read_edge_rows(path)
+
+
+def write_timeline_csv(rows: Iterable[TimelineRow], path: str | Path) -> None:
+    write_csv(path, TIMELINE_CSV_FIELDS,
+              ([row.time, row.source, row.target, row.status.value] for row in rows))
 
 
 def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> None:

@@ -27,6 +27,7 @@ stage 0 less the ledgers 1..k.  Each stage also has ``stageK.manifest.json``.
 
 from __future__ import annotations
 
+import csv
 import gzip
 import json
 import os
@@ -400,6 +401,14 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Atomically write a CSV artifact: ``header``, then ``rows``, "\n" line ends."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def records_path(out_dir: Path, stage_id: int) -> Path:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UnmappedAuthorError
+from .errors import ConfigError, DataError
 from .ingest import RawRecord, atomic_write
 
 DEFAULT_DIM = 4096
@@ -427,36 +427,6 @@ def build_member_index(profiles: Sequence[AgentProfile]) -> dict[str, str]:
         for user in profile.members:
             index[user] = profile.agent_id
     return index
-
-
-def residual_agent_id(profiles: Sequence[AgentProfile]) -> str | None:
-    # The residual agent is the one with the zero centroid (no usable text).
-    for profile in profiles:
-        if not np.any(profile.centroid != 0.0):
-            return profile.agent_id
-    return None
-
-
-def assign_agent(
-    record: RawRecord,
-    profiles: Sequence[AgentProfile],
-    index: Mapping[str, str] | None = None,
-    strict: bool = True,
-) -> str:
-    """Agent id owning the record's author.
-
-    In strict mode unknown authors raise; otherwise they fall back to the
-    residual agent when one exists.
-    """
-    index = index if index is not None else build_member_index(profiles)
-    agent = index.get(record.author)
-    if agent is not None:
-        return agent
-    if not strict:
-        residual = residual_agent_id(profiles)
-        if residual is not None:
-            return residual
-    raise UnmappedAuthorError(f"author {record.author!r} is not in any agent profile")
 
 
 def save_profiles(profiles: Sequence[AgentProfile], path: str | Path) -> None:

@@ -10,7 +10,7 @@ subgraph, which by construction is always pointwise below the full series.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,7 +19,7 @@ from .errors import ConfigError
 from . import graph as graphmod
 from . import inference as infermod
 from . import metrics as metricsmod
-from .graph import EdgeClass, InteractionGraph
+from .graph import EdgeClass
 from .inference import (
     DEFAULT_FORSURE_MIN,
     DEFAULT_MAYBE_MIN,
@@ -29,7 +29,7 @@ from .inference import (
     WindowGrid,
     infer_all,  # noqa: F401 - re-exported; perfbench's tracer test patches it here
 )
-from .ingest import atomic_write
+from .ingest import write_csv
 
 SECONDS_PER_DAY = 86400
 DEFAULT_INTERVAL_SECONDS = 182 * SECONDS_PER_DAY
@@ -162,20 +162,9 @@ def triad_series(
 
 
 def write_triads_csv(series: TriadSeries, path: str | Path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIADS_CSV_FIELDS)
-        for i, (start, end) in enumerate(series.intervals):
-            writer.writerow(
-                [
-                    start,
-                    end,
-                    series.cumulative_all[i],
-                    series.new_all[i],
-                    series.cumulative_forsure[i],
-                    series.new_forsure[i],
-                ]
-            )
+    columns = zip(series.intervals, series.cumulative_all, series.new_all,
+                  series.cumulative_forsure, series.new_forsure)
+    write_csv(path, TRIADS_CSV_FIELDS, ((*interval, *counts) for interval, *counts in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +179,6 @@ class SnapshotConfig:
     coverage: float = 0.0
     seed: int = 0
     known_agents: tuple[str, ...] = ()
-
-
-def build_graph_at(
-    events: Sequence[InteractionEvent],
-    grid: WindowGrid,
-    config: SnapshotConfig,
-    cutoff: int | None = None,
-) -> InteractionGraph:
-    return _graph_at(infermod.pair_histories(events, grid), config, cutoff)
 
 
 def _graph_at(histories: Iterable[infermod.PairHistory], config: SnapshotConfig, cutoff: int | None):
@@ -265,6 +245,10 @@ def sweep(
     """
     if not (window_days_list and maybe_min_list and forsure_min_list and coverage_list):
         raise ConfigError("sweep parameter lists must be non-empty")
+    if not all(0 < w < math.inf for w in window_days_list):
+        raise ConfigError(f"sweep window days must be positive, got {list(window_days_list)}")
+    if not all(0.0 <= c <= 1.0 for c in coverage_list):
+        raise ConfigError(f"sweep coverage must be in [0, 1], got {list(coverage_list)}")
     cells = []
     for window_days in window_days_list:
         window_len = max(1, int(round(window_days * SECONDS_PER_DAY)))
@@ -305,20 +289,8 @@ def write_sweep_csv(report: SweepReport, path: str | Path) -> None:
     def fmt(value: float | None) -> str:
         return "" if value is None else repr(value)
 
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_FIELDS)
-        for cell in report.cells:
-            writer.writerow(
-                [
-                    cell.window_days,
-                    cell.maybe_min,
-                    cell.forsure_min,
-                    cell.coverage,
-                    cell.nodes,
-                    cell.edges,
-                    fmt(cell.clustering),
-                    fmt(cell.reciprocity),
-                    fmt(cell.modularity),
-                ]
-            )
+    write_csv(path, SWEEP_CSV_FIELDS, (
+        [cell.window_days, cell.maybe_min, cell.forsure_min, cell.coverage, cell.nodes,
+         cell.edges, fmt(cell.clustering), fmt(cell.reciprocity), fmt(cell.modularity)]
+        for cell in report.cells
+    ))

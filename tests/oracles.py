@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from latentgraph.graph import EdgeClass, GraphEdge, InteractionGraph
+from latentgraph.graph import InteractionGraph
 from latentgraph.inference import FollowEdge, FollowStatus, InteractionEvent, WindowGrid
 
 
@@ -410,12 +410,12 @@ def make_graph(
     edges = []
     for i, (u, v) in enumerate(edge_pairs):
         edges.append(
-            GraphEdge(
+            FollowEdge(
                 source=u,
                 target=v,
-                status=statuses[i] if statuses else FollowStatus.MAYBE,
-                weight=weights[i] if weights else 1,
+                windows_hit=0,
                 total_comments=weights[i] if weights else 1,
+                status=statuses[i] if statuses else FollowStatus.MAYBE,
             )
         )
     edges.sort(key=lambda e: (e.source, e.target))
@@ -423,9 +423,7 @@ def make_graph(
     for edge in edges:
         all_nodes.add(edge.source)
         all_nodes.add(edge.target)
-    return InteractionGraph(
-        nodes=tuple(sorted(all_nodes)), edges=tuple(edges), edge_class_filter=EdgeClass.ALL
-    )
+    return InteractionGraph(nodes=tuple(sorted(all_nodes)), edges=tuple(edges))
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> InteractionGraph:
@@ -437,10 +435,8 @@ def random_digraph(rng: random.Random, n: int, p: float) -> InteractionGraph:
             status = rng.choice([FollowStatus.MAYBE, FollowStatus.FORSURE])
             weight = rng.randint(1, 9)
             edges.append(
-                GraphEdge(source=u, target=v, status=status, weight=weight,
-                          total_comments=weight)
+                FollowEdge(source=u, target=v, windows_hit=0, total_comments=weight,
+                           status=status)
             )
     edges.sort(key=lambda e: (e.source, e.target))
-    return InteractionGraph(
-        nodes=tuple(nodes), edges=tuple(edges), edge_class_filter=EdgeClass.ALL
-    )
+    return InteractionGraph(nodes=tuple(nodes), edges=tuple(edges))

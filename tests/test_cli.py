@@ -414,3 +414,79 @@ class TestDeterminism:
                 assert doc_a == doc_b
             else:
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+EDGE_HEADER = "source,target,status,windows_hit,total_comments,first_seen,last_seen,status_time"
+GOOD_EDGE = "A,B,maybe,2,3,10,20,15"
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    pytest.param(["triads", "--edges"], "edges.csv",
+                 f"{EDGE_HEADER}\n{GOOD_EDGE}\nB,C,sometimes,2,3,10,20,15\n",
+                 id="triads-unknown-status"),
+    pytest.param(["triads", "--edges"], "edges.csv",
+                 f"{EDGE_HEADER}\n{GOOD_EDGE}\nB,C,maybe,2,3\n",
+                 id="triads-short-row"),
+    pytest.param(["graph", "build", "--edges"], "edges.csv",
+                 f"{EDGE_HEADER}\n{GOOD_EDGE}\nB,C,sometimes,2,3,10,20,15\n",
+                 id="graph-unknown-status"),
+    pytest.param(["metrics", "--graph"], "graph.edges.csv",
+                 f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nB,C,maybe,two,3,10,20,15,3\n",
+                 id="metrics-non-integer-windows"),
+    pytest.param(["metrics", "--graph"], "graph.edges.csv",
+                 f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nB,C,maybe,,3,10,20,15,3\n",
+                 id="metrics-empty-windows"),
+    pytest.param(["metrics", "--graph"], "graph.edges.csv",
+                 f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nB,C,maybe,2,3,10,20,15,4\n",
+                 id="metrics-weight-not-comments"),
+])
+def test_malformed_edge_row_is_data_error(tmp_path, capsys, argv, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out" / "result.csv"
+    assert main([*argv, str(path), "--out", str(out)]) == 2
+    assert f"{path}:3: bad" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.fixture(scope="module")
+def stage_dir(small_dump, tmp_path_factory):
+    _, posts, comments, _ = small_dump
+    out = tmp_path_factory.mktemp("stage0")
+    assert main(["ingest", "--posts", str(posts), "--comments", str(comments),
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def events_path(tmp_path_factory):
+    from latentgraph.inference import InteractionEvent, write_events_jsonl
+
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    write_events_jsonl([InteractionEvent("A", "B", day * 86400, "p", f"c{day}")
+                        for day in (1, 40, 80)], path)
+    return path
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--coverage", "1.5"]),
+    ("sweep", ["--coverage", "-0.1"]),
+    ("sweep", ["--windows", "-7"]),
+    ("sweep", ["--windows", "0"]),
+    ("sweep", ["--windows", "x"]),
+    ("sweep", ["--maybe", "2.5"]),
+    ("chains", ["--top", "-1"]),
+    ("chains", ["--census-thresholds", "abc"]),
+])
+def test_bad_number_flag_exits_1(tmp_path, stage_dir, events_path, command, flags):
+    out = tmp_path / "out" / "result"
+    source = ["--events", str(events_path)] if command == "sweep" else ["--in", str(stage_dir)]
+    assert main([command, *source, *flags, "--out", str(out)]) == 1
+    assert not out.parent.exists()
+
+
+def test_graph_build_unknown_suffix_exits_1(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"{EDGE_HEADER}\n{GOOD_EDGE}\n")
+    assert main(["graph", "build", "--edges", str(edges), "--out", str(tmp_path / "g.gexf")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.csv"]

@@ -1,0 +1,45 @@
+"""Byte pins on the six CSV artifacts.
+
+A fixed user-level run (NONE, maybe and forsure pairs, coverage that drops
+edges) plus a two-cell sweep over its events.  The digests were recorded
+before the CSV writers were merged into one; any change to a column, a
+number format or a row order shows here as a changed hash.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from latentgraph import inference, temporal
+from latentgraph.cli import run_all
+from latentgraph.config import default_config
+from latentgraph.synthetic import make_synthetic_dump
+
+GOLDEN_SHA256 = {
+    "edges.csv": "54c659ec427d4cd1594d87dd7991d26ce72783eca001a543c7c6d70bee2f8dde",
+    "timeline.csv": "b4efe5c092f94ac280807768c7a6151418805a43b4641ea0d02750aa9b1ac2d6",
+    "graph.edges.csv": "156438384e06531d3fd9a6895b8038bdbeecc9dc92be924df3a04aa594c2e87a",
+    "triads.csv": "bbcd66168dec066d339739ccb8be4f5b4ed5577b0bbec9c730303f06da43271f",
+    "sweep.csv": "207bcc7278f38d9ad767f58e6c0c29f4c2976c4be56a9f48a0fc54585e84f774",
+    "census.csv": "b479a52725b4098cc013a38e475402171b2522ea950e4e9db6203b82d35058f4",
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    base = tmp_path_factory.mktemp("golden")
+    posts, comments = make_synthetic_dump(200, 1200, seed=3).write_dumps(base / "dump")
+    out = base / "out"
+    config = replace(default_config(), k_agents=4, level="user", coverage=0.003,
+                     posts_path=str(posts), comments_path=str(comments), out_dir=str(out))
+    assert run_all(config) == 0
+    events = inference.load_events_jsonl(out / "events.jsonl")
+    report = temporal.sweep(events, [7, 30], coverage_list=[0.005])
+    temporal.write_sweep_csv(report, out / "sweep.csv")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_csv_bytes_pinned(artifacts, name):
+    assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == GOLDEN_SHA256[name]

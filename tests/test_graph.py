@@ -5,18 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from latentgraph.graph import (
     EdgeClass,
-    ExportFormat,
     InteractionGraph,
     apply_coverage,
     build,
-    export,
     load_graph_edges_csv,
     load_graphml,
     write_dot,
     write_graph_edges_csv,
     write_graphml,
 )
-from latentgraph.inference import FollowEdge, FollowStatus
+from latentgraph.inference import FollowEdge, FollowStatus, load_edges_csv, write_edges_csv
 
 
 def follow_edge(src, tgt, status, total=1, windows=1, first=10):
@@ -28,6 +26,30 @@ def follow_edge(src, tgt, status, total=1, windows=1, first=10):
 
 
 MAYBE, FORSURE, NONE = FollowStatus.MAYBE, FollowStatus.FORSURE, FollowStatus.NONE
+
+# Node names that need CSV quoting, so round trips cover the quoting too.
+NAMES = st.sampled_from(["A", "B", "c d", 'q"x', "e,f", "n\nl"])
+OPT_TIME = st.none() | st.integers(min_value=0, max_value=2**40)
+EDGES = st.lists(
+    st.builds(
+        FollowEdge,
+        source=NAMES,
+        target=NAMES,
+        windows_hit=st.integers(min_value=0, max_value=50),
+        total_comments=st.integers(min_value=0, max_value=50),
+        status=st.sampled_from(list(FollowStatus)),
+        first_seen=OPT_TIME,
+        last_seen=OPT_TIME,
+        status_time=OPT_TIME,
+    ),
+    max_size=25,
+)
+
+
+def written_fields(edge):
+    """Every field an edge CSV row carries."""
+    return (edge.source, edge.target, edge.status, edge.windows_hit, edge.total_comments,
+            edge.first_seen, edge.last_seen, edge.status_time)
 
 
 class TestBuild:
@@ -72,6 +94,35 @@ class TestBuild:
         assert forsure_set <= all_set
         assert maybe_set <= all_set
         assert forsure_set | maybe_set == all_set
+
+
+@settings(max_examples=100, deadline=None)
+@given(EDGES, st.sampled_from(list(EdgeClass)))
+def test_build_keeps_the_admitted_input_edges(edges, include):
+    admitted = sorted(
+        (e for e in edges
+         if include.admits(e.status) and e.source != e.target and e.total_comments >= 1),
+        key=lambda e: (e.source, e.target),
+    )
+    got = build(edges, include).edges
+    assert len(got) == len(admitted)
+    assert all(g is a for g, a in zip(got, admitted))
+    assert all(e.weight == e.total_comments for e in got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(EDGES)
+def test_edge_csvs_round_trip_every_written_field(tmp_path_factory, edges):
+    base = tmp_path_factory.mktemp("round")
+    write_edges_csv(edges, base / "edges.csv")
+    assert [written_fields(e) for e in load_edges_csv(base / "edges.csv")] == [
+        written_fields(e) for e in edges
+    ]
+    graph = build(edges, EdgeClass.ALL)
+    write_graph_edges_csv(graph, base / "graph.edges.csv")
+    loaded = load_graph_edges_csv(base / "graph.edges.csv")
+    assert loaded.nodes == graph.nodes
+    assert [written_fields(e) for e in loaded.edges] == [written_fields(e) for e in graph.edges]
 
 
 class TestCoverage:
@@ -179,18 +230,14 @@ class TestExport:
         write_dot(self.three_node_graph(), path)
         assert path.read_text() == GOLDEN_DOT
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            export(self.three_node_graph(), "gexf", tmp_path / "g.gexf")
-
     def test_byte_identical_exports(self, tmp_path):
-        for fmt, name in [
-            (ExportFormat.EDGES_CSV, "g.csv"),
-            (ExportFormat.GRAPHML, "g.graphml"),
-            (ExportFormat.DOT, "g.dot"),
+        for write, name in [
+            (write_graph_edges_csv, "g.csv"),
+            (write_graphml, "g.graphml"),
+            (write_dot, "g.dot"),
         ]:
-            export(self.three_node_graph(), fmt, tmp_path / ("a_" + name))
-            export(self.three_node_graph(), fmt, tmp_path / ("b_" + name))
+            write(self.three_node_graph(), tmp_path / ("a_" + name))
+            write(self.three_node_graph(), tmp_path / ("b_" + name))
             assert (tmp_path / ("a_" + name)).read_bytes() == (
                 tmp_path / ("b_" + name)
             ).read_bytes()

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from latentgraph import chains, cli, profiles
 from latentgraph.config import default_config
-from latentgraph.errors import ConfigError, DataError, UnmappedAuthorError
-from latentgraph.ingest import PipelineSettings, RawRecord, RecordKind, run_pipeline
+from latentgraph.errors import ConfigError, DataError
+from latentgraph.ingest import PipelineSettings, run_pipeline
 from latentgraph.profiles import (
+    RESIDUAL_LABEL,
     AgentProfile,
     add_terms,
     build_member_index,
@@ -23,12 +24,10 @@ from latentgraph.profiles import (
     load_embeddings,
     load_lexicon,
     load_profiles,
-    residual_agent_id,
     save_profiles,
     token_bucket,
     tokenize,
     top_terms,
-    assign_agent,
     vectorize_user,
     TextCounts,
 )
@@ -164,9 +163,8 @@ class TestClustering:
         vectors, _, _ = build_user_vectors(texts, 256)
         profiles = cluster_users(vectors, 2, seed=1)
         assert len(profiles) == 3
-        residual = residual_agent_id(profiles)
-        by_id = {p.agent_id: p for p in profiles}
-        assert set(by_id[residual].members) == {"mute01", "mute02"}
+        [residual] = [p for p in profiles if p.label == RESIDUAL_LABEL]
+        assert set(residual.members) == {"mute01", "mute02"}
 
     def test_k_exceeding_usable_users(self):
         vectors, _, _ = build_user_vectors(planted_users(2), 256)
@@ -263,23 +261,6 @@ class TestAssignAgent:
         a = AgentProfile("A000", "Alpha", ("u1", "u2"), np.ones(16))
         res = AgentProfile("A001", "GeneralChat", ("mute",), np.zeros(16))
         return [a, res]
-
-    def rec(self, author):
-        return RawRecord(id="c1", kind=RecordKind.COMMENT, author=author,
-                         created_utc=5, text="x", subreddit="s", link_id="p",
-                         parent_id="p")
-
-    def test_member_lookup(self):
-        profiles = self.make_profiles()
-        assert assign_agent(self.rec("u2"), profiles) == "A000"
-
-    def test_strict_unknown_raises(self):
-        with pytest.raises(UnmappedAuthorError):
-            assign_agent(self.rec("ghost"), self.make_profiles(), strict=True)
-
-    def test_residual_fallback(self):
-        profiles = self.make_profiles()
-        assert assign_agent(self.rec("ghost"), profiles, strict=False) == "A001"
 
     def test_member_index(self):
         index = build_member_index(self.make_profiles())

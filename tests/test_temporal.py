@@ -22,7 +22,6 @@ from latentgraph.metrics import (
 )
 from latentgraph.temporal import (
     SnapshotConfig,
-    build_graph_at,
     snapshot_series,
     sweep,
     triad_series,
@@ -171,7 +170,8 @@ class TestSnapshotSeries:
         grid = WindowGrid.from_events(events, 30 * DAY)
         config = SnapshotConfig()
         reports = snapshot_series(events, grid, config, [10**12])
-        global_graph = build_graph_at(events, grid, config)
+        global_graph = build(infer_all(events, grid, config.maybe_min, config.forsure_min),
+                             config.include)
         assert reports[0].to_dict() == full_report(
             global_graph, seed=config.seed, config={"checkpoint": 10**12}
         ).to_dict()

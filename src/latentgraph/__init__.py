@@ -26,7 +26,7 @@ from .ingest import (  # noqa: F401
     RawRecord,
     RecordKind,
     StageSnapshot,
-    parse_dump,
+    load_dump,
     run_pipeline,
 )
 from .metrics import MetricsReport, full_report  # noqa: F401

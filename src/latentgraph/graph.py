@@ -160,13 +160,12 @@ def load_graphml(path: str | Path) -> InteractionGraph:
     for node_el in graph_el.findall("g:node", ns):
         nodes.append(node_el.get("id") or "")
     for edge_el in graph_el.findall("g:edge", ns):
-        weight = 1
-        status = FollowStatus.MAYBE
-        for data_el in edge_el.findall("g:data", ns):
-            if data_el.get("key") == "weight":
-                weight = int(data_el.text or "1")
-            elif data_el.get("key") == "status":
-                status = FollowStatus(data_el.text or "maybe")
+        data = {data_el.get("key"): data_el.text for data_el in edge_el.findall("g:data", ns)}
+        try:
+            weight = int(data.get("weight") or 1)
+            status = FollowStatus(data.get("status") or "maybe")
+        except ValueError as exc:
+            raise DataError(f"{source}: bad edge data: {exc}") from exc
         edges.append(
             FollowEdge(
                 source=edge_el.get("source") or "",

@@ -12,7 +12,6 @@ but fewer than ``forsure_min`` a tentative ("maybe") follow, and
 from __future__ import annotations
 
 import csv
-import json
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
 from .ingest import RawRecord, RecordKind, atomic_write, compact_json, write_csv
+from .ingest import decode_lines, read_id, read_time
 
 SECONDS_PER_DAY = 86400
 DEFAULT_WINDOW_SECONDS = 30 * SECONDS_PER_DAY
@@ -73,13 +73,16 @@ class InteractionEvent:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "InteractionEvent":
+    def from_dict(cls, obj: object) -> "InteractionEvent":
+        """Read an event row under the record decoder's id and time rules."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"an event must be a JSON object, got {type(obj).__name__}")
         return cls(
-            source=str(obj["source"]),
-            target=str(obj["target"]),
-            time=int(obj["time"]),
-            post_id=str(obj["post_id"]),
-            comment_id=str(obj["comment_id"]),
+            source=read_id(obj, "source"),
+            target=read_id(obj, "target"),
+            time=read_time(obj, "time"),
+            post_id=read_id(obj, "post_id"),
+            comment_id=read_id(obj, "comment_id"),
         )
 
 
@@ -413,17 +416,4 @@ def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> 
 
 
 def load_events_jsonl(path: str | Path) -> list[InteractionEvent]:
-    source = Path(path)
-    if not source.exists():
-        raise DataError(f"events file not found: {source}")
-    events = []
-    with open(source, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(InteractionEvent.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DataError(f"{source}:{n}: bad event row: {exc}") from exc
-    return events
+    return list(decode_lines(path, "event", InteractionEvent.from_dict))

@@ -3,9 +3,11 @@
 Input dumps are JSONL, one object per line (optionally gzip-compressed).
 Posts carry ``{"id","author","created_utc","title","selftext","subreddit"}``,
 comments ``{"id","author","created_utc","body","subreddit","link_id",
-"parent_id"}``.  Preprocessing runs as numbered stages 0..6, each producing an
-immutable :class:`StageSnapshot` whose manifest records how many records every
-filter removed, so the whole reduction is auditable stage by stage.
+"parent_id"}``.  :func:`decode_record` holds the field rules for dump lines
+and for the records reloaded from stage files.  Preprocessing runs as
+numbered stages 0..6, each producing an immutable :class:`StageSnapshot`
+whose manifest records how many records every filter removed, so the whole
+reduction is auditable stage by stage.
 
 Stage map:
 
@@ -56,6 +58,9 @@ INFERENCE_HANDOFF = "inference_handoff"
 
 _URL_ONLY_RE = re.compile(r"^https?://\S+$")
 
+DELETED_AUTHOR = "[deleted]"
+DELETION_MARKERS = ("[removed]", "[deleted]")
+
 
 class RecordKind(str, Enum):
     POST = "post"
@@ -82,19 +87,6 @@ class RawRecord:
 
     def to_dict(self) -> dict:
         return {**vars(self), "kind": self.kind.value}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RawRecord":
-        return cls(
-            id=str(obj["id"]),
-            kind=RecordKind(obj["kind"]),
-            author=str(obj["author"]),
-            created_utc=int(obj["created_utc"]),
-            text=str(obj["text"]),
-            subreddit=str(obj.get("subreddit") or ""),
-            link_id=obj.get("link_id"),
-            parent_id=obj.get("parent_id"),
-        )
 
 
 def record_sort_key(rec: RawRecord) -> tuple[int, str]:
@@ -127,108 +119,138 @@ class StageSnapshot:
         return len(self.records)
 
 
-def _parse_post(obj: dict) -> RawRecord:
-    title = str(obj.get("title") or "")
-    selftext = str(obj.get("selftext") or "")
-    text = " ".join(part for part in (title, selftext) if part)
-    created = int(obj["created_utc"])
+_WHOLE_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.0*)?")
+
+
+def read_id(obj: dict, key: str) -> str:
+    """``obj[key]`` as an id: a non-empty string."""
+    value = obj.get(key)
+    if isinstance(value, str) and value:
+        return value
+    raise ValueError(f"{key} must be a non-empty string, got {value!r}")
+
+
+def read_time(obj: dict, key: str) -> int:
+    """``obj[key]`` as whole seconds: an int, or a float or numeric string with
+    no fraction, but never a bool."""
+    value = obj.get(key)
+    if isinstance(value, str) and _WHOLE_NUMBER_RE.fullmatch(value):
+        value = int(value.partition(".")[0])
+    elif isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is int:
+        return value
+    raise ValueError(f"{key} must be a whole number, got {value!r}")
+
+
+def _read_text(obj: dict, key: str) -> str:
+    """``obj[key]`` as a string; absent or null reads as ""."""
+    value = obj.get(key)
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    raise ValueError(f"{key} must be a string, got {value!r}")
+
+
+def _read_fullname(obj: dict, key: str) -> str:
+    """``obj[key]`` as an id less its Pushshift prefix: ``t3_`` (post) or ``t1_`` (comment)."""
+    value = read_id(obj, key)
+    bare = value[3:] if value.startswith(("t1_", "t3_")) else value
+    if bare:
+        return bare
+    raise ValueError(f"{key} {value!r} names no post or comment")
+
+
+def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord:
+    """Build a record from one parsed JSON line, or raise ``ValueError``.
+
+    Field rules: ``id`` is a non-empty string, and so is ``author``, null
+    meaning ``[deleted]``; ``created_utc`` is positive (see :func:`read_time`);
+    text fields are strings, absent or null meaning ""; a comment has a
+    non-empty ``link_id`` and ``parent_id``.  Unknown fields are ignored.
+
+    With ``dump_kind`` the line is a dump line of that kind: a post's text is
+    its title and selftext (a ``[removed]``/``[deleted]`` selftext adds none),
+    a comment's its body, and ``link_id``/``parent_id`` lose their Pushshift
+    prefix.  Without it the line is a stage-0 row as ``RawRecord.to_dict``
+    writes it.
+    """
+    if not isinstance(obj, dict) or "author" not in obj:
+        raise ValueError(f"not a record with an author: {obj!r:.80}")
+    kind = dump_kind or RecordKind(obj.get("kind"))
+    if dump_kind is None:
+        text = _read_text(obj, "text")
+    elif kind is RecordKind.POST:
+        selftext = _read_text(obj, "selftext")
+        parts = (_read_text(obj, "title"), "" if selftext.strip() in DELETION_MARKERS else selftext)
+        text = " ".join(part for part in parts if part)
+    else:
+        text = _read_text(obj, "body")
+    created = read_time(obj, "created_utc")
     if created <= 0:
-        raise ValueError("created_utc must be positive")
+        raise ValueError(f"created_utc must be positive, got {created}")
+    links = (None, None)
+    if kind is RecordKind.COMMENT:
+        read_link = read_id if dump_kind is None else _read_fullname
+        links = (read_link(obj, "link_id"), read_link(obj, "parent_id"))
     return RawRecord(
-        id=str(obj["id"]),
-        kind=RecordKind.POST,
-        author=str(obj["author"]),
+        id=read_id(obj, "id"),
+        kind=kind,
+        author=DELETED_AUTHOR if obj["author"] is None else read_id(obj, "author"),
         created_utc=created,
         text=text,
-        subreddit=str(obj.get("subreddit") or ""),
+        subreddit=_read_text(obj, "subreddit"),
+        link_id=links[0],
+        parent_id=links[1],
     )
 
 
-def _bare_id(value: object) -> str:
-    """Strip a Pushshift fullname prefix: ``t3_abc`` (post) / ``t1_xyz`` (comment)."""
-    text = str(value)
-    return text[3:] if text.startswith(("t1_", "t3_")) else text
+def numbered_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a text file with their 1-based numbers, read
+    through gzip for a ``.gz`` name; a missing or unreadable file is a DataError."""
+    source = Path(path)
+    if not source.exists():
+        raise DataError(f"{what} file not found: {source}")
+    try:
+        with (gzip.open(source, "rt", encoding="utf-8") if source.suffix == ".gz"
+              else open(source, encoding="utf-8")) as fh:
+            for n, line in enumerate(fh, start=1):
+                if not line.isspace():
+                    yield n, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {source}: {exc}") from exc
 
 
-def _parse_comment(obj: dict) -> RawRecord:
-    created = int(obj["created_utc"])
-    if created <= 0:
-        raise ValueError("created_utc must be positive")
-    link_id = _bare_id(obj["link_id"])
-    parent_id = _bare_id(obj["parent_id"])
-    if not link_id or not parent_id:
-        raise ValueError("comments need link_id and parent_id")
-    return RawRecord(
-        id=str(obj["id"]),
-        kind=RecordKind.COMMENT,
-        author=str(obj["author"]),
-        created_utc=created,
-        text=str(obj.get("body") or ""),
-        subreddit=str(obj.get("subreddit") or ""),
-        link_id=link_id,
-        parent_id=parent_id,
-    )
-
-
-def _open_text(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
-
-
-class DumpParser:
-    """Streaming JSONL parser that counts malformed lines instead of dying.
-
-    Iterate to get records in file order.  ``skipped`` and ``parsed`` are
-    final once the stream is exhausted.  More than 50% malformed lines is
-    treated as a schema mismatch and raised, since at that point the file
-    is more likely the wrong format than a noisy dump.
-    """
-
-    def __init__(self, path: str | Path, kind: RecordKind):
-        self.path = Path(path)
-        self.kind = RecordKind(kind)
-        self.skipped = 0
-        self.parsed = 0
-        if not self.path.exists():
-            raise DataError(f"dump file not found: {self.path}")
-
-    def __iter__(self) -> Iterator[RawRecord]:
-        builder = _parse_post if self.kind is RecordKind.POST else _parse_comment
+def decode_lines(path: str | Path, what: str, decode: Callable[[object], object]) -> Iterator:
+    """Every line of a JSONL file through ``decode``; a line it rejects with a
+    ValueError is a SchemaError naming the file and line."""
+    for n, line in numbered_lines(path, what):
         try:
-            handle = _open_text(self.path)
-        except OSError as exc:
-            raise DataError(f"cannot read {self.path}: {exc}") from exc
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = builder(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    self.skipped += 1
-                    continue
-                self.parsed += 1
-                yield record
-        total = self.parsed + self.skipped
-        if total and self.skipped / total > 0.5:
-            raise SchemaError(
-                f"{self.path}: {self.skipped}/{total} lines malformed; "
-                "input does not look like a valid dump"
-            )
-
-
-def parse_dump(path: str | Path, kind: RecordKind) -> DumpParser:
-    """Stream records from a JSONL dump; malformed lines are counted, not fatal."""
-    return DumpParser(path, kind)
+            value = decode(json.loads(line))
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{n}: bad {what}: {exc}") from exc
+        yield value
 
 
 def load_dump(path: str | Path, kind: RecordKind) -> tuple[list[RawRecord], int]:
-    """Eagerly parse a dump, returning (records, skipped-line count)."""
-    parser = parse_dump(path, kind)
-    records = list(parser)
-    return records, parser.skipped
+    """Decode a JSONL dump into records in file order, and count the lines
+    skipped as malformed.  More than 50% malformed is raised as a schema
+    mismatch: such a file is more likely the wrong format than a noisy dump."""
+    kind = RecordKind(kind)
+    records: list[RawRecord] = []
+    skipped = 0
+    for _, line in numbered_lines(path, "dump"):
+        try:
+            records.append(decode_record(json.loads(line), kind))
+        except ValueError:
+            skipped += 1
+    total = len(records) + skipped
+    if total and skipped / total > 0.5:
+        raise SchemaError(
+            f"{path}: {skipped}/{total} lines malformed; input does not look like a valid dump"
+        )
+    return records, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +313,7 @@ def is_noise(rec: RawRecord, min_chars: int = 3) -> bool:
 
 
 def is_deleted(rec: RawRecord) -> bool:
-    return rec.author == "[deleted]" or rec.text.strip() in ("[removed]", "[deleted]")
+    return rec.author == DELETED_AUTHOR or rec.text.strip() in DELETION_MARKERS
 
 
 def _drop(
@@ -454,22 +476,8 @@ def load_records(
     path: str | Path, drop: Container[tuple[str, str]] = frozenset()
 ) -> list[RawRecord]:
     """Read a normalized records file, leaving out the (kind, id) pairs in ``drop``."""
-    source = Path(path)
-    if not source.exists():
-        raise DataError(f"records file not found: {source}")
-    records = []
-    with _open_text(source) as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if (obj["kind"], str(obj["id"])) not in drop:
-                    records.append(RawRecord.from_dict(obj))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise SchemaError(f"{source}:{n}: bad stage record: {exc}") from exc
-    return records
+    return [rec for rec in decode_lines(path, "stage record", decode_record)
+            if (rec.kind.value, rec.id) not in drop]
 
 
 def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
@@ -486,8 +494,9 @@ def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
     for k in range(1, stage_id + 1):
         ledger = records_path(base, k)
         try:
-            with open(ledger, encoding="utf-8") as fh:
-                removed.update((row["kind"], row["id"]) for row in map(json.loads, fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            for _, line in numbered_lines(ledger, "ledger"):
+                row = json.loads(line)
+                removed.add((row["kind"], row["id"]))
+        except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{ledger}: unreadable removal ledger: {exc}") from exc
     return stage_id, load_records(records_path(base, 0), removed)

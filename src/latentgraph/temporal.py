@@ -245,13 +245,13 @@ def sweep(
     """
     if not (window_days_list and maybe_min_list and forsure_min_list and coverage_list):
         raise ConfigError("sweep parameter lists must be non-empty")
-    if not all(0 < w < math.inf for w in window_days_list):
-        raise ConfigError(f"sweep window days must be positive, got {list(window_days_list)}")
+    if not all(0 < w < math.inf and round(w * SECONDS_PER_DAY) >= 1 for w in window_days_list):
+        raise ConfigError(f"sweep windows must be 1 second or longer, got {list(window_days_list)}")
     if not all(0.0 <= c <= 1.0 for c in coverage_list):
         raise ConfigError(f"sweep coverage must be in [0, 1], got {list(coverage_list)}")
     cells = []
     for window_days in window_days_list:
-        window_len = max(1, int(round(window_days * SECONDS_PER_DAY)))
+        window_len = int(round(window_days * SECONDS_PER_DAY))
         histories = list(infermod.pair_histories(events, WindowGrid.from_events(events, window_len)))
         for maybe_min in maybe_min_list:
             for forsure_min in forsure_min_list:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import tempfile
 from dataclasses import replace
@@ -449,6 +450,89 @@ def test_malformed_edge_row_is_data_error(tmp_path, capsys, argv, name, text):
     assert not out.parent.exists()
 
 
+GOOD_STAGE_ROW = ('{"id":"p1","kind":"post","author":"A","created_utc":5,"text":"hello there",'
+                  '"subreddit":"s","link_id":null,"parent_id":null}')
+GOOD_EVENT = '{"source":"A","target":"B","time":86400,"post_id":"p","comment_id":"c1"}'
+
+
+def one_edge_graphml(weight: str, status: str) -> str:
+    return ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+            '<graph edgedefault="directed"><node id="A"/><node id="B"/>'
+            f'<edge source="A" target="B"><data key="weight">{weight}</data>'
+            f'<data key="status">{status}</data></edge></graph></graphml>\n')
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    pytest.param(["chains", "--in"], "stage0.records.jsonl",
+                 f"{GOOD_STAGE_ROW}\n{GOOD_STAGE_ROW.replace(':5,', ':true,')}\n",
+                 id="stage-bool-time"),
+    pytest.param(["chains", "--in"], "stage0.records.jsonl", f"{GOOD_STAGE_ROW}\n[1, 2]\n",
+                 id="stage-not-an-object"),
+    pytest.param(["infer", "--events"], "events.jsonl",
+                 f"{GOOD_EVENT}\n{GOOD_EVENT.replace('86400', 'true')}\n", id="event-bool-time"),
+    pytest.param(["metrics", "--graph"], "graph.graphml", one_edge_graphml("x", "maybe"),
+                 id="graphml-weight"),
+    pytest.param(["metrics", "--graph"], "graph.graphml", one_edge_graphml("3", "sometimes"),
+                 id="graphml-status"),
+])
+def test_malformed_input_is_data_error(tmp_path, capsys, argv, name, text):
+    path = tmp_path / "input" / name
+    path.parent.mkdir()
+    path.write_text(text)
+    source = path.parent if argv[-1] == "--in" else path
+    out = tmp_path / "out" / "result"
+    assert main([*argv, str(source), "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def pushshift_dialect(posts: Path, comments: Path, out: Path) -> tuple[Path, Path]:
+    """Rewrite a synthetic dump as Pushshift writes it, gzip-compressed: fullname
+    link and parent ids, times as strings, and fields no reader knows."""
+    post_lines = [json.loads(line) for line in posts.read_text().splitlines()]
+    post_ids = {line["id"] for line in post_lines}
+    comment_lines = [json.loads(line) for line in comments.read_text().splitlines()]
+    for n, line in enumerate(post_lines + comment_lines):
+        line["created_utc"] = f"{line['created_utc']}{'.0' if n % 2 else ''}"
+        line.update(score=n, edited=False, name=f"t9_{line['id']}")
+    for line in comment_lines:
+        line["link_id"] = "t3_" + line["link_id"]
+        parent = line["parent_id"]
+        line["parent_id"] = ("t3_" if parent in post_ids else "t1_") + parent
+    paths = []
+    for lines, name in ((post_lines, "posts.jsonl.gz"), (comment_lines, "comments.jsonl.gz")):
+        with gzip.open(out / name, "wt", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(line) + "\n" for line in lines)
+        paths.append(out / name)
+    return paths[0], paths[1]
+
+
+def test_pushshift_dialect_gives_identical_artifacts(small_dump, tmp_path):
+    _, posts, comments, _ = small_dump
+    lexicon = write_lexicon_csv(tmp_path / "lexicon.csv")
+    dumps = {"plain": (posts, comments), "pushshift": pushshift_dialect(posts, comments, tmp_path)}
+    for name, (posts_path, comments_path) in dumps.items():
+        config = replace(default_config(), k_agents=4, posts_path=str(posts_path),
+                         comments_path=str(comments_path), out_dir=str(tmp_path / name),
+                         lexicon_path=str(lexicon))
+        assert run_all(config) == 0
+    a, b = tmp_path / "plain", tmp_path / "pushshift"
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name == "run_manifest.json":
+            docs = [json.loads((d / name).read_text()) for d in (a, b)]
+            for doc in docs:
+                for key in ("input_digests", "timings_seconds"):
+                    doc.pop(key)
+                for key in ("posts_path", "comments_path", "out_dir"):
+                    doc["config"].pop(key)
+            assert docs[0] == docs[1]
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def stage_dir(small_dump, tmp_path_factory):
     _, posts, comments, _ = small_dump
@@ -477,6 +561,7 @@ def events_path(tmp_path_factory):
     ("sweep", ["--maybe", "2.5"]),
     ("chains", ["--top", "-1"]),
     ("chains", ["--census-thresholds", "abc"]),
+    ("sweep", ["--windows", "0.000001"]),
 ])
 def test_bad_number_flag_exits_1(tmp_path, stage_dir, events_path, command, flags):
     out = tmp_path / "out" / "result"

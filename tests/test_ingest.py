@@ -22,12 +22,13 @@ from latentgraph.ingest import (
     RawRecord,
     RecordKind,
     atomic_write,
+    compact_json,
+    decode_record,
     drop_deleted,
     filter_bots,
     latest_stage_records,
     load_dump,
     load_records,
-    parse_dump,
     record_sort_key,
     records_path,
     run_pipeline,
@@ -50,7 +51,7 @@ def comment(id, author="bob", t=200, text="a fine reply here", link="p1", parent
 
 
 # ---------------------------------------------------------------------------
-# parse_dump
+# load_dump and the record decoder
 # ---------------------------------------------------------------------------
 
 class TestParseDump:
@@ -91,7 +92,7 @@ class TestParseDump:
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
-            parse_dump(tmp_path / "nope.jsonl", RecordKind.POST)
+            load_dump(tmp_path / "nope.jsonl", RecordKind.POST)
 
     def test_majority_malformed_is_schema_error(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -99,7 +100,7 @@ class TestParseDump:
                            "title": "t", "selftext": "", "subreddit": "s"})
         path.write_text("\n".join(["garbage", "more garbage", good]) + "\n")
         with pytest.raises(SchemaError):
-            list(parse_dump(path, RecordKind.POST))
+            load_dump(path, RecordKind.POST)
 
     def test_comment_requires_linkage(self, tmp_path):
         path = tmp_path / "comments.jsonl"
@@ -154,6 +155,86 @@ class TestParseDump:
         snap_a = snapshot(0, load_dump(a, RecordKind.POST)[0])
         snap_b = snapshot(0, load_dump(b, RecordKind.POST)[0])
         assert snap_a.records == snap_b.records
+
+
+GOOD_COMMENT = {"id": "c1", "author": "u", "created_utc": 1578720488, "body": "hi there",
+                "subreddit": "s", "link_id": "p1", "parent_id": "p1"}
+
+
+@pytest.mark.parametrize("change, field, value", [
+    pytest.param({"author": None}, "author", "[deleted]", id="null-author-is-deleted"),
+    pytest.param({"created_utc": "1578720488.0"}, "created_utc", 1578720488, id="string-time"),
+    pytest.param({"created_utc": 1578720488.0}, "created_utc", 1578720488, id="float-time"),
+    pytest.param({"body": None, "subreddit": None}, "text", "", id="null-text"),
+    pytest.param({"link_id": "t3_t1_x"}, "link_id", "t1_x", id="prefix-stripped-once"),
+    pytest.param({"created_utc": True}, None, None, id="bool-time"),
+    pytest.param({"body": {"x": 1}}, None, None, id="dict-body"),
+    pytest.param({"id": 7}, None, None, id="int-id"),
+    pytest.param({"author": ""}, None, None, id="empty-author"),
+    pytest.param({"created_utc": 1578720488.5}, None, None, id="fractional-time"),
+    pytest.param({"created_utc": "inf"}, None, None, id="inf-time"),
+    pytest.param({"link_id": ""}, None, None, id="empty-link-id"),
+    pytest.param({"parent_id": "t1_"}, None, None, id="bare-prefix-parent-id"),
+])
+def test_field_rules(tmp_path, change, field, value):
+    """A probe line between two good ones is kept with ``field == value``, or,
+    when ``field`` is None, skipped and counted."""
+    path = tmp_path / "comments.jsonl"
+    lines = [dict(GOOD_COMMENT, id="a"), dict(GOOD_COMMENT, **change), dict(GOOD_COMMENT, id="b")]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    records, skipped = load_dump(path, RecordKind.COMMENT)
+    if field is None:
+        assert ([r.id for r in records], skipped) == (["a", "b"], 1)
+    else:
+        assert skipped == 0
+        assert getattr(records[1], field) == value
+
+
+@pytest.mark.parametrize("selftext, text", [
+    ("[removed]", "title"),
+    (" [deleted] ", "title"),
+    ("kept body", "title kept body"),
+])
+def test_placeholder_selftext_adds_no_text(tmp_path, selftext, text):
+    line = {"id": "p1", "author": "u", "created_utc": 9, "title": "title",
+            "selftext": selftext, "subreddit": "s"}
+    path = tmp_path / "posts.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    (rec,), _ = load_dump(path, RecordKind.POST)
+    assert rec.text == text
+    assert drop_deleted([rec]).records == (rec,)
+
+
+def test_placeholder_comment_body_is_still_deleted(tmp_path):
+    path = tmp_path / "comments.jsonl"
+    path.write_text(json.dumps(dict(GOOD_COMMENT, body="[removed]")) + "\n")
+    (rec,), _ = load_dump(path, RecordKind.COMMENT)
+    assert rec.text == "[removed]"
+    assert drop_deleted([rec]).manifest == {DELETED_REMOVAL: 1}
+
+
+_ids = st.one_of(st.text(min_size=1), st.text().map(lambda s: "t1_" + s))
+
+
+@st.composite
+def raw_records(draw):
+    kind = draw(st.sampled_from(RecordKind))
+    comment = kind is RecordKind.COMMENT
+    return RawRecord(
+        id=draw(_ids),
+        kind=kind,
+        author=draw(st.text(min_size=1)),
+        created_utc=draw(st.integers(1, 2**53)),
+        text=draw(st.text()),
+        subreddit=draw(st.text()),
+        link_id=draw(_ids) if comment else None,
+        parent_id=draw(_ids) if comment else None,
+    )
+
+
+@given(raw_records())
+def test_stage_row_decodes_to_the_encoded_record(rec):
+    assert decode_record(json.loads(compact_json(rec.to_dict()))) == rec
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """``latent-graph`` command line front-end.
 
-Subcommands mirror the pipeline stages (ingest, preprocess, agents, infer,
-graph, metrics, triads, chains, sweep) plus ``run-all`` which chains them
-end to end from one JSON config.  ``main`` turns the flags and the config
-file into one ``RunConfig`` (``config.merge_config``) and hands it to the
-subcommand.  Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 internal failure.
+Each pipeline stage is one ``*_stage`` function that takes its inputs and
+the ``RunConfig``, writes the stage's artifacts and returns its outputs.
+``run-all`` calls them in order; each stage subcommand reads its inputs from
+files and calls its one stage.  ``main`` turns the flags and the config file
+into one ``RunConfig`` (``config.merge_config``) and validates it once for
+every command but ``validate``.  ``metrics`` loads only graph files that
+``graph.build`` could have written.  Exit codes: 0 success, 1 usage or
+config error, 2 data error, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
+# Graph writer per export suffix, by name: the writer is looked up on
+# ``graph`` when it is called, so a wrapped module attribute is honoured.
+GRAPH_WRITERS = {".csv": "write_graph_edges_csv", ".graphml": "write_graphml", ".dot": "write_dot"}
+
 
 def _write_sidecar(out_path: Path, config: RunConfig, extra: dict | None = None) -> None:
     """Companion manifest declaring which config produced an artifact."""
@@ -72,11 +78,104 @@ def _integers(text: str) -> list[int]:
     return _numbers(text, int)
 
 
-def _pipeline_settings(config: RunConfig) -> ingestmod.PipelineSettings:
-    return ingestmod.PipelineSettings(
+def _graph_path(text: str) -> Path:
+    """An export path whose suffix names a graph writer (an argparse ``type=``)."""
+    path = Path(text)
+    if path.suffix not in GRAPH_WRITERS:
+        raise argparse.ArgumentTypeError(
+            f"cannot infer export format from {path.name!r} (use .csv, .graphml, or .dot)")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# Pipeline stages, shared by run-all and the subcommands
+# ---------------------------------------------------------------------------
+
+def ingest_stage(posts_path, comments_path) -> tuple[list[ingestmod.RawRecord], dict[str, int]]:
+    """Records of both dumps and the lines skipped in each; stage 0 is written later."""
+    posts, skipped_posts = ingestmod.load_dump(posts_path, ingestmod.RecordKind.POST)
+    comments, skipped_comments = ingestmod.load_dump(comments_path, ingestmod.RecordKind.COMMENT)
+    return posts + comments, {"posts": skipped_posts, "comments": skipped_comments}
+
+
+def preprocess_stage(records, config: RunConfig, out: Path) -> list[ingestmod.StageSnapshot]:
+    """Filter stages 0..6, written to ``out`` as one record ledger."""
+    stages = ingestmod.run_pipeline(records, ingestmod.PipelineSettings(
         max_comments_per_post=config.max_comments_per_post,
-        min_interactions=config.min_interactions,
-    )
+        min_interactions=config.min_interactions))
+    ingestmod.write_stages(stages, out, {"config_digest": config_digest(config)})
+    return stages
+
+
+def agents_stage(records, config: RunConfig, out: Path,
+                 source_stage: int | None = None) -> list[profilesmod.AgentProfile]:
+    """Enriched agent profiles of the records' users, saved to ``out`` with a
+    sidecar that names ``source_stage`` when it is given."""
+    lexicon = profilesmod.load_lexicon(config.lexicon_path) if config.lexicon_path else {}
+    user_texts = profilesmod.user_texts_from_records(records)
+    vectors, vocab, counts = profilesmod.build_user_vectors(user_texts, lexicon=lexicon)
+    if config.embeddings_path:
+        vectors = profilesmod.load_embeddings(config.embeddings_path, sorted(user_texts))
+    profiles = [
+        profilesmod.enrich(p, [counts[user] for user in p.members], lexicon, vocab)
+        for p in profilesmod.cluster_users(vectors, config.k_agents, config.seed)
+    ]
+    profilesmod.save_profiles(profiles, out)
+    source = {} if source_stage is None else {"source_stage": source_stage}
+    _write_sidecar(out, config, {**source, "agents": len(profiles)})
+    return profiles
+
+
+def infer_stage(events, config: RunConfig, edges_out: Path,
+                timeline_out: Path) -> list[infermod.FollowEdge]:
+    """Classify every pair and write the edge list and its event timeline."""
+    grid = infermod.WindowGrid.from_events(events, config.window_days * infermod.SECONDS_PER_DAY)
+    edges = infermod.infer_all(events, grid, config.maybe_min, config.forsure_min)
+    infermod.write_edges_csv(edges, edges_out)
+    infermod.write_timeline_csv(infermod.event_timeline(edges), timeline_out)
+    return edges
+
+
+def graph_stage(edges, config: RunConfig, outs, include=graphmod.EdgeClass.ALL,
+                known_agents=()) -> graphmod.InteractionGraph:
+    """The graph after coverage, written to each path in ``outs`` by the
+    writer its suffix names."""
+    built = graphmod.build(edges, include, known_agents=known_agents)
+    covered = graphmod.apply_coverage(built, config.coverage)
+    for path in outs:
+        getattr(graphmod, GRAPH_WRITERS[path.suffix])(covered, path)
+    return covered
+
+
+def metrics_stage(graph, config: RunConfig, out: Path) -> metricsmod.MetricsReport:
+    """Full metric report stamped with the config digest and seed, written to ``out``."""
+    stamp = {"config_digest": config_digest(config), "seed": config.seed}
+    report = metricsmod.full_report(graph, config.seed, config.degree_top_k, config=stamp)
+    metricsmod.write_report(report, out)
+    return report
+
+
+def triads_stage(edges, config: RunConfig, out: Path,
+                 use_status_time: bool = False) -> temporalmod.TriadSeries:
+    interval = config.interval_days * temporalmod.SECONDS_PER_DAY
+    series = temporalmod.triad_series(edges, interval, use_status_time)
+    temporalmod.write_triads_csv(series, out)
+    return series
+
+
+def chains_stage(records, config: RunConfig, out: Path, agent_of=None,
+                 top_k: int = chainsmod.DEFAULT_TOP_K, census_thresholds=None):
+    """The top chains, written to ``out``, and ``census.csv`` beside it: one row
+    at ``sim_threshold`` from the extraction, or one per ``census_thresholds``.
+    Both are computed before either is written."""
+    selected, manifest = chainsmod.extract_chains(records, config.sim_threshold, top_k, agent_of)
+    if census_thresholds is None:
+        census = [{"threshold": config.sim_threshold, **manifest["census"]}]
+    else:
+        census = chainsmod.chain_census(chainsmod.group_threads(records), census_thresholds)
+    chainsmod.write_chains_jsonl(selected, out)
+    chainsmod.write_census_csv(census, out.parent / "census.csv")
+    return selected, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -84,27 +183,21 @@ def _pipeline_settings(config: RunConfig) -> ingestmod.PipelineSettings:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
-    out = Path(args.out)
-    posts, skipped_posts = ingestmod.load_dump(args.posts, ingestmod.RecordKind.POST)
-    comments, skipped_comments = ingestmod.load_dump(args.comments, ingestmod.RecordKind.COMMENT)
-    stage0 = ingestmod.snapshot(0, posts + comments)
-    ingestmod.write_stages([stage0], out, {"config_digest": config_digest(config)})
+    records, skipped = ingest_stage(args.posts, args.comments)
+    stage0 = ingestmod.snapshot(0, records)
+    ingestmod.write_stages([stage0], args.out, {"config_digest": config_digest(config)})
     summary = {
         "posts": stage0.post_count,
         "comments": stage0.comment_count,
-        "skipped_lines": skipped_posts + skipped_comments,
+        "skipped_lines": sum(skipped.values()),
     }
     print(json.dumps(summary))
     return EXIT_OK
 
 
 def cmd_preprocess(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
-    records = ingestmod.load_records(ingestmod.records_path(Path(args.indir), 0))
-    stages = ingestmod.run_pipeline(records, _pipeline_settings(config))
-    ingestmod.write_stages(stages, args.out, {"config_digest": config_digest(config)})
-    for snap in stages:
+    records = ingestmod.load_records(ingestmod.records_path(args.indir, 0))
+    for snap in preprocess_stage(records, config, args.out):
         print(
             f"stage {snap.stage_id}: posts={snap.post_count} "
             f"comments={snap.comment_count} removed={snap.manifest}"
@@ -112,140 +205,65 @@ def cmd_preprocess(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _infer_edges(events, config: RunConfig, edges_out, timeline_out) -> list[infermod.FollowEdge]:
-    """Classify every pair and write the edge list and its event timeline."""
-    grid = infermod.WindowGrid.from_events(
-        events, config.window_days * infermod.SECONDS_PER_DAY
-    )
-    edges = infermod.infer_all(events, grid, config.maybe_min, config.forsure_min)
-    infermod.write_edges_csv(edges, edges_out)
-    infermod.write_timeline_csv(infermod.event_timeline(edges), timeline_out)
-    return edges
-
-
-def _report_metrics(graph, config: RunConfig, out) -> metricsmod.MetricsReport:
-    """Full metric report stamped with the config digest and seed, written to ``out``."""
-    report = metricsmod.full_report(
-        graph,
-        seed=config.seed,
-        degree_top_k=config.degree_top_k,
-        config={"config_digest": config_digest(config), "seed": config.seed},
-    )
-    metricsmod.write_report(report, out)
-    return report
-
-
-def _build_profiles(records, config: RunConfig):
-    lexicon: dict[str, str] = {}
-    if config.lexicon_path:
-        lexicon = profilesmod.load_lexicon(config.lexicon_path)
-    user_texts = profilesmod.user_texts_from_records(records)
-    vectors, vocab, counts = profilesmod.build_user_vectors(user_texts, lexicon=lexicon)
-    if config.embeddings_path:
-        vectors = profilesmod.load_embeddings(config.embeddings_path, sorted(user_texts))
-    profiles = profilesmod.cluster_users(vectors, config.k_agents, config.seed)
-    return [
-        profilesmod.enrich(p, [counts[user] for user in p.members], lexicon, vocab)
-        for p in profiles
-    ]
-
-
 def cmd_agents(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
     stage_id, records = ingestmod.latest_stage_records(args.indir)
-    profiles = _build_profiles(records, config)
-    out = Path(args.out)
-    profilesmod.save_profiles(profiles, out)
-    _write_sidecar(out, config, {"source_stage": stage_id, "agents": len(profiles)})
-    print(f"wrote {len(profiles)} agent profiles to {out}")
+    profiles = agents_stage(records, config, args.out, source_stage=stage_id)
+    print(f"wrote {len(profiles)} agent profiles to {args.out}")
     return EXIT_OK
 
 
 def cmd_infer(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
     events = infermod.load_events_jsonl(args.events)
-    out = Path(args.out)
-    edges = _infer_edges(events, config, out, args.timeline or out.parent / "timeline.csv")
-    _write_sidecar(out, config, {"events": len(events), "pairs": len(edges)})
+    timeline = args.timeline or args.out.parent / "timeline.csv"
+    edges = infer_stage(events, config, args.out, timeline)
+    _write_sidecar(args.out, config, {"events": len(events), "pairs": len(edges)})
     positive = sum(1 for e in edges if e.status is not infermod.FollowStatus.NONE)
     print(f"classified {len(edges)} pairs ({positive} with follow relations)")
     return EXIT_OK
 
 
 def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
-    out = Path(args.out)
-    write = {
-        ".csv": graphmod.write_graph_edges_csv,
-        ".graphml": graphmod.write_graphml,
-        ".dot": graphmod.write_dot,
-    }.get(out.suffix)
-    if write is None:
-        raise ConfigError(f"cannot infer export format from {out.name!r} "
-                          "(use .csv, .graphml, or .dot)")
     edges = infermod.load_edges_csv(args.edges)
     known: list[str] = []
     if args.agents:
         known = [p.agent_id for p in profilesmod.load_profiles(args.agents)]
-    built = graphmod.build(edges, graphmod.EdgeClass(args.edge_class), known_agents=known)
-    covered = graphmod.apply_coverage(built, config.coverage)
-    write(covered, out)
-    _write_sidecar(out, config, {"nodes": covered.node_count, "edges": covered.edge_count})
-    print(f"graph: {covered.node_count} nodes, {covered.edge_count} edges -> {out}")
+    graph = graph_stage(edges, config, [args.out], graphmod.EdgeClass(args.edge_class), known)
+    _write_sidecar(args.out, config, {"nodes": graph.node_count, "edges": graph.edge_count})
+    print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges -> {args.out}")
     return EXIT_OK
 
 
 def cmd_metrics(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
-    graph_path = Path(args.graph)
-    if graph_path.suffix == ".csv":
-        graph = graphmod.load_graph_edges_csv(graph_path)
+    if args.graph.suffix == ".csv":
+        graph = graphmod.load_graph_edges_csv(args.graph)
     else:
-        graph = graphmod.load_graphml(graph_path)
-    report = _report_metrics(graph, config, args.out)
-    print(report.to_json(), end="")
+        graph = graphmod.load_graphml(args.graph)
+    print(metrics_stage(graph, config, args.out).to_json(), end="")
     return EXIT_OK
 
 
 def cmd_triads(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
     edges = infermod.load_edges_csv(args.edges)
-    series = temporalmod.triad_series(
-        edges,
-        config.interval_days * temporalmod.SECONDS_PER_DAY,
-        use_status_time=args.use_status_time,
-    )
-    out = Path(args.out)
-    temporalmod.write_triads_csv(series, out)
-    _write_sidecar(out, config, {"intervals": series.n_intervals})
+    series = triads_stage(edges, config, args.out, args.use_status_time)
+    _write_sidecar(args.out, config, {"intervals": series.n_intervals})
     total = series.cumulative_all[-1] if series.n_intervals else 0
-    print(f"{series.n_intervals} intervals, {total} closed triads -> {out}")
+    print(f"{series.n_intervals} intervals, {total} closed triads -> {args.out}")
     return EXIT_OK
 
 
 def cmd_chains(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
     _, records = ingestmod.latest_stage_records(args.indir)
     agent_of = None
     if args.agents:
         agent_of = profilesmod.build_member_index(profilesmod.load_profiles(args.agents))
-    selected, manifest = chainsmod.extract_chains(
-        records,
-        sim_threshold=config.sim_threshold,
-        top_k=args.top,
-        agent_of=agent_of,
-    )
-    out = Path(args.out)
-    chainsmod.write_chains_jsonl(selected, out)
-    _write_sidecar(out, config, manifest)
-    census = chainsmod.chain_census(chainsmod.group_threads(records), args.census_thresholds)
-    chainsmod.write_census_csv(census, out.parent / "census.csv")
-    print(f"{manifest['chains_total']} chains extracted, kept top {len(selected)} -> {out}")
+    selected, manifest = chains_stage(records, config, args.out, agent_of, args.top,
+                                      args.census_thresholds)
+    _write_sidecar(args.out, config, manifest)
+    print(f"{manifest['chains_total']} chains extracted, kept top {len(selected)} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
-    require_valid(config)
     events = infermod.load_events_jsonl(args.events)
     report = temporalmod.sweep(
         events,
@@ -255,10 +273,9 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
         coverage_list=args.coverage_list,
         seed=config.seed,
     )
-    out = Path(args.out)
-    temporalmod.write_sweep_csv(report, out)
-    _write_sidecar(out, config, {"cells": len(report.cells)})
-    print(f"{len(report.cells)} sweep cells -> {out}")
+    temporalmod.write_sweep_csv(report, args.out)
+    _write_sidecar(args.out, config, {"cells": len(report.cells)})
+    print(f"{len(report.cells)} sweep cells -> {args.out}")
     return EXIT_OK
 
 
@@ -283,7 +300,6 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    digest = config_digest(config)
 
     @contextmanager
     def timed(name: str):
@@ -294,67 +310,44 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
     inputs = {"posts": config.posts_path, "comments": config.comments_path,
               "lexicon": config.lexicon_path, "embeddings": config.embeddings_path}
     input_digests = {name: file_digest(path) for name, path in inputs.items() if path}
+    agent_level = config.level == "agent"
 
     with timed("ingest"):
-        posts, skipped_p = ingestmod.load_dump(config.posts_path, ingestmod.RecordKind.POST)
-        comments, skipped_c = ingestmod.load_dump(
-            config.comments_path, ingestmod.RecordKind.COMMENT
-        )
-
+        records, skipped_lines = ingest_stage(config.posts_path, config.comments_path)
     with timed("preprocess"):
-        stages = ingestmod.run_pipeline(posts + comments, _pipeline_settings(config))
-        ingestmod.write_stages(stages, out, {"config_digest": digest})
+        stages = preprocess_stage(records, config, out)
     final_records = list(stages[-1].records)
-
     with timed("agents"):
-        profiles = _build_profiles(final_records, config)
-        profilesmod.save_profiles(profiles, out / "agents.json")
-        _write_sidecar(out / "agents.json", config, {"agents": len(profiles)})
-
+        profiles = agents_stage(final_records, config, out / "agents.json")
     with timed("infer"):
-        id_map = None
-        if config.level == "agent":
-            id_map = profilesmod.build_member_index(profiles)
+        id_map = profilesmod.build_member_index(profiles) if agent_level else None
         clean_posts = [r for r in final_records if r.kind is ingestmod.RecordKind.POST]
         clean_comments = [r for r in final_records if r.kind is ingestmod.RecordKind.COMMENT]
         events, stats = infermod.extract_events(clean_posts, clean_comments, id_map)
         infermod.write_events_jsonl(events, out / "events.jsonl")
-        edges = _infer_edges(events, config, out / "edges.csv", out / "timeline.csv")
-
+        edges = infer_stage(events, config, out / "edges.csv", out / "timeline.csv")
     with timed("graph"):
-        known = [p.agent_id for p in profiles] if config.level == "agent" else []
-        built = graphmod.build(edges, graphmod.EdgeClass.ALL, known_agents=known)
-        covered = graphmod.apply_coverage(built, config.coverage)
-        graphmod.write_graphml(covered, out / "graph.graphml")
-        graphmod.write_graph_edges_csv(covered, out / "graph.edges.csv")
-
+        known = [p.agent_id for p in profiles] if agent_level else []
+        graph = graph_stage(edges, config, [out / "graph.graphml", out / "graph.edges.csv"],
+                            known_agents=known)
     with timed("metrics"):
-        report = _report_metrics(covered, config, out / "metrics.json")
-
+        report = metrics_stage(graph, config, out / "metrics.json")
     with timed("triads"):
-        series = temporalmod.triad_series(
-            edges, config.interval_days * temporalmod.SECONDS_PER_DAY
-        )
-        temporalmod.write_triads_csv(series, out / "triads.csv")
-
+        triads_stage(edges, config, out / "triads.csv")
     with timed("chains"):
-        selected, chain_manifest = chainsmod.extract_chains(
-            final_records, sim_threshold=config.sim_threshold, agent_of=id_map
-        )
-        chainsmod.write_chains_jsonl(selected, out / "chains.jsonl")
-        census = {"threshold": config.sim_threshold, **chain_manifest["census"]}
-        chainsmod.write_census_csv([census], out / "census.csv")
+        _, chain_manifest = chains_stage(final_records, config, out / "chains.jsonl",
+                                         agent_of=id_map)
 
     manifest = {
         "config": config.to_dict(),
-        "config_digest": digest,
+        "config_digest": config_digest(config),
         "input_digests": input_digests,
-        "skipped_lines": {"posts": skipped_p, "comments": skipped_c},
+        "skipped_lines": skipped_lines,
         "extraction": stats.to_dict(),
         "chains": chain_manifest,
         # Greedy modularity runs behind metrics.json; none on an edgeless graph.
         "community_restarts": (
-            metricsmod.community_restarts(covered.node_count) if covered.edge_count else 0
+            metricsmod.community_restarts(graph.node_count) if graph.edge_count else 0
         ),
         "stage_counts": [
             {"stage": s.stage_id, "posts": s.post_count, "comments": s.comment_count}
@@ -434,22 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--posts", required=True)
     p.add_argument("--comments", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="run filter stages 0..6")
     _add_common(p)
-    p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--in", dest="indir", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--max-comments-per-post", dest="max_comments_per_post", type=int)
     p.add_argument("--min-interactions", dest="min_interactions", type=int)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("agents", help="cluster users into agent profiles")
     _add_common(p)
-    p.add_argument("--in", dest="indir", required=True)
+    p.add_argument("--in", dest="indir", type=Path, required=True)
     p.add_argument("--k", dest="k_agents", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--embeddings", dest="embeddings_path", default=None)
     p.add_argument("--lexicon", dest="lexicon_path", default=None)
     p.set_defaults(func=cmd_agents)
@@ -460,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-days", dest="window_days", type=int, default=None)
     p.add_argument("--maybe-min", dest="maybe_min", type=int, default=None)
     p.add_argument("--forsure-min", dest="forsure_min", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--timeline", default=None)
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--timeline", type=Path, default=None)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("graph", help="graph operations")
@@ -472,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--class", dest="edge_class", choices=["all", "forsure", "maybe"], default="all")
     g.add_argument("--coverage", type=float, default=None)
     g.add_argument("--agents", default=None, help="agents.json for isolated nodes")
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", type=_graph_path, required=True)
     g.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("metrics", help="full structural metric report")
     _add_common(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--graph", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("triads", help="triadic closure time series")
@@ -486,17 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--interval-days", dest="interval_days", type=int, default=None)
     p.add_argument("--use-status-time", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_triads)
 
     p = sub.add_parser("chains", help="extract linear interaction chains")
     _add_common(p)
-    p.add_argument("--in", dest="indir", required=True)
+    p.add_argument("--in", dest="indir", type=Path, required=True)
     p.add_argument("--threshold", dest="sim_threshold", type=float, default=None)
     p.add_argument("--top", type=int, default=chainsmod.DEFAULT_TOP_K)
     p.add_argument("--agents", default=None)
     p.add_argument("--census-thresholds", type=_numbers, default="0.1,0.2,0.3,0.4,0.5")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("sweep", help="parameter robustness sweep")
@@ -506,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maybe", type=_integers, default="2")
     p.add_argument("--forsure", type=_integers, default="2,3,4")
     p.add_argument("--coverage", dest="coverage_list", type=_numbers, default="0.0")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="check a config and list violations")
@@ -543,7 +536,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return EXIT_CONFIG if code else EXIT_OK
     try:
-        return args.func(args, _merge_config(args))
+        config = _merge_config(args)
+        if args.func is not cmd_validate:
+            require_valid(config)
+        return args.func(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -59,6 +59,10 @@ class InteractionGraph:
         return sum(e.weight for e in self.edges)
 
 
+def _admits(edge: FollowEdge, include: EdgeClass = EdgeClass.ALL) -> bool:
+    return include.admits(edge.status) and edge.source != edge.target and edge.weight >= 1
+
+
 def build(
     edges: Iterable[FollowEdge],
     include: EdgeClass = EdgeClass.ALL,
@@ -70,11 +74,7 @@ def build(
     pairs without a comment never form edges.  Known agents are kept as
     isolated nodes so node counts line up with the agent roster.
     """
-    retained = sorted(
-        (e for e in edges
-         if include.admits(e.status) and e.source != e.target and e.weight >= 1),
-        key=_by_pair,
-    )
+    retained = sorted((e for e in edges if _admits(e, include)), key=_by_pair)
     extra = tuple(sorted(set(known_agents)))
     nodes = set(extra)
     for edge in retained:
@@ -110,10 +110,18 @@ def write_graph_edges_csv(graph: InteractionGraph, path: str | Path) -> None:
     write_csv(path, GRAPH_EDGES_CSV_FIELDS, (edge_row(e) + [e.weight] for e in graph.edges))
 
 
+def _rebuild(source: str | Path, edges: list[FollowEdge], nodes: Iterable[str] = ()):
+    """The graph ``build`` makes of a loaded file, which holds no edge ``build`` drops."""
+    for edge in edges:
+        if not _admits(edge):
+            raise DataError(f"{source}: edge {edge.source!r} -> {edge.target!r} "
+                            f"({edge.status.value}, weight {edge.weight}) is not a graph edge: "
+                            "graphs hold maybe/forsure edges of weight >= 1 between two nodes")
+    return build(edges, known_agents=nodes)
+
+
 def load_graph_edges_csv(path: str | Path) -> InteractionGraph:
-    edges = sorted(read_edge_rows(path, weighted=True), key=_by_pair)
-    nodes = sorted({e.source for e in edges} | {e.target for e in edges})
-    return InteractionGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return _rebuild(path, read_edge_rows(path, weighted=True))
 
 
 def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
@@ -175,8 +183,10 @@ def load_graphml(path: str | Path) -> InteractionGraph:
                 status=status,
             )
         )
-    edges.sort(key=_by_pair)
-    return InteractionGraph(nodes=tuple(sorted(nodes)), edges=tuple(edges))
+    undeclared = sorted({end for e in edges for end in (e.source, e.target)} - set(nodes))
+    if undeclared:
+        raise DataError(f"{source}: edge endpoints {undeclared} are not declared <node>s")
+    return _rebuild(source, edges, nodes)
 
 
 def _dot_quote(name: str) -> str:

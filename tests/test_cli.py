@@ -190,73 +190,58 @@ class TestExitCodes:
         assert not out.exists() or not list(out.iterdir())
 
 
+# What run-all and the stage subcommands both write, compared byte for byte.
+STAGE_ARTIFACTS = [
+    *(f"stage{k}.{kind}" for k in range(7)
+      for kind in ("records.jsonl" if k == 0 else "removed.jsonl", "manifest.json")),
+    "agents.json", "edges.csv", "timeline.csv", "graph.graphml", "graph.edges.csv",
+    "metrics.json", "triads.csv", "chains.jsonl", "census.csv",
+]
+
+
 class TestSubcommandFlow:
     def test_staged_cli_flow(self, small_dump, tmp_path):
+        """Chained subcommands write the same bytes as their stages in run-all."""
         dump, posts, comments, _ = small_dump
-        stage_dir = tmp_path / "stage0"
-        assert main(["ingest", "--posts", str(posts), "--comments", str(comments),
-                     "--out", str(stage_dir)]) == 0
-        assert (stage_dir / "stage0.records.jsonl").exists()
+        run, raw, staged = tmp_path / "run", tmp_path / "raw", tmp_path / "staged"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "level": "agent", "k_agents": 4, "seed": 3, "posts_path": str(posts),
+            "comments_path": str(comments), "out_dir": str(run),
+        }))
 
-        clean_dir = tmp_path / "clean"
-        assert main(["preprocess", "--in", str(stage_dir), "--out", str(clean_dir)]) == 0
-        manifest = json.loads((clean_dir / "stage1.manifest.json").read_text())
+        def stage(*argv):
+            assert main([*map(str, argv), "--config", str(config)]) == 0, argv
+
+        stage("run-all")
+        agents, edges = staged / "agents.json", staged / "edges.csv"
+        stage("ingest", "--posts", posts, "--comments", comments, "--out", raw)
+        stage("preprocess", "--in", raw, "--out", staged)
+        stage("agents", "--in", staged, "--out", agents)
+        stage("infer", "--events", run / "events.jsonl", "--out", edges)
+        for name in ("graph.graphml", "graph.edges.csv"):
+            stage("graph", "build", "--edges", edges, "--agents", agents, "--out", staged / name)
+        stage("metrics", "--graph", staged / "graph.graphml", "--out", staged / "metrics.json")
+        stage("triads", "--edges", edges, "--out", staged / "triads.csv")
+        stage("chains", "--in", staged, "--agents", agents, "--out", staged / "chains.jsonl",
+              "--census-thresholds", default_config().sim_threshold)
+
+        differ = [name for name in STAGE_ARTIFACTS
+                  if (staged / name).read_bytes() != (run / name).read_bytes()]
+        differ += [f"raw/{name}" for name in ("stage0.records.jsonl", "stage0.manifest.json")
+                   if (raw / name).read_bytes() != (run / name).read_bytes()]
+        assert differ == []
+        # The compared artifacts are not trivially equal.
+        manifest = json.loads((staged / "stage1.manifest.json").read_text())
         assert manifest["removed"] == dump.expected_removed[1]
-
-        agents_path = tmp_path / "agents.json"
-        assert main(["agents", "--in", str(clean_dir), "--k", "4", "--seed", "3",
-                     "--out", str(agents_path)]) == 0
-        agents = json.loads(agents_path.read_text())
-        assert len(agents) == 4
-
-        # Events come from the library in run-all; craft them here via infer's
-        # expected input format.
-        from latentgraph import inference as infermod
-        from latentgraph import ingest as ingestmod
-        from latentgraph import profiles as profilesmod
-
-        _, records = ingestmod.latest_stage_records(clean_dir)
-        index = profilesmod.build_member_index(profilesmod.load_profiles(agents_path))
-        posts_r = [r for r in records if r.kind is ingestmod.RecordKind.POST]
-        comments_r = [r for r in records if r.kind is ingestmod.RecordKind.COMMENT]
-        events, _ = infermod.extract_events(posts_r, comments_r, index)
-        events_path = tmp_path / "events.jsonl"
-        infermod.write_events_jsonl(events, events_path)
-
-        edges_path = tmp_path / "edges.csv"
-        assert main(["infer", "--events", str(events_path), "--window-days", "30",
-                     "--maybe-min", "2", "--forsure-min", "3",
-                     "--out", str(edges_path)]) == 0
-        header = edges_path.read_text().splitlines()[0]
-        assert header == "source,target,status,windows_hit,total_comments,first_seen,last_seen,status_time"
-
-        graph_path = tmp_path / "graph.graphml"
-        assert main(["graph", "build", "--edges", str(edges_path), "--class", "all",
-                     "--coverage", "0.0001", "--agents", str(agents_path),
-                     "--out", str(graph_path)]) == 0
-        assert graph_path.exists()
-
-        metrics_path = tmp_path / "metrics.json"
-        assert main(["metrics", "--graph", str(graph_path), "--seed", "3",
-                     "--out", str(metrics_path)]) == 0
-        report = json.loads(metrics_path.read_text())
-        assert report["nodes"] >= 4
-
-        triads_path = tmp_path / "triads.csv"
-        assert main(["triads", "--edges", str(edges_path), "--interval-days", "182",
-                     "--out", str(triads_path)]) == 0
-
-        chains_path = tmp_path / "chains.jsonl"
-        assert main(["chains", "--in", str(clean_dir), "--threshold", "0.1",
-                     "--top", "35", "--agents", str(agents_path),
-                     "--out", str(chains_path)]) == 0
-        assert (tmp_path / "census.csv").exists()
+        assert len(json.loads(agents.read_text())) == 4
+        assert "forsure" in edges.read_text()
+        assert (staged / "chains.jsonl").read_text()
 
         sweep_path = tmp_path / "sweep.csv"
-        assert main(["sweep", "--events", str(events_path), "--windows", "7,30",
-                     "--forsure", "2,3", "--out", str(sweep_path)]) == 0
+        stage("sweep", "--events", run / "events.jsonl", "--windows", "7,30",
+              "--forsure", "2,3", "--out", sweep_path)
         assert len(sweep_path.read_text().splitlines()) == 1 + 4
-
 
     def test_ingest_only_directory_reads_stage_0(self, small_dump, tmp_path):
         from latentgraph import ingest as ingestmod
@@ -455,12 +440,15 @@ GOOD_STAGE_ROW = ('{"id":"p1","kind":"post","author":"A","created_utc":5,"text":
 GOOD_EVENT = '{"source":"A","target":"B","time":86400,"post_id":"p","comment_id":"c1"}'
 
 
-def one_edge_graphml(weight: str, status: str) -> str:
+def graphml(nodes: str, *edges: tuple[str, str, object, str]) -> str:
+    """A GraphML file declaring one node per letter of ``nodes``, with
+    (source, target, weight, status) edges."""
     return ('<?xml version="1.0" encoding="UTF-8"?>\n'
-            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
-            '<graph edgedefault="directed"><node id="A"/><node id="B"/>'
-            f'<edge source="A" target="B"><data key="weight">{weight}</data>'
-            f'<data key="status">{status}</data></edge></graph></graphml>\n')
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph edgedefault="directed">'
+            + "".join(f'<node id="{n}"/>' for n in nodes)
+            + "".join(f'<edge source="{a}" target="{b}"><data key="weight">{w}</data>'
+                      f'<data key="status">{status}</data></edge>' for a, b, w, status in edges)
+            + "</graph></graphml>\n")
 
 
 @pytest.mark.parametrize("argv, name, text", [
@@ -471,10 +459,29 @@ def one_edge_graphml(weight: str, status: str) -> str:
                  id="stage-not-an-object"),
     pytest.param(["infer", "--events"], "events.jsonl",
                  f"{GOOD_EVENT}\n{GOOD_EVENT.replace('86400', 'true')}\n", id="event-bool-time"),
-    pytest.param(["metrics", "--graph"], "graph.graphml", one_edge_graphml("x", "maybe"),
+    pytest.param(["metrics", "--graph"], "graph.graphml", graphml("AB", ("A", "B", "x", "maybe")),
                  id="graphml-weight"),
-    pytest.param(["metrics", "--graph"], "graph.graphml", one_edge_graphml("3", "sometimes"),
-                 id="graphml-status"),
+    pytest.param(["metrics", "--graph"], "graph.graphml",
+                 graphml("AB", ("A", "B", 3, "sometimes")), id="graphml-status"),
+    # A graph file may hold only what graph.build admits.
+    pytest.param(["metrics", "--graph"], "graph.graphml",
+                 graphml("AB", ("A", "B", 3, "maybe"), ("A", "Z", 3, "maybe")),
+                 id="graphml-undeclared-endpoint"),
+    pytest.param(["metrics", "--graph"], "graph.graphml",
+                 graphml("ABC", ("A", "B", 3, "maybe"), ("B", "C", 3, "none")),
+                 id="graphml-none-status"),
+    pytest.param(["metrics", "--graph"], "graph.graphml",
+                 graphml("ABC", ("A", "B", 3, "maybe"), ("B", "C", -3, "maybe")),
+                 id="graphml-negative-weight"),
+    pytest.param(["metrics", "--graph"], "graph.edges.csv",
+                 f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nB,C,none,0,3,10,20,,3\n",
+                 id="graph-csv-none-status"),
+    pytest.param(["metrics", "--graph"], "graph.edges.csv",
+                 f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nB,C,maybe,2,0,10,20,15,0\n",
+                 id="graph-csv-zero-weight"),
+    pytest.param(["metrics", "--graph"], "graph.edges.csv",
+                 f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nC,C,maybe,2,3,10,20,15,3\n",
+                 id="graph-csv-self-loop"),
 ])
 def test_malformed_input_is_data_error(tmp_path, capsys, argv, name, text):
     path = tmp_path / "input" / name
@@ -562,6 +569,7 @@ def events_path(tmp_path_factory):
     ("chains", ["--top", "-1"]),
     ("chains", ["--census-thresholds", "abc"]),
     ("sweep", ["--windows", "0.000001"]),
+    ("chains", ["--census-thresholds", "0,0.5"]),
 ])
 def test_bad_number_flag_exits_1(tmp_path, stage_dir, events_path, command, flags):
     out = tmp_path / "out" / "result"

@@ -380,7 +380,7 @@ def test_agents_tokenize_each_record_once(monkeypatch, tmp_path):
     lexicon = write_lexicon_csv(tmp_path / "lexicon.csv")
     config = replace(default_config(), k_agents=3, lexicon_path=str(lexicon))
     calls = counting_tokenize(monkeypatch)
-    built = cli._build_profiles(records, config)
+    built = cli.agents_stage(records, config, tmp_path / "agents.json")
     assert len(calls) == len(records)
     assert any(any(p.emotion.values()) for p in built)
 

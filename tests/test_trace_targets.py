@@ -30,3 +30,37 @@ def test_every_traced_function_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(f"latentgraph.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+# The layers a traced agent-level run_all reaches.
+RUN_ALL_LAYERS = {
+    "ingest.load_dump", "ingest.run_pipeline", "ingest.write_stages",
+    "profiles.build_user_vectors", "profiles.cluster_users", "profiles.enrich",
+    "inference.extract_events", "inference.infer_all",
+    "graph.build", "graph.apply_coverage", "graph.write_graphml",
+    "metrics.full_report", "metrics.communities", "temporal.triad_series",
+    "chains.extract_chains", "chains.connect", "chains.linearize", "cli.run_all",
+}
+
+
+def test_traced_run_all_reaches_every_layer(monkeypatch, tmp_path):
+    """The tracer swaps module attributes, so a stage that held a traced
+    function in a table of its own would drop out of the traced run."""
+    from dataclasses import replace
+
+    from latentgraph.config import default_config
+    from latentgraph.synthetic import make_synthetic_dump
+
+    tracer_module = load_tracer(monkeypatch)
+    posts, comments = make_synthetic_dump(30, 180, seed=5).write_dumps(tmp_path)
+    config = replace(default_config(), k_agents=3, posts_path=str(posts),
+                     comments_path=str(comments), out_dir=str(tmp_path / "out"))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert importlib.import_module("latentgraph.cli").run_all(config) == 0
+    finally:
+        tracer.uninstall()
+    calls = tracer_module.layer_metrics(tracer.spans, tracer.counters)
+    reached = {name for name in tracer_module.SPAN_NAMES if calls[f"{name}.calls"] > 0}
+    assert reached == RUN_ALL_LAYERS

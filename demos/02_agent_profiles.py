@@ -3,23 +3,18 @@
 k-means, then keyword/emotion/style enrichment."""
 
 from latentgraph.ingest import PipelineSettings, run_pipeline
-from latentgraph.profiles import (
-    build_user_vectors,
-    cluster_users,
-    enrich,
-    user_texts_from_records,
-)
+from latentgraph.profiles import build_user_vectors, cluster_users, enrich, term_table
 from latentgraph.synthetic import DEMO_LEXICON, make_synthetic_dump
 
 dump = make_synthetic_dump(200, 1200, seed=7)
 clean = run_pipeline(dump.records, PipelineSettings())[-1].records
 
-user_texts = user_texts_from_records(clean)
-print(f"{len(user_texts)} surviving users")
-
-# One pass over the text gives the vectors, the keyword vocabulary and each
-# user's counts; enrichment only sums its members' counts.
-vectors, vocab, counts = build_user_vectors(user_texts, lexicon=DEMO_LEXICON)
+# One pass over the text tokenizes each record once and gives the term
+# table, the keyword vocabulary and each user's counts; the user vectors sum
+# the table's rows, and enrichment only sums its members' counts.
+table, vocab, counts = term_table(clean, lexicon=DEMO_LEXICON)
+print(f"{len(table.users)} surviving users")
+vectors = build_user_vectors(table)
 profiles = cluster_users(vectors, k=4, seed=42)
 profiles = [
     enrich(p, [counts[u] for u in p.members], DEMO_LEXICON, vocab) for p in profiles

@@ -9,6 +9,13 @@ into separate linear chains, each node having one predecessor and one
 successor inside its chain.  The census sorts threads by the DAG's shape:
 no edge, only single-edge paths, or a node with both a predecessor and a
 successor; it needs no path enumeration and no cap applies to it.
+
+Similarities come from the records' integer term counts (``profiles.TermTable``),
+a block of threads at a time: a self-join on (thread, bucket) gives every
+pair that shares a bucket with its exact dot product, and a pair sharing none
+has cosine 0.  A cosine within ``SIM_BAND`` of a threshold is recomputed as
+``float(v_i @ v_j)`` of the normalized vectors, so every decision is the one
+that per-pair float would make.
 """
 
 from __future__ import annotations
@@ -16,18 +23,22 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .ingest import RawRecord, RecordKind, atomic_write, compact_json, write_csv
-from .profiles import vectorize_user
+from .profiles import TermTable, term_table
 
 DEFAULT_SIM_THRESHOLD = 0.1
 DEFAULT_TOP_K = 35
 DEFAULT_MAX_CHAINS_PER_POST = 200
 DEFAULT_MAX_DEPTH = 64
+# A cosine this close to a threshold is decided by the per-pair float.
+SIM_BAND = 1e-9
+# Threads scored per pass; bounds the size of the self-join's arrays.
+BLOCK_THREADS = 1000
 
 CENSUS_CATEGORIES = ("no_chain", "len_eq_1", "len_gt_1")
 CENSUS_CSV_FIELDS = ["threshold", *CENSUS_CATEGORIES]
@@ -95,66 +106,152 @@ class InteractionChain:
         return self.nodes[0].time
 
 
-def _similarities(thread: Thread) -> tuple[list[RawRecord], np.ndarray]:
-    """Records ordered by (time, id) and their pairwise cosines.
+def _time_order(thread: Thread) -> list[RawRecord]:
+    return sorted(thread.records, key=lambda r: (r.created_utc, r.id))
 
-    Entry (i, j) with i < j is ``float(v_i @ v_j)``; every other entry is
-    -inf, so no threshold links it.  Each pair takes its own dot product,
-    because a matrix product can round the last bit differently and flip
-    the strict threshold test.  The vectors are dropped on return.
+
+def _record_terms(table: TermTable, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(position, bucket, count) of every distinct term of the records at
+    ``rows``, a record's position being its index in ``rows``; sorted by
+    position, then bucket."""
+    first = table.offsets[rows]
+    lengths = table.offsets[rows + 1] - first
+    gathered_at = np.cumsum(lengths) - lengths
+    token_at = np.arange(lengths.sum()) + np.repeat(first - gathered_at, lengths)
+    keys, count = np.unique(np.repeat(np.arange(len(rows)), lengths) * table.dim
+                            + table.buckets[token_at], return_counts=True)
+    pos, bucket = np.divmod(keys, table.dim)
+    return pos, bucket, count
+
+
+def _shared_bucket_dots(group: np.ndarray, pos: np.ndarray, count: np.ndarray,
+                        n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Self-join of the terms on ``group``, their (thread, bucket): every pair
+    of positions ``left < right`` that shares a group, with the exact dot
+    product of their counts summed over the groups they share."""
+    order = np.argsort(group, kind="stable")  # positions ascend within a group
+    group, pos, count = group[order], pos[order], count[order]
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [len(group)]))
+    partners = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(len(group)) - 1
+    left = np.repeat(np.arange(len(group)), partners)
+    right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
+    pair, slot = np.unique(pos[left] * n + pos[right], return_inverse=True)
+    dots = np.bincount(slot, weights=count[left] * count[right], minlength=len(pair))
+    return *np.divmod(pair, n), dots
+
+
+class _Block:
+    """Pairwise cosines of a run of threads, from integer term counts.
+
+    Records sit at block positions, thread after thread, each thread in
+    (time, id) order.  ``left < right`` are the positions of every
+    within-thread pair that shares a bucket, and ``sims`` their cosines;
+    every other pair has cosine 0.
     """
-    ordered = sorted(thread.records, key=lambda r: (r.created_utc, r.id))
-    vectors = [vectorize_user([rec.text]) for rec in ordered]
-    sims = np.full((len(ordered), len(ordered)), -np.inf)
-    for i, v_i in enumerate(vectors):
-        for j in range(i + 1, len(vectors)):
-            sims[i, j] = float(v_i @ vectors[j])
-    return ordered, sims
+
+    def __init__(self, threads: Sequence[Thread], table: TermTable,
+                 row_of: Mapping[int, int], thresholds: Sequence[float]) -> None:
+        ordered = [_time_order(t) for t in threads]
+        sizes = np.fromiter(map(len, ordered), np.int64, len(ordered))
+        self.threads = threads
+        self.start = np.concatenate(([0], np.cumsum(sizes)))
+        n = int(self.start[-1])
+        self.thread_of = np.repeat(np.arange(len(threads)), sizes)
+        ids = [rec.id for recs in ordered for rec in recs]
+        # Rank of each record id; equal ids keep their time order.
+        self.id_rank = np.empty(n, dtype=np.int64)
+        self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+
+        rows = np.fromiter((row_of[id(rec)] for recs in ordered for rec in recs), np.int64, n)
+        pos, bucket, count = _record_terms(table, rows)
+        squares = np.bincount(pos, weights=count * count, minlength=n)
+        self.left, self.right, dots = _shared_bucket_dots(
+            self.thread_of[pos] * table.dim + bucket, pos, count, n)
+        # Integer sums are exact, so off the band the float test is decided.
+        self.sims = dots / np.sqrt(squares[self.left] * squares[self.right])
+        near = np.zeros(len(self.sims), dtype=bool)
+        for threshold in thresholds:
+            near |= np.abs(self.sims - threshold) <= SIM_BAND
+        for k in np.flatnonzero(near).tolist():
+            v_i, v_j = (table.vector(int(rows[p])) for p in (self.left[k], self.right[k]))
+            self.sims[k] = float(v_i @ v_j)
+
+    def categories(self, threshold: float) -> np.ndarray:
+        """Census category of each thread, as an index into ``CENSUS_CATEGORIES``.
+
+        A node with both a predecessor and a successor lies on a maximal
+        path of at least two edges; without one, every maximal path is one
+        edge.
+        """
+        linked = self.sims > threshold
+        left, right = self.left[linked], self.right[linked]
+        n = len(self.thread_of)
+        inner = np.zeros(n, dtype=bool)
+        inner[left] = True
+        has_parent = np.zeros(n, dtype=bool)
+        has_parent[right] = True
+        inner &= has_parent
+        edges = np.bincount(self.thread_of[left], minlength=len(self.threads))
+        longer = np.bincount(self.thread_of[inner], minlength=len(self.threads))
+        return np.where(edges == 0, 0, np.where(longer > 0, 2, 1))
+
+    def children(self, threshold: float) -> list[tuple[tuple[int, ...], ...]]:
+        """Successor lists of each thread's DAG, children in record-id order."""
+        linked = self.sims > threshold
+        left, right = self.left[linked], self.right[linked]
+        order = np.lexsort((self.id_rank[right], left))
+        local = (right - self.start[self.thread_of[right]])[order].tolist()
+        cuts = [0, *np.cumsum(np.bincount(left, minlength=len(self.thread_of))).tolist()]
+        per_node = [tuple(local[a:b]) for a, b in zip(cuts, cuts[1:])]
+        bounds = self.start.tolist()
+        return [tuple(per_node[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _children(
-    ordered: Sequence[RawRecord], sims: np.ndarray, threshold: float
-) -> tuple[tuple[int, ...], ...]:
-    # Children are visited in record-id order during linearization.
-    return tuple(
-        tuple(sorted(np.flatnonzero(row > threshold).tolist(), key=lambda j: ordered[j].id))
-        for row in sims
-    )
+def _blocks(threads: Sequence[Thread], thresholds: Sequence[float],
+            records: Sequence[RawRecord] | None = None,
+            table: TermTable | None = None) -> Iterator[_Block]:
+    """The threads scored ``BLOCK_THREADS`` at a time.
 
-
-def _category(children: Sequence[Sequence[int]]) -> str:
-    """Census category of one DAG, read from its structure.
-
-    A node with both a predecessor and a successor lies on a maximal path
-    of at least two edges; without one, every maximal path is one edge.
+    ``table`` holds the terms of ``records``, in order; without it one is
+    built over the threads' own records.
     """
-    has_parent = {j for succ in children for j in succ}
-    if not has_parent:
-        return "no_chain"
-    if any(succ and i in has_parent for i, succ in enumerate(children)):
-        return "len_gt_1"
-    return "len_eq_1"
+    # A pair that shares no bucket has cosine 0; only a threshold in (0, 1)
+    # keeps it unlinked without scoring it.
+    for threshold in thresholds:
+        if not 0.0 < threshold < 1.0:
+            raise ConfigError(f"similarity thresholds must lie in (0, 1), got {threshold}")
+    if table is None:
+        records = [rec for thread in threads for rec in thread.records]
+        table, _, _ = term_table(records)
+    elif len(records) != len(table.offsets) - 1:
+        raise ValueError("the term table does not hold one row per record")
+    # Threads hold the records themselves, so a record's row is found by identity.
+    row_of = {id(rec): row for row, rec in enumerate(records)}
+    for first in range(0, len(threads), BLOCK_THREADS):
+        yield _Block(threads[first:first + BLOCK_THREADS], table, row_of, thresholds)
 
 
 def connect(
     thread: Thread,
     sim_threshold: float = DEFAULT_SIM_THRESHOLD,
     agent_of: Mapping[str, str] | None = None,
+    children: Sequence[Sequence[int]] | None = None,
 ) -> SemanticGraph:
     """Build the semantic DAG of one thread.
 
     Records are ordered by (time, id); i links to j when i precedes j and
-    cosine(v_i, v_j) exceeds the threshold (strictly).
+    cosine(v_i, v_j) exceeds the threshold (strictly).  ``children`` are the
+    successor lists when a batched pass has already scored the thread.
     """
-    ordered, sims = _similarities(thread)
+    if children is None:
+        (block,) = _blocks([thread], [sim_threshold])
+        (children,) = block.children(sim_threshold)
     agent_of = agent_of or {}
     nodes = tuple(
         ChainNode(rec.id, agent_of.get(rec.author, rec.author), rec.created_utc)
-        for rec in ordered
+        for rec in _time_order(thread)
     )
-    return SemanticGraph(
-        post_id=thread.post.id, nodes=nodes, children=_children(ordered, sims, sim_threshold)
-    )
+    return SemanticGraph(post_id=thread.post.id, nodes=nodes, children=tuple(children))
 
 
 @dataclass
@@ -233,33 +330,41 @@ def extract_chains(
     sim_threshold: float = DEFAULT_SIM_THRESHOLD,
     top_k: int = DEFAULT_TOP_K,
     agent_of: Mapping[str, str] | None = None,
+    table: TermTable | None = None,
+    census_thresholds: Sequence[float] | None = None,
 ) -> tuple[list[InteractionChain], dict]:
     """Full pass: thread grouping, semantic DAGs, linearization, ranking.
 
+    ``table`` is the term table of ``records`` when one is already built.
     The manifest carries the census counts of the threads at
-    ``sim_threshold``.
+    ``sim_threshold``, and with ``census_thresholds`` the census rows at
+    each of them under ``census_rows``; one similarity pass serves all.
     """
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
+    thresholds = [sim_threshold, *(census_thresholds or ())]
     all_chains: list[InteractionChain] = []
     truncated_posts = 0
-    census = dict.fromkeys(CENSUS_CATEGORIES, 0)
+    counts = np.zeros((len(thresholds), len(CENSUS_CATEGORIES)), dtype=np.int64)
     threads = group_threads(records)
-    for thread in threads:
-        dag = connect(thread, sim_threshold, agent_of)
-        chains, stats = linearize(dag)
-        if stats.truncated_chains or stats.truncated_depth:
-            truncated_posts += 1
-        census[_category(dag.children)] += 1
-        all_chains.extend(chains)
+    for block in _blocks(threads, thresholds, records, table):
+        _add_census(counts, block, thresholds)
+        for thread, children in zip(block.threads, block.children(sim_threshold)):
+            chains, stats = linearize(connect(thread, sim_threshold, agent_of, children))
+            if stats.truncated_chains or stats.truncated_depth:
+                truncated_posts += 1
+            all_chains.extend(chains)
+    rows = _census_rows(counts, thresholds)
     manifest = {
         "threads": len(threads),
         "chains_total": len(all_chains),
         "truncated_posts": truncated_posts,
         "sim_threshold": sim_threshold,
         "top_k": top_k,
-        "census": census,
+        "census": {c: rows[0][c] for c in CENSUS_CATEGORIES},
     }
+    if census_thresholds is not None:
+        manifest["census_rows"] = rows[1:]
     return rank_and_select(all_chains, top_k), manifest
 
 
@@ -267,23 +372,27 @@ def extract_chains(
 # Census
 # ---------------------------------------------------------------------------
 
+def _add_census(counts: np.ndarray, block: _Block, thresholds: Sequence[float]) -> None:
+    for row, threshold in zip(counts, thresholds):
+        row += np.bincount(block.categories(threshold), minlength=len(CENSUS_CATEGORIES))
+
+
+def _census_rows(counts: np.ndarray, thresholds: Sequence[float]) -> list[dict]:
+    return [{"threshold": t, **dict(zip(CENSUS_CATEGORIES, row))}
+            for t, row in zip(thresholds, counts.tolist())]
+
+
 def chain_census(threads: Sequence[Thread], thresholds: Sequence[float]) -> list[dict]:
     """Post counts per chain-complexity category at each threshold.
 
     Categories: no edge at all, only single-edge maximal paths, or at least
-    one longer path.  Each thread's similarities are computed once and
-    serve every threshold.  Counts per threshold always sum to the thread
-    count.
+    one longer path.  One similarity pass serves every threshold.  Counts
+    per threshold always sum to the thread count.
     """
-    for threshold in thresholds:
-        if not 0.0 < threshold < 1.0:
-            raise ConfigError(f"census thresholds must lie in (0, 1), got {threshold}")
-    counts = [dict.fromkeys(CENSUS_CATEGORIES, 0) for _ in thresholds]
-    for thread in threads:
-        ordered, sims = _similarities(thread)
-        for row, threshold in zip(counts, thresholds):
-            row[_category(_children(ordered, sims, threshold))] += 1
-    return [{"threshold": t, **row} for t, row in zip(thresholds, counts)]
+    counts = np.zeros((len(thresholds), len(CENSUS_CATEGORIES)), dtype=np.int64)
+    for block in _blocks(threads, thresholds):
+        _add_census(counts, block, thresholds)
+    return _census_rows(counts, thresholds)
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,17 @@ def preprocess_stage(records, config: RunConfig, out: Path) -> list[ingestmod.St
     return stages
 
 
-def agents_stage(records, config: RunConfig, out: Path,
-                 source_stage: int | None = None) -> list[profilesmod.AgentProfile]:
+def agents_stage(records, config: RunConfig, out: Path, source_stage: int | None = None
+                 ) -> tuple[list[profilesmod.AgentProfile], profilesmod.TermTable]:
     """Enriched agent profiles of the records' users, saved to ``out`` with a
-    sidecar that names ``source_stage`` when it is given."""
+    sidecar that names ``source_stage`` when it is given, and the records'
+    term table."""
     lexicon = profilesmod.load_lexicon(config.lexicon_path) if config.lexicon_path else {}
-    user_texts = profilesmod.user_texts_from_records(records)
-    vectors, vocab, counts = profilesmod.build_user_vectors(user_texts, lexicon=lexicon)
+    table, vocab, counts = profilesmod.term_table(records, lexicon=lexicon)
     if config.embeddings_path:
-        vectors = profilesmod.load_embeddings(config.embeddings_path, sorted(user_texts))
+        vectors = profilesmod.load_embeddings(config.embeddings_path, table.users)
+    else:
+        vectors = profilesmod.build_user_vectors(table)
     profiles = [
         profilesmod.enrich(p, [counts[user] for user in p.members], lexicon, vocab)
         for p in profilesmod.cluster_users(vectors, config.k_agents, config.seed)
@@ -123,7 +125,7 @@ def agents_stage(records, config: RunConfig, out: Path,
     profilesmod.save_profiles(profiles, out)
     source = {} if source_stage is None else {"source_stage": source_stage}
     _write_sidecar(out, config, {**source, "agents": len(profiles)})
-    return profiles
+    return profiles, table
 
 
 def infer_stage(events, config: RunConfig, edges_out: Path,
@@ -164,15 +166,16 @@ def triads_stage(edges, config: RunConfig, out: Path,
 
 
 def chains_stage(records, config: RunConfig, out: Path, agent_of=None,
-                 top_k: int = chainsmod.DEFAULT_TOP_K, census_thresholds=None):
+                 top_k: int = chainsmod.DEFAULT_TOP_K, census_thresholds=None, table=None):
     """The top chains, written to ``out``, and ``census.csv`` beside it: one row
-    at ``sim_threshold`` from the extraction, or one per ``census_thresholds``.
-    Both are computed before either is written."""
-    selected, manifest = chainsmod.extract_chains(records, config.sim_threshold, top_k, agent_of)
+    at ``sim_threshold``, or one per ``census_thresholds``, all from one
+    similarity pass over ``table`` (the records' term table, built here when
+    not given).  Both are computed before either is written."""
     if census_thresholds is None:
-        census = [{"threshold": config.sim_threshold, **manifest["census"]}]
-    else:
-        census = chainsmod.chain_census(chainsmod.group_threads(records), census_thresholds)
+        census_thresholds = [config.sim_threshold]
+    selected, manifest = chainsmod.extract_chains(records, config.sim_threshold, top_k, agent_of,
+                                                  table, census_thresholds)
+    census = manifest.pop("census_rows")
     chainsmod.write_chains_jsonl(selected, out)
     chainsmod.write_census_csv(census, out.parent / "census.csv")
     return selected, manifest
@@ -207,7 +210,7 @@ def cmd_preprocess(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_agents(args: argparse.Namespace, config: RunConfig) -> int:
     stage_id, records = ingestmod.latest_stage_records(args.indir)
-    profiles = agents_stage(records, config, args.out, source_stage=stage_id)
+    profiles, _ = agents_stage(records, config, args.out, source_stage=stage_id)
     print(f"wrote {len(profiles)} agent profiles to {args.out}")
     return EXIT_OK
 
@@ -318,7 +321,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         stages = preprocess_stage(records, config, out)
     final_records = list(stages[-1].records)
     with timed("agents"):
-        profiles = agents_stage(final_records, config, out / "agents.json")
+        profiles, table = agents_stage(final_records, config, out / "agents.json")
     with timed("infer"):
         id_map = profilesmod.build_member_index(profiles) if agent_level else None
         clean_posts = [r for r in final_records if r.kind is ingestmod.RecordKind.POST]
@@ -336,7 +339,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         triads_stage(edges, config, out / "triads.csv")
     with timed("chains"):
         _, chain_manifest = chains_stage(final_records, config, out / "chains.jsonl",
-                                         agent_of=id_map)
+                                         agent_of=id_map, table=table)
 
     manifest = {
         "config": config.to_dict(),

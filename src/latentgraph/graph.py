@@ -165,6 +165,7 @@ def load_graphml(path: str | Path) -> InteractionGraph:
         raise DataError(f"{source}: no <graph> element")
     nodes = []
     edges = []
+    pairs: set[tuple[str, str]] = set()
     for node_el in graph_el.findall("g:node", ns):
         nodes.append(node_el.get("id") or "")
     for edge_el in graph_el.findall("g:edge", ns):
@@ -174,15 +175,12 @@ def load_graphml(path: str | Path) -> InteractionGraph:
             status = FollowStatus(data.get("status") or "maybe")
         except ValueError as exc:
             raise DataError(f"{source}: bad edge data: {exc}") from exc
-        edges.append(
-            FollowEdge(
-                source=edge_el.get("source") or "",
-                target=edge_el.get("target") or "",
-                windows_hit=0,
-                total_comments=weight,
-                status=status,
-            )
-        )
+        edge = FollowEdge(source=edge_el.get("source") or "", target=edge_el.get("target") or "",
+                          windows_hit=0, total_comments=weight, status=status)
+        if (edge.source, edge.target) in pairs:
+            raise DataError(f"{source}: repeated edge {edge.source} -> {edge.target}")
+        pairs.add((edge.source, edge.target))
+        edges.append(edge)
     undeclared = sorted({end for e in edges for end in (e.source, e.target)} - set(nodes))
     if undeclared:
         raise DataError(f"{source}: edge endpoints {undeclared} are not declared <node>s")

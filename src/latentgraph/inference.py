@@ -364,8 +364,9 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
 
     With ``weighted`` the file is a graph.edges.csv: it must also have a
     ``weight`` column, equal to ``total_comments`` on every row.  A missing
-    file or column, or a row that does not parse, is a DataError naming the
-    file (and line).
+    file or column, a row that does not parse, or a (source, target) pair
+    that an earlier row already holds is a DataError naming the file (and
+    line).
     """
     kind = "graph edge" if weighted else "edge"
     fields = GRAPH_EDGES_CSV_FIELDS if weighted else EDGES_CSV_FIELDS
@@ -373,6 +374,7 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
     if not source.exists():
         raise DataError(f"{kind}s file not found: {source}")
     edges = []
+    pairs: set[tuple[str, str]] = set()
     with open(source, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(fields) - set(reader.fieldnames or [])
@@ -395,8 +397,11 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
                 if weighted and int(row["weight"]) != edge.total_comments:
                     raise ValueError(f"weight {row['weight']} is not total_comments "
                                      f"{edge.total_comments}")
+                if (edge.source, edge.target) in pairs:
+                    raise ValueError(f"repeated pair {edge.source} -> {edge.target}")
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{source}:{reader.line_num}: bad {kind} row: {exc}") from exc
+            pairs.add((edge.source, edge.target))
             edges.append(edge)
     return edges
 

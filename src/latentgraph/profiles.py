@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,17 +77,34 @@ class TextCounts:
     hits: Counter  # lexicon hits per emotion
 
 
-def add_terms(vec: np.ndarray, text: str) -> list[str]:
-    """Add the text's hashed term counts to ``vec`` and return its tokens.
+class TermTable(NamedTuple):
+    """Every record's hashed terms, tokenized once.
 
-    The one place text becomes terms: chains vectorize each record and
-    agents each user through it.
+    Record ``r``'s token buckets, in token order, are
+    ``buckets[offsets[r]:offsets[r + 1]]``; ``user_of[r]`` is the row of its
+    author in the sorted ``users``.  Agents sum these counts per user and
+    chains per record.
     """
-    dim = vec.shape[0]
-    tokens = tokenize(text)
-    for token in tokens:
-        vec[token_bucket(token, dim)] += 1.0
-    return tokens
+
+    dim: int
+    buckets: np.ndarray  # int32, all records' token buckets concatenated
+    offsets: np.ndarray  # int64, one more entry than there are records
+    users: tuple[str, ...]
+    user_of: np.ndarray  # int32, one entry per record
+
+    def vector(self, row: int) -> np.ndarray:
+        """One record's normalized term vector: ``vectorize_user([text])``."""
+        start, end = self.offsets[row], self.offsets[row + 1]
+        counts = np.bincount(self.buckets[start:end], minlength=self.dim)
+        return _normalize(counts.astype(np.float64))
+
+
+class _TokenIds(dict):
+    """token -> id, numbered in order of first sight."""
+
+    def __missing__(self, token: str) -> int:
+        token_id = self[token] = len(self)
+        return token_id
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
@@ -97,67 +115,93 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 16:
+        raise ConfigError(f"vector dimension must be >= 16, got {dim}")
+
+
 def vectorize_user(texts: Sequence[str], dim: int = DEFAULT_DIM) -> np.ndarray:
     """Hashed term-frequency vector over all texts, L2-normalized.
 
     No usable tokens gives the zero vector.
     """
-    if dim < 16:
-        raise ConfigError(f"vector dimension must be >= 16, got {dim}")
+    _check_dim(dim)
     vec = np.zeros(dim, dtype=np.float64)
     for text in texts:
-        add_terms(vec, text)
+        for token in tokenize(text):
+            vec[token_bucket(token, dim)] += 1.0
     return _normalize(vec)
 
 
-def build_user_vectors(
-    user_texts: Mapping[str, Sequence[str]],
+def term_table(
+    records: Sequence[RawRecord],
     dim: int = DEFAULT_DIM,
     lexicon: Mapping[str, str] | None = None,
-) -> tuple[UserVectors, dict[int, Counter], dict[str, TextCounts]]:
-    """One pass over each user's texts: vector, vocabulary and counts.
+) -> tuple[TermTable, dict[int, Counter], dict[str, TextCounts]]:
+    """One pass over the records' texts: term table, vocabulary and counts.
 
+    ``tokenize`` runs once per record; each distinct token is hashed once.
     The bucket -> original-token dictionary is what lets keywords come back
     out of the hashed space.  Sentences split on whitespace only, so a
-    text's tokens are its sentences' tokens.  Users are processed in sorted
-    order so the result is reproducible.
+    text's tokens are its sentences' tokens.  Counts are keyed by author.
     """
-    if dim < 16:
-        raise ConfigError(f"vector dimension must be >= 16, got {dim}")
+    _check_dim(dim)
     lexicon = lexicon or {}
-    token_totals: Counter = Counter()
-    users = tuple(sorted(user_texts))
-    matrix = np.zeros((len(users), dim), dtype=np.float64)
-    counts: dict[str, TextCounts] = {}
-    for user, vec in zip(users, matrix):
-        terms: Counter = Counter()
-        sentences = questions = exclamations = 0
-        for text in user_texts[user]:
-            terms.update(add_terms(vec, text))
-            for segment in _SENTENCE_RE.split(text.strip()):
-                if segment:
-                    sentences += 1
-                    questions += segment.endswith("?")
-                    exclamations += segment.endswith("!")
-        hits: Counter = Counter()
-        for token, n in terms.items():
-            token_totals[token] += n
-            emotion = lexicon.get(token)
-            if emotion is not None:
-                hits[emotion] += n
-        _normalize(vec)
-        counts[user] = TextCounts(sum(terms.values()), sentences, questions, exclamations, hits)
+    id_of = _TokenIds()
+    # One growing buffer, kept as the table: large temporaries freed here
+    # would stay resident through clustering.
+    token_ids = array("i")
+    offsets = np.zeros(len(records) + 1, dtype=np.int64)
+    tallies: dict[str, list] = {}  # author -> [tokens, sentences, questions, exclamations, hits]
+    for row, rec in enumerate(records, start=1):
+        tokens = tokenize(rec.text)
+        token_ids.extend(map(id_of.__getitem__, tokens))
+        offsets[row] = len(token_ids)
+        tally = tallies.get(rec.author)
+        if tally is None:
+            tally = tallies[rec.author] = [0, 0, 0, 0, Counter()]
+        tally[0] += len(tokens)
+        for segment in _SENTENCE_RE.split(rec.text.strip()):
+            if segment:
+                tally[1] += 1
+                tally[2] += segment.endswith("?")
+                tally[3] += segment.endswith("!")
+        if lexicon:
+            tally[4].update(lexicon[t] for t in tokens if t in lexicon)
+    tokens = list(id_of)
+    bucket_of_id = np.fromiter((token_bucket(t, dim) for t in tokens), np.int32, len(tokens))
+    totals = np.zeros(len(tokens), dtype=np.int64)
+    ids = np.frombuffer(token_ids, dtype=np.int32)
+    for first in range(0, len(ids), 1 << 16):
+        chunk = ids[first:first + (1 << 16)]
+        totals += np.bincount(chunk, minlength=len(tokens))
+        chunk[:] = bucket_of_id[chunk]  # token ids become bucket ids
     vocab: dict[int, Counter] = {}
-    for token, n in token_totals.items():
-        vocab.setdefault(token_bucket(token, dim), Counter())[token] = n
-    return UserVectors(users, matrix), vocab, counts
+    for token, bucket, n in zip(tokens, bucket_of_id.tolist(), totals.tolist()):
+        vocab.setdefault(bucket, Counter())[token] = n
+    users = tuple(sorted(tallies))
+    index = {user: i for i, user in enumerate(users)}
+    user_of = np.fromiter((index[rec.author] for rec in records), np.int32, len(records))
+    table = TermTable(dim, ids, offsets, users, user_of)
+    return table, vocab, {user: TextCounts(*tallies[user]) for user in users}
 
 
-def user_texts_from_records(records: Iterable[RawRecord]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for rec in records:
-        out.setdefault(rec.author, []).append(rec.text)
-    return out
+def build_user_vectors(table: TermTable) -> UserVectors:
+    """Each user's row: the summed term counts of its records, L2-normalized.
+
+    The counts are integers, so the sums are exact whatever the record order.
+    """
+    matrix = np.zeros((len(table.users), table.dim), dtype=np.float64)
+    tokens_per_record = np.diff(table.offsets)
+    # A thousand records at a time keeps the index arrays small.
+    for first in range(0, len(table.user_of), 1024):
+        last = min(first + 1024, len(table.user_of))
+        users = np.repeat(table.user_of[first:last], tokens_per_record[first:last])
+        buckets = table.buckets[table.offsets[first]:table.offsets[last]]
+        np.add.at(matrix, (users, buckets), 1.0)
+    for vec in matrix:
+        _normalize(vec)
+    return UserVectors(table.users, matrix)
 
 
 def _finite_vector(value) -> np.ndarray:

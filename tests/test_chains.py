@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentgraph.errors import ConfigError
 from latentgraph.chains import (
+    BLOCK_THREADS,
     SemanticGraph,
     Thread,
     chain_census,
@@ -311,3 +314,113 @@ class TestEndToEnd:
             chain_census(group_threads(dump.records), [0.1]), census_path
         )
         assert census_path.read_text().splitlines()[0] == "threshold,no_chain,len_eq_1,len_gt_1"
+
+
+# ---------------------------------------------------------------------------
+# Integer similarities decide every pair as the per-pair float does
+# ---------------------------------------------------------------------------
+
+def legacy_children(thread, threshold):
+    """Successor lists from ``float(v_i @ v_j)`` of each pair's normalized
+    vectors, children in record-id order."""
+    ordered = sorted(thread.records, key=lambda r: (r.created_utc, r.id))
+    vectors = [vectorize_user([r.text]) for r in ordered]
+    return tuple(
+        tuple(sorted((j for j in range(i + 1, len(ordered))
+                      if float(vectors[i] @ vectors[j]) > threshold),
+                     key=lambda j: ordered[j].id))
+        for i in range(len(ordered))
+    )
+
+
+def on_threshold(k):
+    """A text of k distinct tokens and a text of its first: their cosine is
+    exactly 1/sqrt(k) in floating point."""
+    tokens = [f"tok{i:03d}" for i in range(k)]
+    return " ".join(tokens), tokens[0]
+
+
+@pytest.mark.parametrize("k", [3, 4, 16, 25, 50, 100])
+def test_cosine_on_the_threshold_does_not_link(k):
+    wide, narrow = on_threshold(k)
+    threshold = 1 / math.sqrt(k)
+    assert float(vectorize_user([wide]) @ vectorize_user([narrow])) == threshold
+    thread = thread_of([narrow], base_text=wide)
+    assert connect(thread, threshold).children[0] == ()
+    assert connect(thread, float(np.nextafter(threshold, 0))).children[0] == (1,)
+
+
+_WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "tok000", "tok001", "zeta"])
+
+
+@st.composite
+def scored_threads(draw):
+    k = draw(st.sampled_from([2, 3, 4, 9, 10, 25, 50, 100]))
+    wide, narrow = on_threshold(k)
+    texts = draw(st.lists(
+        st.one_of(st.lists(_WORDS, max_size=12).map(" ".join), st.sampled_from([wide, narrow])),
+        min_size=1, max_size=8))
+    exact = 1 / math.sqrt(k)
+    threshold = draw(st.one_of(
+        st.sampled_from([0.1, 0.2, 0.3, 0.5, exact, float(np.nextafter(exact, 0)),
+                         float(np.nextafter(exact, 1))]),
+        st.floats(0.01, 0.99)))
+    times = draw(st.lists(st.integers(100, 103), min_size=len(texts), max_size=len(texts)))
+    records = [post("p1", t=times[0], text=texts[0])]
+    records += [com(f"c{i:02d}", t, text) for i, (t, text) in enumerate(zip(times[1:], texts[1:]))]
+    return Thread(post=records[0], comments=tuple(records[1:])), threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_threads())
+def test_integer_similarities_decide_like_the_float(case):
+    thread, threshold = case
+    assert connect(thread, threshold).children == legacy_children(thread, threshold)
+
+
+@pytest.mark.parametrize("block_threads", [7, BLOCK_THREADS])
+def test_connect_alone_matches_the_batched_extraction(monkeypatch, block_threads):
+    from latentgraph import chains as chainsmod
+    from latentgraph.synthetic import make_synthetic_dump
+
+    records = make_synthetic_dump(40, 240, seed=6).records
+    agent_of = {r.author: f"A{len(r.author) % 3}" for r in records}
+    batched = []
+    real = chainsmod.connect
+
+    def spy(thread, *args, **kwargs):
+        dag = real(thread, *args, **kwargs)
+        batched.append((thread, dag))
+        return dag
+
+    monkeypatch.setattr(chainsmod, "BLOCK_THREADS", block_threads)
+    monkeypatch.setattr(chainsmod, "connect", spy)
+    chainsmod.extract_chains(records, 0.2, agent_of=agent_of)
+    monkeypatch.undo()
+    threads = group_threads(records)
+    assert [thread for thread, _ in batched] == threads
+    for thread, dag in batched:
+        assert isinstance(dag, SemanticGraph)
+        assert connect(thread, 0.2, agent_of) == dag
+        assert dag.children == legacy_children(thread, 0.2)
+
+
+def test_one_pass_serves_extraction_and_census():
+    from latentgraph.synthetic import make_synthetic_dump
+
+    records = make_synthetic_dump(40, 240, seed=3).records
+    thresholds = [0.1, 0.2, 0.3, 0.4, 0.5]
+    _, manifest = extract_chains(records, 0.3, census_thresholds=thresholds)
+    assert manifest["census_rows"] == chain_census(group_threads(records), thresholds)
+    assert manifest["census_rows"][2] == {"threshold": 0.3, **manifest["census"]}
+    _, plain = extract_chains(records, 0.3)
+    assert "census_rows" not in plain
+    assert plain == {k: v for k, v in manifest.items() if k != "census_rows"}
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5])
+def test_threshold_outside_unit_interval_is_refused(threshold):
+    with pytest.raises(ConfigError):
+        extract_chains([post("p1")], threshold)
+    with pytest.raises(ConfigError):
+        extract_chains([post("p1")], 0.1, census_thresholds=[0.2, threshold])

@@ -425,6 +425,16 @@ GOOD_EDGE = "A,B,maybe,2,3,10,20,15"
     pytest.param(["metrics", "--graph"], "graph.edges.csv",
                  f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nB,C,maybe,2,3,10,20,15,4\n",
                  id="metrics-weight-not-comments"),
+    # One directed pair is one edge; a second row for it would count twice.
+    pytest.param(["metrics", "--graph"], "graph.edges.csv",
+                 f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nA,B,forsure,3,3,10,20,15,3\n",
+                 id="metrics-repeated-pair"),
+    pytest.param(["graph", "build", "--edges"], "edges.csv",
+                 f"{EDGE_HEADER}\n{GOOD_EDGE}\nA,B,forsure,3,3,10,20,15\n",
+                 id="graph-repeated-pair"),
+    pytest.param(["triads", "--edges"], "edges.csv",
+                 f"{EDGE_HEADER}\n{GOOD_EDGE}\nA,B,none,1,1,10,10,\n",
+                 id="triads-repeated-pair"),
 ])
 def test_malformed_edge_row_is_data_error(tmp_path, capsys, argv, name, text):
     path = tmp_path / name
@@ -473,6 +483,9 @@ def graphml(nodes: str, *edges: tuple[str, str, object, str]) -> str:
     pytest.param(["metrics", "--graph"], "graph.graphml",
                  graphml("ABC", ("A", "B", 3, "maybe"), ("B", "C", -3, "maybe")),
                  id="graphml-negative-weight"),
+    pytest.param(["metrics", "--graph"], "graph.graphml",
+                 graphml("AB", ("A", "B", 3, "maybe"), ("A", "B", 2, "forsure")),
+                 id="graphml-repeated-pair"),
     pytest.param(["metrics", "--graph"], "graph.edges.csv",
                  f"{EDGE_HEADER},weight\n{GOOD_EDGE},3\nB,C,none,0,3,10,20,,3\n",
                  id="graph-csv-none-status"),
@@ -492,6 +505,19 @@ def test_malformed_input_is_data_error(tmp_path, capsys, argv, name, text):
     assert main([*argv, str(source), "--out", str(out)]) == 2
     assert str(path) in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("graph.edges.csv", f"{EDGE_HEADER},weight\nA,B,forsure,3,3,10,20,15,3\n{GOOD_EDGE},3\n"),
+    ("graph.graphml", graphml("AB", ("A", "B", 3, "forsure"), ("A", "B", 3, "maybe"))),
+], ids=["csv", "graphml"])
+def test_repeated_graph_pair_is_named(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["metrics", "--graph", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "repeated" in err and "A -> B" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def pushshift_dialect(posts: Path, comments: Path, out: Path) -> tuple[Path, Path]:

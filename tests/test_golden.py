@@ -1,9 +1,11 @@
-"""Byte pins on the six CSV artifacts.
+"""Byte pins on the six CSV artifacts, the agent profiles and the chains.
 
 A fixed user-level run (NONE, maybe and forsure pairs, coverage that drops
-edges) plus a two-cell sweep over its events.  The digests were recorded
-before the CSV writers were merged into one; any change to a column, a
-number format or a row order shows here as a changed hash.
+edges) plus a two-cell sweep over its events.  The CSV digests were recorded
+before the CSV writers were merged into one, and those of ``agents.json`` and
+``chains.jsonl`` before one term table replaced the per-record vectors; any
+change to a column, a number format, a row order, a profile or a chain shows
+here as a changed hash.
 """
 
 import hashlib
@@ -24,6 +26,10 @@ GOLDEN_SHA256 = {
     "sweep.csv": "207bcc7278f38d9ad767f58e6c0c29f4c2976c4be56a9f48a0fc54585e84f774",
     "census.csv": "b479a52725b4098cc013a38e475402171b2522ea950e4e9db6203b82d35058f4",
 }
+TERM_SHA256 = {
+    "agents.json": "78fca4d1b37bce6611ebb03adb53f7b4fc74ac41e64890b078b4e450a05a4f40",
+    "chains.jsonl": "ae5dfb863ae84abc9018237e5b30f37e145f1914852f0163e46f2daa1f88a443",
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +49,8 @@ def artifacts(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_csv_bytes_pinned(artifacts, name):
     assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TERM_SHA256))
+def test_term_artifacts_pinned(artifacts, name):
+    assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == TERM_SHA256[name]

@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 from latentgraph import chains, cli, profiles
 from latentgraph.config import default_config
 from latentgraph.errors import ConfigError, DataError
-from latentgraph.ingest import PipelineSettings, run_pipeline
+from latentgraph.ingest import PipelineSettings, RawRecord, RecordKind, run_pipeline
 from latentgraph.profiles import (
     RESIDUAL_LABEL,
     AgentProfile,
-    add_terms,
     build_member_index,
     build_user_vectors,
     cluster_users,
@@ -25,6 +24,7 @@ from latentgraph.profiles import (
     load_lexicon,
     load_profiles,
     save_profiles,
+    term_table,
     token_bucket,
     tokenize,
     top_terms,
@@ -49,6 +49,21 @@ BAD_EMBEDDING_VECTORS = [
     '["1", "2"]',
     "[true, false]",
 ]
+
+
+def records_of(user_texts):
+    """One post per text, authored by its user, in the mapping's order."""
+    return [
+        RawRecord(id=f"{user}-{i}", kind=RecordKind.POST, author=user, created_utc=i,
+                  text=text, subreddit="s")
+        for user, texts in user_texts.items() for i, text in enumerate(texts)
+    ]
+
+
+def user_vectors(user_texts, dim, lexicon=None):
+    """User vectors, vocabulary and counts of one user -> texts mapping."""
+    table, vocab, counts = term_table(records_of(user_texts), dim, lexicon)
+    return build_user_vectors(table), vocab, counts
 
 
 def independent_fnv1a(data: bytes) -> int:
@@ -96,18 +111,23 @@ class TestVectorize:
     def test_bucket_stable(self):
         assert token_bucket("solar", 4096) == independent_fnv1a(b"solar") % 4096
 
-    def test_add_terms_counts_and_returns_tokens(self):
-        vec = np.zeros(4096)
-        assert add_terms(vec, "Solar solar, wind!") == ["solar", "solar", "wind"]
-        assert vec[independent_fnv1a(b"solar") % 4096] == 2.0
-        assert vec[independent_fnv1a(b"wind") % 4096] == 1.0
-        assert vec.sum() == 3.0
+    def test_term_table_holds_each_records_buckets(self):
+        records = records_of({"u2": ["Solar solar, wind!", ""], "u1": ["wind"]})
+        table, vocab, _ = term_table(records, 4096)
+        solar, wind = (independent_fnv1a(t) % 4096 for t in (b"solar", b"wind"))
+        assert table.buckets.tolist() == [solar, solar, wind, wind]
+        assert table.offsets.tolist() == [0, 3, 3, 4]
+        assert table.users == ("u1", "u2")
+        assert table.user_of.tolist() == [1, 1, 0]
+        assert vocab == {solar: Counter(solar=2), wind: Counter(wind=2)}
+        for row, record in enumerate(records):
+            assert np.array_equal(table.vector(row), vectorize_user([record.text], 4096))
 
     def test_user_vector_is_vectorize_user(self):
         # Agents and chains read the same terms: a user's vector is the
         # per-record vector of all its texts.
         texts = planted_users(3)
-        vectors, _, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = user_vectors(texts, 256)
         assert vectors.users == tuple(sorted(texts))
         for user, row in zip(*vectors):
             assert np.array_equal(row, vectorize_user(texts[user], 256))
@@ -127,7 +147,7 @@ def planted_users(n_per_group=20, seed=0):
 class TestClustering:
     def test_planted_partition_recovery(self):
         texts = planted_users()
-        vectors, _, _ = build_user_vectors(texts, 512)
+        vectors, _, _ = user_vectors(texts, 512)
         profiles = cluster_users(vectors, 2, seed=13)
         assert len(profiles) == 2
         groups = [set(p.members) for p in profiles]
@@ -136,13 +156,13 @@ class TestClustering:
         assert groups == expected or groups == expected[::-1]
 
     def test_k1_single_agent(self):
-        vectors, _, _ = build_user_vectors(planted_users(5), 256)
+        vectors, _, _ = user_vectors(planted_users(5), 256)
         profiles = cluster_users(vectors, 1, seed=0)
         assert len(profiles) == 1
         assert len(profiles[0].members) == 10
 
     def test_seeded_determinism(self):
-        vectors, _, _ = build_user_vectors(planted_users(8), 256)
+        vectors, _, _ = user_vectors(planted_users(8), 256)
         a = cluster_users(vectors, 3, seed=21)
         b = cluster_users(vectors, 3, seed=21)
         assert [p.members for p in a] == [p.members for p in b]
@@ -151,7 +171,7 @@ class TestClustering:
 
     def test_partition_property(self):
         texts = planted_users(10)
-        vectors, _, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = user_vectors(texts, 256)
         profiles = cluster_users(vectors, 4, seed=3)
         members = [u for p in profiles for u in p.members]
         assert len(members) == len(set(members)) == len(texts)
@@ -160,14 +180,14 @@ class TestClustering:
         texts = planted_users(5)
         texts["mute01"] = [""]
         texts["mute02"] = ["?!"]
-        vectors, _, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = user_vectors(texts, 256)
         profiles = cluster_users(vectors, 2, seed=1)
         assert len(profiles) == 3
         [residual] = [p for p in profiles if p.label == RESIDUAL_LABEL]
         assert set(residual.members) == {"mute01", "mute02"}
 
     def test_k_exceeding_usable_users(self):
-        vectors, _, _ = build_user_vectors(planted_users(2), 256)
+        vectors, _, _ = user_vectors(planted_users(2), 256)
         with pytest.raises(ConfigError):
             cluster_users(vectors, 5, seed=0)
 
@@ -175,7 +195,7 @@ class TestClustering:
         # Degenerate input where every cluster but one would empty out;
         # revival must fill each empty cluster with a distinct user.
         texts = {f"u{i}": ["same words every time"] for i in range(5)}
-        vectors, _, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = user_vectors(texts, 256)
         profiles = cluster_users(vectors, 3, seed=0)
         assert len(profiles) == 3
         assert all(p.members for p in profiles)
@@ -184,7 +204,7 @@ class TestClustering:
 
     def test_centroid_is_normalized_mean(self):
         texts = planted_users(6)
-        vectors, _, _ = build_user_vectors(texts, 256)
+        vectors, _, _ = user_vectors(texts, 256)
         by_user = dict(zip(*vectors))
         for profile in cluster_users(vectors, 2, seed=5):
             mean = np.mean([by_user[u] for u in profile.members], axis=0)
@@ -194,7 +214,7 @@ class TestClustering:
 
 def features(texts, lexicon):
     """Emotion and style of one user's texts, through the one text pass."""
-    _, vocab, counts = build_user_vectors({"u": texts}, 64, lexicon)
+    _, vocab, counts = user_vectors({"u": texts}, 64, lexicon)
     agent = AgentProfile("A000", "Agent000", ("u",), np.zeros(64))
     enriched = enrich(agent, [counts["u"]], lexicon, vocab)
     return enriched.emotion, enriched.style
@@ -222,7 +242,7 @@ class TestEnrichment:
 
     def test_enrich_sets_keywords_and_label(self):
         texts = {"u1": ["solar solar wind power"], "u2": ["solar wind wind power"]}
-        vectors, vocab, counts = build_user_vectors(texts, 512)
+        vectors, vocab, counts = user_vectors(texts, 512)
         profile = cluster_users(vectors, 1, seed=0)[0]
         enriched = enrich(profile, [counts[u] for u in profile.members], {}, vocab)
         assert set(enriched.keywords) == {"solar", "wind", "power"}
@@ -233,7 +253,7 @@ class TestEnrichment:
     def test_counts_sum_over_members(self):
         lexicon = {"angry": "anger"}
         texts = {"u1": ["angry words. more?"], "u2": ["calm!", ""]}
-        _, _, counts = build_user_vectors(texts, 64, lexicon)
+        _, _, counts = user_vectors(texts, 64, lexicon)
         assert counts["u1"] == TextCounts(3, 2, 1, 0, Counter(anger=1))
         assert counts["u2"] == TextCounts(1, 1, 0, 1, Counter())
         agent = AgentProfile("A000", "Agent000", ("u1", "u2"), np.zeros(64))
@@ -244,7 +264,7 @@ class TestEnrichment:
 
     def test_top_terms_maps_buckets_back(self):
         texts = {"u": ["alpha alpha alpha beta beta gamma"]}
-        vectors, vocab, _ = build_user_vectors(texts, 512)
+        vectors, vocab, _ = user_vectors(texts, 512)
         terms = top_terms(vectors.matrix[0], vocab, top_k=3)
         assert terms == ["alpha", "beta", "gamma"]
 
@@ -271,7 +291,7 @@ class TestPersistence:
     def test_profiles_round_trip(self, tmp_path):
         texts = planted_users(4)
         lexicon = {"goal": "joy"}
-        vectors, vocab, counts = build_user_vectors(texts, 256, lexicon)
+        vectors, vocab, counts = user_vectors(texts, 256, lexicon)
         profiles = cluster_users(vectors, 2, seed=9)
         profiles = [
             enrich(p, [counts[u] for u in p.members], lexicon, vocab) for p in profiles
@@ -290,7 +310,7 @@ class TestPersistence:
     def test_byte_identical_across_runs(self, tmp_path):
         texts = planted_users(6)
         for name in ("one.json", "two.json"):
-            vectors, vocab, counts = build_user_vectors(texts, 256)
+            vectors, vocab, counts = user_vectors(texts, 256)
             profiles = cluster_users(vectors, 2, seed=4)
             profiles = [enrich(p, [counts[u] for u in p.members], {}, vocab) for p in profiles]
             save_profiles(profiles, tmp_path / name)
@@ -328,7 +348,7 @@ class TestPersistence:
     st.integers(min_value=0, max_value=999),
 )
 def test_cluster_partition_invariant(user_texts, seed):
-    vectors, _, _ = build_user_vectors(user_texts, 64)
+    vectors, _, _ = user_vectors(user_texts, 64)
     usable = int(vectors.matrix.any(axis=1).sum())
     if usable < 2:
         return
@@ -380,7 +400,7 @@ def test_agents_tokenize_each_record_once(monkeypatch, tmp_path):
     lexicon = write_lexicon_csv(tmp_path / "lexicon.csv")
     config = replace(default_config(), k_agents=3, lexicon_path=str(lexicon))
     calls = counting_tokenize(monkeypatch)
-    built = cli.agents_stage(records, config, tmp_path / "agents.json")
+    built, _ = cli.agents_stage(records, config, tmp_path / "agents.json")
     assert len(calls) == len(records)
     assert any(any(p.emotion.values()) for p in built)
 
@@ -457,10 +477,24 @@ _TEXTS = st.lists(st.lists(_PIECES, max_size=12).map("".join), max_size=4)
     ),
 )
 def test_counts_match_per_text_features(user_texts, lexicon):
-    _, vocab, counts = build_user_vectors(user_texts, 64, lexicon)
-    members = tuple(sorted(user_texts))
+    _, vocab, counts = user_vectors(user_texts, 64, lexicon)
+    # Users are the authors of records, so a user without texts has none.
+    members = tuple(sorted(u for u, texts in user_texts.items() if texts))
+    assert sorted(counts) == list(members)
     agent = AgentProfile("A000", "Agent000", members, np.zeros(64))
     enriched = enrich(agent, [counts[u] for u in members], lexicon, vocab)
     texts = [t for u in members for t in user_texts[u]]
     assert enriched.emotion == oracle_emotion(texts, lexicon)
     assert enriched.style == oracle_style(texts)
+
+
+def test_run_all_tokenizes_each_final_record_once(monkeypatch, dump_files, tmp_path):
+    posts, comments = dump_files
+    out = tmp_path / "out"
+    config = replace(default_config(), k_agents=3, posts_path=str(posts),
+                     comments_path=str(comments), out_dir=str(out))
+    calls = counting_tokenize(monkeypatch)
+    assert cli.run_all(config) == 0
+    final = json.loads((out / "run_manifest.json").read_text())["stage_counts"][-1]
+    assert len(calls) == final["posts"] + final["comments"]
+    assert (out / "chains.jsonl").read_text()

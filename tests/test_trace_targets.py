@@ -64,3 +64,27 @@ def test_traced_run_all_reaches_every_layer(monkeypatch, tmp_path):
     calls = tracer_module.layer_metrics(tracer.spans, tracer.counters)
     reached = {name for name in tracer_module.SPAN_NAMES if calls[f"{name}.calls"] > 0}
     assert reached == RUN_ALL_LAYERS
+
+
+def test_traced_extraction_compares_each_thread_pair_once(monkeypatch):
+    """The batched similarity pass still hands every thread to ``connect``,
+    so the tracer's comparison count is the sum of n(n-1)/2 over threads;
+    the census thresholds ride on the same pass."""
+    from latentgraph import chains
+    from latentgraph.synthetic import make_synthetic_dump
+
+    tracer_module = load_tracer(monkeypatch)
+    records = make_synthetic_dump(40, 240, seed=3).records
+    threads = chains.group_threads(records)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        chains.extract_chains(records, census_thresholds=[0.1, 0.3])
+    finally:
+        tracer.uninstall()
+    layers = tracer_module.layer_metrics(tracer.spans, tracer.counters)
+    assert layers["chains.extract_chains.calls"] == 1
+    assert layers["chains.connect.calls"] == len(threads)
+    assert layers["chains.chain_census.calls"] == 0
+    assert layers["chains.connect.comparisons"] == sum(
+        len(t.records) * (len(t.records) - 1) // 2 for t in threads)

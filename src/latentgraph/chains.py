@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import RawRecord, RecordKind, atomic_write, compact_json, write_csv
+from .ingest import RawRecord, RecordKind, write_csv, write_jsonl
 from .profiles import TermTable, term_table
 
 DEFAULT_SIM_THRESHOLD = 0.1
@@ -400,18 +400,14 @@ def chain_census(threads: Sequence[Thread], thresholds: Sequence[float]) -> list
 # ---------------------------------------------------------------------------
 
 def write_chains_jsonl(chains: Sequence[InteractionChain], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        fh.writelines(
-            compact_json({
-                "post_id": chain.post_id,
-                "length": chain.length,
-                "nodes": [
-                    {"record_id": node.record_id, "agent": node.author_agent, "time": node.time}
-                    for node in chain.nodes
-                ],
-            }) + "\n"
-            for chain in chains
-        )
+    write_jsonl(path, ({
+        "post_id": chain.post_id,
+        "length": chain.length,
+        "nodes": [
+            {"record_id": node.record_id, "agent": node.author_agent, "time": node.time}
+            for node in chain.nodes
+        ],
+    } for chain in chains))
 
 
 def write_census_csv(rows: Sequence[dict], path: str | Path) -> None:

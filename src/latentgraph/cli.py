@@ -32,7 +32,6 @@ from .config import (
     REFERENCE_METRICS,
     RunConfig,
     config_digest,
-    file_digest,
     merge_config,
     read_config_file,
     require_valid,
@@ -55,10 +54,7 @@ def _write_sidecar(out_path: Path, config: RunConfig, extra: dict | None = None)
     payload = {"tool": f"latent-graph {__version__}", "config_digest": config_digest(config)}
     if extra:
         payload.update(extra)
-    sidecar = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    with ingestmod.atomic_write(sidecar) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    ingestmod.write_json(out_path.with_suffix(out_path.suffix + ".manifest.json"), payload)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -310,9 +306,6 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         yield
         timings[name] = round(time.perf_counter() - t0, 3)
 
-    inputs = {"posts": config.posts_path, "comments": config.comments_path,
-              "lexicon": config.lexicon_path, "embeddings": config.embeddings_path}
-    input_digests = {name: file_digest(path) for name, path in inputs.items() if path}
     agent_level = config.level == "agent"
 
     with timed("ingest"):
@@ -341,6 +334,10 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         _, chain_manifest = chains_stage(final_records, config, out / "chains.jsonl",
                                          agent_of=id_map, table=table)
 
+    # Digested after the stages that read them, so a bad input is named by its reader.
+    inputs = {"posts": config.posts_path, "comments": config.comments_path,
+              "lexicon": config.lexicon_path, "embeddings": config.embeddings_path}
+    input_digests = {name: ingestmod.file_digest(path) for name, path in inputs.items() if path}
     manifest = {
         "config": config.to_dict(),
         "config_digest": config_digest(config),
@@ -358,9 +355,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         ],
         "timings_seconds": timings,
     }
-    with ingestmod.atomic_write(out / "run_manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    ingestmod.write_json(out / "run_manifest.json", manifest)
 
     if replicate:
         _write_replication_report(config, report, out)
@@ -397,9 +392,7 @@ def _write_replication_report(config: RunConfig, report, out: Path) -> None:
         ),
         "metrics": rows,
     }
-    with ingestmod.atomic_write(out / "replication_report.json") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    ingestmod.write_json(out / "replication_report.json", payload)
 
 
 def cmd_run_all(args: argparse.Namespace, config: RunConfig) -> int:

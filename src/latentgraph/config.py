@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .ingest import read_json
 
 # Published agent counts of the three released domain datasets; used as the
 # default cluster count when a known domain is selected.
@@ -103,13 +104,10 @@ FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 def read_config_file(path: str | Path) -> dict:
     """The keys a JSON config file itself sets, with no defaults filled in."""
     source = Path(path)
-    if not source.exists():
-        raise ConfigError(f"config file not found: {source}")
     try:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
+        data = read_json(source, "config")
+    except DataError as exc:  # missing, unreadable or not JSON
+        raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
     unknown = set(data) - FIELD_NAMES
@@ -187,11 +185,3 @@ def config_digest(config: RunConfig) -> str:
     params = {k: v for k, v in config.to_dict().items() if k not in _PATH_FIELDS}
     canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def file_digest(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DataError
 from .inference import GRAPH_EDGES_CSV_FIELDS, FollowEdge, FollowStatus, edge_row, read_edge_rows
-from .ingest import atomic_write, write_csv
+from .ingest import atomic_write, open_input, write_csv
 
 
 class EdgeClass(str, Enum):
@@ -72,9 +72,13 @@ def build(
 
     Only maybe/forsure edges can be retained; NONE pairs, self-loops and
     pairs without a comment never form edges.  Known agents are kept as
-    isolated nodes so node counts line up with the agent roster.
+    isolated nodes so node counts line up with the agent roster.  Two
+    retained edges of one (source, target) pair are a ValueError.
     """
     retained = sorted((e for e in edges if _admits(e, include)), key=_by_pair)
+    for edge, following in zip(retained, retained[1:]):
+        if _by_pair(edge) == _by_pair(following):
+            raise ValueError(f"repeated edge {edge.source} -> {edge.target}")
     extra = tuple(sorted(set(known_agents)))
     nodes = set(extra)
     for edge in retained:
@@ -117,7 +121,10 @@ def _rebuild(source: str | Path, edges: list[FollowEdge], nodes: Iterable[str] =
             raise DataError(f"{source}: edge {edge.source!r} -> {edge.target!r} "
                             f"({edge.status.value}, weight {edge.weight}) is not a graph edge: "
                             "graphs hold maybe/forsure edges of weight >= 1 between two nodes")
-    return build(edges, known_agents=nodes)
+    try:
+        return build(edges, known_agents=nodes)
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from exc
 
 
 def load_graph_edges_csv(path: str | Path) -> InteractionGraph:
@@ -153,11 +160,10 @@ def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
 
 def load_graphml(path: str | Path) -> InteractionGraph:
     source = Path(path)
-    if not source.exists():
-        raise DataError(f"graph file not found: {source}")
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     try:
-        tree = ElementTree.parse(source)
+        with open_input(source, "graph") as fh:
+            tree = ElementTree.parse(fh)
     except ElementTree.ParseError as exc:
         raise DataError(f"{source}: not a readable GraphML file: {exc}") from exc
     graph_el = tree.getroot().find("g:graph", ns)
@@ -165,7 +171,6 @@ def load_graphml(path: str | Path) -> InteractionGraph:
         raise DataError(f"{source}: no <graph> element")
     nodes = []
     edges = []
-    pairs: set[tuple[str, str]] = set()
     for node_el in graph_el.findall("g:node", ns):
         nodes.append(node_el.get("id") or "")
     for edge_el in graph_el.findall("g:edge", ns):
@@ -175,12 +180,9 @@ def load_graphml(path: str | Path) -> InteractionGraph:
             status = FollowStatus(data.get("status") or "maybe")
         except ValueError as exc:
             raise DataError(f"{source}: bad edge data: {exc}") from exc
-        edge = FollowEdge(source=edge_el.get("source") or "", target=edge_el.get("target") or "",
-                          windows_hit=0, total_comments=weight, status=status)
-        if (edge.source, edge.target) in pairs:
-            raise DataError(f"{source}: repeated edge {edge.source} -> {edge.target}")
-        pairs.add((edge.source, edge.target))
-        edges.append(edge)
+        edges.append(FollowEdge(source=edge_el.get("source") or "",
+                                target=edge_el.get("target") or "",
+                                windows_hit=0, total_comments=weight, status=status))
     undeclared = sorted({end for e in edges for end in (e.source, e.target)} - set(nodes))
     if undeclared:
         raise DataError(f"{source}: edge endpoints {undeclared} are not declared <node>s")

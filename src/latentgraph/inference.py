@@ -20,11 +20,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, RecordKind, atomic_write, compact_json, write_csv
-from .ingest import decode_lines, read_id, read_time
+from .ingest import RawRecord, RecordKind, decode_lines, open_input, read_id, read_time
+from .ingest import write_csv, write_jsonl
 
 SECONDS_PER_DAY = 86400
-DEFAULT_WINDOW_SECONDS = 30 * SECONDS_PER_DAY
 DEFAULT_MAYBE_MIN = 2
 DEFAULT_FORSURE_MIN = 3
 
@@ -371,11 +370,9 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
     kind = "graph edge" if weighted else "edge"
     fields = GRAPH_EDGES_CSV_FIELDS if weighted else EDGES_CSV_FIELDS
     source = Path(path)
-    if not source.exists():
-        raise DataError(f"{kind}s file not found: {source}")
     edges = []
     pairs: set[tuple[str, str]] = set()
-    with open(source, encoding="utf-8", newline="") as fh:
+    with open_input(source, f"{kind}s", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(fields) - set(reader.fieldnames or [])
         if missing:
@@ -416,8 +413,7 @@ def write_timeline_csv(rows: Iterable[TimelineRow], path: str | Path) -> None:
 
 
 def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        fh.writelines(compact_json(event.to_dict()) + "\n" for event in events)
+    write_jsonl(path, (event.to_dict() for event in events))
 
 
 def load_events_jsonl(path: str | Path) -> list[InteractionEvent]:

@@ -25,12 +25,16 @@ Stage map:
 On disk, stage 0 is ``stage0.records.jsonl`` and every later stage is a
 ledger of the records it removed, ``stageK.removed.jsonl``, so stage k is
 stage 0 less the ledgers 1..k.  Each stage also has ``stageK.manifest.json``.
+
+All file I/O of the package is here: :func:`open_input` opens every input,
+and every artifact is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
+import hashlib
 import json
 import os
 import re
@@ -206,20 +210,48 @@ def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord
     )
 
 
-def numbered_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
-    """The non-blank lines of a text file with their 1-based numbers, read
-    through gzip for a ``.gz`` name; a missing or unreadable file is a DataError."""
+@contextmanager
+def open_input(path: str | Path, what: str, newline: str | None = None) -> Iterator[TextIO]:
+    """The one opener of input files: plain or ``.gz`` text as UTF-8.  A missing
+    file, or an OSError or UnicodeDecodeError raised while the block reads it,
+    is a DataError naming the file."""
     source = Path(path)
     if not source.exists():
         raise DataError(f"{what} file not found: {source}")
     try:
-        with (gzip.open(source, "rt", encoding="utf-8") if source.suffix == ".gz"
-              else open(source, encoding="utf-8")) as fh:
-            for n, line in enumerate(fh, start=1):
-                if not line.isspace():
-                    yield n, line
+        with (gzip.open(source, "rt", encoding="utf-8", newline=newline)
+              if source.suffix == ".gz" else open(source, encoding="utf-8", newline=newline)) as fh:
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
+
+
+def numbered_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a text file, opened by :func:`open_input`, with
+    their 1-based numbers."""
+    with open_input(path, what) as fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield n, line
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """One JSON document; a file that does not parse is a DataError naming it."""
+    with open_input(path, what) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def file_digest(path: str | Path) -> str:
+    """sha256 of a file's bytes, for a file that its reader has already read."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def decode_lines(path: str | Path, what: str, decode: Callable[[object], object]) -> Iterator:
@@ -442,8 +474,32 @@ def manifest_path(out_dir: Path, stage_id: int) -> Path:
     return out_dir / f"stage{stage_id}.manifest.json"
 
 
-# One encoder for every JSONL writer; json.dumps builds a new one per call.
+# One encoder per JSON format, shared by every writer; json.dump(s) builds
+# a new one per call.
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_indented_json = json.JSONEncoder(indent=2)
+
+
+def _json_lines(rows: Iterable) -> Iterator[str]:
+    return (compact_json(row) + "\n" for row in rows)
+
+
+def json_document(obj: object) -> Iterator[str]:
+    """``obj`` as indented JSON with a trailing newline, streamed in chunks."""
+    yield from _indented_json.iterencode(obj)
+    yield "\n"
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    """Atomically write a JSON artifact: ``obj`` indented by two spaces, then "\n"."""
+    with atomic_write(path) as fh:
+        fh.writelines(json_document(obj))
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> None:
+    """Atomically write a JSONL artifact: one compact object per line."""
+    with atomic_write(path) as fh:
+        fh.writelines(_json_lines(rows))
 
 
 def write_stages(
@@ -464,12 +520,11 @@ def write_stages(
                 rows = ({"kind": r.kind.value, "id": r.id, "reason": key}
                         for key, recs in snap.removed.items() for r in recs)
             fh = files.enter_context(atomic_write(records_path(out, snap.stage_id)))
-            fh.writelines(compact_json(row) + "\n" for row in rows)
+            fh.writelines(_json_lines(rows))
             payload = {"stage_id": snap.stage_id, "post_count": snap.post_count,
                        "comment_count": snap.comment_count, "removed": snap.manifest}
             fh = files.enter_context(atomic_write(manifest_path(out, snap.stage_id)))
-            json.dump({**payload, **(extra or {})}, fh, indent=2)
-            fh.write("\n")
+            fh.writelines(json_document({**payload, **(extra or {})}))
 
 
 def load_records(
@@ -478,6 +533,13 @@ def load_records(
     """Read a normalized records file, leaving out the (kind, id) pairs in ``drop``."""
     return [rec for rec in decode_lines(path, "stage record", decode_record)
             if (rec.kind.value, rec.id) not in drop]
+
+
+def _ledger_key(obj: object) -> tuple[str, str]:
+    """The (kind, id) a removal-ledger row names."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a ledger row must be a JSON object, got {type(obj).__name__}")
+    return RecordKind(obj.get("kind")).value, read_id(obj, "id")
 
 
 def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
@@ -490,13 +552,6 @@ def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
         raise DataError(f"{base} holds per-stage record files of an older format; "
                         "preprocess into a fresh directory")
     stage_id = max((k for k in range(1, N_STAGES) if records_path(base, k).exists()), default=0)
-    removed: set[tuple[str, str]] = set()
-    for k in range(1, stage_id + 1):
-        ledger = records_path(base, k)
-        try:
-            for _, line in numbered_lines(ledger, "ledger"):
-                row = json.loads(line)
-                removed.add((row["kind"], row["id"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{ledger}: unreadable removal ledger: {exc}") from exc
+    removed = {key for k in range(1, stage_id + 1)
+               for key in decode_lines(records_path(base, k), "removal ledger", _ledger_key)}
     return stage_id, load_records(records_path(base, 0), removed)

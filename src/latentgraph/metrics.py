@@ -24,7 +24,6 @@ merge order matches a full rebuild after each merge.
 from __future__ import annotations
 
 import bisect
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .errors import UndefinedMetricError
 from .graph import InteractionGraph
-from .ingest import atomic_write
+from .ingest import json_document, write_json
 
 DEFAULT_DEGREE_TOP_K = 10
 
@@ -506,7 +505,7 @@ class MetricsReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return "".join(json_document(self.to_dict()))
 
 
 def full_report(
@@ -552,5 +551,4 @@ def full_report(
 
 
 def write_report(report: MetricsReport, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(report.to_json())
+    write_json(path, report.to_dict())

@@ -13,19 +13,17 @@ vectors (``load_embeddings``); clustering and enrichment are unchanged.
 
 from __future__ import annotations
 
-import json
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, atomic_write
+from .ingest import RawRecord, decode_lines, numbered_lines, read_json, write_json
 
 DEFAULT_DIM = 4096
 RESIDUAL_LABEL = "GeneralChat"
@@ -54,7 +52,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@lru_cache(maxsize=1 << 20)
 def token_bucket(token: str, dim: int) -> int:
     return fnv1a_64(token.encode("utf-8")) % dim
 
@@ -210,7 +207,10 @@ def _finite_vector(value) -> np.ndarray:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
     )):
         raise ValueError("vector must be a non-empty list of numbers")
-    vec = np.asarray(value, dtype=np.float64)
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"vector entry out of range: {exc}") from exc
     if not np.isfinite(vec).all():
         raise ValueError("vector has a NaN or infinite entry")
     return vec
@@ -220,29 +220,26 @@ def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
     """Load per-user embedding vectors from JSONL lines {"user", "vector"}.
 
     Vectors are L2-normalized on load; users missing from the file get the
-    zero vector and end up in the residual agent.
+    zero vector and end up in the residual agent.  A bad row, or a vector
+    whose length differs from the first row's, is a DataError naming its line.
     """
     source = Path(path)
     if not source.exists():
         raise ConfigError(f"embeddings file not found: {source}")
-    table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(source, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                vec = _finite_vector(obj["vector"])
-                user = str(obj["user"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"{source}:{n}: bad embedding row: {exc}") from exc
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DataError(f"{source}:{n}: inconsistent embedding dimension")
-            table[user] = _normalize(vec)
+
+    def decode(obj: object) -> tuple[str, np.ndarray]:
+        nonlocal dim
+        if not (isinstance(obj, dict) and "user" in obj and "vector" in obj):
+            raise ValueError('expected an object with "user" and "vector"')
+        vec = _finite_vector(obj["vector"])
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ValueError("inconsistent embedding dimension")
+        return str(obj["user"]), _normalize(vec)
+
+    table = dict(decode_lines(source, "embedding row", decode))
     ordered = tuple(sorted(users))
     matrix = np.zeros((len(ordered), dim or DEFAULT_DIM), dtype=np.float64)
     for row, user in enumerate(ordered):
@@ -314,10 +311,11 @@ def _kmeans_pp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]:
     """Spherical k-means over the nonzero rows of the user matrix.
 
-    Rows are read in place; only dropping zero-vector users (no usable
-    text) copies the matrix.  Those users go to a dedicated residual agent
-    appended after the k clusters.  Raises ConfigError when k exceeds the
-    usable user count.
+    Dropping zero-vector users (no usable text) copies the matrix, and so
+    does every centroid update, which gathers each cluster's rows
+    (``matrix[assign == cluster]``) in each iteration.  Zero-vector users go
+    to a dedicated residual agent appended after the k clusters.  Raises
+    ConfigError when k exceeds the usable user count.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -447,17 +445,14 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
     if not source.exists():
         raise ConfigError(f"emotion lexicon not found: {source}")
     table: dict[str, str] = {}
-    with open(source, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if n == 1 and line.lower().replace(" ", "") == "term,emotion":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{source}:{n}: expected 'term,emotion'")
-            table[parts[0].strip().lower()] = parts[1].strip().lower()
+    for n, line in numbered_lines(source, "emotion lexicon"):
+        line = line.strip()
+        if line.startswith("#") or (n == 1 and line.lower().replace(" ", "") == "term,emotion"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{source}:{n}: expected 'term,emotion'")
+        table[parts[0].strip().lower()] = parts[1].strip().lower()
     return table
 
 
@@ -474,15 +469,15 @@ def build_member_index(profiles: Sequence[AgentProfile]) -> dict[str, str]:
 
 
 def save_profiles(profiles: Sequence[AgentProfile], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        json.dump([p.to_dict() for p in profiles], fh, indent=2)
-        fh.write("\n")
+    write_json(path, [p.to_dict() for p in profiles])
 
 
 def load_profiles(path: str | Path) -> list[AgentProfile]:
-    source = Path(path)
-    if not source.exists():
-        raise DataError(f"agents file not found: {source}")
-    with open(source, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [AgentProfile.from_dict(obj) for obj in data]
+    """The profiles of an agents.json; a malformed file is a DataError naming it."""
+    data = read_json(path, "agents")
+    try:
+        if not isinstance(data, list):
+            raise TypeError("expected a JSON list of agent profiles")
+        return [AgentProfile.from_dict(obj) for obj in data]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad agent profile: {exc!r}") from exc

@@ -15,7 +15,6 @@ ever clean surviving records, and threads of deleted posts get no comments.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +31,8 @@ from .ingest import (
     NOISE_REMOVAL,
     RawRecord,
     RecordKind,
+    write_csv,
+    write_jsonl,
 )
 
 TOPIC_VOCABULARIES = [
@@ -88,55 +89,24 @@ class SyntheticDump:
 
     def write_dumps(self, out_dir: str | Path) -> tuple[Path, Path]:
         """Write raw-schema posts.jsonl and comments.jsonl dump files."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        posts_path = out / "posts.jsonl"
-        comments_path = out / "comments.jsonl"
-        with open(posts_path, "w", encoding="utf-8") as fh:
-            for rec in self.posts:
-                title, _, selftext = rec.text.partition(" | ")
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": rec.id,
-                            "author": rec.author,
-                            "created_utc": rec.created_utc,
-                            "title": title,
-                            "selftext": selftext,
-                            "subreddit": rec.subreddit,
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-        with open(comments_path, "w", encoding="utf-8") as fh:
-            for rec in self.comments:
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": rec.id,
-                            "author": rec.author,
-                            "created_utc": rec.created_utc,
-                            "body": rec.text,
-                            "subreddit": rec.subreddit,
-                            "link_id": rec.link_id,
-                            "parent_id": rec.parent_id,
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+        posts_path, comments_path = Path(out_dir) / "posts.jsonl", Path(out_dir) / "comments.jsonl"
+
+        def post_row(rec: RawRecord) -> dict:
+            title, _, selftext = rec.text.partition(" | ")
+            return {"id": rec.id, "author": rec.author, "created_utc": rec.created_utc,
+                    "title": title, "selftext": selftext, "subreddit": rec.subreddit}
+
+        write_jsonl(posts_path, map(post_row, self.posts))
+        write_jsonl(comments_path, (
+            {"id": rec.id, "author": rec.author, "created_utc": rec.created_utc, "body": rec.text,
+             "subreddit": rec.subreddit, "link_id": rec.link_id, "parent_id": rec.parent_id}
+            for rec in self.comments))
         return posts_path, comments_path
 
 
 def write_lexicon_csv(path: str | Path) -> Path:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["term,emotion"]
-    for term in sorted(DEMO_LEXICON):
-        lines.append(f"{term},{DEMO_LEXICON[term]}")
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return target
+    write_csv(path, ["term", "emotion"], sorted(DEMO_LEXICON.items()))
+    return Path(path)
 
 
 def _sentence(rng: random.Random, vocab: list[str], n_lo: int = 5, n_hi: int = 11) -> str:

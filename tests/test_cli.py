@@ -1,5 +1,6 @@
 import gzip
 import json
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -609,3 +610,70 @@ def test_graph_build_unknown_suffix_exits_1(tmp_path):
     edges.write_text(f"{EDGE_HEADER}\n{GOOD_EDGE}\n")
     assert main(["graph", "build", "--edges", str(edges), "--out", str(tmp_path / "g.gexf")]) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.csv"]
+
+
+
+GOOD_EDGES = f"{EDGE_HEADER}\n{GOOD_EDGE}\n".encode()
+LEDGER_ROW = b'{"kind":"post","id":"nope","reason":"bot_removal"}\n'
+LEDGER = "{tmp}/stages/stage1.removed.jsonl"
+
+
+@pytest.mark.parametrize("files, argv, code, named", [
+    pytest.param({"edges.csv": GOOD_EDGES + b"B,C,maybe,2,3,10,20,15\xff\n"},
+                 ["triads", "--edges", "{tmp}/edges.csv"], 2, "{tmp}/edges.csv",
+                 id="triads-edges-bad-byte"),
+    pytest.param({"edges.csv": GOOD_EDGES + b"B,C,maybe,2,3,10,20,15\xff\n"},
+                 ["graph", "build", "--edges", "{tmp}/edges.csv"], 2, "{tmp}/edges.csv",
+                 id="graph-edges-bad-byte"),
+    pytest.param({"graph.edges.csv": f"{EDGE_HEADER},weight\n".encode() + b"\xff,B,maybe,2,3,1,2,1,3\n"},
+                 ["metrics", "--graph", "{tmp}/graph.edges.csv"], 2, "{tmp}/graph.edges.csv",
+                 id="metrics-graph-edges-bad-byte"),
+    pytest.param({"edges.csv": GOOD_EDGES, "a.json": b"[{"},
+                 ["graph", "build", "--edges", "{tmp}/edges.csv", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-file-not-json"),
+    pytest.param({"edges.csv": GOOD_EDGES,
+                  "a.json": b'[{"agent_id": "A000", "members": ["A"], "centroid": [1.0]}]'},
+                 ["graph", "build", "--edges", "{tmp}/edges.csv", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-file-missing-key"),
+    pytest.param({"c.json": b'{"seed": 1, "domain": "\xff"}'},
+                 ["run-all", "--config", "{tmp}/c.json"], 1, "{tmp}/c.json",
+                 id="config-bad-byte"),
+    pytest.param({"lex.csv": b"term,emotion\nangry,anger\xff\n"},
+                 ["agents", "--in", "{stage}", "--lexicon", "{tmp}/lex.csv"], 2, "{tmp}/lex.csv",
+                 id="lexicon-bad-byte"),
+    pytest.param({"emb.jsonl": b'{"user": "u\xff", "vector": [1.0]}\n'},
+                 ["agents", "--in", "{stage}", "--embeddings", "{tmp}/emb.jsonl"], 2,
+                 "{tmp}/emb.jsonl", id="embeddings-bad-byte"),
+    pytest.param({"emb.jsonl": b'{"user": "a", "vector": [1.0]}\n{"user": "b", "vector": [1, 2]}\n'},
+                 ["agents", "--in", "{stage}", "--embeddings", "{tmp}/emb.jsonl"], 2,
+                 "{tmp}/emb.jsonl:2", id="embeddings-dimension"),
+    pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW + b'{"kind":"post","reason":"r"}\n'},
+                 ["chains", "--in", "{tmp}/stages"], 2, LEDGER + ":2", id="ledger-row-without-id"),
+    pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW + b'{"kind":"x","id":"p","reason":"r"}\n'},
+                 ["agents", "--in", "{tmp}/stages"], 2, LEDGER + ":2", id="ledger-row-bad-kind"),
+    pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW + b'["post", "p"]\n'},
+                 ["chains", "--in", "{tmp}/stages"], 2, LEDGER + ":2", id="ledger-row-not-an-object"),
+    pytest.param({}, ["run-all", "--posts", "{tmp}/nope.jsonl", "--comments", "{comments}"], 2,
+                 "{tmp}/nope.jsonl", id="run-all-missing-posts"),
+    pytest.param({}, ["run-all", "--posts", "{posts}", "--comments", "{comments}",
+                      "--lexicon", "{tmp}/nolex.csv"], 1, "{tmp}/nolex.csv",
+                 id="run-all-missing-lexicon"),
+    pytest.param({}, ["run-all", "--posts", "{posts}", "--comments", "{comments}",
+                      "--embeddings", "{tmp}/noemb.jsonl"], 1, "{tmp}/noemb.jsonl",
+                 id="run-all-missing-embeddings"),
+])
+def test_faulty_input_exits_with_its_code_and_names_the_file(
+        tmp_path, capsys, stage_dir, small_dump, files, argv, code, named):
+    """A bad user-supplied file exits 1 (config) or 2 (data) naming the file,
+    and its line for a row error; never 3."""
+    _, posts, comments, _ = small_dump
+    if any(name.startswith("stages/") for name in files):
+        shutil.copytree(stage_dir, tmp_path / "stages")
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    fill = dict(tmp=tmp_path, stage=stage_dir, posts=posts, comments=comments)
+    out = str(tmp_path / "out" / "result.csv")
+    assert main([arg.format(**fill) for arg in argv] + ["--out", out]) == code
+    err = capsys.readouterr().err
+    assert named.format(**fill) in err
+    assert "internal error" not in err

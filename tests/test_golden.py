@@ -1,11 +1,13 @@
-"""Byte pins on the six CSV artifacts, the agent profiles and the chains.
+"""Byte pins on the six CSV artifacts, the agent profiles, the chains and the
+JSON and JSONL artifacts.
 
 A fixed user-level run (NONE, maybe and forsure pairs, coverage that drops
 edges) plus a two-cell sweep over its events.  The CSV digests were recorded
-before the CSV writers were merged into one, and those of ``agents.json`` and
-``chains.jsonl`` before one term table replaced the per-record vectors; any
-change to a column, a number format, a row order, a profile or a chain shows
-here as a changed hash.
+before the CSV writers were merged into one, those of ``agents.json`` and
+``chains.jsonl`` before one term table replaced the per-record vectors, and
+the JSON and JSONL ones before every JSON writer went through
+``ingest.write_json``/``write_jsonl``; any change to a column, a number
+format, a row order, a profile or a chain shows here as a changed hash.
 """
 
 import hashlib
@@ -29,6 +31,14 @@ GOLDEN_SHA256 = {
 TERM_SHA256 = {
     "agents.json": "78fca4d1b37bce6611ebb03adb53f7b4fc74ac41e64890b078b4e450a05a4f40",
     "chains.jsonl": "ae5dfb863ae84abc9018237e5b30f37e145f1914852f0163e46f2daa1f88a443",
+}
+JSON_SHA256 = {
+    "events.jsonl": "71d67d121d22ab75c4f669001bb8ee326b8c56949f699fc8fc40fdc4c7eeae11",
+    "metrics.json": "f9623da328e5c80be0ab8486eb4866628a900fc7663d2fd7d7913c5334e6aac3",
+    "agents.json.manifest.json": "44d61b551a09cfb3bf6ed431f723e6630a8ffe1259afb79eb8b426e72ea04711",
+    "stage0.records.jsonl": "9043797dafb976ed81848aeaa934aed300990b3a9d3fd072ce3d72fcc7786d95",
+    "stage1.removed.jsonl": "5608bb8ebfcc8e880b9f5aefd19f408d183b3282d305c9f00fb5e8635453acb0",
+    "stage1.manifest.json": "c9f656e07d64936ea81dcda1dcc071ea2e43db6a1721a2b969ef182444f415b7",
 }
 
 
@@ -54,3 +64,8 @@ def test_csv_bytes_pinned(artifacts, name):
 @pytest.mark.parametrize("name", sorted(TERM_SHA256))
 def test_term_artifacts_pinned(artifacts, name):
     assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == TERM_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_SHA256))
+def test_json_artifacts_pinned(artifacts, name):
+    assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == JSON_SHA256[name]

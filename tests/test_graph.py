@@ -41,7 +41,6 @@ EDGE = st.builds(
     last_seen=OPT_TIME,
     status_time=OPT_TIME,
 )
-EDGES = st.lists(EDGE, max_size=25)
 # What inference writes: one row per (source, target) pair.
 PAIR_EDGES = st.lists(EDGE, max_size=25, unique_by=lambda e: (e.source, e.target))
 
@@ -83,11 +82,9 @@ class TestBuild:
 
     def test_filter_nesting(self):
         rng = random.Random(0)
-        edges = [
-            follow_edge(f"n{rng.randint(0, 9)}", f"m{rng.randint(0, 9)}",
-                        rng.choice([MAYBE, FORSURE, NONE]), total=rng.randint(1, 5))
-            for _ in range(40)
-        ]
+        pairs = rng.sample([(f"n{i}", f"m{j}") for i in range(10) for j in range(10)], 40)
+        edges = [follow_edge(source, target, rng.choice([MAYBE, FORSURE, NONE]),
+                             total=rng.randint(1, 5)) for source, target in pairs]
         all_set = {(e.source, e.target) for e in build(edges, EdgeClass.ALL).edges}
         forsure_set = {(e.source, e.target) for e in build(edges, EdgeClass.FORSURE_ONLY).edges}
         maybe_set = {(e.source, e.target) for e in build(edges, EdgeClass.MAYBE_ONLY).edges}
@@ -95,9 +92,19 @@ class TestBuild:
         assert maybe_set <= all_set
         assert forsure_set | maybe_set == all_set
 
+    def test_repeated_pair_is_refused(self):
+        with pytest.raises(ValueError, match="repeated edge A -> B"):
+            build([follow_edge("A", "B", MAYBE), follow_edge("C", "D", MAYBE),
+                   follow_edge("A", "B", FORSURE)])
+        # Only retained edges count: a NONE row beside its pair's edge is dropped.
+        g = build([follow_edge("A", "B", NONE), follow_edge("A", "B", MAYBE)])
+        assert [e.status for e in g.edges] == [MAYBE]
+        assert build([follow_edge("A", "B", MAYBE), follow_edge("A", "B", FORSURE)],
+                     EdgeClass.FORSURE_ONLY).edge_count == 1
+
 
 @settings(max_examples=100, deadline=None)
-@given(EDGES, st.sampled_from(list(EdgeClass)))
+@given(PAIR_EDGES, st.sampled_from(list(EdgeClass)))
 def test_build_keeps_the_admitted_input_edges(edges, include):
     admitted = sorted(
         (e for e in edges

@@ -527,3 +527,14 @@ def test_ledger_replay_gives_every_stage(records):
         for snap in reversed(stages):
             assert latest_stage_records(out) == (snap.stage_id, list(snap.records))
             records_path(out, snap.stage_id).unlink()
+
+
+def test_only_ingest_opens_files():
+    """Every file the package reads or writes is opened in ingest.py, so a bad
+    input always becomes the same DataError and every artifact is atomic."""
+    import latentgraph.ingest as ingestmod
+
+    src = Path(ingestmod.__file__).parent
+    openers = [path.name for path in sorted(src.glob("*.py"))
+               if "open(" in path.read_text(encoding="utf-8") and path.name != "ingest.py"]
+    assert openers == []

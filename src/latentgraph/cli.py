@@ -95,7 +95,7 @@ def ingest_stage(posts_path, comments_path) -> tuple[list[ingestmod.RawRecord], 
 
 
 def preprocess_stage(records, config: RunConfig, out: Path) -> list[ingestmod.StageSnapshot]:
-    """Filter stages 0..6, written to ``out`` as one record ledger."""
+    """Filter stages 0..3, written to ``out`` as one record ledger."""
     stages = ingestmod.run_pipeline(records, ingestmod.PipelineSettings(
         max_comments_per_post=config.max_comments_per_post,
         min_interactions=config.min_interactions))
@@ -183,7 +183,7 @@ def chains_stage(records, config: RunConfig, out: Path, agent_of=None,
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     records, skipped = ingest_stage(args.posts, args.comments)
-    stage0 = ingestmod.snapshot(0, records)
+    stage0 = ingestmod.snapshot(records)
     ingestmod.write_stages([stage0], args.out, {"config_digest": config_digest(config)})
     summary = {
         "posts": stage0.post_count,
@@ -312,7 +312,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         records, skipped_lines = ingest_stage(config.posts_path, config.comments_path)
     with timed("preprocess"):
         stages = preprocess_stage(records, config, out)
-    final_records = list(stages[-1].records)
+    final_records = stages[-1].records
     with timed("agents"):
         profiles, table = agents_stage(final_records, config, out / "agents.json")
     with timed("infer"):
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("preprocess", help="run filter stages 0..6")
+    p = sub.add_parser("preprocess", help="run filter stages 0..3")
     _add_common(p)
     p.add_argument("--in", dest="indir", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)

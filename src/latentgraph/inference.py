@@ -363,9 +363,9 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
 
     With ``weighted`` the file is a graph.edges.csv: it must also have a
     ``weight`` column, equal to ``total_comments`` on every row.  A missing
-    file or column, a row that does not parse, or a (source, target) pair
-    that an earlier row already holds is a DataError naming the file (and
-    line).
+    file or column, a line the CSV reader rejects, a row that does not parse,
+    or a (source, target) pair that an earlier row already holds is a
+    DataError naming the file (and line).
     """
     kind = "graph edge" if weighted else "edge"
     fields = GRAPH_EDGES_CSV_FIELDS if weighted else EDGES_CSV_FIELDS
@@ -374,11 +374,11 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
     pairs: set[tuple[str, str]] = set()
     with open_input(source, f"{kind}s", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(fields) - set(reader.fieldnames or [])
-        if missing:
-            raise DataError(f"{source}: missing {kind} columns {sorted(missing)}")
-        for row in reader:
-            try:
+        try:
+            missing = set(fields) - set(reader.fieldnames or [])
+            if missing:
+                raise DataError(f"{source}: missing {kind} columns {sorted(missing)}")
+            for row in reader:
                 if None in row or None in row.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
                 edge = FollowEdge(
@@ -396,10 +396,11 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
                                      f"{edge.total_comments}")
                 if (edge.source, edge.target) in pairs:
                     raise ValueError(f"repeated pair {edge.source} -> {edge.target}")
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{source}:{reader.line_num}: bad {kind} row: {exc}") from exc
-            pairs.add((edge.source, edge.target))
-            edges.append(edge)
+                pairs.add((edge.source, edge.target))
+                edges.append(edge)
+        except (TypeError, ValueError, csv.Error) as exc:
+            # The csv reader counts the line it rejects; DictReader's count lags it.
+            raise DataError(f"{source}:{reader.reader.line_num}: bad {kind} row: {exc}") from exc
     return edges
 
 

@@ -5,11 +5,11 @@ Posts carry ``{"id","author","created_utc","title","selftext","subreddit"}``,
 comments ``{"id","author","created_utc","body","subreddit","link_id",
 "parent_id"}``.  :func:`decode_record` holds the field rules for dump lines
 and for the records reloaded from stage files.  Preprocessing runs as
-numbered stages 0..6, each producing an immutable :class:`StageSnapshot`
-whose manifest records how many records every filter removed, so the whole
-reduction is auditable stage by stage.
+numbered stages 0..3, each a :class:`StageSnapshot` view of one
+:class:`Ledger` whose manifest counts what every filter of the stage
+removed, so the whole reduction is auditable stage by stage.
 
-Stage map:
+Stage map (the filters in :data:`FILTERS` order):
 
 ====  =============================================================
  0    raw records, sorted, with repeats of a (kind, id) pair removed
@@ -17,9 +17,6 @@ Stage map:
       ``max_comments_per_post`` comments per post
  2    user activity thresholding (authors below ``min_interactions``)
  3    removal of deleted/removed posts and comments
- 4    feature extraction (record set unchanged; handled downstream)
- 5    feature enrichment (record set unchanged; handled downstream)
- 6    handoff to relation inference (record set unchanged)
 ====  =============================================================
 
 On disk, stage 0 is ``stage0.records.jsonl`` and every later stage is a
@@ -40,14 +37,15 @@ import os
 import re
 from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 from .errors import DataError, SchemaError
-
-N_STAGES = 7
 
 # Manifest keys, shared with fixtures and tests.
 DUPLICATE_REMOVAL = "duplicate_removal"
@@ -56,10 +54,17 @@ NOISE_REMOVAL = "noise_removal"
 COMMENT_TRUNCATION = "comment_truncation"
 ACTIVITY_THRESHOLD = "activity_threshold"
 DELETED_REMOVAL = "deleted_removal"
-FEATURE_EXTRACTION = "feature_extraction"
-FEATURE_ENRICHMENT = "feature_enrichment"
-INFERENCE_HANDOFF = "inference_handoff"
 
+# Every filter in the order it runs, as (stage, manifest key), a line per stage.
+# A ledger row's code is the index here of the filter that removed it, or KEPT.
+FILTERS = ((0, DUPLICATE_REMOVAL),
+           (1, BOT_REMOVAL), (1, NOISE_REMOVAL), (1, COMMENT_TRUNCATION),
+           (2, ACTIVITY_THRESHOLD),
+           (3, DELETED_REMOVAL))
+KEPT = len(FILTERS)
+N_STAGES = FILTERS[-1][0] + 1
+
+NOISE_MIN_CHARS = 3
 _URL_ONLY_RE = re.compile(r"^https?://\S+$")
 
 DELETED_AUTHOR = "[deleted]"
@@ -96,31 +101,6 @@ class RawRecord:
 def record_sort_key(rec: RawRecord) -> tuple[int, str]:
     """Canonical tie-break used everywhere: (created_utc, id) ascending."""
     return (rec.created_utc, rec.id)
-
-
-@dataclass(frozen=True)
-class StageSnapshot:
-    """Immutable record set after one stage, with the records each of the
-    stage's filters removed, keyed by the filter's manifest key."""
-
-    stage_id: int
-    records: tuple[RawRecord, ...]
-    removed: dict[str, tuple[RawRecord, ...]]
-    post_count: int = field(init=False)
-    comment_count: int = field(init=False)
-
-    def __post_init__(self):
-        posts = sum(1 for r in self.records if r.kind is RecordKind.POST)
-        object.__setattr__(self, "post_count", posts)
-        object.__setattr__(self, "comment_count", len(self.records) - posts)
-
-    @property
-    def manifest(self) -> dict[str, int]:
-        return {key: len(recs) for key, recs in self.removed.items()}
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
 
 
 _WHOLE_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.0*)?")
@@ -286,7 +266,7 @@ def load_dump(path: str | Path, kind: RecordKind) -> tuple[list[RawRecord], int]
 
 
 # ---------------------------------------------------------------------------
-# Filters and stages; each filter keeps the order of the records it is given
+# Filters and stages; each filter is a drop mask over the records it is given
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -303,30 +283,22 @@ class BotRule:
     burst_limit: int = 500
     burst_window_seconds: int = 86400
 
-    def burst_authors(self, records: Sequence[RawRecord]) -> set[str]:
+    def authors(self, records: Sequence[RawRecord]) -> set[str]:
+        """The bot authors among the authors of ``records``."""
         times: dict[str, list[int]] = defaultdict(list)
         for rec in records:
             times[rec.author].append(rec.created_utc)
-        flagged: set[str] = set()
-        for author, stamps in times.items():
-            if len(stamps) <= self.burst_limit:
-                continue
-            stamps.sort()
-            lo = 0
-            for hi in range(len(stamps)):
-                while stamps[hi] - stamps[lo] >= self.burst_window_seconds:
-                    lo += 1
-                if hi - lo + 1 > self.burst_limit:
-                    flagged.add(author)
-                    break
-        return flagged
+        n, window = self.burst_limit, self.burst_window_seconds
 
-    def matches(self, author: str, burst: set[str]) -> bool:
-        return (
-            author in self.deny_list
-            or (bool(self.suffix) and author.lower().endswith(self.suffix))
-            or author in burst
-        )
+        def burst(stamps: list[int]) -> bool:
+            """Whether some n + 1 records span less than the window."""
+            ordered = np.sort(stamps)
+            return bool((ordered[n:] - ordered[:len(ordered) - n] < window).any())
+
+        return {author for author, stamps in times.items()
+                if author in self.deny_list
+                or (bool(self.suffix) and author.lower().endswith(self.suffix))
+                or (len(stamps) > n and burst(stamps))}
 
 
 @dataclass(frozen=True)
@@ -334,112 +306,141 @@ class PipelineSettings:
     """Knobs for the staged preprocessing run."""
 
     bot_rule: BotRule = BotRule()
-    noise_min_chars: int = 3
     max_comments_per_post: int = 10
     min_interactions: int = 2
 
 
-def is_noise(rec: RawRecord, min_chars: int = 3) -> bool:
-    text = rec.text.strip()
-    return len(text) < min_chars or bool(_URL_ONLY_RE.match(text))
+def _mask(items: Sequence, drop: Callable[[object], bool]) -> np.ndarray:
+    return np.fromiter(map(drop, items), dtype=bool, count=len(items))
 
 
-def is_deleted(rec: RawRecord) -> bool:
-    return rec.author == DELETED_AUTHOR or rec.text.strip() in DELETION_MARKERS
+def repeat_mask(records: Sequence[RawRecord]) -> np.ndarray:
+    """Flag every row but the first of each (kind, id) pair."""
+    first: dict[tuple[RecordKind, str], int] = {}
+    return np.fromiter((first.setdefault((r.kind, r.id), i) != i for i, r in enumerate(records)),
+                       dtype=bool, count=len(records))
 
 
-def _drop(
-    stage_id: int, records: Iterable[RawRecord], key: str, drop: Callable[[RawRecord], bool]
-) -> StageSnapshot:
-    """Snapshot of ``records`` less those ``drop`` flags, which are removed under ``key``."""
-    kept: list[RawRecord] = []
-    removed: list[RawRecord] = []
-    for rec in records:
-        (removed if drop(rec) else kept).append(rec)
-    return StageSnapshot(stage_id, tuple(kept), {key: tuple(removed)})
+def bot_mask(records: Sequence[RawRecord], rule: BotRule = BotRule()) -> np.ndarray:
+    """Flag the records of bot authors."""
+    bots = rule.authors(records)
+    return _mask(records, lambda r: r.author in bots)
 
 
-def snapshot(stage_id: int, records: Iterable[RawRecord]) -> StageSnapshot:
-    """The canonical snapshot of raw input, as stage 0 of a run.
-
-    Records are sorted once by :func:`record_sort_key`; later stages keep that
-    order.  Repeats of a (kind, id) pair are dropped, keeping the earliest copy
-    (the first in input order on a tie), and counted under ``duplicate_removal``.
-    """
-    seen: set[tuple[RecordKind, str]] = set()
-
-    def repeat(rec: RawRecord) -> bool:
-        key = (rec.kind, rec.id)
-        if key in seen:
-            return True
-        seen.add(key)
-        return False
-
-    return _drop(stage_id, sorted(records, key=record_sort_key), DUPLICATE_REMOVAL, repeat)
+def noise_mask(records: Sequence[RawRecord]) -> np.ndarray:
+    """Flag records whose trimmed text is shorter than ``NOISE_MIN_CHARS`` or a bare URL."""
+    texts = [r.text.strip() for r in records]
+    return _mask(texts, lambda text: len(text) < NOISE_MIN_CHARS or bool(_URL_ONLY_RE.match(text)))
 
 
-def filter_bots(records: Sequence[RawRecord], rule: BotRule = BotRule()) -> StageSnapshot:
-    """Drop bot-authored records; the manifest counts the removals."""
-    burst = rule.burst_authors(records)
-    return _drop(1, records, BOT_REMOVAL, lambda r: rule.matches(r.author, burst))
+def truncation_mask(records: Sequence[RawRecord], max_per_post: int = 10) -> np.ndarray:
+    """Flag every comment of a post after its earliest ``max_per_post``, earliest
+    by (created_utc, id)."""
+    seen: Counter[str] = Counter()
+    drop = np.zeros(len(records), dtype=bool)
+    for i in sorted(range(len(records)), key=lambda i: record_sort_key(records[i])):
+        if records[i].kind is RecordKind.COMMENT:
+            seen[records[i].link_id] += 1
+            drop[i] = seen[records[i].link_id] > max_per_post
+    return drop
 
 
-def truncate_comments(records: Sequence[RawRecord], max_per_post: int = 10) -> StageSnapshot:
-    """Keep only the earliest ``max_per_post`` comments of each post.
-
-    Earliest by (created_utc, id); posts themselves are never dropped here.
-    """
-    per_post: dict[str, list[RawRecord]] = defaultdict(list)
-    for rec in records:
-        if rec.kind is RecordKind.COMMENT:
-            per_post[rec.link_id].append(rec)
-    late: set[str] = set()
-    for comments in per_post.values():
-        if len(comments) > max_per_post:
-            comments.sort(key=record_sort_key)
-            late.update(c.id for c in comments[max_per_post:])
-    return _drop(1, records, COMMENT_TRUNCATION,
-                 lambda r: r.kind is RecordKind.COMMENT and r.id in late)
-
-
-def threshold_activity(records: Sequence[RawRecord], min_interactions: int = 2) -> StageSnapshot:
-    """Remove every record of authors with fewer than ``min_interactions`` records."""
+def activity_mask(records: Sequence[RawRecord], min_interactions: int = 2) -> np.ndarray:
+    """Flag every record of authors with fewer than ``min_interactions`` records."""
     counts = Counter(r.author for r in records)
-    return _drop(2, records, ACTIVITY_THRESHOLD,
-                 lambda r: counts[r.author] < min_interactions)
+    return _mask(records, lambda r: counts[r.author] < min_interactions)
 
 
-def drop_deleted(records: Sequence[RawRecord]) -> StageSnapshot:
-    """Remove records authored by "[deleted]" or whose trimmed text is a
+def deleted_mask(records: Sequence[RawRecord]) -> np.ndarray:
+    """Flag records authored by "[deleted]" or whose trimmed text is a
     deletion marker ("[removed]" / "[deleted]")."""
-    return _drop(3, records, DELETED_REMOVAL, is_deleted)
+    return _mask(records, lambda r: r.author == DELETED_AUTHOR
+                 or r.text.strip() in DELETION_MARKERS)
+
+
+class Ledger(NamedTuple):
+    """The input of a run sorted once by :func:`record_sort_key` and, per row,
+    the code of the filter that removed it (``KEPT`` if none did) and whether
+    it is a post."""
+
+    records: list[RawRecord]
+    codes: np.ndarray
+    is_post: np.ndarray
+
+
+def build_ledger(records: Iterable[RawRecord], drops: Sequence[Callable]) -> Ledger:
+    """Sort ``records`` once (stably), then run ``drops`` in order, each over the
+    rows no earlier one flagged; the rows ``drops[c]`` flags get code ``c``."""
+    rows = sorted(records, key=record_sort_key)
+    codes = np.full(len(rows), KEPT, dtype=np.int8)
+    for code, drop in enumerate(drops):
+        alive = np.flatnonzero(codes == KEPT)
+        codes[alive[drop([rows[i] for i in alive.tolist()])]] = code
+    return Ledger(rows, codes, _mask(rows, lambda r: r.kind is RecordKind.POST))
+
+
+@dataclass(frozen=True)
+class StageSnapshot:
+    """Stage ``stage_id`` of a ledger, the rows no filter of it or an earlier
+    stage removed; ``records`` is built when it is read."""
+
+    ledger: Ledger
+    stage_id: int
+
+    @property
+    def codes(self) -> range:
+        """The codes of this stage's filters."""
+        own = [code for code, (stage, _) in enumerate(FILTERS) if stage == self.stage_id]
+        return range(own[0], own[-1] + 1)
+
+    @property
+    def records(self) -> list[RawRecord]:
+        return list(compress(self.ledger.records, (self.ledger.codes >= self.codes.stop).tolist()))
+
+    @property
+    def manifest(self) -> dict[str, int]:
+        removed = np.bincount(self.ledger.codes, minlength=KEPT + 1)
+        return {FILTERS[code][1]: int(removed[code]) for code in self.codes}
+
+    @property
+    def total(self) -> int:
+        return int(np.count_nonzero(self.ledger.codes >= self.codes.stop))
+
+    @property
+    def post_count(self) -> int:
+        return int(np.count_nonzero(self.ledger.is_post[self.ledger.codes >= self.codes.stop]))
+
+    @property
+    def comment_count(self) -> int:
+        return self.total - self.post_count
+
+
+def snapshot(records: Iterable[RawRecord]) -> StageSnapshot:
+    """Stage 0 of a run: the input sorted by :func:`record_sort_key`, less every
+    repeat of a (kind, id) pair but its earliest copy (the first in input order
+    on a tie), counted under ``duplicate_removal``."""
+    return StageSnapshot(build_ledger(records, [repeat_mask]), 0)
 
 
 def run_pipeline(
-    records: Sequence[RawRecord],
+    records: Iterable[RawRecord],
     settings: PipelineSettings = PipelineSettings(),
 ) -> list[StageSnapshot]:
-    """Apply stages 0..6 in order and return every snapshot.
-
-    Record counts are non-increasing across stages; stages 4..6 never remove
-    records (their work happens in the profile and inference layers) but are
-    materialized so manifests line up with the stage numbering.
-    """
-    s = settings
-    stage0 = snapshot(0, records)
-    bots = filter_bots(stage0.records, s.bot_rule)
-    noise = _drop(1, bots.records, NOISE_REMOVAL, lambda r: is_noise(r, s.noise_min_chars))
-    late = truncate_comments(noise.records, s.max_comments_per_post)
-    stage1 = StageSnapshot(1, late.records, {**bots.removed, **noise.removed, **late.removed})
-    stage2 = threshold_activity(stage1.records, s.min_interactions)
-    stage3 = drop_deleted(stage2.records)
-    downstream = [StageSnapshot(stage_id, stage3.records, {key: ()}) for stage_id, key in
-                  ((4, FEATURE_EXTRACTION), (5, FEATURE_ENRICHMENT), (6, INFERENCE_HANDOFF))]
-    return [stage0, stage1, stage2, stage3, *downstream]
+    """Run every filter over one ledger and return stages 0..3 as its views;
+    record counts are non-increasing across stages."""
+    ledger = build_ledger(records, [  # in FILTERS order
+        repeat_mask,
+        lambda rows: bot_mask(rows, settings.bot_rule),
+        noise_mask,
+        lambda rows: truncation_mask(rows, settings.max_comments_per_post),
+        lambda rows: activity_mask(rows, settings.min_interactions),
+        deleted_mask,
+    ])
+    return [StageSnapshot(ledger, stage_id) for stage_id in range(N_STAGES)]
 
 
 # ---------------------------------------------------------------------------
-# Snapshot persistence
+# Stage persistence
 # ---------------------------------------------------------------------------
 
 @contextmanager
@@ -505,11 +506,12 @@ def write_jsonl(path: str | Path, rows: Iterable) -> None:
 def write_stages(
     stages: Sequence[StageSnapshot], out_dir: str | Path, extra: dict | None = None
 ) -> None:
-    """Persist snapshots as one record ledger, all files or none.
+    """Persist stages as one record ledger, all files or none.
 
     Stage 0 is written whole, every later stage as the records it removed:
-    one ``{"kind", "id", "reason"}`` line each, the reason being the filter's
-    manifest key.  No file replaces its target before all are written.
+    one ``{"kind", "id", "reason"}`` line each in ledger order, filter by filter,
+    the reason being the filter's manifest key.  No file replaces its target
+    before all are written.
     """
     out = Path(out_dir)
     with ExitStack() as files:
@@ -517,8 +519,10 @@ def write_stages(
             if snap.stage_id == 0:
                 rows = (rec.to_dict() for rec in snap.records)
             else:
-                rows = ({"kind": r.kind.value, "id": r.id, "reason": key}
-                        for key, recs in snap.removed.items() for r in recs)
+                ledger = snap.ledger
+                rows = ({"kind": r.kind.value, "id": r.id, "reason": FILTERS[code][1]}
+                        for code in snap.codes
+                        for r in compress(ledger.records, (ledger.codes == code).tolist()))
             fh = files.enter_context(atomic_write(records_path(out, snap.stage_id)))
             fh.writelines(_json_lines(rows))
             payload = {"stage_id": snap.stage_id, "post_count": snap.post_count,

@@ -277,12 +277,15 @@ class AgentProfile:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AgentProfile":
+        for key in ("members", "centroid", "keywords"):
+            if not isinstance(obj.get(key, []), list):
+                raise TypeError(f"{key} must be a JSON list, got {obj[key]!r:.40}")
         return cls(
             agent_id=str(obj["agent_id"]),
             label=str(obj["label"]),
             members=tuple(obj["members"]),
             centroid=np.asarray(obj["centroid"], dtype=np.float64),
-            keywords=tuple(obj.get("keywords") or ()),
+            keywords=tuple(obj.get("keywords", ())),
             emotion=dict(obj.get("emotion") or {}),
             style=dict(obj.get("style") or {}),
         )

@@ -25,9 +25,6 @@ from .ingest import (
     COMMENT_TRUNCATION,
     DELETED_REMOVAL,
     DUPLICATE_REMOVAL,
-    FEATURE_ENRICHMENT,
-    FEATURE_EXTRACTION,
-    INFERENCE_HANDOFF,
     NOISE_REMOVAL,
     RawRecord,
     RecordKind,
@@ -79,7 +76,7 @@ class SyntheticDump:
     posts: list[RawRecord]
     comments: list[RawRecord]
     expected_removed: dict[int, dict[str, int]]
-    expected_counts: list[tuple[int, int]]  # (posts, comments) per stage 0..6
+    expected_counts: list[tuple[int, int]]  # (posts, comments) per stage 0..3
     planted: dict[str, int] = field(default_factory=dict)
     prolific_authors: list[str] = field(default_factory=list)
 
@@ -331,17 +328,11 @@ def make_synthetic_dump(
         },
         2: {ACTIVITY_THRESHOLD: n_singles},
         3: {DELETED_REMOVAL: n_deleted_posts + n_deleted_comments + n_removed_body},
-        4: {FEATURE_EXTRACTION: 0},
-        5: {FEATURE_ENRICHMENT: 0},
-        6: {INFERENCE_HANDOFF: 0},
     }
     expected_counts = [
         (n_posts_actual, n_comments_actual),
         (n_posts_actual, stage1_comments),
         (n_posts_actual, stage2_comments),
-        (stage3_posts, stage3_comments),
-        (stage3_posts, stage3_comments),
-        (stage3_posts, stage3_comments),
         (stage3_posts, stage3_comments),
     ]
 

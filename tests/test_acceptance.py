@@ -28,7 +28,7 @@ from latentgraph.metrics import (
     reciprocity,
 )
 from latentgraph.errors import UndefinedMetricError
-from latentgraph.ingest import PipelineSettings, run_pipeline
+from latentgraph.ingest import N_STAGES, PipelineSettings, run_pipeline
 from latentgraph.profiles import vectorize_user
 from latentgraph.synthetic import make_synthetic_dump
 from latentgraph.temporal import triad_series, triangle_closures
@@ -216,7 +216,8 @@ def test_criterion_6_preprocessing_ledger():
     crit = Criterion(6, "preprocessing ledger", 5.0)
     dump = make_synthetic_dump(100, 600, seed=2026)
     stages = run_pipeline(dump.records, PipelineSettings())
-    ok = len(stages) == 7
+    ok = len(stages) == N_STAGES
+    ok &= [snap.stage_id for snap in stages] == sorted(dump.expected_removed)
     for snap in stages:
         ok &= snap.manifest == dump.expected_removed[snap.stage_id]
         ok &= (snap.post_count, snap.comment_count) == dump.expected_counts[snap.stage_id]

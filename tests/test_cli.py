@@ -18,6 +18,7 @@ from latentgraph.config import (
     validate,
 )
 from latentgraph.errors import ConfigError
+from latentgraph.ingest import N_STAGES
 from latentgraph.metrics import community_restarts
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
 
@@ -193,7 +194,7 @@ class TestExitCodes:
 
 # What run-all and the stage subcommands both write, compared byte for byte.
 STAGE_ARTIFACTS = [
-    *(f"stage{k}.{kind}" for k in range(7)
+    *(f"stage{k}.{kind}" for k in range(N_STAGES)
       for kind in ("records.jsonl" if k == 0 else "removed.jsonl", "manifest.json")),
     "agents.json", "edges.csv", "timeline.csv", "graph.graphml", "graph.edges.csv",
     "metrics.json", "triads.csv", "chains.jsonl", "census.csv",
@@ -244,6 +245,26 @@ class TestSubcommandFlow:
               "--forsure", "2,3", "--out", sweep_path)
         assert len(sweep_path.read_text().splitlines()) == 1 + 4
 
+    def test_seven_stage_directory_reads_as_stage_3(self, small_dump, tmp_path):
+        """A directory preprocessed when stages 4-6 still existed holds their
+        empty ledgers and manifests beside stages 0-3; it reads as stage 3."""
+        from latentgraph import ingest as ingestmod
+
+        stages = ingestmod.run_pipeline(small_dump[0].records)
+        ingestmod.write_stages(stages, tmp_path)
+        final = stages[-1]
+        for stage_id, key in ((4, "feature_extraction"), (5, "feature_enrichment"),
+                              (6, "inference_handoff")):
+            ingestmod.records_path(tmp_path, stage_id).write_text("")
+            ingestmod.write_json(ingestmod.manifest_path(tmp_path, stage_id), {
+                "stage_id": stage_id, "post_count": final.post_count,
+                "comment_count": final.comment_count, "removed": {key: 0}})
+        assert ingestmod.latest_stage_records(tmp_path) == (3, final.records)
+        agents = tmp_path / "agents.json"
+        assert main(["agents", "--in", str(tmp_path), "--k", "4", "--out", str(agents)]) == 0
+        sidecar = json.loads((tmp_path / "agents.json.manifest.json").read_text())
+        assert sidecar["source_stage"] == 3
+
     def test_ingest_only_directory_reads_stage_0(self, small_dump, tmp_path):
         from latentgraph import ingest as ingestmod
 
@@ -254,7 +275,7 @@ class TestSubcommandFlow:
                   + ingestmod.load_dump(comments, ingestmod.RecordKind.COMMENT)[0])
         stage_id, records = ingestmod.latest_stage_records(tmp_path)
         assert stage_id == 0
-        assert records == list(ingestmod.snapshot(0, parsed).records)
+        assert records == ingestmod.snapshot(parsed).records
 
 
 class TestRunAll:
@@ -274,13 +295,14 @@ class TestRunAll:
         out = tmp_path / "out"
         assert run_all(self.run_config(small_dump, out, lexicon)) == 0
         expected = [
-            "stage0.records.jsonl", "stage6.manifest.json", "agents.json",
+            "stage0.records.jsonl", "stage3.manifest.json", "agents.json",
             "events.jsonl", "edges.csv", "timeline.csv", "graph.graphml",
             "graph.edges.csv", "metrics.json", "triads.csv", "chains.jsonl",
             "census.csv", "run_manifest.json",
         ]
         for name in expected:
             assert (out / name).exists(), name
+        assert sorted(p.name for p in out.glob("stage[4-9]*")) == []
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(
             self.run_config(small_dump, out, lexicon)
@@ -614,6 +636,7 @@ def test_graph_build_unknown_suffix_exits_1(tmp_path):
 
 
 GOOD_EDGES = f"{EDGE_HEADER}\n{GOOD_EDGE}\n".encode()
+AGENT = {"agent_id": "A000", "label": "a", "members": ["A"], "centroid": [1.0], "keywords": []}
 LEDGER_ROW = b'{"kind":"post","id":"nope","reason":"bot_removal"}\n'
 LEDGER = "{tmp}/stages/stage1.removed.jsonl"
 
@@ -635,6 +658,19 @@ LEDGER = "{tmp}/stages/stage1.removed.jsonl"
                   "a.json": b'[{"agent_id": "A000", "members": ["A"], "centroid": [1.0]}]'},
                  ["graph", "build", "--edges", "{tmp}/edges.csv", "--agents", "{tmp}/a.json"],
                  2, "{tmp}/a.json", id="agents-file-missing-key"),
+    pytest.param({"edges.csv": GOOD_EDGES,
+                  "a.json": json.dumps([dict(AGENT, members="alice")]).encode()},
+                 ["graph", "build", "--edges", "{tmp}/edges.csv", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-members-not-a-list"),
+    pytest.param({"a.json": json.dumps([dict(AGENT, centroid=1.0)]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-centroid-not-a-list"),
+    pytest.param({"a.json": json.dumps([dict(AGENT, keywords="climate")]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-keywords-not-a-list"),
+    pytest.param({"edges.csv": f"{EDGE_HEADER}\n{'A' * 200_000},B,maybe,2,3,10,20,15\n".encode()},
+                 ["triads", "--edges", "{tmp}/edges.csv"], 2, "{tmp}/edges.csv:2",
+                 id="triads-edges-field-over-csv-limit"),
     pytest.param({"c.json": b'{"seed": 1, "domain": "\xff"}'},
                  ["run-all", "--config", "{tmp}/c.json"], 1, "{tmp}/c.json",
                  id="config-bad-byte"),

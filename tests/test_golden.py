@@ -6,8 +6,10 @@ edges) plus a two-cell sweep over its events.  The CSV digests were recorded
 before the CSV writers were merged into one, those of ``agents.json`` and
 ``chains.jsonl`` before one term table replaced the per-record vectors, and
 the JSON and JSONL ones before every JSON writer went through
-``ingest.write_json``/``write_jsonl``; any change to a column, a number
-format, a row order, a profile or a chain shows here as a changed hash.
+``ingest.write_json``/``write_jsonl`` (the stage 0 manifest and the stage 2
+and 3 files before the stages became views of one ledger); any change to a
+column, a number format, a row order, a profile or a chain shows here as a
+changed hash.
 """
 
 import hashlib
@@ -39,6 +41,11 @@ JSON_SHA256 = {
     "stage0.records.jsonl": "9043797dafb976ed81848aeaa934aed300990b3a9d3fd072ce3d72fcc7786d95",
     "stage1.removed.jsonl": "5608bb8ebfcc8e880b9f5aefd19f408d183b3282d305c9f00fb5e8635453acb0",
     "stage1.manifest.json": "c9f656e07d64936ea81dcda1dcc071ea2e43db6a1721a2b969ef182444f415b7",
+    "stage0.manifest.json": "e67d356955aefbec8d64015678eeb98fa53a664ea4de6e2ecaa1d76fcd87914e",
+    "stage2.removed.jsonl": "251ced4cd29ad03d842abfecd9f59749c4933afb72aea6d0e2d4b0e03e43a70e",
+    "stage2.manifest.json": "9caf5efb60b4c2811e133a7cdfa6392332ca5e5018973a6864812a418230d142",
+    "stage3.removed.jsonl": "83b1e647ec02cde2256d7a6f7ebcd1bdb58a2498b59f2390c4a859f7c3fc57fe",
+    "stage3.manifest.json": "1006c9af45f51f8f56d96779d11877d92ec1bab3425860e09bf4bd63de40b822",
 }
 
 

@@ -12,29 +12,27 @@ from latentgraph.chains import group_threads
 from latentgraph.errors import DataError, SchemaError
 from latentgraph.inference import extract_events
 from latentgraph.ingest import (
-    ACTIVITY_THRESHOLD,
-    BOT_REMOVAL,
-    COMMENT_TRUNCATION,
-    DELETED_REMOVAL,
     DUPLICATE_REMOVAL,
+    N_STAGES,
     BotRule,
     PipelineSettings,
     RawRecord,
     RecordKind,
+    activity_mask,
     atomic_write,
+    bot_mask,
     compact_json,
     decode_record,
-    drop_deleted,
-    filter_bots,
+    deleted_mask,
     latest_stage_records,
     load_dump,
     load_records,
+    noise_mask,
     record_sort_key,
     records_path,
     run_pipeline,
     snapshot,
-    threshold_activity,
-    truncate_comments,
+    truncation_mask,
     write_stages,
 )
 from latentgraph.synthetic import make_synthetic_dump
@@ -48,6 +46,12 @@ def post(id, author="alice", t=100, text="a decent chunk of text", sub="s"):
 def comment(id, author="bob", t=200, text="a fine reply here", link="p1", parent="p1"):
     return RawRecord(id=id, kind=RecordKind.COMMENT, author=author, created_utc=t,
                      text=text, subreddit="s", link_id=link, parent_id=parent)
+
+
+def kept(records, mask):
+    """The records a drop mask does not flag, in order."""
+    assert len(mask) == len(records)
+    return [rec for rec, drop in zip(records, mask) if not drop]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +156,8 @@ class TestParseDump:
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         a.write_text("\n".join(lines) + "\n")
         b.write_text("\n".join(shuffled) + "\n")
-        snap_a = snapshot(0, load_dump(a, RecordKind.POST)[0])
-        snap_b = snapshot(0, load_dump(b, RecordKind.POST)[0])
+        snap_a = snapshot(load_dump(a, RecordKind.POST)[0])
+        snap_b = snapshot(load_dump(b, RecordKind.POST)[0])
         assert snap_a.records == snap_b.records
 
 
@@ -202,7 +206,7 @@ def test_placeholder_selftext_adds_no_text(tmp_path, selftext, text):
     path.write_text(json.dumps(line) + "\n")
     (rec,), _ = load_dump(path, RecordKind.POST)
     assert rec.text == text
-    assert drop_deleted([rec]).records == (rec,)
+    assert not deleted_mask([rec]).any()
 
 
 def test_placeholder_comment_body_is_still_deleted(tmp_path):
@@ -210,7 +214,7 @@ def test_placeholder_comment_body_is_still_deleted(tmp_path):
     path.write_text(json.dumps(dict(GOOD_COMMENT, body="[removed]")) + "\n")
     (rec,), _ = load_dump(path, RecordKind.COMMENT)
     assert rec.text == "[removed]"
-    assert drop_deleted([rec]).manifest == {DELETED_REMOVAL: 1}
+    assert deleted_mask([rec]).tolist() == [True]
 
 
 _ids = st.one_of(st.text(min_size=1), st.text().map(lambda s: "t1_" + s))
@@ -244,94 +248,89 @@ def test_stage_row_decodes_to_the_encoded_record(rec):
 class TestFilterBots:
     def test_deny_list(self):
         recs = [comment("c1", author="AutoModerator"), comment("c2", author="alice")]
-        snap = filter_bots(recs)
-        assert [r.author for r in snap.records] == ["alice"]
-        assert snap.manifest == {BOT_REMOVAL: 1}
+        mask = bot_mask(recs)
+        assert [r.author for r in kept(recs, mask)] == ["alice"]
+        assert mask.sum() == 1
 
     def test_suffix_rule(self):
         recs = [comment("c1", author="TickerBot"), comment("c2", author="robotics_fan")]
-        snap = filter_bots(recs)
         # Case-insensitive suffix match on the full name only.
-        assert [r.author for r in snap.records] == ["robotics_fan"]
+        assert [r.author for r in kept(recs, bot_mask(recs))] == ["robotics_fan"]
 
     def test_plain_author_kept(self):
-        snap = filter_bots([comment("c1", author="alice")])
-        assert snap.manifest == {BOT_REMOVAL: 0}
+        assert bot_mask([comment("c1", author="alice")]).sum() == 0
 
     def test_burst_rule(self):
         rule = BotRule(burst_limit=5, burst_window_seconds=100)
         burst = [comment(f"c{i}", author="flooder", t=1000 + i) for i in range(6)]
         calm = [comment(f"d{i}", author="casual", t=1000 + i * 1000) for i in range(6)]
-        snap = filter_bots(burst + calm, rule)
-        assert {r.author for r in snap.records} == {"casual"}
-        assert snap.manifest == {BOT_REMOVAL: 6}
+        mask = bot_mask(burst + calm, rule)
+        assert {r.author for r in kept(burst + calm, mask)} == {"casual"}
+        assert mask.sum() == 6
 
     def test_fixture_count(self):
         recs = [comment(f"c{i}", author="spambot") for i in range(4)]
         recs += [comment(f"k{i}", author=f"user{i}") for i in range(6)]
-        snap = filter_bots(recs)
-        assert snap.total == 6
-        assert snap.manifest == {BOT_REMOVAL: 4}
+        mask = bot_mask(recs)
+        assert len(kept(recs, mask)) == 6
+        assert mask.sum() == 4
+
+
+def test_noise_mask_flags_short_and_url_only_texts():
+    texts = ["abc", " ab ", "", "https://example.com/x", "see https://example.com/x", "ok!"]
+    recs = [comment(f"c{i}", text=text) for i, text in enumerate(texts)]
+    assert noise_mask(recs).tolist() == [False, True, True, True, False, False]
 
 
 class TestTruncateComments:
     def test_over_limit(self):
         recs = [post("p1", t=10)]
         recs += [comment(f"c{i:02d}", t=100 + i) for i in range(15)]
-        snap = truncate_comments(recs, 10)
-        kept = [r for r in snap.records if r.kind is RecordKind.COMMENT]
-        assert len(kept) == 10
-        assert [r.id for r in kept] == [f"c{i:02d}" for i in range(10)]
-        assert snap.manifest == {COMMENT_TRUNCATION: 5}
+        mask = truncation_mask(recs, 10)
+        comments = [r for r in kept(recs, mask) if r.kind is RecordKind.COMMENT]
+        assert [r.id for r in comments] == [f"c{i:02d}" for i in range(10)]
+        assert mask.sum() == 5
 
     def test_under_limit(self):
         recs = [post("p1")] + [comment(f"c{i}", t=100 + i) for i in range(3)]
-        snap = truncate_comments(recs, 10)
-        assert snap.comment_count == 3
+        assert truncation_mask(recs, 10).sum() == 0
 
     def test_tie_broken_by_id(self):
         recs = [post("p1", t=1)]
         # Ten comments at distinct times, then two tied at the cutoff time.
         recs += [comment(f"c{i:02d}", t=10 + i) for i in range(9)]
         recs += [comment("czz", t=100), comment("caa", t=100)]
-        snap = truncate_comments(recs, 10)
-        ids = {r.id for r in snap.records}
+        ids = {r.id for r in kept(recs, truncation_mask(recs, 10))}
         assert "caa" in ids and "czz" not in ids
 
 
 class TestThresholdActivity:
     def test_below_threshold_removed(self):
-        snap = threshold_activity([comment("c1", author="once")], 2)
-        assert snap.total == 0
+        assert activity_mask([comment("c1", author="once")], 2).tolist() == [True]
 
     def test_boundary_kept(self):
         recs = [comment("c1", author="twice"), comment("c2", author="twice", t=300)]
-        snap = threshold_activity(recs, 2)
-        assert snap.total == 2
+        assert activity_mask(recs, 2).sum() == 0
 
     def test_author_census(self):
         counts = {"a": 1, "b": 1, "c": 2, "d": 3, "e": 7}
         recs = []
         for author, n in counts.items():
             recs += [comment(f"{author}{i}", author=author, t=10 + i) for i in range(n)]
-        snap = threshold_activity(recs, 2)
-        assert len({r.author for r in snap.records}) == 3
-        assert snap.manifest == {ACTIVITY_THRESHOLD: 2}
+        mask = activity_mask(recs, 2)
+        assert len({r.author for r in kept(recs, mask)}) == 3
+        assert mask.sum() == 2
 
 
 class TestDropDeleted:
     def test_deleted_author(self):
-        snap = drop_deleted([comment("c1", author="[deleted]")])
-        assert snap.total == 0
+        assert deleted_mask([comment("c1", author="[deleted]")]).tolist() == [True]
 
     def test_removed_body(self):
-        snap = drop_deleted([comment("c1", text="[removed]")])
-        assert snap.total == 0
+        assert deleted_mask([comment("c1", text="[removed]")]).tolist() == [True]
 
     def test_mention_inside_text_kept(self):
-        snap = drop_deleted([comment("c1", text="they [removed] it later")])
-        assert snap.total == 1
-        assert snap.manifest == {DELETED_REMOVAL: 0}
+        assert deleted_mask([comment("c1", text="they [removed] it later")]).tolist() == [False]
 
 
 class TestDuplicates:
@@ -351,13 +350,13 @@ class TestDuplicates:
         early = comment("c1", t=100, text="the first words")
         late = comment("c1", t=300, text="some later words")
         tie = comment("c1", t=100, text="tied with the first")
-        snap = snapshot(0, [late, early, tie])
-        assert snap.records == (early,)
+        snap = snapshot([late, early, tie])
+        assert snap.records == [early]
         assert snap.manifest == {DUPLICATE_REMOVAL: 2}
-        assert snapshot(0, [late, tie, early]).records == (tie,)
+        assert snapshot([late, tie, early]).records == [tie]
 
     def test_post_and_comment_may_share_an_id(self):
-        snap = snapshot(0, [post("x1"), comment("x1")])
+        snap = snapshot([post("x1"), comment("x1")])
         assert snap.total == 2
         assert snap.manifest == {DUPLICATE_REMOVAL: 0}
 
@@ -370,7 +369,7 @@ class TestRunPipeline:
     def test_synthetic_manifests_match_plants(self):
         dump = make_synthetic_dump(100, 600, seed=5)
         stages = run_pipeline(dump.records, PipelineSettings())
-        assert len(stages) == 7
+        assert len(stages) == N_STAGES
         for snap in stages:
             assert snap.manifest == dump.expected_removed[snap.stage_id]
             assert (snap.post_count, snap.comment_count) == dump.expected_counts[snap.stage_id]
@@ -398,14 +397,10 @@ class TestRunPipeline:
         dump = make_synthetic_dump(60, 300, seed=9)
         stages = run_pipeline(dump.records, PipelineSettings())
         stage1 = stages[1].records
-        again = filter_bots(stage1)
-        assert again.manifest == {BOT_REMOVAL: 0}
-        retrunc = truncate_comments(stage1, 10)
-        assert retrunc.manifest == {COMMENT_TRUNCATION: 0}
-        stage2 = stages[2].records
-        assert threshold_activity(stage2, 2).manifest == {ACTIVITY_THRESHOLD: 0}
-        stage3 = stages[3].records
-        assert drop_deleted(stage3).manifest == {DELETED_REMOVAL: 0}
+        assert bot_mask(stage1).sum() == 0
+        assert truncation_mask(stage1, 10).sum() == 0
+        assert activity_mask(stages[2].records, 2).sum() == 0
+        assert deleted_mask(stages[3].records).sum() == 0
 
     def test_manifest_conservation(self):
         dump = make_synthetic_dump(80, 400, seed=10)
@@ -430,7 +425,7 @@ class TestPersistence:
         dump = make_synthetic_dump(30, 150, seed=2)
         stages = run_pipeline(dump.records, PipelineSettings())
         write_stages(stages, tmp_path)
-        assert tuple(load_records(tmp_path / "stage0.records.jsonl")) == stages[0].records
+        assert load_records(tmp_path / "stage0.records.jsonl") == stages[0].records
         for snap in reversed(stages):
             manifest = json.loads(
                 (tmp_path / f"stage{snap.stage_id}.manifest.json").read_text()
@@ -439,7 +434,7 @@ class TestPersistence:
             assert manifest["post_count"] == snap.post_count
             assert manifest["comment_count"] == snap.comment_count
             assert manifest["removed"] == snap.manifest
-            assert latest_stage_records(tmp_path) == (snap.stage_id, list(snap.records))
+            assert latest_stage_records(tmp_path) == (snap.stage_id, snap.records)
             if snap.stage_id == 0:
                 break
             ledger_path = tmp_path / f"stage{snap.stage_id}.removed.jsonl"
@@ -525,7 +520,7 @@ def test_ledger_replay_gives_every_stage(records):
         out = Path(tmp)
         write_stages(stages, out)
         for snap in reversed(stages):
-            assert latest_stage_records(out) == (snap.stage_id, list(snap.records))
+            assert latest_stage_records(out) == (snap.stage_id, snap.records)
             records_path(out, snap.stage_id).unlink()
 
 

@@ -6,6 +6,7 @@ failing only when the benchmark runs.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -43,9 +44,9 @@ RUN_ALL_LAYERS = {
 }
 
 
-def test_traced_run_all_reaches_every_layer(monkeypatch, tmp_path):
-    """The tracer swaps module attributes, so a stage that held a traced
-    function in a table of its own would drop out of the traced run."""
+def traced_run_all(monkeypatch, tmp_path):
+    """The tracer module, the layer metrics of a traced agent-level run_all
+    and its output directory."""
     from dataclasses import replace
 
     from latentgraph.config import default_config
@@ -53,17 +54,35 @@ def test_traced_run_all_reaches_every_layer(monkeypatch, tmp_path):
 
     tracer_module = load_tracer(monkeypatch)
     posts, comments = make_synthetic_dump(30, 180, seed=5).write_dumps(tmp_path)
+    out = tmp_path / "out"
     config = replace(default_config(), k_agents=3, posts_path=str(posts),
-                     comments_path=str(comments), out_dir=str(tmp_path / "out"))
+                     comments_path=str(comments), out_dir=str(out))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         assert importlib.import_module("latentgraph.cli").run_all(config) == 0
     finally:
         tracer.uninstall()
-    calls = tracer_module.layer_metrics(tracer.spans, tracer.counters)
+    return tracer_module, tracer_module.layer_metrics(tracer.spans, tracer.counters), out
+
+
+def test_traced_run_all_reaches_every_layer(monkeypatch, tmp_path):
+    """The tracer swaps module attributes, so a stage that held a traced
+    function in a table of its own would drop out of the traced run."""
+    tracer_module, calls, _ = traced_run_all(monkeypatch, tmp_path)
     reached = {name for name in tracer_module.SPAN_NAMES if calls[f"{name}.calls"] > 0}
     assert reached == RUN_ALL_LAYERS
+
+
+def test_traced_run_all_stage_counters_match_the_written_stages(monkeypatch, tmp_path):
+    """The tracer reads run_pipeline's result and write_stages' argument; its
+    kept ratio and stage bytes must agree with what run_all wrote."""
+    _, layers, out = traced_run_all(monkeypatch, tmp_path)
+    counts = json.loads((out / "run_manifest.json").read_text())["stage_counts"]
+    totals = [c["posts"] + c["comments"] for c in counts]
+    assert layers["ingest.run_pipeline.kept_ratio"] == totals[-1] / totals[0]
+    stage_bytes = sum(path.stat().st_size for path in out.glob("stage*"))
+    assert layers["ingest.write_stages.bytes"] == stage_bytes > 0
 
 
 def test_traced_extraction_compares_each_thread_pair_once(monkeypatch):

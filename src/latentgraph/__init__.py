@@ -30,4 +30,4 @@ from .ingest import (  # noqa: F401
     run_pipeline,
 )
 from .metrics import MetricsReport, full_report  # noqa: F401
-from .profiles import AgentProfile, UserVectors, cluster_users, vectorize_user  # noqa: F401
+from .profiles import AgentProfile, UserVectors, cluster_users  # noqa: F401

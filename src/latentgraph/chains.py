@@ -10,12 +10,15 @@ successor inside its chain.  The census sorts threads by the DAG's shape:
 no edge, only single-edge paths, or a node with both a predecessor and a
 successor; it needs no path enumeration and no cap applies to it.
 
-Similarities come from the records' integer term counts (``profiles.TermTable``),
-a block of threads at a time: a self-join on (thread, bucket) gives every
-pair that shares a bucket with its exact dot product, and a pair sharing none
-has cosine 0.  A cosine within ``SIM_BAND`` of a threshold is recomputed as
-``float(v_i @ v_j)`` of the normalized vectors, so every decision is the one
-that per-pair float would make.
+Similarities come from the records' integer term counts in one
+``profiles.TermTable``: the agents stage's table in ``run-all``, else one
+``term_table`` call here.  ``extract_chains`` is the only scorer.  It takes a
+block of threads at a time: a self-join on (thread, bucket) gives every pair
+that shares a bucket with its exact dot product, and a pair sharing none has
+cosine 0.  A cosine within ``SIM_BAND`` of a threshold is recomputed as
+``float(v_i @ v_j)`` of the normalized vectors (``TermTable.vector``), so
+every decision is the one that per-pair float would make.  ``connect`` only
+assembles a thread's DAG from the successor lists the pass computed.
 """
 
 from __future__ import annotations
@@ -208,22 +211,15 @@ class _Block:
 
 
 def _blocks(threads: Sequence[Thread], thresholds: Sequence[float],
-            records: Sequence[RawRecord] | None = None,
-            table: TermTable | None = None) -> Iterator[_Block]:
-    """The threads scored ``BLOCK_THREADS`` at a time.
-
-    ``table`` holds the terms of ``records``, in order; without it one is
-    built over the threads' own records.
-    """
+            records: Sequence[RawRecord], table: TermTable) -> Iterator[_Block]:
+    """The threads scored ``BLOCK_THREADS`` at a time; ``table`` holds the
+    terms of ``records``, in order."""
     # A pair that shares no bucket has cosine 0; only a threshold in (0, 1)
     # keeps it unlinked without scoring it.
     for threshold in thresholds:
         if not 0.0 < threshold < 1.0:
             raise ConfigError(f"similarity thresholds must lie in (0, 1), got {threshold}")
-    if table is None:
-        records = [rec for thread in threads for rec in thread.records]
-        table, _, _ = term_table(records)
-    elif len(records) != len(table.offsets) - 1:
+    if len(records) != len(table.offsets) - 1:
         raise ValueError("the term table does not hold one row per record")
     # Threads hold the records themselves, so a record's row is found by identity.
     row_of = {id(rec): row for row, rec in enumerate(records)}
@@ -233,19 +229,12 @@ def _blocks(threads: Sequence[Thread], thresholds: Sequence[float],
 
 def connect(
     thread: Thread,
-    sim_threshold: float = DEFAULT_SIM_THRESHOLD,
+    children: Sequence[Sequence[int]],
     agent_of: Mapping[str, str] | None = None,
-    children: Sequence[Sequence[int]] | None = None,
 ) -> SemanticGraph:
-    """Build the semantic DAG of one thread.
-
-    Records are ordered by (time, id); i links to j when i precedes j and
-    cosine(v_i, v_j) exceeds the threshold (strictly).  ``children`` are the
-    successor lists when a batched pass has already scored the thread.
-    """
-    if children is None:
-        (block,) = _blocks([thread], [sim_threshold])
-        (children,) = block.children(sim_threshold)
+    """The semantic DAG of one thread, from the successor lists its block
+    computed: records in (time, id) order, i linked to each j in
+    ``children[i]``, its nodes labelled by ``agent_of``."""
     agent_of = agent_of or {}
     nodes = tuple(
         ChainNode(rec.id, agent_of.get(rec.author, rec.author), rec.created_utc)
@@ -335,8 +324,8 @@ def extract_chains(
 ) -> tuple[list[InteractionChain], dict]:
     """Full pass: thread grouping, semantic DAGs, linearization, ranking.
 
-    ``table`` is the term table of ``records`` when one is already built.
-    The manifest carries the census counts of the threads at
+    ``table`` is the term table of ``records``; without it one is built over
+    all of them.  The manifest carries the census counts of the threads at
     ``sim_threshold``, and with ``census_thresholds`` the census rows at
     each of them under ``census_rows``; one similarity pass serves all.
     """
@@ -347,14 +336,18 @@ def extract_chains(
     truncated_posts = 0
     counts = np.zeros((len(thresholds), len(CENSUS_CATEGORIES)), dtype=np.int64)
     threads = group_threads(records)
+    if table is None:
+        table, _, _ = term_table(records)
     for block in _blocks(threads, thresholds, records, table):
-        _add_census(counts, block, thresholds)
+        for row, threshold in zip(counts, thresholds):
+            row += np.bincount(block.categories(threshold), minlength=len(CENSUS_CATEGORIES))
         for thread, children in zip(block.threads, block.children(sim_threshold)):
-            chains, stats = linearize(connect(thread, sim_threshold, agent_of, children))
+            chains, stats = linearize(connect(thread, children, agent_of))
             if stats.truncated_chains or stats.truncated_depth:
                 truncated_posts += 1
             all_chains.extend(chains)
-    rows = _census_rows(counts, thresholds)
+    rows = [{"threshold": t, **dict(zip(CENSUS_CATEGORIES, row))}
+            for t, row in zip(thresholds, counts.tolist())]
     manifest = {
         "threads": len(threads),
         "chains_total": len(all_chains),
@@ -368,31 +361,11 @@ def extract_chains(
     return rank_and_select(all_chains, top_k), manifest
 
 
-# ---------------------------------------------------------------------------
-# Census
-# ---------------------------------------------------------------------------
-
-def _add_census(counts: np.ndarray, block: _Block, thresholds: Sequence[float]) -> None:
-    for row, threshold in zip(counts, thresholds):
-        row += np.bincount(block.categories(threshold), minlength=len(CENSUS_CATEGORIES))
-
-
-def _census_rows(counts: np.ndarray, thresholds: Sequence[float]) -> list[dict]:
-    return [{"threshold": t, **dict(zip(CENSUS_CATEGORIES, row))}
-            for t, row in zip(thresholds, counts.tolist())]
-
-
 def chain_census(threads: Sequence[Thread], thresholds: Sequence[float]) -> list[dict]:
-    """Post counts per chain-complexity category at each threshold.
-
-    Categories: no edge at all, only single-edge maximal paths, or at least
-    one longer path.  One similarity pass serves every threshold.  Counts
-    per threshold always sum to the thread count.
-    """
-    counts = np.zeros((len(thresholds), len(CENSUS_CATEGORIES)), dtype=np.int64)
-    for block in _blocks(threads, thresholds):
-        _add_census(counts, block, thresholds)
-    return _census_rows(counts, thresholds)
+    """Post counts per chain-complexity category at each threshold: the
+    ``census_rows`` of one ``extract_chains`` over the threads' records."""
+    records = [rec for thread in threads for rec in thread.records]
+    return extract_chains(records, census_thresholds=thresholds)[1]["census_rows"]
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,8 @@ def chains_stage(records, config: RunConfig, out: Path, agent_of=None,
                  top_k: int = chainsmod.DEFAULT_TOP_K, census_thresholds=None, table=None):
     """The top chains, written to ``out``, and ``census.csv`` beside it: one row
     at ``sim_threshold``, or one per ``census_thresholds``, all from one
-    similarity pass over ``table`` (the records' term table, built here when
-    not given).  Both are computed before either is written."""
+    similarity pass over ``table``, the records' term table (``extract_chains``
+    builds it when none is given).  Both are computed before either is written."""
     if census_thresholds is None:
         census_thresholds = [config.sim_threshold]
     selected, manifest = chainsmod.extract_chains(records, config.sim_threshold, top_k, agent_of,

@@ -158,7 +158,15 @@ def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _required(source: Path, value: str | None, missing: str) -> str:
+    if value is None:
+        raise DataError(f"{source}: {missing}")
+    return value
+
+
 def load_graphml(path: str | Path) -> InteractionGraph:
+    """The graph of a GraphML file as ``write_graphml`` writes it: every node
+    has an id, and every edge its source, target, weight and status."""
     source = Path(path)
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     try:
@@ -169,20 +177,20 @@ def load_graphml(path: str | Path) -> InteractionGraph:
     graph_el = tree.getroot().find("g:graph", ns)
     if graph_el is None:
         raise DataError(f"{source}: no <graph> element")
-    nodes = []
+    nodes = [_required(source, node_el.get("id"), "a <node> has no id")
+             for node_el in graph_el.findall("g:node", ns)]
     edges = []
-    for node_el in graph_el.findall("g:node", ns):
-        nodes.append(node_el.get("id") or "")
     for edge_el in graph_el.findall("g:edge", ns):
+        ends = [_required(source, edge_el.get(end), f"an <edge> has no {end}")
+                for end in ("source", "target")]
         data = {data_el.get("key"): data_el.text for data_el in edge_el.findall("g:data", ns)}
+        weight, status = (_required(source, data.get(key), f"edge {ends[0]!r} -> {ends[1]!r} "
+                                    f"has no {key} data") for key in ("weight", "status"))
         try:
-            weight = int(data.get("weight") or 1)
-            status = FollowStatus(data.get("status") or "maybe")
+            edges.append(FollowEdge(*ends, windows_hit=0, total_comments=int(weight),
+                                    status=FollowStatus(status)))
         except ValueError as exc:
             raise DataError(f"{source}: bad edge data: {exc}") from exc
-        edges.append(FollowEdge(source=edge_el.get("source") or "",
-                                target=edge_el.get("target") or "",
-                                windows_hit=0, total_comments=weight, status=status))
     undeclared = sorted({end for e in edges for end in (e.source, e.target)} - set(nodes))
     if undeclared:
         raise DataError(f"{source}: edge endpoints {undeclared} are not declared <node>s")

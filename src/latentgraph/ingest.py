@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -531,24 +531,31 @@ def write_stages(
             fh.writelines(json_document({**payload, **(extra or {})}))
 
 
-def load_records(
-    path: str | Path, drop: Container[tuple[str, str]] = frozenset()
-) -> list[RawRecord]:
-    """Read a normalized records file, leaving out the (kind, id) pairs in ``drop``."""
-    return [rec for rec in decode_lines(path, "stage record", decode_record)
-            if (rec.kind.value, rec.id) not in drop]
+def load_records(path: str | Path) -> list[RawRecord]:
+    """Read a normalized records file."""
+    return list(decode_lines(path, "stage record", decode_record))
 
 
-def _ledger_key(obj: object) -> tuple[str, str]:
-    """The (kind, id) a removal-ledger row names."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a ledger row must be a JSON object, got {type(obj).__name__}")
-    return RecordKind(obj.get("kind")).value, read_id(obj, "id")
+def _ledger_row(stage_id: int) -> Callable[[object], tuple[str, str]]:
+    """Decoder of stage ``stage_id``'s removal-ledger rows: the (kind, id) a
+    row names, its reason being one of the stage's filters."""
+    reasons = tuple(key for stage, key in FILTERS if stage == stage_id)
+
+    def decode(obj: object) -> tuple[str, str]:
+        if not isinstance(obj, dict):
+            raise ValueError(f"a ledger row must be a JSON object, got {type(obj).__name__}")
+        key = RecordKind(obj.get("kind")).value, read_id(obj, "id")
+        if obj.get("reason") not in reasons:
+            raise ValueError(f"reason {obj.get('reason')!r} is not a filter of stage {stage_id}")
+        return key
+
+    return decode
 
 
 def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
     """Records of the highest stage with a removal ledger (stage 0 without one):
-    stage 0 less every record the ledgers up to that stage name."""
+    stage 0 less every record the ledgers up to that stage name.  Each ledger
+    row must remove one stage-0 record that no other row removes."""
     base = Path(directory)
     if not records_path(base, 0).exists():
         raise DataError(f"no stage records found under {base}")
@@ -556,6 +563,21 @@ def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
         raise DataError(f"{base} holds per-stage record files of an older format; "
                         "preprocess into a fresh directory")
     stage_id = max((k for k in range(1, N_STAGES) if records_path(base, k).exists()), default=0)
-    removed = {key for k in range(1, stage_id + 1)
-               for key in decode_lines(records_path(base, k), "removal ledger", _ledger_key)}
-    return stage_id, load_records(records_path(base, 0), removed)
+    rows = [(k, key) for k in range(1, stage_id + 1)
+            for key in decode_lines(records_path(base, k), "removal ledger", _ledger_row(k))]
+    removed = {key for _, key in rows}
+    records, matched = [], []
+    for rec in decode_lines(records_path(base, 0), "stage record", decode_record):
+        key = (rec.kind.value, rec.id)
+        if key in removed:
+            matched.append(key)
+        else:
+            records.append(rec)
+    if len(matched) != len(rows):
+        unmatched = Counter(key for _, key in rows)
+        unmatched.subtract(matched)
+        first = next((f"; {records_path(base, k)} names {key}, which matches none"
+                      for k, key in rows if unmatched[key] > 0), "")
+        raise DataError(f"{base}: the removal ledgers hold {len(rows)} rows but remove "
+                        f"{len(matched)} stage-0 records{first}")
+    return stage_id, records

@@ -90,7 +90,7 @@ class TermTable(NamedTuple):
     user_of: np.ndarray  # int32, one entry per record
 
     def vector(self, row: int) -> np.ndarray:
-        """One record's normalized term vector: ``vectorize_user([text])``."""
+        """One record's term counts, L2-normalized; no tokens gives the zero vector."""
         start, end = self.offsets[row], self.offsets[row + 1]
         counts = np.bincount(self.buckets[start:end], minlength=self.dim)
         return _normalize(counts.astype(np.float64))
@@ -115,19 +115,6 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
 def _check_dim(dim: int) -> None:
     if dim < 16:
         raise ConfigError(f"vector dimension must be >= 16, got {dim}")
-
-
-def vectorize_user(texts: Sequence[str], dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Hashed term-frequency vector over all texts, L2-normalized.
-
-    No usable tokens gives the zero vector.
-    """
-    _check_dim(dim)
-    vec = np.zeros(dim, dtype=np.float64)
-    for text in texts:
-        for token in tokenize(text):
-            vec[token_bucket(token, dim)] += 1.0
-    return _normalize(vec)
 
 
 def term_table(

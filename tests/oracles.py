@@ -5,13 +5,17 @@ library: window materialization instead of index arithmetic, Floyd-Warshall
 instead of BFS, triple loops instead of adjacency intersection, exhaustive
 partition search instead of greedy merging, a greedy modularity run that
 rebuilds its community-pair table after every merge instead of updating it,
-and path collection by dynamic programming instead of DFS enumeration.
+path collection by dynamic programming instead of DFS enumeration, and term
+vectors from per-token counters instead of a bucket table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import re
+from collections import Counter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -394,6 +398,38 @@ def oracle_maximal_paths(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
                 if len(path) > 1:
                     result.add(path)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Hashed term vectors
+# ---------------------------------------------------------------------------
+
+# Under re.ASCII, [^\W_] is [A-Za-z0-9]; lowercased text holds no A-Z.
+_WORD = re.compile(r"[^\W_]+", re.ASCII)
+
+
+def oracle_fnv1a(data: bytes) -> int:
+    """FNV-1a 64-bit, from the published offset basis and prime."""
+    h = 14695981039346656037
+    for b in data:
+        h = ((h ^ b) * 1099511628211) % (2**64)
+    return h
+
+
+def oracle_term_vector(texts: Sequence[str], dim: int = 4096) -> np.ndarray:
+    """The L2-normalized hashed term frequencies of ``texts``: each distinct
+    token's count lands in its FNV-1a bucket; no token gives the zero vector."""
+    tokens = Counter(token for text in texts for token in _WORD.findall(text.lower()))
+    buckets: Counter = Counter()
+    for token, n in tokens.items():
+        buckets[oracle_fnv1a(token.encode("utf-8")) % dim] += n
+    vec = np.zeros(dim)
+    if buckets:
+        # The squared norm is an exact integer, so its root is the one rounding.
+        norm = math.sqrt(sum(n * n for n in buckets.values()))
+        for bucket, n in buckets.items():
+            vec[bucket] = n / norm
+    return vec
 
 
 # ---------------------------------------------------------------------------

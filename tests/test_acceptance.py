@@ -8,8 +8,10 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from latentgraph import chains as chainsmod
-from latentgraph.chains import connect, linearize
+from latentgraph.chains import extract_chains, linearize
 from latentgraph.cli import run_all
 from latentgraph.config import default_config
 from latentgraph.inference import (
@@ -29,7 +31,6 @@ from latentgraph.metrics import (
 )
 from latentgraph.errors import UndefinedMetricError
 from latentgraph.ingest import N_STAGES, PipelineSettings, run_pipeline
-from latentgraph.profiles import vectorize_user
 from latentgraph.synthetic import make_synthetic_dump
 from latentgraph.temporal import triad_series, triangle_closures
 from oracles import (
@@ -42,6 +43,7 @@ from oracles import (
     oracle_density,
     oracle_maximal_paths,
     oracle_reciprocity,
+    oracle_term_vector,
     oracle_triangle_count,
     random_digraph,
 )
@@ -257,8 +259,8 @@ def test_criterion_7_chain_extraction_equivalence():
     # Strict inequality at the similarity threshold: a cosine of exactly 0.1
     # (one shared token out of a hundred) must not create an edge.
     tokens = [f"tok{i:03d}" for i in range(100)]
-    v_wide = vectorize_user([" ".join(tokens)], 4096)
-    v_narrow = vectorize_user([tokens[0]], 4096)
+    v_wide = oracle_term_vector([" ".join(tokens)], 4096)
+    v_narrow = oracle_term_vector([tokens[0]], 4096)
     cosine = float(v_wide @ v_narrow)
     ok &= cosine == 0.1
     from latentgraph.ingest import RawRecord, RecordKind
@@ -267,8 +269,10 @@ def test_criterion_7_chain_extraction_equivalence():
                       text=" ".join(tokens), subreddit="s")
     reply = RawRecord(id="c1", kind=RecordKind.COMMENT, author="rep", created_utc=200,
                       text=tokens[0], subreddit="s", link_id="p1", parent_id="p1")
-    dag = connect(chainsmod.Thread(post=posts, comments=(reply,)), 0.1)
-    ok &= dag.children[0] == ()
+    # The batched pass links the pair just below 0.1, and not at 0.1.
+    for threshold, linked in ((0.1, 0), (float(np.nextafter(0.1, 0)), 1)):
+        _, manifest = extract_chains([posts, reply], threshold)
+        ok &= manifest["census"] == {"no_chain": 1 - linked, "len_eq_1": linked, "len_gt_1": 0}
     crit.finish(ok)
 
 

@@ -1,18 +1,19 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentgraph import chains as chainsmod
 from latentgraph.errors import ConfigError
 from latentgraph.chains import (
     BLOCK_THREADS,
     SemanticGraph,
     Thread,
     chain_census,
-    connect,
     extract_chains,
     group_threads,
     linearize,
@@ -21,8 +22,7 @@ from latentgraph.chains import (
     write_census_csv,
 )
 from latentgraph.ingest import RawRecord, RecordKind
-from latentgraph.profiles import vectorize_user
-from oracles import oracle_maximal_paths
+from oracles import oracle_maximal_paths, oracle_term_vector
 
 
 def post(pid, author="op", t=100, text="shared topic words here"):
@@ -42,15 +42,36 @@ def thread_of(texts, base_text="alpha beta gamma"):
     return Thread(post=records[0], comments=tuple(records[1:]))
 
 
+def extraction_dags(records, threshold, agent_of=None):
+    """(thread, DAG) of every thread, in the order ``extract_chains``' batched
+    pass builds them."""
+    built = []
+    real = chainsmod.connect
+
+    def spy(thread, *args, **kwargs):
+        built.append((thread, real(thread, *args, **kwargs)))
+        return built[-1][1]
+
+    with mock.patch.object(chainsmod, "connect", spy):
+        extract_chains(records, threshold, agent_of=agent_of)
+    return built
+
+
+def scored(thread, threshold, agent_of=None):
+    """The DAG of ``thread`` scored alone by the batched pass."""
+    ((_, dag),) = extraction_dags(thread.records, threshold, agent_of)
+    return dag
+
+
 class TestConnect:
     def test_identical_texts_connected(self):
         thread = thread_of(["alpha beta gamma"])
-        dag = connect(thread, 0.1)
+        dag = scored(thread, 0.1)
         assert dag.children[0] == (1,)
 
     def test_disjoint_vocab_not_connected(self):
         thread = thread_of(["delta epsilon zeta"])
-        dag = connect(thread, 0.1)
+        dag = scored(thread, 0.1)
         assert dag.children[0] == ()
 
     def test_exact_threshold_excluded(self):
@@ -60,21 +81,21 @@ class TestConnect:
         tokens = [f"tok{i:03d}" for i in range(100)]
         wide = " ".join(tokens)
         narrow = tokens[0]
-        v_wide = vectorize_user([wide], 4096)
-        v_narrow = vectorize_user([narrow], 4096)
+        v_wide = oracle_term_vector([wide], 4096)
+        v_narrow = oracle_term_vector([narrow], 4096)
         assert len(np.flatnonzero(v_wide)) == 100  # hash-collision free
         cosine = float(v_wide @ v_narrow)
         assert cosine == 0.1
         thread = thread_of([narrow], base_text=wide)
-        dag = connect(thread, 0.1)
+        dag = scored(thread, 0.1)
         assert dag.children[0] == ()
         # Barely above the threshold it does connect.
-        dag_looser = connect(thread, 0.0999)
+        dag_looser = scored(thread, 0.0999)
         assert dag_looser.children[0] == (1,)
 
     def test_edges_respect_time_order(self):
         thread = thread_of(["alpha beta gamma", "alpha beta gamma"])
-        dag = connect(thread, 0.1)
+        dag = scored(thread, 0.1)
         for i, children in enumerate(dag.children):
             for j in children:
                 assert (dag.nodes[i].time, dag.nodes[i].record_id) < (
@@ -86,7 +107,7 @@ class TestConnect:
         records.append(com("cb", 100, "alpha beta"))
         records.append(com("ca", 100, "alpha beta"))
         thread = Thread(post=records[0], comments=tuple(records[1:]))
-        dag = connect(thread, 0.1)
+        dag = scored(thread, 0.1)
         ids = [n.record_id for n in dag.nodes]
         assert ids == ["ca", "cb", "p1"]  # (time, id) ascending
 
@@ -255,7 +276,7 @@ class TestChainCensus:
         for i in range(1, 70):
             records.append(com(f"c{i:02d}", 100 + i, f"w{i:02d} w{i + 1:02d}"))
         threads = group_threads(records)
-        assert connect(threads[0], 0.1).edge_count == 69
+        assert scored(threads[0], 0.1).edge_count == 69
         rows = chain_census(threads, [0.1])
         assert rows[0] == {"threshold": 0.1, "no_chain": 0, "len_eq_1": 0, "len_gt_1": 1}
         _, manifest = extract_chains(records, 0.1)
@@ -291,8 +312,8 @@ class TestEndToEnd:
         for chain in selected:
             pairs = zip(chain.nodes, chain.nodes[1:])
             for a, b in pairs:
-                v_a = vectorize_user([text_of[a.record_id]])
-                v_b = vectorize_user([text_of[b.record_id]])
+                v_a = oracle_term_vector([text_of[a.record_id]])
+                v_b = oracle_term_vector([text_of[b.record_id]])
                 assert float(v_a @ v_b) > 0.1
                 assert (a.time, a.record_id) < (b.time, b.record_id)
 
@@ -321,10 +342,10 @@ class TestEndToEnd:
 # ---------------------------------------------------------------------------
 
 def legacy_children(thread, threshold):
-    """Successor lists from ``float(v_i @ v_j)`` of each pair's normalized
+    """Successor lists from ``float(v_i @ v_j)`` of each pair's reference
     vectors, children in record-id order."""
     ordered = sorted(thread.records, key=lambda r: (r.created_utc, r.id))
-    vectors = [vectorize_user([r.text]) for r in ordered]
+    vectors = [oracle_term_vector([r.text]) for r in ordered]
     return tuple(
         tuple(sorted((j for j in range(i + 1, len(ordered))
                       if float(vectors[i] @ vectors[j]) > threshold),
@@ -344,10 +365,10 @@ def on_threshold(k):
 def test_cosine_on_the_threshold_does_not_link(k):
     wide, narrow = on_threshold(k)
     threshold = 1 / math.sqrt(k)
-    assert float(vectorize_user([wide]) @ vectorize_user([narrow])) == threshold
+    assert float(oracle_term_vector([wide]) @ oracle_term_vector([narrow])) == threshold
     thread = thread_of([narrow], base_text=wide)
-    assert connect(thread, threshold).children[0] == ()
-    assert connect(thread, float(np.nextafter(threshold, 0))).children[0] == (1,)
+    assert scored(thread, threshold).children[0] == ()
+    assert scored(thread, float(np.nextafter(threshold, 0))).children[0] == (1,)
 
 
 _WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "tok000", "tok001", "zeta"])
@@ -375,33 +396,23 @@ def scored_threads(draw):
 @given(scored_threads())
 def test_integer_similarities_decide_like_the_float(case):
     thread, threshold = case
-    assert connect(thread, threshold).children == legacy_children(thread, threshold)
+    assert scored(thread, threshold).children == legacy_children(thread, threshold)
 
 
 @pytest.mark.parametrize("block_threads", [7, BLOCK_THREADS])
 def test_connect_alone_matches_the_batched_extraction(monkeypatch, block_threads):
-    from latentgraph import chains as chainsmod
     from latentgraph.synthetic import make_synthetic_dump
 
     records = make_synthetic_dump(40, 240, seed=6).records
     agent_of = {r.author: f"A{len(r.author) % 3}" for r in records}
-    batched = []
-    real = chainsmod.connect
-
-    def spy(thread, *args, **kwargs):
-        dag = real(thread, *args, **kwargs)
-        batched.append((thread, dag))
-        return dag
-
     monkeypatch.setattr(chainsmod, "BLOCK_THREADS", block_threads)
-    monkeypatch.setattr(chainsmod, "connect", spy)
-    chainsmod.extract_chains(records, 0.2, agent_of=agent_of)
+    batched = extraction_dags(records, 0.2, agent_of)
     monkeypatch.undo()
     threads = group_threads(records)
     assert [thread for thread, _ in batched] == threads
     for thread, dag in batched:
         assert isinstance(dag, SemanticGraph)
-        assert connect(thread, 0.2, agent_of) == dag
+        assert scored(thread, 0.2, agent_of) == dag
         assert dag.children == legacy_children(thread, 0.2)
 
 

@@ -639,6 +639,9 @@ GOOD_EDGES = f"{EDGE_HEADER}\n{GOOD_EDGE}\n".encode()
 AGENT = {"agent_id": "A000", "label": "a", "members": ["A"], "centroid": [1.0], "keywords": []}
 LEDGER_ROW = b'{"kind":"post","id":"nope","reason":"bot_removal"}\n'
 LEDGER = "{tmp}/stages/stage1.removed.jsonl"
+GRAPHML = graphml("AB", ("A", "B", 3, "maybe"))
+# A node named "", which an edge end left out must not stand for.
+GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/>')
 
 
 @pytest.mark.parametrize("files, argv, code, named", [
@@ -689,6 +692,33 @@ LEDGER = "{tmp}/stages/stage1.removed.jsonl"
                  ["agents", "--in", "{tmp}/stages"], 2, LEDGER + ":2", id="ledger-row-bad-kind"),
     pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW + b'["post", "p"]\n'},
                  ["chains", "--in", "{tmp}/stages"], 2, LEDGER + ":2", id="ledger-row-not-an-object"),
+    pytest.param({"stages/stage1.removed.jsonl":
+                  LEDGER_ROW + b'{"kind":"post","id":"p000000","reason":"activity_threshold"}\n'},
+                 ["chains", "--in", "{tmp}/stages"], 2, LEDGER + ":2",
+                 id="ledger-row-reason-of-another-stage"),
+    # A row naming no stage-0 record is refused once every ledger row is read.
+    pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW},
+                 ["agents", "--in", "{tmp}/stages"], 2, LEDGER, id="ledger-row-matching-nothing"),
+    # metrics reads back only what graph build writes.
+    pytest.param({"g.graphml": graphml("AB").replace(
+                     "</graph>", '<edge source="A" target="B"></edge></graph>').encode()},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-edge-without-data"),
+    pytest.param({"g.graphml": GRAPHML.replace('<node id="A"/>', '<node id="A"/><node/>').encode()},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-node-without-id"),
+    pytest.param({"g.graphml": GRAPHML_EMPTY_ID.replace(' source="A"', "").encode()},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-edge-without-source"),
+    pytest.param({"g.graphml": GRAPHML_EMPTY_ID.replace(' target="B"', "").encode()},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-edge-without-target"),
+    pytest.param({"g.graphml": GRAPHML.replace('<data key="weight">3</data>', "").encode()},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-edge-without-weight"),
+    pytest.param({"g.graphml": GRAPHML.replace('<data key="status">maybe</data>', "").encode()},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-edge-without-status"),
     pytest.param({}, ["run-all", "--posts", "{tmp}/nope.jsonl", "--comments", "{comments}"], 2,
                  "{tmp}/nope.jsonl", id="run-all-missing-posts"),
     pytest.param({}, ["run-all", "--posts", "{posts}", "--comments", "{comments}",

@@ -1,8 +1,10 @@
+import ast
 import json
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +30,10 @@ from latentgraph.profiles import (
     token_bucket,
     tokenize,
     top_terms,
-    vectorize_user,
     TextCounts,
 )
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
+from oracles import oracle_fnv1a, oracle_term_vector
 
 
 # JSON text of ``vector`` values that are not a non-empty 1-D list of finite
@@ -66,24 +68,22 @@ def user_vectors(user_texts, dim, lexicon=None):
     return build_user_vectors(table), vocab, counts
 
 
-def independent_fnv1a(data: bytes) -> int:
-    # Written from the published constants, independent of the library.
-    h = 14695981039346656037
-    for b in data:
-        h = ((h ^ b) * 1099511628211) % (2**64)
-    return h
+def record_vectors(texts, dim):
+    """The term-table vector of each text, one record per text."""
+    table, _, _ = term_table(records_of({"u": texts}), dim)
+    return [table.vector(row) for row in range(len(texts))]
 
 
 class TestVectorize:
     def test_fnv_constants(self):
         for token in ("solar", "wind", "a", ""):
-            assert fnv1a_64(token.encode()) == independent_fnv1a(token.encode())
+            assert fnv1a_64(token.encode()) == oracle_fnv1a(token.encode())
 
     def test_hand_hashed_buckets(self):
         dim = 4096
-        vec = vectorize_user(["solar solar wind"], dim)
-        b_solar = independent_fnv1a(b"solar") % dim
-        b_wind = independent_fnv1a(b"wind") % dim
+        (vec,) = record_vectors(["solar solar wind"], dim)
+        b_solar = oracle_fnv1a(b"solar") % dim
+        b_wind = oracle_fnv1a(b"wind") % dim
         assert b_solar != b_wind
         nonzero = set(np.flatnonzero(vec))
         assert nonzero == {b_solar, b_wind}
@@ -92,45 +92,47 @@ class TestVectorize:
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_empty_text_zero_vector(self):
-        assert not np.any(vectorize_user([], 64))
-        assert not np.any(vectorize_user(["", "  ", "!!"], 64))
+        texts = ["", "  ", "!!"]
+        assert not np.any(record_vectors(texts, 64))
+        vectors, _, _ = user_vectors({"u": texts}, 64)
+        assert not np.any(vectors.matrix)
 
     def test_determinism(self):
         texts = ["The quick brown fox?", "jumps over 2 lazy dogs!"]
-        a = vectorize_user(texts, 256)
-        b = vectorize_user(list(texts), 256)
+        a = user_vectors({"u": texts}, 256)[0].matrix
+        b = user_vectors({"u": list(texts)}, 256)[0].matrix
         assert np.array_equal(a, b)
 
     def test_dim_floor(self):
         with pytest.raises(ConfigError):
-            vectorize_user(["x"], 8)
+            term_table(records_of({"u": ["x"]}), 8)
 
     def test_tokenizer_lowercases_alnum(self):
         assert tokenize("Hello, WORLD-42!") == ["hello", "world", "42"]
 
     def test_bucket_stable(self):
-        assert token_bucket("solar", 4096) == independent_fnv1a(b"solar") % 4096
+        assert token_bucket("solar", 4096) == oracle_fnv1a(b"solar") % 4096
 
     def test_term_table_holds_each_records_buckets(self):
         records = records_of({"u2": ["Solar solar, wind!", ""], "u1": ["wind"]})
         table, vocab, _ = term_table(records, 4096)
-        solar, wind = (independent_fnv1a(t) % 4096 for t in (b"solar", b"wind"))
+        solar, wind = (oracle_fnv1a(t) % 4096 for t in (b"solar", b"wind"))
         assert table.buckets.tolist() == [solar, solar, wind, wind]
         assert table.offsets.tolist() == [0, 3, 3, 4]
         assert table.users == ("u1", "u2")
         assert table.user_of.tolist() == [1, 1, 0]
         assert vocab == {solar: Counter(solar=2), wind: Counter(wind=2)}
         for row, record in enumerate(records):
-            assert np.array_equal(table.vector(row), vectorize_user([record.text], 4096))
+            assert np.array_equal(table.vector(row), oracle_term_vector([record.text], 4096))
 
-    def test_user_vector_is_vectorize_user(self):
+    def test_user_vector_is_the_reference_vector(self):
         # Agents and chains read the same terms: a user's vector is the
-        # per-record vector of all its texts.
+        # reference vector of all its texts.
         texts = planted_users(3)
         vectors, _, _ = user_vectors(texts, 256)
         assert vectors.users == tuple(sorted(texts))
         for user, row in zip(*vectors):
-            assert np.array_equal(row, vectorize_user(texts[user], 256))
+            assert np.array_equal(row, oracle_term_vector(texts[user], 256))
 
 
 def planted_users(n_per_group=20, seed=0):
@@ -413,6 +415,21 @@ def test_chains_tokenize_each_thread_record_once(monkeypatch):
     assert len(calls) == sum(len(t.records) for t in threads)
 
 
+def test_only_term_table_tokenizes():
+    """Every term vector comes from one pass: in the package only
+    ``profiles.term_table`` tokenizes and hashes tokens, and only the agents
+    stage and ``extract_chains`` build a term table."""
+    callers = defaultdict(set)
+    for path in sorted(Path(profiles.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers["tokenize"] == callers["token_bucket"] == {"profiles.term_table"}
+    assert callers["term_table"] == {"cli.agents_stage", "chains.extract_chains"}
+
+
 _ORACLE_TOKEN = re.compile(r"[a-z0-9]+")
 _ORACLE_SENTENCE = re.compile(r"(?<=[.!?])\s+")
 
@@ -486,6 +503,18 @@ def test_counts_match_per_text_features(user_texts, lexicon):
     texts = [t for u in members for t in user_texts[u]]
     assert enriched.emotion == oracle_emotion(texts, lexicon)
     assert enriched.style == oracle_style(texts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(["u1", "u2", "u3"]), _TEXTS, min_size=1))
+def test_term_vectors_match_the_reference_vectorizer(user_texts):
+    # Few buckets, so colliding tokens share one.
+    records = records_of(user_texts)
+    table, _, _ = term_table(records, 16)
+    for row, record in enumerate(records):
+        assert np.array_equal(table.vector(row), oracle_term_vector([record.text], 16))
+    for user, row in zip(*build_user_vectors(table)):
+        assert np.array_equal(row, oracle_term_vector(user_texts[user], 16))
 
 
 def test_run_all_tokenizes_each_final_record_once(monkeypatch, dump_files, tmp_path):

@@ -7,17 +7,22 @@ fewer than ``maybe_min`` windows means no relation, at least ``maybe_min``
 but fewer than ``forsure_min`` a tentative ("maybe") follow, and
 ``forsure_min`` or more a confirmed ("forsure") follow.  Defaults are 2 and
 3, so exactly two active windows is a maybe and three or more a forsure.
+
+Every classification reads one ``PairTable``: the events sorted once by
+(source, target, time) into arrays, from which any window grid, threshold
+pair and cutoff is a few vectorized reads.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import RawRecord, RecordKind, decode_lines, open_input, read_id, read_time
@@ -202,7 +207,8 @@ def extract_events(
     return events, stats
 
 
-def _check_thresholds(maybe_min: int, forsure_min: int) -> None:
+def check_thresholds(maybe_min: int, forsure_min: int) -> None:
+    """ConfigError unless ``1 <= maybe_min <= forsure_min``."""
     if maybe_min < 1:
         raise ConfigError(f"maybe_min must be >= 1, got {maybe_min}")
     if forsure_min < maybe_min:
@@ -211,57 +217,104 @@ def _check_thresholds(maybe_min: int, forsure_min: int) -> None:
         )
 
 
-class PairHistory(NamedTuple):
-    """An ordered pair's sorted event ``times`` and ``hits``, the first time in
-    each distinct window it touches: its k-th active window opens at ``hits[k - 1]``."""
-
-    source: str
-    target: str
-    times: list[int]
-    hits: list[int]
-
-    def edge(self, maybe_min: int, forsure_min: int, cutoff: int | None = None) -> FollowEdge | None:
-        """The edge over the events at or before ``cutoff``; None if none are."""
-        source, target, times, hits = self
-        n = len(times) if cutoff is None else bisect_right(times, cutoff)
-        if not n:
-            return None
-        windows_hit = len(hits) if cutoff is None else bisect_right(hits, cutoff)
-        maybe_time = hits[maybe_min - 1] if windows_hit >= maybe_min else None
-        forsure_time = hits[forsure_min - 1] if windows_hit >= forsure_min else None
-        status, status_time = FollowStatus.NONE, times[0]
-        if maybe_time is not None:
-            status, status_time = FollowStatus.MAYBE, maybe_time
-        if forsure_time is not None:
-            status, status_time = FollowStatus.FORSURE, forsure_time
-        return FollowEdge(source, target, windows_hit, n, status, times[0], times[n - 1],
-                          status_time, maybe_time, forsure_time)
+# Times whose magnitude stays below this keep every difference inside int64.
+_INT64_SAFE = 2**62
+_STATUSES = (FollowStatus.NONE, FollowStatus.MAYBE, FollowStatus.FORSURE)
 
 
-def pair_histories(events: Iterable[InteractionEvent], grid: WindowGrid) -> Iterator[PairHistory]:
-    """Every ordered pair's history in (source, target) order; raises
-    ValueError for an event time outside ``grid``.  Lazy, so that reading
-    each history once never holds them all."""
-    pairs: dict[tuple[str, str], list[int]] = defaultdict(list)
-    for event in events:
-        pairs[(event.source, event.target)].append(event.time)
-    for key in sorted(pairs):
-        times = sorted(pairs[key])
-        hits, last = [], -1
-        for time in times:
-            window = grid.index(time)
-            if window != last:
-                hits.append(time)
-                last = window
-        yield PairHistory(*key, times, hits)
+class PairTable:
+    """Every ordered pair's events, sorted once by (source, target, time).
 
+    Ids are interned as their rank in ``sorted()`` order, so sorting the codes
+    sorts the pairs as Python sorts their ids.  A pair's rows are contiguous
+    and ascend in time, so the events at or before a cutoff are a prefix of
+    each pair's rows, and on a window grid its k-th active window opens at
+    the k-th row that starts a new window.  Counts and milestones at any
+    grid, threshold pair and cutoff are then ``bincount`` and index reads.
+    Times that leave the int64-safe range are kept as exact Python ints.
+    """
 
-def edges_at(
-    histories: Iterable[PairHistory], maybe_min: int, forsure_min: int, cutoff: int | None = None
-) -> list[FollowEdge]:
-    """Every pair's edge at ``cutoff``, skipping pairs with no event by then."""
-    _check_thresholds(maybe_min, forsure_min)
-    return [e for h in histories if (e := h.edge(maybe_min, forsure_min, cutoff)) is not None]
+    def __init__(self, events: Sequence[InteractionEvent]):
+        n = len(events)
+        source_of, target_of, time_of = (attrgetter(f) for f in ("source", "target", "time"))
+        self.ids = sorted(set(map(source_of, events)).union(map(target_of, events)))
+        code = {name: i for i, name in enumerate(self.ids)}
+        width = len(self.ids)
+        pair = np.fromiter(map(code.__getitem__, map(source_of, events)), np.int64, n)
+        pair *= width
+        pair += np.fromiter(map(code.__getitem__, map(target_of, events)), np.int64, n)
+        self.span = (min(map(time_of, events)), max(map(time_of, events))) if n else None
+        exact = self.span is None or (-_INT64_SAFE < self.span[0] and self.span[1] < _INT64_SAFE)
+        stamps = np.fromiter(map(time_of, events), np.int64 if exact else object, n)
+        order = np.lexsort((stamps, pair))
+        # Each unsorted column is dropped as soon as its sorted copy exists,
+        # so the table never holds more than a few int64 columns at once.
+        pair = pair[order]
+        self.times = stamps[order]
+        del stamps, order
+        self.new_pair = np.ones(n, dtype=bool)
+        self.new_pair[1:] = pair[1:] != pair[:-1]
+        self.first = np.flatnonzero(self.new_pair)
+        self.source, self.target = np.divmod(pair[self.first], width)
+        del pair
+        self.pair_of_row = np.repeat(np.arange(len(self.first)),
+                                     np.diff(self.first, append=n))
+
+    def _window_starts(self, grid: WindowGrid) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that open a pair's active windows on ``grid``, and the
+        position of each pair's first such row; ValueError for a time
+        outside the grid."""
+        for time in self.span or ():
+            grid.index(time)
+        times = self.times
+        if not (abs(grid.origin) < _INT64_SAFE and grid.window_len < _INT64_SAFE):
+            times = times.astype(object)
+        window = (times - grid.origin) // grid.window_len
+        opens = self.new_pair.copy()
+        opens[1:] |= window[1:] != window[:-1]
+        starts = np.flatnonzero(opens)
+        per_pair = np.bincount(self.pair_of_row[starts], minlength=len(self.first))
+        return starts, np.cumsum(per_pair) - per_pair
+
+    def edges(
+        self, grid: WindowGrid, maybe_min: int, forsure_min: int, cutoff: int | None = None
+    ) -> list[FollowEdge]:
+        """Every pair's edge over its events at or before ``cutoff``, in
+        (source, target) order; a pair with no such event has none."""
+        check_thresholds(maybe_min, forsure_min)
+        starts, first_start = self._window_starts(grid)
+        if cutoff is None:
+            cutoff = self.span[1] if self.span else 0
+        pairs = len(self.first)
+        comments = np.bincount(self.pair_of_row[self.times <= cutoff], minlength=pairs)
+        windows_hit = np.bincount(self.pair_of_row[starts[self.times[starts] <= cutoff]],
+                                  minlength=pairs)
+
+        def milestone(k: int) -> np.ndarray:
+            """Row opening each pair's k-th active window; -1 where it has fewer."""
+            reached = windows_hit >= k
+            at = np.minimum(first_start + k - 1, len(starts) - 1)
+            return np.where(reached, starts[at], -1)
+
+        maybe_row, forsure_row = milestone(maybe_min), milestone(forsure_min)
+        status = (maybe_row >= 0).astype(np.int64) + (forsure_row >= 0)
+        status_row = np.where(forsure_row >= 0, forsure_row,
+                              np.where(maybe_row >= 0, maybe_row, self.first))
+        keep = np.flatnonzero(comments)
+        last_row = self.first + comments - 1
+
+        def times_at(rows: np.ndarray) -> list:
+            picked = rows[keep]
+            values = self.times[np.maximum(picked, 0)].tolist()
+            return [v if r >= 0 else None for v, r in zip(values, picked.tolist())]
+
+        ids = self.ids
+        columns = zip(self.source[keep].tolist(), self.target[keep].tolist(),
+                      windows_hit[keep].tolist(), comments[keep].tolist(),
+                      status[keep].tolist(), times_at(self.first), times_at(last_row),
+                      times_at(status_row), times_at(maybe_row), times_at(forsure_row))
+        return [FollowEdge(ids[s], ids[t], hit, n, _STATUSES[code], first, last, at, maybe, sure)
+                for s, t, hit, n, code, first, last, at, maybe, sure in columns]
 
 
 def classify(
@@ -292,7 +345,7 @@ def infer_all(
     forsure_min: int = DEFAULT_FORSURE_MIN,
 ) -> list[FollowEdge]:
     """Classify every ordered pair; output sorted by (source, target)."""
-    return edges_at(pair_histories(events, grid), maybe_min, forsure_min)
+    return PairTable(events).edges(grid, maybe_min, forsure_min)
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,15 @@ def assortativity(graph: InteractionGraph) -> float:
 
 def modularity(graph: InteractionGraph, partition: Sequence[set[str]]) -> float:
     """Newman modularity Q of a node partition on the weighted projection."""
-    weights = undirected_weights(graph)
+    return _modularity(graph, undirected_weights(graph), partition)
+
+
+def _modularity(
+    graph: InteractionGraph,
+    weights: Mapping[tuple[str, str], float],
+    partition: Sequence[set[str]],
+) -> float:
+    """``modularity`` on the projection ``weights`` of ``graph``."""
     m = sum(weights.values())
     if m == 0.0:
         return 0.0
@@ -423,12 +431,12 @@ def communities(
         return [{node} for node in sorted(graph.nodes)], 0.0
 
     best = _optimize_partition(graph, weights, m, rng=None)
-    best_q = modularity(graph, best)
+    best_q = _modularity(graph, weights, best)
     for r in range(1, community_restarts(graph.node_count)):
         rng = random.Random(seed * 1_000_003 + r)
         width = 3 if r % 2 else 0
         candidate = _optimize_partition(graph, weights, m, rng, greedy_width=width)
-        q = modularity(graph, candidate)
+        q = _modularity(graph, weights, candidate)
         if q > best_q + _GAIN_EPS:
             best, best_q = candidate, q
     return best, best_q

@@ -10,10 +10,11 @@ subgraph, which by construction is always pointwise below the full series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError
 from . import graph as graphmod
@@ -181,12 +182,6 @@ class SnapshotConfig:
     known_agents: tuple[str, ...] = ()
 
 
-def _graph_at(histories: Iterable[infermod.PairHistory], config: SnapshotConfig, cutoff: int | None):
-    edges = infermod.edges_at(histories, config.maybe_min, config.forsure_min, cutoff)
-    built = graphmod.build(edges, config.include, known_agents=config.known_agents)
-    return graphmod.apply_coverage(built, config.coverage)
-
-
 def snapshot_series(
     events: Sequence[InteractionEvent],
     grid: WindowGrid,
@@ -196,13 +191,15 @@ def snapshot_series(
     """Inference plus a full metric report at each cutoff time."""
     if list(checkpoints) != sorted(checkpoints):
         raise ConfigError("checkpoints must be ascending")
-    histories = list(infermod.pair_histories(events, grid))
-    return [
-        metricsmod.full_report(
-            _graph_at(histories, config, cutoff), seed=config.seed, config={"checkpoint": cutoff}
-        )
-        for cutoff in checkpoints
-    ]
+    table = infermod.PairTable(events)
+    reports = []
+    for cutoff in checkpoints:
+        edges = table.edges(grid, config.maybe_min, config.forsure_min, cutoff)
+        built = graphmod.build(edges, config.include, known_agents=config.known_agents)
+        graph = graphmod.apply_coverage(built, config.coverage)
+        reports.append(metricsmod.full_report(graph, seed=config.seed,
+                                              config={"checkpoint": cutoff}))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +224,13 @@ class SweepReport:
     cells: tuple[SweepCell, ...] = field(default_factory=tuple)
 
 
+def _defined(metric, graph: graphmod.InteractionGraph) -> float | None:
+    try:
+        return metric(graph)
+    except metricsmod.UndefinedMetricError:
+        return None
+
+
 def sweep(
     events: Sequence[InteractionEvent],
     window_days_list: Sequence[float],
@@ -241,7 +245,9 @@ def sweep(
 
     Cells run in deterministic parameter order; per-cell metrics that are
     undefined on the resulting graph are left as None.  ``seed`` seeds the
-    community search behind each cell's modularity.
+    community search behind each cell's modularity.  Every threshold pair
+    is checked before any cell runs, and each distinct covered graph is
+    measured once.
     """
     if not (window_days_list and maybe_min_list and forsure_min_list and coverage_list):
         raise ConfigError("sweep parameter lists must be non-empty")
@@ -249,39 +255,30 @@ def sweep(
         raise ConfigError(f"sweep windows must be 1 second or longer, got {list(window_days_list)}")
     if not all(0.0 <= c <= 1.0 for c in coverage_list):
         raise ConfigError(f"sweep coverage must be in [0, 1], got {list(coverage_list)}")
+    thresholds = list(itertools.product(maybe_min_list, forsure_min_list))
+    for maybe_min, forsure_min in thresholds:
+        infermod.check_thresholds(maybe_min, forsure_min)
+    table = infermod.PairTable(events)
+    # (clustering, reciprocity, modularity) per distinct covered graph: many
+    # cells share one graph, and its community search is the costly part.
+    measured: dict[tuple, tuple[float | None, float | None, float | None]] = {}
     cells = []
     for window_days in window_days_list:
-        window_len = int(round(window_days * SECONDS_PER_DAY))
-        histories = list(infermod.pair_histories(events, WindowGrid.from_events(events, window_len)))
-        for maybe_min in maybe_min_list:
-            for forsure_min in forsure_min_list:
-                edges = infermod.edges_at(histories, maybe_min, forsure_min)
-                built = graphmod.build(edges, include, known_agents=known_agents)
-                for coverage in coverage_list:
-                    covered = graphmod.apply_coverage(built, coverage)
-
-                    def try_metric(fn):
-                        try:
-                            return fn(covered)
-                        except metricsmod.UndefinedMetricError:
-                            return None
-
-                    modularity = (
-                        metricsmod.communities(covered, seed)[1] if covered.node_count else None
+        grid = WindowGrid.from_events(events, int(round(window_days * SECONDS_PER_DAY)))
+        for maybe_min, forsure_min in thresholds:
+            edges = table.edges(grid, maybe_min, forsure_min)
+            built = graphmod.build(edges, include, known_agents=known_agents)
+            for coverage in coverage_list:
+                covered = graphmod.apply_coverage(built, coverage)
+                key = (covered.nodes, tuple((e.source, e.target, e.weight) for e in covered.edges))
+                if key not in measured:
+                    measured[key] = (
+                        _defined(metricsmod.clustering, covered),
+                        _defined(metricsmod.reciprocity, covered),
+                        metricsmod.communities(covered, seed)[1] if covered.node_count else None,
                     )
-                    cells.append(
-                        SweepCell(
-                            window_days=window_days,
-                            maybe_min=maybe_min,
-                            forsure_min=forsure_min,
-                            coverage=coverage,
-                            nodes=covered.node_count,
-                            edges=covered.edge_count,
-                            clustering=try_metric(metricsmod.clustering),
-                            reciprocity=try_metric(metricsmod.reciprocity),
-                            modularity=modularity,
-                        )
-                    )
+                cells.append(SweepCell(window_days, maybe_min, forsure_min, coverage,
+                                       covered.node_count, covered.edge_count, *measured[key]))
     return SweepReport(cells=tuple(cells))
 
 

@@ -8,6 +8,7 @@ from latentgraph.ingest import RawRecord, RecordKind
 from latentgraph.inference import (
     FollowStatus,
     InteractionEvent,
+    PairTable,
     WindowGrid,
     classify,
     event_timeline,
@@ -15,7 +16,6 @@ from latentgraph.inference import (
     infer_all,
     load_edges_csv,
     load_events_jsonl,
-    pair_histories,
     write_edges_csv,
     write_events_jsonl,
     write_timeline_csv,
@@ -215,34 +215,58 @@ def test_monotonicity_new_window_never_demotes(times, extra_time, window_len):
     assert after.status.rank >= before.status.rank
 
 
+# Ids from beyond ASCII: lone surrogates, astral characters, and each id's
+# twin with a trailing NUL, which a fixed-width numpy string would drop.
+ID_TEXT = st.text(st.one_of(st.characters(min_codepoint=0x80), st.characters(categories=["Cs"])),
+                  min_size=1, max_size=3)
+
+
+@st.composite
+def pair_streams(draw):
+    names = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
+    pool = names + [name + "\x00" for name in names]
+    base = draw(st.sampled_from([0, -10**9, 2**62 - 100, 2**70, -(2**70)]))
+    rows = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool),
+                                   st.integers(min_value=0, max_value=60)),
+                         min_size=1, max_size=40))
+    events = [ev(source, target, base + t, f"c{i:03d}") for i, (source, target, t) in enumerate(rows)]
+    cutoffs = draw(st.lists(st.integers(min_value=-2, max_value=62).map(lambda t: base + t),
+                            max_size=4))
+    times = [e.time for e in events]
+    return events, [None, min(times) - 1, max(times) + 1] + cutoffs
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(
-        st.tuples(st.sampled_from(["ab", "ba", "ac"]), st.integers(min_value=0, max_value=40)),
-        min_size=1, max_size=40,
-    ),
+    pair_streams(),
     st.integers(min_value=1, max_value=15),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=3),
-    st.lists(st.integers(min_value=0, max_value=40), max_size=4),
 )
-def test_history_at_cutoff_matches_oracle_on_filtered_events(
-    pairs_times, window_len, maybe_min, extra, cutoffs
-):
-    """A pair's history read at a cutoff is the oracle on its events up to it."""
-    events = [ev(pair[0], pair[1], t, f"c{i:03d}") for i, (pair, t) in enumerate(pairs_times)]
+def test_pair_table_at_cutoff_matches_oracle_on_filtered_events(stream, window_len, maybe_min,
+                                                                extra):
+    """The table's edges at a cutoff are the oracle on each pair's events up
+    to it, in Python's sorted (source, target) order."""
+    events, cutoffs = stream
     grid = WindowGrid.from_events(events, window_len)
     forsure_min = maybe_min + extra
-    times = [e.time for e in events]
-    for cutoff in [min(times) - 1, max(times) + 1, None] + cutoffs:
-        for history in pair_histories(events, grid):
-            kept = [e for e in events if (e.source, e.target) == history[:2]
-                    and (cutoff is None or e.time <= cutoff)]
-            got = history.edge(maybe_min, forsure_min, cutoff)
-            if kept:
-                assert got == oracle_classify(kept, grid, maybe_min, forsure_min)
-            else:
-                assert got is None
+    table = PairTable(events)
+    for cutoff in cutoffs:
+        by_pair: dict[tuple[str, str], list[InteractionEvent]] = {}
+        for e in events:
+            if cutoff is None or e.time <= cutoff:
+                by_pair.setdefault((e.source, e.target), []).append(e)
+        want = [oracle_classify(by_pair[key], grid, maybe_min, forsure_min)
+                for key in sorted(by_pair)]
+        assert table.edges(grid, maybe_min, forsure_min, cutoff) == want
+
+
+@pytest.mark.parametrize("outside", [-1, 3 * DAY])
+def test_event_outside_the_grid_is_rejected(outside):
+    evs = events_at([0, DAY])
+    grid = WindowGrid.from_events(evs, DAY)
+    with pytest.raises(ValueError, match="outside the window grid"):
+        infer_all(evs + events_at([outside], "v", "u"), grid)
 
 
 class TestExtractEvents:

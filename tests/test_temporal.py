@@ -12,6 +12,7 @@ from latentgraph.inference import (
     WindowGrid,
     infer_all,
 )
+from latentgraph import graph as graphmod, metrics as metricsmod
 from latentgraph.graph import EdgeClass, apply_coverage, build
 from latentgraph.metrics import (
     UndefinedMetricError,
@@ -157,6 +158,10 @@ def busy_event_fixture():
     return sorted(build_event_fixture() + extra, key=lambda e: (e.time, e.comment_id))
 
 
+def graph_key(graph):
+    return graph.nodes, tuple((e.source, e.target, e.weight) for e in graph.edges)
+
+
 def defined(metric, graph):
     try:
         return metric(graph)
@@ -207,6 +212,12 @@ class TestSnapshotSeries:
         with pytest.raises(ConfigError):
             snapshot_series([], WindowGrid(0, DAY, 0), SnapshotConfig(), [5, 1])
 
+    def test_event_outside_the_grid_rejected(self):
+        events = build_event_fixture()
+        grid = WindowGrid.from_events(events[:-1], 30 * DAY)
+        with pytest.raises(ValueError, match="outside the window grid"):
+            snapshot_series(events, grid, SnapshotConfig(), [10**12])
+
 
 class TestSweep:
     def test_every_cell_matches_direct_run(self):
@@ -227,6 +238,36 @@ class TestSweep:
             assert cell.clustering == defined(clustering, direct)
             assert cell.reciprocity == defined(reciprocity, direct)
             assert cell.modularity == communities(direct)[1]
+
+    def test_communities_run_once_per_distinct_graph(self, monkeypatch):
+        events = busy_event_fixture()
+        windows, maybes, forsures, coverages = [7, 30, 90], [1, 2], [2, 3, 4], [0.0, 0.05, 0.1]
+        only = EdgeClass.FORSURE_ONLY
+        searched = []
+
+        def spy(graph, seed=0):
+            searched.append(graph_key(graph))
+            return communities(graph, seed)
+
+        monkeypatch.setattr(metricsmod, "communities", spy)
+        sweep(events, windows, maybes, forsures, coverages, only, known_agents=("k",))
+        distinct = set()
+        for window_days, maybe_min, forsure_min, coverage in itertools.product(
+                windows, maybes, forsures, coverages):
+            grid = WindowGrid.from_events(events, window_days * DAY)
+            edges = infer_all(events, grid, maybe_min, forsure_min)
+            distinct.add(graph_key(apply_coverage(build(edges, only, known_agents=("k",)),
+                                                  coverage)))
+        assert sorted(searched) == sorted(distinct)
+        assert len(distinct) < len(windows) * len(maybes) * len(forsures) * len(coverages)
+
+    def test_bad_threshold_pair_rejected_before_any_cell(self, monkeypatch):
+        built, real_build = [], graphmod.build
+        monkeypatch.setattr(graphmod, "build",
+                            lambda *args, **kwargs: built.append(args) or real_build(*args, **kwargs))
+        with pytest.raises(ConfigError, match="forsure_min"):
+            sweep(build_event_fixture(), [30], [2, 3], [2], [0.0])
+        assert built == []
 
     def test_grid_shape_and_order(self):
         events = build_event_fixture()

@@ -124,6 +124,17 @@ def agents_stage(records, config: RunConfig, out: Path, source_stage: int | None
     return profiles, table
 
 
+def events_stage(records, id_map, out: Path
+                 ) -> tuple[list[infermod.InteractionEvent], infermod.ExtractionStats]:
+    """Interaction events of the records' replies, between agents when
+    ``id_map`` maps users to agents, written to ``out``, and their counts."""
+    posts = [r for r in records if r.kind is ingestmod.RecordKind.POST]
+    comments = [r for r in records if r.kind is ingestmod.RecordKind.COMMENT]
+    events, stats = infermod.extract_events(posts, comments, id_map)
+    infermod.write_events_jsonl(events, out)
+    return events, stats
+
+
 def infer_stage(events, config: RunConfig, edges_out: Path,
                 timeline_out: Path) -> list[infermod.FollowEdge]:
     """Classify every pair and write the edge list and its event timeline."""
@@ -317,10 +328,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         profiles, table = agents_stage(final_records, config, out / "agents.json")
     with timed("infer"):
         id_map = profilesmod.build_member_index(profiles) if agent_level else None
-        clean_posts = [r for r in final_records if r.kind is ingestmod.RecordKind.POST]
-        clean_comments = [r for r in final_records if r.kind is ingestmod.RecordKind.COMMENT]
-        events, stats = infermod.extract_events(clean_posts, clean_comments, id_map)
-        infermod.write_events_jsonl(events, out / "events.jsonl")
+        events, stats = events_stage(final_records, id_map, out / "events.jsonl")
         edges = infer_stage(events, config, out / "edges.csv", out / "timeline.csv")
     with timed("graph"):
         known = [p.agent_id for p in profiles] if agent_level else []

@@ -2,15 +2,17 @@
 
 A graph snapshot is immutable: its nodes and the classified follow edges it
 admitted, each weighted by the pair's interaction count
-(``FollowEdge.weight``, its ``total_comments``).  Exports are bit-stable:
-nodes and edges are always written in sorted order so identical inputs
-produce identical files.
+(``FollowEdge.weight``, its ``total_comments``).  Its undirected projection
+(``InteractionGraph.projection``) is built once per graph, on first use, and
+serves every undirected metric.  Exports are bit-stable: nodes and edges are
+always written in sorted order so identical inputs produce identical files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 from xml.etree import ElementTree
@@ -57,6 +59,18 @@ class InteractionGraph:
 
     def total_weight(self) -> int:
         return sum(e.weight for e in self.edges)
+
+    @cached_property
+    def projection(self) -> dict[str, dict[str, float]]:
+        """The undirected projection, built on first use and then shared:
+        each node maps to ``{neighbour: weight}``, the float sum of the
+        weights of both directed edges.  Readers must not mutate it."""
+        adj: dict[str, dict[str, float]] = {node: {} for node in self.nodes}
+        for edge in self.edges:
+            w = float(edge.weight)
+            adj[edge.source][edge.target] = adj[edge.source].get(edge.target, 0.0) + w
+            adj[edge.target][edge.source] = adj[edge.target].get(edge.source, 0.0) + w
+        return adj
 
 
 def _admits(edge: FollowEdge, include: EdgeClass = EdgeClass.ALL) -> bool:

@@ -5,7 +5,9 @@ Conventions (also echoed into every metrics.json):
 * density and reciprocity are computed on the directed graph;
 * clustering, path lengths, triangles, assortativity, and communities use
   the undirected projection (an undirected edge exists when either directed
-  edge does; its weight is the sum of both directions);
+  edge does; its weight is the sum of both directions).  Every one of them
+  reads the graph's one cached ``InteractionGraph.projection``, and every
+  triangle comes from ``triangles``;
 * average path length is the mean over ordered reachable node pairs,
   excluding self-pairs; unreachable pairs are ignored, not penalized;
 * undefined metrics surface as ``UndefinedMetricError`` and are serialized
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import UndefinedMetricError
 from .graph import InteractionGraph
@@ -54,21 +57,15 @@ def directed_edge_set(graph: InteractionGraph) -> set[tuple[str, str]]:
     return {(e.source, e.target) for e in graph.edges}
 
 
-def undirected_adjacency(graph: InteractionGraph) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {node: set() for node in graph.nodes}
-    for edge in graph.edges:
-        adj[edge.source].add(edge.target)
-        adj[edge.target].add(edge.source)
-    return adj
-
-
-def undirected_weights(graph: InteractionGraph) -> dict[tuple[str, str], float]:
-    """Projection weights keyed by sorted node pair (both directions summed)."""
-    weights: dict[tuple[str, str], float] = {}
-    for edge in graph.edges:
-        key = (edge.source, edge.target) if edge.source <= edge.target else (edge.target, edge.source)
-        weights[key] = weights.get(key, 0.0) + float(edge.weight)
-    return weights
+def triangles(adj: Mapping[str, Collection[str]]) -> Iterator[tuple[str, str, str]]:
+    """Every triangle ``(u, v, w)``, ``u < v < w``, of an undirected
+    adjacency, in sorted order."""
+    for u in sorted(adj):
+        higher = sorted(v for v in adj[u] if v > u)
+        for i, v in enumerate(higher):
+            for w in higher[i + 1:]:
+                if w in adj[v]:
+                    yield u, v, w
 
 
 # ---------------------------------------------------------------------------
@@ -90,27 +87,20 @@ def reciprocity(graph: InteractionGraph) -> float:
     return mutual / len(edges)
 
 
-def local_clustering(adj: Mapping[str, set[str]], node: str) -> float:
-    neighbors = sorted(adj[node])
-    d = len(neighbors)
-    if d < 2:
-        return 0.0
-    links = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            if neighbors[j] in adj[neighbors[i]]:
-                links += 1
-    return 2.0 * links / (d * (d - 1))
-
-
 def clustering(graph: InteractionGraph) -> float:
+    """Mean local clustering: a node of degree d in t triangles has t links
+    among its neighbours and scores 2t / (d(d - 1)); a node in none scores 0."""
     if graph.node_count == 0:
         raise UndefinedMetricError("clustering is undefined on an empty graph")
-    adj = undirected_adjacency(graph)
-    return sum(local_clustering(adj, node) for node in graph.nodes) / graph.node_count
+    adj = graph.projection
+    links = Counter(node for triangle in triangles(adj) for node in triangle)
+    return sum(
+        2.0 * links[node] / (len(adj[node]) * (len(adj[node]) - 1))
+        for node in graph.nodes if node in links
+    ) / graph.node_count
 
 
-def _bfs_distances(adj: Mapping[str, set[str]], start: str) -> dict[str, int]:
+def _bfs_distances(adj: Mapping[str, Collection[str]], start: str) -> dict[str, int]:
     dist = {start: 0}
     frontier = [start]
     while frontier:
@@ -125,7 +115,7 @@ def _bfs_distances(adj: Mapping[str, set[str]], start: str) -> dict[str, int]:
 
 
 def avg_path_length(graph: InteractionGraph) -> float:
-    adj = undirected_adjacency(graph)
+    adj = graph.projection
     total = 0
     pairs = 0
     for node in graph.nodes:
@@ -160,13 +150,13 @@ def assortativity(graph: InteractionGraph) -> float:
     Every edge contributes both endpoint orderings.  Raises when degree
     variance is zero (the correlation is undefined, not zero).
     """
-    adj = undirected_adjacency(graph)
-    degree = {node: len(adj[node]) for node in graph.nodes}
+    adj = graph.projection
     xs: list[float] = []
     ys: list[float] = []
-    for u, v in sorted(undirected_weights(graph)):
-        xs.extend((degree[u], degree[v]))
-        ys.extend((degree[v], degree[u]))
+    for u in sorted(adj):
+        for v in sorted(w for w in adj[u] if w > u):
+            xs.extend((len(adj[u]), len(adj[v])))
+            ys.extend((len(adj[v]), len(adj[u])))
     if not xs:
         raise UndefinedMetricError("assortativity needs at least one edge")
     n = len(xs)
@@ -186,33 +176,19 @@ def assortativity(graph: InteractionGraph) -> float:
 
 def modularity(graph: InteractionGraph, partition: Sequence[set[str]]) -> float:
     """Newman modularity Q of a node partition on the weighted projection."""
-    return _modularity(graph, undirected_weights(graph), partition)
-
-
-def _modularity(
-    graph: InteractionGraph,
-    weights: Mapping[tuple[str, str], float],
-    partition: Sequence[set[str]],
-) -> float:
-    """``modularity`` on the projection ``weights`` of ``graph``."""
-    m = sum(weights.values())
+    adj = graph.projection
+    m = float(graph.total_weight())  # each directed edge's weight lands on one projection edge
     if m == 0.0:
         return 0.0
-    community_of: dict[str, int] = {}
-    for idx, group in enumerate(partition):
-        for node in group:
-            community_of[node] = idx
-    degree: dict[str, float] = {node: 0.0 for node in graph.nodes}
-    for (u, v), w in weights.items():
-        degree[u] += w
-        degree[v] += w
+    community_of = {node: idx for idx, group in enumerate(partition) for node in group}
     internal = [0.0] * len(partition)
     degree_sum = [0.0] * len(partition)
-    for (u, v), w in weights.items():
-        if community_of[u] == community_of[v]:
-            internal[community_of[u]] += w
-    for node in graph.nodes:
-        degree_sum[community_of[node]] += degree[node]
+    for u, nbrs in adj.items():
+        c = community_of[u]
+        for v, w in nbrs.items():
+            degree_sum[c] += w
+            if u < v and community_of[v] == c:
+                internal[c] += w
     return sum(
         internal[c] / m - (degree_sum[c] / (2.0 * m)) ** 2
         for c in range(len(partition))
@@ -230,20 +206,16 @@ class _CommunityState:
     """Partition bookkeeping for the greedy optimizer.
 
     Communities are keyed by their smallest member id, which is also the
-    deterministic tie-break order for merges and moves.
+    deterministic tie-break order for merges and moves.  ``adj`` is the
+    graph's projection itself, read and never changed.
     """
 
-    def __init__(self, graph: InteractionGraph, weights: Mapping[tuple[str, str], float]):
-        self.adj: dict[str, dict[str, float]] = {node: {} for node in graph.nodes}
-        self.k: dict[str, float] = {node: 0.0 for node in graph.nodes}
-        for (u, v), w in weights.items():
-            self.adj[u][v] = self.adj[u].get(v, 0.0) + w
-            self.adj[v][u] = self.adj[v].get(u, 0.0) + w
-            self.k[u] += w
-            self.k[v] += w
+    def __init__(self, graph: InteractionGraph):
+        self.adj = graph.projection
+        self.k = {node: sum(nbrs.values(), 0.0) for node, nbrs in self.adj.items()}
         self.com_of: dict[str, str] = {node: node for node in graph.nodes}
         self.members: dict[str, set[str]] = {node: {node} for node in graph.nodes}
-        self.deg: dict[str, float] = {node: self.k[node] for node in graph.nodes}
+        self.deg = dict(self.k)
 
     def pair_table(self) -> dict[str, dict[str, float]]:
         """Projection weight between distinct communities, one row each.
@@ -388,7 +360,6 @@ def _move_phase(state: _CommunityState, m: float) -> bool:
 
 def _optimize_partition(
     graph: InteractionGraph,
-    weights: Mapping[tuple[str, str], float],
     m: float,
     rng: random.Random | None,
     greedy_width: int = 3,
@@ -400,7 +371,7 @@ def _optimize_partition(
     width is 0) to diversify restarts; without it the single best pair
     wins, ties toward the smallest id pair.
     """
-    state = _CommunityState(graph, weights)
+    state = _CommunityState(graph)
     while True:
         any_change = _merge_phase(state, m, rng, greedy_width)
         any_change |= _move_phase(state, m)
@@ -425,18 +396,17 @@ def communities(
     maxima on small graphs; the best-Q partition wins, so results are
     reproducible for a fixed (graph, seed).
     """
-    weights = undirected_weights(graph)
-    m = sum(weights.values())
+    m = float(graph.total_weight())
     if m == 0.0:
         return [{node} for node in sorted(graph.nodes)], 0.0
 
-    best = _optimize_partition(graph, weights, m, rng=None)
-    best_q = _modularity(graph, weights, best)
+    best = _optimize_partition(graph, m, rng=None)
+    best_q = modularity(graph, best)
     for r in range(1, community_restarts(graph.node_count)):
         rng = random.Random(seed * 1_000_003 + r)
         width = 3 if r % 2 else 0
-        candidate = _optimize_partition(graph, weights, m, rng, greedy_width=width)
-        q = _modularity(graph, weights, candidate)
+        candidate = _optimize_partition(graph, m, rng, greedy_width=width)
+        q = modularity(graph, candidate)
         if q > best_q + _GAIN_EPS:
             best, best_q = candidate, q
     return best, best_q

@@ -18,12 +18,12 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, decode_lines, numbered_lines, read_json, write_json
+from .ingest import RawRecord, decode_lines, numbered_lines, read_id, read_json, write_json
 
 DEFAULT_DIM = 4096
 RESIDUAL_LABEL = "GeneralChat"
@@ -207,24 +207,30 @@ def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
     """Load per-user embedding vectors from JSONL lines {"user", "vector"}.
 
     Vectors are L2-normalized on load; users missing from the file get the
-    zero vector and end up in the residual agent.  A bad row, or a vector
-    whose length differs from the first row's, is a DataError naming its line.
+    zero vector and end up in the residual agent.  A bad row, a ``user`` that
+    is not a non-empty string, a user given a second row, or a vector whose
+    length differs from the first row's, is a DataError naming its line.
     """
     source = Path(path)
     if not source.exists():
         raise ConfigError(f"embeddings file not found: {source}")
     dim: int | None = None
+    seen: set[str] = set()
 
     def decode(obj: object) -> tuple[str, np.ndarray]:
         nonlocal dim
         if not (isinstance(obj, dict) and "user" in obj and "vector" in obj):
             raise ValueError('expected an object with "user" and "vector"')
+        user = read_id(obj, "user")
+        if user in seen:
+            raise ValueError(f"user {user!r} already has a row")
+        seen.add(user)
         vec = _finite_vector(obj["vector"])
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
             raise ValueError("inconsistent embedding dimension")
-        return str(obj["user"]), _normalize(vec)
+        return user, _normalize(vec)
 
     table = dict(decode_lines(source, "embedding row", decode))
     ordered = tuple(sorted(users))
@@ -463,11 +469,23 @@ def save_profiles(profiles: Sequence[AgentProfile], path: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> list[AgentProfile]:
-    """The profiles of an agents.json; a malformed file is a DataError naming it."""
+    """The profiles of an agents.json; a malformed file, a repeated
+    ``agent_id`` or a user listed under two agents is a DataError naming it."""
     data = read_json(path, "agents")
     try:
         if not isinstance(data, list):
             raise TypeError("expected a JSON list of agent profiles")
-        return [AgentProfile.from_dict(obj) for obj in data]
+        profiles = [AgentProfile.from_dict(obj) for obj in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad agent profile: {exc!r}") from exc
+    agent_ids = _repeated(p.agent_id for p in profiles)
+    if agent_ids:
+        raise DataError(f"{path}: repeated agent ids {agent_ids[:5]}")
+    users = _repeated(user for p in profiles for user in set(p.members))
+    if users:
+        raise DataError(f"{path}: users {users[:5]} are listed under two or more agents")
+    return profiles
+
+
+def _repeated(items: Iterable[str]) -> list[str]:
+    return sorted(item for item, n in Counter(items).items() if n > 1)

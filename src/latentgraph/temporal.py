@@ -72,26 +72,14 @@ class TriadSeries:
 
 
 def triangle_closures(pair_times: dict[tuple[str, str], int]) -> list[int]:
-    """Closure time (max edge time) of every triangle in the projection."""
+    """Closure time (max edge time) of every triangle of the sorted pairs'
+    projection, in ``metrics.triangles`` order."""
     adj: dict[str, set[str]] = {}
     for u, v in pair_times:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    closures: list[int] = []
-    nodes = sorted(adj)
-    for u in nodes:
-        higher_u = sorted(w for w in adj[u] if w > u)
-        for i, v in enumerate(higher_u):
-            for w in higher_u[i + 1:]:
-                if w in adj[v]:
-                    closures.append(
-                        max(
-                            pair_times[(u, v)],
-                            pair_times[(u, w)],
-                            pair_times[(v, w)],
-                        )
-                    )
-    return closures
+    return [max(pair_times[(u, v)], pair_times[(u, w)], pair_times[(v, w)])
+            for u, v, w in metricsmod.triangles(adj)]
 
 
 def triad_series(

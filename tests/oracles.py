@@ -175,6 +175,23 @@ def oracle_assortativity(graph: InteractionGraph) -> float | None:
 # Modularity by exhaustive search
 # ---------------------------------------------------------------------------
 
+def oracle_pair_weights(graph: InteractionGraph) -> dict[tuple[str, str], float]:
+    """Projection weight per sorted node pair: the float sum of both directions."""
+    weights: dict[tuple[str, str], float] = {}
+    for edge in graph.edges:
+        pair = tuple(sorted((edge.source, edge.target)))
+        weights[pair] = weights.get(pair, 0.0) + float(edge.weight)
+    return weights
+
+
+def oracle_projection(graph: InteractionGraph) -> dict[str, dict[str, float]]:
+    """The undirected projection as nested dicts, from ``oracle_pair_weights``."""
+    adj: dict[str, dict[str, float]] = {node: {} for node in graph.nodes}
+    for (u, v), w in oracle_pair_weights(graph).items():
+        adj[u][v] = adj[v][u] = w
+    return adj
+
+
 def oracle_modularity(graph: InteractionGraph, partition: Sequence[set[str]]) -> float:
     """Q from the matrix definition on the weighted undirected projection."""
     nodes = list(graph.nodes)

@@ -666,6 +666,13 @@ GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/
                   "a.json": json.dumps([dict(AGENT, members="alice")]).encode()},
                  ["graph", "build", "--edges", "{tmp}/edges.csv", "--agents", "{tmp}/a.json"],
                  2, "{tmp}/a.json", id="agents-members-not-a-list"),
+    pytest.param({"edges.csv": GOOD_EDGES,
+                  "a.json": json.dumps([AGENT, dict(AGENT, members=["B"])]).encode()},
+                 ["graph", "build", "--edges", "{tmp}/edges.csv", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-repeated-agent-id"),
+    pytest.param({"a.json": json.dumps([AGENT, dict(AGENT, agent_id="A001")]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-user-under-two-agents"),
     pytest.param({"a.json": json.dumps([dict(AGENT, centroid=1.0)]).encode()},
                  ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
                  2, "{tmp}/a.json", id="agents-centroid-not-a-list"),
@@ -687,6 +694,12 @@ GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/
     pytest.param({"emb.jsonl": b'{"user": "a", "vector": [1.0]}\n{"user": "b", "vector": [1, 2]}\n'},
                  ["agents", "--in", "{stage}", "--embeddings", "{tmp}/emb.jsonl"], 2,
                  "{tmp}/emb.jsonl:2", id="embeddings-dimension"),
+    pytest.param({"emb.jsonl": b'{"user": "a", "vector": [1.0]}\n{"user": "a", "vector": [2.0]}\n'},
+                 ["agents", "--in", "{stage}", "--embeddings", "{tmp}/emb.jsonl"], 2,
+                 "{tmp}/emb.jsonl:2", id="embeddings-repeated-user"),
+    pytest.param({"emb.jsonl": b'{"user": "a", "vector": [1.0]}\n{"user": 5, "vector": [2.0]}\n'},
+                 ["agents", "--in", "{stage}", "--embeddings", "{tmp}/emb.jsonl"], 2,
+                 "{tmp}/emb.jsonl:2", id="embeddings-user-not-a-string"),
     pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW + b'{"kind":"post","reason":"r"}\n'},
                  ["chains", "--in", "{tmp}/stages"], 2, LEDGER + ":2", id="ledger-row-without-id"),
     pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW + b'{"kind":"x","id":"p","reason":"r"}\n'},

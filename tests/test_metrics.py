@@ -19,7 +19,7 @@ from latentgraph.metrics import (
     full_report,
     modularity,
     reciprocity,
-    undirected_weights,
+    triangles,
     write_report,
 )
 from oracles import (
@@ -31,11 +31,12 @@ from oracles import (
     oracle_density,
     oracle_modularity,
     oracle_optimize_partition,
+    oracle_pair_weights,
+    oracle_projection,
     oracle_reciprocity,
     oracle_triangle_count,
     random_digraph,
 )
-from latentgraph.metrics import undirected_adjacency
 from latentgraph.temporal import triangle_closures
 
 
@@ -253,7 +254,7 @@ class TestIncrementalMerges:
     @given(spec=graph_specs, seed=st.integers(0, 2**32 - 1))
     def test_same_partition_as_reference(self, spec, seed):
         g = self.graph_of(spec)
-        weights = undirected_weights(g)
+        weights = oracle_pair_weights(g)
         m = sum(weights.values())
         assume(m > 0)
 
@@ -262,7 +263,7 @@ class TestIncrementalMerges:
                 return None if rng_seed is None else random.Random(rng_seed)
 
             return (
-                metricsmod._optimize_partition(g, weights, m, rng(), greedy_width=width),
+                metricsmod._optimize_partition(g, m, rng(), greedy_width=width),
                 oracle_optimize_partition(g, weights, m, rng(), greedy_width=width),
             )
 
@@ -336,6 +337,7 @@ class TestOracleSuite:
             else:
                 assert avg_path_length(g) == pytest.approx(want_apl, abs=1e-9)
             assert projected_triangle_count(g) == oracle_triangle_count(g)
+            assert len(list(triangles(g.projection))) == oracle_triangle_count(g)
             want_assort = oracle_assortativity(g)
             if want_assort is None:
                 with pytest.raises(UndefinedMetricError):
@@ -394,8 +396,30 @@ class TestFullReport:
 
 class TestAdjacencyHelpers:
     def test_undirected_projection_symmetric(self):
-        g = make_graph([("a", "b"), ("b", "a"), ("b", "c")])
-        adj = undirected_adjacency(g)
-        assert adj["a"] == {"b"}
-        assert adj["b"] == {"a", "c"}
-        assert adj["c"] == {"b"}
+        # a->b and b->a are one undirected edge whose weight is their sum.
+        g = make_graph([("a", "b"), ("b", "a"), ("b", "c")], weights=[2, 5, 3])
+        assert g.projection == {"a": {"b": 7.0}, "b": {"a": 7.0, "c": 3.0}, "c": {"b": 3.0}}
+        assert all(type(w) is float for nbrs in g.projection.values() for w in nbrs.values())
+
+    def test_triangles_sorted_and_complete(self):
+        # K4 on a..d plus a pendant edge d-e: the four triangles of K4, each once.
+        pairs = list(itertools.combinations("dcba", 2)) + [("e", "d")]
+        g = make_graph(pairs)
+        assert list(triangles(g.projection)) == [
+            ("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")]
+
+    def test_full_report_builds_the_projection_once(self, projection_builds):
+        g = random_digraph(random.Random(11), 14, 0.3)
+        full_report(g)
+        assert projection_builds == [g]
+
+    def test_projection_unchanged_by_communities_and_full_report(self):
+        rng = random.Random(12)
+        for _ in range(10):
+            g = random_digraph(rng, rng.randint(2, 20), 0.25)
+            adj = g.projection
+            communities(g, seed=3)
+            assert adj == oracle_projection(g)
+            full_report(g, seed=4)
+            assert g.projection is adj
+            assert adj == oracle_projection(g)

@@ -162,6 +162,18 @@ def graph_key(graph):
     return graph.nodes, tuple((e.source, e.target, e.weight) for e in graph.edges)
 
 
+def distinct_graph_keys(events, windows, maybes, forsures, coverages, include):
+    """The key of every distinct covered graph of a sweep grid, built directly."""
+    distinct = set()
+    for window_days, maybe_min, forsure_min, coverage in itertools.product(
+            windows, maybes, forsures, coverages):
+        grid = WindowGrid.from_events(events, window_days * DAY)
+        edges = infer_all(events, grid, maybe_min, forsure_min)
+        distinct.add(graph_key(apply_coverage(build(edges, include, known_agents=("k",)),
+                                              coverage)))
+    return distinct
+
+
 def defined(metric, graph):
     try:
         return metric(graph)
@@ -251,15 +263,18 @@ class TestSweep:
 
         monkeypatch.setattr(metricsmod, "communities", spy)
         sweep(events, windows, maybes, forsures, coverages, only, known_agents=("k",))
-        distinct = set()
-        for window_days, maybe_min, forsure_min, coverage in itertools.product(
-                windows, maybes, forsures, coverages):
-            grid = WindowGrid.from_events(events, window_days * DAY)
-            edges = infer_all(events, grid, maybe_min, forsure_min)
-            distinct.add(graph_key(apply_coverage(build(edges, only, known_agents=("k",)),
-                                                  coverage)))
+        distinct = distinct_graph_keys(events, windows, maybes, forsures, coverages, only)
         assert sorted(searched) == sorted(distinct)
         assert len(distinct) < len(windows) * len(maybes) * len(forsures) * len(coverages)
+
+    def test_projection_built_once_per_distinct_graph(self, projection_builds):
+        events = busy_event_fixture()
+        windows, maybes, forsures, coverages = [7, 30, 90], [1, 2], [2, 3, 4], [0.0, 0.05, 0.1]
+        only = EdgeClass.FORSURE_ONLY
+        sweep(events, windows, maybes, forsures, coverages, only, known_agents=("k",))
+        keys = [graph_key(graph) for graph in projection_builds]
+        distinct = distinct_graph_keys(events, windows, maybes, forsures, coverages, only)
+        assert sorted(keys) == sorted(distinct)
 
     def test_bad_threshold_pair_rejected_before_any_cell(self, monkeypatch):
         built, real_build = [], graphmod.build

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import RawRecord, RecordKind, write_csv, write_jsonl
+from .ingest import RawRecord, RecordKind, record_sort_key, write_csv, write_jsonl
 from .profiles import TermTable, term_table
 
 DEFAULT_SIM_THRESHOLD = 0.1
@@ -49,16 +50,20 @@ CENSUS_CSV_FIELDS = ["threshold", *CENSUS_CATEGORIES]
 
 @dataclass(frozen=True)
 class Thread:
+    """A post and its comments, the comments in the order they were given."""
+
     post: RawRecord
     comments: tuple[RawRecord, ...]
 
-    @property
+    @cached_property
     def records(self) -> tuple[RawRecord, ...]:
-        return (self.post, *self.comments)
+        """The post and its comments in (created_utc, id) order, sorted on first use."""
+        return tuple(sorted((self.post, *self.comments), key=record_sort_key))
 
 
 def group_threads(records: Sequence[RawRecord]) -> list[Thread]:
-    """Group records into (post, its comments) threads, ordered by post id.
+    """Group records into (post, its comments) threads, ordered by post id, each
+    keeping its comments in record order (the ledger's, for stage records).
 
     Comments whose post is absent from the record set are skipped; chains
     are a within-thread construct.
@@ -68,11 +73,7 @@ def group_threads(records: Sequence[RawRecord]) -> list[Thread]:
     for rec in records:
         if rec.kind is RecordKind.COMMENT and rec.link_id in posts:
             comments[rec.link_id].append(rec)
-    threads = []
-    for post_id in sorted(posts):
-        replies = sorted(comments.get(post_id, []), key=lambda r: (r.created_utc, r.id))
-        threads.append(Thread(post=posts[post_id], comments=tuple(replies)))
-    return threads
+    return [Thread(posts[post_id], tuple(comments[post_id])) for post_id in sorted(posts)]
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,6 @@ class InteractionChain:
         return self.nodes[0].time
 
 
-def _time_order(thread: Thread) -> list[RawRecord]:
-    return sorted(thread.records, key=lambda r: (r.created_utc, r.id))
-
-
 def _record_terms(table: TermTable, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """(position, bucket, count) of every distinct term of the records at
     ``rows``, a record's position being its index in ``rows``; sorted by
@@ -146,26 +143,25 @@ def _shared_bucket_dots(group: np.ndarray, pos: np.ndarray, count: np.ndarray,
 class _Block:
     """Pairwise cosines of a run of threads, from integer term counts.
 
-    Records sit at block positions, thread after thread, each thread in
-    (time, id) order.  ``left < right`` are the positions of every
+    Records sit at block positions, thread after thread, each thread in its
+    ``Thread.records`` order.  ``left < right`` are the positions of every
     within-thread pair that shares a bucket, and ``sims`` their cosines;
     every other pair has cosine 0.
     """
 
     def __init__(self, threads: Sequence[Thread], table: TermTable,
                  row_of: Mapping[int, int], thresholds: Sequence[float]) -> None:
-        ordered = [_time_order(t) for t in threads]
-        sizes = np.fromiter(map(len, ordered), np.int64, len(ordered))
+        sizes = np.fromiter((len(t.records) for t in threads), np.int64, len(threads))
         self.threads = threads
         self.start = np.concatenate(([0], np.cumsum(sizes)))
         n = int(self.start[-1])
         self.thread_of = np.repeat(np.arange(len(threads)), sizes)
-        ids = [rec.id for recs in ordered for rec in recs]
+        ids = [rec.id for t in threads for rec in t.records]
         # Rank of each record id; equal ids keep their time order.
         self.id_rank = np.empty(n, dtype=np.int64)
         self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
 
-        rows = np.fromiter((row_of[id(rec)] for recs in ordered for rec in recs), np.int64, n)
+        rows = np.fromiter((row_of[id(rec)] for t in threads for rec in t.records), np.int64, n)
         pos, bucket, count = _record_terms(table, rows)
         squares = np.bincount(pos, weights=count * count, minlength=n)
         self.left, self.right, dots = _shared_bucket_dots(
@@ -233,12 +229,12 @@ def connect(
     agent_of: Mapping[str, str] | None = None,
 ) -> SemanticGraph:
     """The semantic DAG of one thread, from the successor lists its block
-    computed: records in (time, id) order, i linked to each j in
+    computed: ``thread.records``, i linked to each j in
     ``children[i]``, its nodes labelled by ``agent_of``."""
     agent_of = agent_of or {}
     nodes = tuple(
         ChainNode(rec.id, agent_of.get(rec.author, rec.author), rec.created_utc)
-        for rec in _time_order(thread)
+        for rec in thread.records
     )
     return SemanticGraph(post_id=thread.post.id, nodes=nodes, children=tuple(children))
 

@@ -164,17 +164,16 @@ def extract_events(
 ) -> tuple[list[InteractionEvent], ExtractionStats]:
     """Turn comments into directed interaction events.
 
-    The target is the author of the parent post or comment; both endpoints
+    The target is the author of the parent, found by kind: the post when
+    ``parent_id == link_id``, else the comment with that id.  Both endpoints
     are translated through ``id_map`` when given (author -> agent id).
     Comments whose parent is unknown are dropped and counted as orphans;
     events whose endpoints coincide after mapping are dropped as
-    self-replies.  Output is ordered by (time, comment_id).
+    self-replies.  Events keep the comments' order: (time, comment_id) for
+    a stage's records, which come in ledger order.
     """
-    author_of: dict[str, str] = {}
-    for rec in posts:
-        author_of[rec.id] = rec.author
-    for rec in comments:
-        author_of[rec.id] = rec.author
+    post_author = {rec.id: rec.author for rec in posts}
+    comment_author = {rec.id: rec.author for rec in comments}
 
     def mapped(author: str) -> str:
         return id_map.get(author, author) if id_map is not None else author
@@ -184,7 +183,8 @@ def extract_events(
     for rec in comments:
         if rec.kind is not RecordKind.COMMENT or rec.parent_id is None:
             continue
-        parent_author = author_of.get(rec.parent_id)
+        parents = post_author if rec.parent_id == rec.link_id else comment_author
+        parent_author = parents.get(rec.parent_id)
         if parent_author is None:
             stats.orphans += 1
             continue
@@ -202,7 +202,6 @@ def extract_events(
                 comment_id=rec.id,
             )
         )
-    events.sort(key=lambda e: (e.time, e.comment_id))
     stats.events = len(events)
     return events, stats
 

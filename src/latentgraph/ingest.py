@@ -19,9 +19,9 @@ Stage map (the filters in :data:`FILTERS` order):
  3    removal of deleted/removed posts and comments
 ====  =============================================================
 
-On disk, stage 0 is ``stage0.records.jsonl`` and every later stage is a
-ledger of the records it removed, ``stageK.removed.jsonl``, so stage k is
-stage 0 less the ledgers 1..k.  Each stage also has ``stageK.manifest.json``.
+On disk, ``stage0.records.jsonl`` holds every ledger row, repeats included, and
+stage k > 0 is a ledger of the records it removed, ``stageK.removed.jsonl``, so stage k
+is stage 0 less its repeats and the ledgers 1..k; each has a ``stageK.manifest.json``.
 
 All file I/O of the package is here: :func:`open_input` opens every input,
 and every artifact is written through :func:`atomic_write`.
@@ -99,7 +99,7 @@ class RawRecord:
 
 
 def record_sort_key(rec: RawRecord) -> tuple[int, str]:
-    """Canonical tie-break used everywhere: (created_utc, id) ascending."""
+    """The one order of records, (created_utc, id) ascending; later stages keep it."""
     return (rec.created_utc, rec.id)
 
 
@@ -334,14 +334,14 @@ def noise_mask(records: Sequence[RawRecord]) -> np.ndarray:
 
 
 def truncation_mask(records: Sequence[RawRecord], max_per_post: int = 10) -> np.ndarray:
-    """Flag every comment of a post after its earliest ``max_per_post``, earliest
-    by (created_utc, id)."""
+    """Flag every comment of a post after its first ``max_per_post`` in the order
+    given; in the ledger's (created_utc, id) order these are its earliest."""
     seen: Counter[str] = Counter()
     drop = np.zeros(len(records), dtype=bool)
-    for i in sorted(range(len(records)), key=lambda i: record_sort_key(records[i])):
-        if records[i].kind is RecordKind.COMMENT:
-            seen[records[i].link_id] += 1
-            drop[i] = seen[records[i].link_id] > max_per_post
+    for i, rec in enumerate(records):
+        if rec.kind is RecordKind.COMMENT:
+            seen[rec.link_id] += 1
+            drop[i] = seen[rec.link_id] > max_per_post
     return drop
 
 
@@ -370,7 +370,7 @@ class Ledger(NamedTuple):
 
 def build_ledger(records: Iterable[RawRecord], drops: Sequence[Callable]) -> Ledger:
     """Sort ``records`` once (stably), then run ``drops`` in order, each over the
-    rows no earlier one flagged; the rows ``drops[c]`` flags get code ``c``."""
+    rows no earlier one flagged, in ledger order; ``drops[c]``'s rows get code ``c``."""
     rows = sorted(records, key=record_sort_key)
     codes = np.full(len(rows), KEPT, dtype=np.int8)
     for code, drop in enumerate(drops):
@@ -416,9 +416,9 @@ class StageSnapshot:
 
 
 def snapshot(records: Iterable[RawRecord]) -> StageSnapshot:
-    """Stage 0 of a run: the input sorted by :func:`record_sort_key`, less every
-    repeat of a (kind, id) pair but its earliest copy (the first in input order
-    on a tie), counted under ``duplicate_removal``."""
+    """Stage 0 of a run: the input in ledger order less every repeat of a (kind,
+    id) pair but its earliest copy (the first in input order on a tie), counted
+    under ``duplicate_removal``; the ledger keeps the repeats."""
     return StageSnapshot(build_ledger(records, [repeat_mask]), 0)
 
 
@@ -508,18 +508,18 @@ def write_stages(
 ) -> None:
     """Persist stages as one record ledger, all files or none.
 
-    Stage 0 is written whole, every later stage as the records it removed:
-    one ``{"kind", "id", "reason"}`` line each in ledger order, filter by filter,
-    the reason being the filter's manifest key.  No file replaces its target
-    before all are written.
+    Stage 0 is written as every ledger row, repeats included, every later stage
+    as the records it removed: one ``{"kind", "id", "reason"}`` line each in
+    ledger order, filter by filter, the reason being the filter's manifest
+    key.  No file replaces its target before all are written.
     """
     out = Path(out_dir)
     with ExitStack() as files:
         for snap in stages:
+            ledger = snap.ledger
             if snap.stage_id == 0:
-                rows = (rec.to_dict() for rec in snap.records)
+                rows = (rec.to_dict() for rec in ledger.records)
             else:
-                ledger = snap.ledger
                 rows = ({"kind": r.kind.value, "id": r.id, "reason": FILTERS[code][1]}
                         for code in snap.codes
                         for r in compress(ledger.records, (ledger.codes == code).tolist()))
@@ -532,7 +532,7 @@ def write_stages(
 
 
 def load_records(path: str | Path) -> list[RawRecord]:
-    """Read a normalized records file."""
+    """Every row of a normalized records file, repeats included."""
     return list(decode_lines(path, "stage record", decode_record))
 
 
@@ -553,9 +553,9 @@ def _ledger_row(stage_id: int) -> Callable[[object], tuple[str, str]]:
 
 
 def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
-    """Records of the highest stage with a removal ledger (stage 0 without one):
-    stage 0 less every record the ledgers up to that stage name.  Each ledger
-    row must remove one stage-0 record that no other row removes."""
+    """Records of the highest stage with a removal ledger (stage 0 without one), in
+    ledger order: the first stage-0 row of each (kind, id) less every record the
+    ledgers up to that stage name.  Each ledger row must remove its own stage-0 record."""
     base = Path(directory)
     if not records_path(base, 0).exists():
         raise DataError(f"no stage records found under {base}")
@@ -566,13 +566,14 @@ def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
     rows = [(k, key) for k in range(1, stage_id + 1)
             for key in decode_lines(records_path(base, k), "removal ledger", _ledger_row(k))]
     removed = {key for _, key in rows}
-    records, matched = [], []
+    records, seen = [], {kind.value: set() for kind in RecordKind}  # ids by kind
     for rec in decode_lines(records_path(base, 0), "stage record", decode_record):
-        key = (rec.kind.value, rec.id)
-        if key in removed:
-            matched.append(key)
-        else:
-            records.append(rec)
+        ids = seen[rec.kind.value]
+        if rec.id not in ids:
+            ids.add(rec.id)
+            if (rec.kind.value, rec.id) not in removed:
+                records.append(rec)
+    matched = {key for key in removed if key[1] in seen[key[0]]}
     if len(matched) != len(rows):
         unmatched = Counter(key for _, key in rows)
         unmatched.subtract(matched)

@@ -270,14 +270,15 @@ class AgentProfile:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AgentProfile":
-        for key in ("members", "centroid", "keywords"):
-            if not isinstance(obj.get(key, []), list):
-                raise TypeError(f"{key} must be a JSON list, got {obj[key]!r:.40}")
+        """Read a profile under the id (``ingest.read_id``) and vector field rules."""
+        for key, kind in (("label", str), ("members", list), ("keywords", list)):
+            if not isinstance(obj.get(key, kind()), kind):
+                raise TypeError(f"{key} must be a JSON {kind.__name__}, got {obj[key]!r:.40}")
         return cls(
-            agent_id=str(obj["agent_id"]),
-            label=str(obj["label"]),
-            members=tuple(obj["members"]),
-            centroid=np.asarray(obj["centroid"], dtype=np.float64),
+            agent_id=read_id(obj, "agent_id"),
+            label=obj["label"],
+            members=tuple(read_id({"member": m}, "member") for m in obj["members"]),
+            centroid=_finite_vector(obj["centroid"]),
             keywords=tuple(obj.get("keywords", ())),
             emotion=dict(obj.get("emotion") or {}),
             style=dict(obj.get("style") or {}),
@@ -309,9 +310,10 @@ def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]
 
     Dropping zero-vector users (no usable text) copies the matrix, and so
     does every centroid update, which gathers each cluster's rows
-    (``matrix[assign == cluster]``) in each iteration.  Zero-vector users go
-    to a dedicated residual agent appended after the k clusters.  Raises
-    ConfigError when k exceeds the usable user count.
+    (``matrix[assign == cluster]``) in each iteration; a profile's centroid is
+    a copy of its cluster's last one.  Zero-vector users go to a dedicated
+    residual agent appended after the k clusters.  Raises ConfigError when k
+    exceeds the usable user count.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -362,7 +364,7 @@ def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]
                 agent_id=f"A{rank:03d}",
                 label=f"Agent{rank:03d}",
                 members=tuple(users[i] for i in usable[rows]),
-                centroid=_normalize(matrix[rows].mean(axis=0)),
+                centroid=centroids[cluster].copy(),
             )
         )
     if len(usable) < len(users):

@@ -201,49 +201,79 @@ STAGE_ARTIFACTS = [
 ]
 
 
+def staged_flow(posts, comments, tmp_path):
+    """``run-all`` into run/, and every stage subcommand on the same config:
+    ``ingest`` into raw/, then ``preprocess`` and the later stages into
+    staged/.  Returns (stage runner, run, raw, staged); artifacts that
+    differ from run-all's are reported by ``differing``."""
+    run, raw, staged = tmp_path / "run", tmp_path / "raw", tmp_path / "staged"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "level": "agent", "k_agents": 4, "seed": 3, "posts_path": str(posts),
+        "comments_path": str(comments), "out_dir": str(run),
+    }))
+
+    def stage(*argv):
+        assert main([*map(str, argv), "--config", str(config)]) == 0, argv
+
+    stage("run-all")
+    agents, edges = staged / "agents.json", staged / "edges.csv"
+    stage("ingest", "--posts", posts, "--comments", comments, "--out", raw)
+    stage("preprocess", "--in", raw, "--out", staged)
+    stage("agents", "--in", staged, "--out", agents)
+    stage("infer", "--events", run / "events.jsonl", "--out", edges)
+    for name in ("graph.graphml", "graph.edges.csv"):
+        stage("graph", "build", "--edges", edges, "--agents", agents, "--out", staged / name)
+    stage("metrics", "--graph", staged / "graph.graphml", "--out", staged / "metrics.json")
+    stage("triads", "--edges", edges, "--out", staged / "triads.csv")
+    stage("chains", "--in", staged, "--agents", agents, "--out", staged / "chains.jsonl",
+          "--census-thresholds", default_config().sim_threshold)
+    return stage, run, raw, staged
+
+
+def differing(run, raw, staged):
+    """The stage artifacts, and raw/'s stage-0 files, whose bytes differ from run-all's."""
+    differ = [name for name in STAGE_ARTIFACTS
+              if (staged / name).read_bytes() != (run / name).read_bytes()]
+    return differ + [f"raw/{name}" for name in ("stage0.records.jsonl", "stage0.manifest.json")
+                     if (raw / name).read_bytes() != (run / name).read_bytes()]
+
+
 class TestSubcommandFlow:
     def test_staged_cli_flow(self, small_dump, tmp_path):
         """Chained subcommands write the same bytes as their stages in run-all."""
         dump, posts, comments, _ = small_dump
-        run, raw, staged = tmp_path / "run", tmp_path / "raw", tmp_path / "staged"
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "level": "agent", "k_agents": 4, "seed": 3, "posts_path": str(posts),
-            "comments_path": str(comments), "out_dir": str(run),
-        }))
-
-        def stage(*argv):
-            assert main([*map(str, argv), "--config", str(config)]) == 0, argv
-
-        stage("run-all")
-        agents, edges = staged / "agents.json", staged / "edges.csv"
-        stage("ingest", "--posts", posts, "--comments", comments, "--out", raw)
-        stage("preprocess", "--in", raw, "--out", staged)
-        stage("agents", "--in", staged, "--out", agents)
-        stage("infer", "--events", run / "events.jsonl", "--out", edges)
-        for name in ("graph.graphml", "graph.edges.csv"):
-            stage("graph", "build", "--edges", edges, "--agents", agents, "--out", staged / name)
-        stage("metrics", "--graph", staged / "graph.graphml", "--out", staged / "metrics.json")
-        stage("triads", "--edges", edges, "--out", staged / "triads.csv")
-        stage("chains", "--in", staged, "--agents", agents, "--out", staged / "chains.jsonl",
-              "--census-thresholds", default_config().sim_threshold)
-
-        differ = [name for name in STAGE_ARTIFACTS
-                  if (staged / name).read_bytes() != (run / name).read_bytes()]
-        differ += [f"raw/{name}" for name in ("stage0.records.jsonl", "stage0.manifest.json")
-                   if (raw / name).read_bytes() != (run / name).read_bytes()]
-        assert differ == []
+        stage, run, raw, staged = staged_flow(posts, comments, tmp_path)
+        assert differing(run, raw, staged) == []
         # The compared artifacts are not trivially equal.
         manifest = json.loads((staged / "stage1.manifest.json").read_text())
         assert manifest["removed"] == dump.expected_removed[1]
-        assert len(json.loads(agents.read_text())) == 4
-        assert "forsure" in edges.read_text()
+        assert len(json.loads((staged / "agents.json").read_text())) == 4
+        assert "forsure" in (staged / "edges.csv").read_text()
         assert (staged / "chains.jsonl").read_text()
 
         sweep_path = tmp_path / "sweep.csv"
         stage("sweep", "--events", run / "events.jsonl", "--windows", "7,30",
               "--forsure", "2,3", "--out", sweep_path)
         assert len(sweep_path.read_text().splitlines()) == 1 + 4
+
+    def test_chained_subcommands_keep_the_repeats(self, small_dump, tmp_path):
+        """On a dump with repeated posts and comments, the chained subcommands,
+        with ``preprocess`` writing into another directory than ``ingest``,
+        write run-all's bytes, ``duplicate_removal`` included."""
+        _, posts, comments, _ = small_dump
+        dumps = []
+        for source in (posts, comments):
+            lines = source.read_text().splitlines(keepends=True)
+            repeat = json.loads(lines[3])
+            if source is comments:
+                repeat.update(created_utc=repeat["created_utc"] + 500, body="a later copy")
+            dumps.append(tmp_path / source.name)
+            dumps[-1].write_text("".join(lines) + lines[0] + json.dumps(repeat) + "\n")
+        _, run, raw, staged = staged_flow(*dumps, tmp_path)
+        assert differing(run, raw, staged) == []
+        manifest = json.loads((run / "stage0.manifest.json").read_text())
+        assert manifest["removed"] == {"duplicate_removal": 4}
 
     def test_seven_stage_directory_reads_as_stage_3(self, small_dump, tmp_path):
         """A directory preprocessed when stages 4-6 still existed holds their
@@ -676,6 +706,22 @@ GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/
     pytest.param({"a.json": json.dumps([dict(AGENT, centroid=1.0)]).encode()},
                  ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
                  2, "{tmp}/a.json", id="agents-centroid-not-a-list"),
+    pytest.param({"a.json": json.dumps([{"agent_id": 5, "label": None, "members": [7, "u1"],
+                                         "centroid": [1.0]}]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-fields-not-strings"),
+    pytest.param({"a.json": json.dumps([dict(AGENT, label=None)]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-label-null"),
+    pytest.param({"a.json": json.dumps([dict(AGENT, members=["A", 7])]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-member-not-a-string"),
+    pytest.param({"a.json": json.dumps([dict(AGENT, members=["A", ""])]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-member-empty"),
+    pytest.param({"a.json": json.dumps([dict(AGENT, centroid=[True])]).encode()},
+                 ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
+                 2, "{tmp}/a.json", id="agents-centroid-bool"),
     pytest.param({"a.json": json.dumps([dict(AGENT, keywords="climate")]).encode()},
                  ["chains", "--in", "{stage}", "--agents", "{tmp}/a.json"],
                  2, "{tmp}/a.json", id="agents-keywords-not-a-list"),

@@ -303,6 +303,28 @@ class TestExtractEvents:
         events, _ = extract_events(posts, comments)
         assert [(e.source, e.target) for e in events] == [("A", "B"), ("B", "A")]
 
+    def test_parent_resolved_by_kind(self):
+        """Posts and comments are numbered apart: a top-level reply to post
+        ``abc`` answers the post even though a comment ``abc`` exists."""
+        posts = [self.post("abc", "alice", 100), self.post("p2", "dave", 100)]
+        comments = [
+            self.com("abc", "bob", 120, "p2", "p2"),
+            self.com("c1", "carol", 150, "abc", "abc"),
+            self.com("c2", "erin", 160, "p2", "abc"),
+        ]
+        events, stats = extract_events(posts, comments)
+        assert [(e.source, e.target) for e in events] == [
+            ("bob", "dave"), ("carol", "alice"), ("erin", "bob")]
+        assert stats.orphans == 0
+
+    def test_reply_to_a_missing_post_is_an_orphan(self):
+        """A top-level reply never falls back to a comment of the same id."""
+        comments = [self.com("abc", "bob", 120, "p2", "p2"),
+                    self.com("c1", "carol", 150, "abc", "abc")]
+        events, stats = extract_events([self.post("p2", "dave", 100)], comments)
+        assert [(e.source, e.target) for e in events] == [("bob", "dave")]
+        assert stats.orphans == 1
+
     def test_orphan_counted(self):
         events, stats = extract_events([], [self.com("c1", "A", 9, "p9", "p9")])
         assert events == [] and stats.orphans == 1

@@ -1,17 +1,21 @@
+import ast
+import functools
 import gzip
 import json
 import random
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentgraph.chains import group_threads
+from latentgraph.chains import extract_chains, group_threads
 from latentgraph.errors import DataError, SchemaError
 from latentgraph.inference import extract_events
 from latentgraph.ingest import (
+    COMMENT_TRUNCATION,
     DUPLICATE_REMOVAL,
     N_STAGES,
     BotRule,
@@ -296,12 +300,19 @@ class TestTruncateComments:
         assert truncation_mask(recs, 10).sum() == 0
 
     def test_tie_broken_by_id(self):
+        """The ledger breaks a tie at the cutoff time by id, whatever the input
+        order; the mask itself counts comments in the order it is given."""
         recs = [post("p1", t=1)]
-        # Ten comments at distinct times, then two tied at the cutoff time.
+        # Nine comments at distinct times, then two tied at the cutoff time.
         recs += [comment(f"c{i:02d}", t=10 + i) for i in range(9)]
         recs += [comment("czz", t=100), comment("caa", t=100)]
-        ids = {r.id for r in kept(recs, truncation_mask(recs, 10))}
-        assert "caa" in ids and "czz" not in ids
+        for seed in range(5):
+            shuffled = list(recs)
+            random.Random(seed).shuffle(shuffled)
+            stages = run_pipeline(shuffled, PipelineSettings(min_interactions=1))
+            assert stages[1].manifest[COMMENT_TRUNCATION] == 1
+            ids = {r.id for r in stages[1].records}
+            assert "caa" in ids and "czz" not in ids
 
 
 class TestThresholdActivity:
@@ -533,3 +544,75 @@ def test_only_ingest_opens_files():
     openers = [path.name for path in sorted(src.glob("*.py"))
                if "open(" in path.read_text(encoding="utf-8") and path.name != "ingest.py"]
     assert openers == []
+
+
+def with_planted_repeats(records):
+    """``records`` plus an exact copy of a post and of a comment, and a later
+    copy of a comment with other words: each repeat either equals its original
+    or comes after it, so the copy stage 0 keeps is the same in any order."""
+    posts = [r for r in records if r.kind is RecordKind.POST]
+    comments = [r for r in records if r.kind is RecordKind.COMMENT]
+    later = replace(comments[1], created_utc=comments[1].created_utc + 1000,
+                    text="a later copy with other words")
+    return [*records, posts[0], comments[0], later]
+
+
+PERMUTED_DUMP = with_planted_repeats(make_synthetic_dump(16, 96, seed=4).records)
+
+
+def ledger_views(records):
+    """Every stage view and manifest, then the final stage's events and chains."""
+    stages = run_pipeline(records, PipelineSettings())
+    final = stages[-1].records
+    events = extract_events([r for r in final if r.kind is RecordKind.POST],
+                            [r for r in final if r.kind is RecordKind.COMMENT])
+    return ([(snap.records, snap.manifest) for snap in stages], events,
+            extract_chains(final, top_k=100))
+
+
+@functools.cache
+def unpermuted_views():
+    return ledger_views(PERMUTED_DUMP)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(PERMUTED_DUMP))
+def test_any_input_order_gives_the_same_run(records):
+    """The ledger's sort is the only order of a run's records: a permutation
+    of the input changes no stage, event, event order or chain."""
+    stages, events, chains = unpermuted_views()
+    assert stages[0][1] == {DUPLICATE_REMOVAL: 3}
+    assert chains[0] and events[0]
+    assert ledger_views(records) == (stages, events, chains)
+
+
+def test_only_the_ledger_orders_records():
+    """``record_sort_key`` is the one (created_utc, id) order: no other module
+    builds a sort key on ``created_utc``, and only the ledger's sort and a
+    thread's time order use it."""
+    import latentgraph.ingest as ingestmod
+
+    def scoped(node, scope):
+        """Every node under ``node`` with the dotted name of its enclosing def."""
+        for child in ast.iter_child_nodes(node):
+            yield child, scope
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from scoped(child, f"{scope}.{child.name}" if named else scope)
+
+    def on_created_utc(node):
+        return isinstance(node, ast.Attribute) and node.attr == "created_utc"
+
+    src = Path(ingestmod.__file__).parent
+    keys, users = [], []
+    for path in sorted(src.glob("*.py")):
+        for node, scope in scoped(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            if path.name != "ingest.py" and (
+                    (isinstance(node, ast.keyword) and node.arg == "key"
+                     and any(map(on_created_utc, ast.walk(node.value))))
+                    or (isinstance(node, ast.Tuple) and node.elts
+                        and on_created_utc(node.elts[0]))):
+                keys.append(f"{scope}:{node.lineno}")
+            if "record_sort_key" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                users.append(scope)
+    assert keys == []
+    assert sorted(set(users)) == ["chains.Thread.records", "ingest.build_ledger"]

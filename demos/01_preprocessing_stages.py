@@ -6,14 +6,14 @@ deleted records with known counts, so the per-stage manifests can be read
 against the ground truth.
 """
 
-from latentgraph.ingest import PipelineSettings, run_pipeline
+from latentgraph.ingest import run_pipeline
 from latentgraph.synthetic import make_synthetic_dump
 
 dump = make_synthetic_dump(n_posts=200, n_comments=1200, seed=7)
 print(f"raw corpus: {len(dump.posts)} posts, {len(dump.comments)} comments")
 print(f"planted: {dump.planted}\n")
 
-stages = run_pipeline(dump.records, PipelineSettings())
+stages = run_pipeline(dump.records)
 
 print(f"{'stage':>5} {'posts':>7} {'comments':>9}  removed")
 for snap in stages:

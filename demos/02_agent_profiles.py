@@ -2,12 +2,12 @@
 """Aggregate users into agents: hashed term vectors, seeded spherical
 k-means, then keyword/emotion/style enrichment."""
 
-from latentgraph.ingest import PipelineSettings, run_pipeline
+from latentgraph.ingest import run_pipeline
 from latentgraph.profiles import build_user_vectors, cluster_users, enrich, term_table
 from latentgraph.synthetic import DEMO_LEXICON, make_synthetic_dump
 
 dump = make_synthetic_dump(200, 1200, seed=7)
-clean = run_pipeline(dump.records, PipelineSettings())[-1].records
+clean = run_pipeline(dump.records)[-1].records
 
 # One pass over the text tokenizes each record once and gives the term
 # table, the keyword vocabulary and each user's counts; the user vectors sum

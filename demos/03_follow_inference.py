@@ -16,11 +16,11 @@ from latentgraph.inference import (
     extract_events,
     infer_all,
 )
-from latentgraph.ingest import PipelineSettings, RecordKind, run_pipeline
+from latentgraph.ingest import RecordKind, run_pipeline
 from latentgraph.synthetic import make_synthetic_dump
 
 dump = make_synthetic_dump(200, 1200, seed=7)
-clean = run_pipeline(dump.records, PipelineSettings())[-1].records
+clean = run_pipeline(dump.records)[-1].records
 posts = [r for r in clean if r.kind is RecordKind.POST]
 comments = [r for r in clean if r.kind is RecordKind.COMMENT]
 

@@ -6,13 +6,13 @@ import json
 
 from latentgraph.graph import EdgeClass, apply_coverage, build
 from latentgraph.inference import SECONDS_PER_DAY, WindowGrid, extract_events, infer_all
-from latentgraph.ingest import PipelineSettings, RecordKind, run_pipeline
+from latentgraph.ingest import RecordKind, run_pipeline
 from latentgraph.metrics import full_report
 from latentgraph.profiles import build_member_index, build_user_vectors, cluster_users, term_table
 from latentgraph.synthetic import make_synthetic_dump
 
 dump = make_synthetic_dump(300, 1800, seed=11)
-clean = run_pipeline(dump.records, PipelineSettings())[-1].records
+clean = run_pipeline(dump.records)[-1].records
 
 table, _, _ = term_table(clean)
 vectors = build_user_vectors(table)

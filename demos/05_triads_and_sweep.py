@@ -3,12 +3,12 @@
 a robustness sweep over window lengths and confirmation thresholds."""
 
 from latentgraph.inference import SECONDS_PER_DAY, WindowGrid, extract_events, infer_all
-from latentgraph.ingest import PipelineSettings, RecordKind, run_pipeline
+from latentgraph.ingest import RecordKind, run_pipeline
 from latentgraph.synthetic import make_synthetic_dump
 from latentgraph.temporal import sweep, triad_series
 
 dump = make_synthetic_dump(300, 1800, seed=11)
-clean = run_pipeline(dump.records, PipelineSettings())[-1].records
+clean = run_pipeline(dump.records)[-1].records
 posts = [r for r in clean if r.kind is RecordKind.POST]
 comments = [r for r in clean if r.kind is RecordKind.COMMENT]
 events, _ = extract_events(posts, comments)

@@ -9,11 +9,11 @@ pass serves the chains and every census threshold.
 """
 
 from latentgraph.chains import extract_chains
-from latentgraph.ingest import PipelineSettings, run_pipeline
+from latentgraph.ingest import run_pipeline
 from latentgraph.synthetic import make_synthetic_dump
 
 dump = make_synthetic_dump(300, 1800, seed=11)
-clean = run_pipeline(dump.records, PipelineSettings())[-1].records
+clean = run_pipeline(dump.records)[-1].records
 
 selected, manifest = extract_chains(clean, sim_threshold=0.1, top_k=35,
                                     census_thresholds=[0.1, 0.2, 0.3, 0.4, 0.5])

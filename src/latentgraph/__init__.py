@@ -22,7 +22,6 @@ from .inference import (  # noqa: F401
     infer_all,
 )
 from .ingest import (  # noqa: F401
-    PipelineSettings,
     RawRecord,
     RecordKind,
     StageSnapshot,

@@ -96,9 +96,8 @@ def ingest_stage(posts_path, comments_path) -> tuple[list[ingestmod.RawRecord], 
 
 def preprocess_stage(records, config: RunConfig, out: Path) -> list[ingestmod.StageSnapshot]:
     """Filter stages 0..3, written to ``out`` as one record ledger."""
-    stages = ingestmod.run_pipeline(records, ingestmod.PipelineSettings(
-        max_comments_per_post=config.max_comments_per_post,
-        min_interactions=config.min_interactions))
+    stages = ingestmod.run_pipeline(records, config.max_comments_per_post,
+                                    config.min_interactions)
     ingestmod.write_stages(stages, out, {"config_digest": config_digest(config)})
     return stages
 

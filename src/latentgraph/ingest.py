@@ -19,9 +19,15 @@ Stage map (the filters in :data:`FILTERS` order):
  3    removal of deleted/removed posts and comments
 ====  =============================================================
 
+The bot rule is fixed by ``BOT_DENY_LIST``, ``BOT_SUFFIX``, ``BURST_LIMIT`` and
+``BURST_WINDOW_SECONDS``; the two thresholds are :func:`run_pipeline`'s only
+arguments.
+
 On disk, ``stage0.records.jsonl`` holds every ledger row, repeats included, and
 stage k > 0 is a ledger of the records it removed, ``stageK.removed.jsonl``, so stage k
 is stage 0 less its repeats and the ledgers 1..k; each has a ``stageK.manifest.json``.
+Writing stages removes the files of every later stage, and
+:func:`latest_stage_records` reads them back into the same :class:`Ledger`.
 
 All file I/O of the package is here: :func:`open_input` opens every input,
 and every artifact is written through :func:`atomic_write`.
@@ -66,6 +72,12 @@ N_STAGES = FILTERS[-1][0] + 1
 
 NOISE_MIN_CHARS = 3
 _URL_ONLY_RE = re.compile(r"^https?://\S+$")
+
+# The bot rule: a deny-listed author, a name suffix, or a posting burst.
+BOT_DENY_LIST = frozenset({"AutoModerator"})
+BOT_SUFFIX = "bot"
+BURST_LIMIT = 500
+BURST_WINDOW_SECONDS = 86400
 
 DELETED_AUTHOR = "[deleted]"
 DELETION_MARKERS = ("[removed]", "[deleted]")
@@ -269,61 +281,40 @@ def load_dump(path: str | Path, kind: RecordKind) -> tuple[list[RawRecord], int]
 # Filters and stages; each filter is a drop mask over the records it is given
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BotRule:
-    """Heuristic bot detection: deny-list, name suffix, or posting bursts.
-
-    An author is a bot if it appears in ``deny_list``, if its name ends
-    (case-insensitively) with ``suffix``, or if it produced more than
-    ``burst_limit`` records within any ``burst_window_seconds`` span.
-    """
-
-    deny_list: frozenset[str] = frozenset({"AutoModerator"})
-    suffix: str = "bot"
-    burst_limit: int = 500
-    burst_window_seconds: int = 86400
-
-    def authors(self, records: Sequence[RawRecord]) -> set[str]:
-        """The bot authors among the authors of ``records``."""
-        times: dict[str, list[int]] = defaultdict(list)
-        for rec in records:
-            times[rec.author].append(rec.created_utc)
-        n, window = self.burst_limit, self.burst_window_seconds
-
-        def burst(stamps: list[int]) -> bool:
-            """Whether some n + 1 records span less than the window."""
-            ordered = np.sort(stamps)
-            return bool((ordered[n:] - ordered[:len(ordered) - n] < window).any())
-
-        return {author for author, stamps in times.items()
-                if author in self.deny_list
-                or (bool(self.suffix) and author.lower().endswith(self.suffix))
-                or (len(stamps) > n and burst(stamps))}
-
-
-@dataclass(frozen=True)
-class PipelineSettings:
-    """Knobs for the staged preprocessing run."""
-
-    bot_rule: BotRule = BotRule()
-    max_comments_per_post: int = 10
-    min_interactions: int = 2
-
-
 def _mask(items: Sequence, drop: Callable[[object], bool]) -> np.ndarray:
     return np.fromiter(map(drop, items), dtype=bool, count=len(items))
 
 
 def repeat_mask(records: Sequence[RawRecord]) -> np.ndarray:
     """Flag every row but the first of each (kind, id) pair."""
-    first: dict[tuple[RecordKind, str], int] = {}
-    return np.fromiter((first.setdefault((r.kind, r.id), i) != i for i, r in enumerate(records)),
-                       dtype=bool, count=len(records))
+    seen: dict[RecordKind, set[str]] = {kind: set() for kind in RecordKind}  # ids by kind
+    drop = np.zeros(len(records), dtype=bool)
+    for i, rec in enumerate(records):
+        ids = seen[rec.kind]
+        if rec.id in ids:
+            drop[i] = True
+        else:
+            ids.add(rec.id)
+    return drop
 
 
-def bot_mask(records: Sequence[RawRecord], rule: BotRule = BotRule()) -> np.ndarray:
-    """Flag the records of bot authors."""
-    bots = rule.authors(records)
+def bot_mask(records: Sequence[RawRecord]) -> np.ndarray:
+    """Flag the records of bot authors: an author in ``BOT_DENY_LIST``, one whose
+    name ends (case-insensitively) with ``BOT_SUFFIX``, or one with more than
+    ``BURST_LIMIT`` records within some span shorter than ``BURST_WINDOW_SECONDS``."""
+    times: dict[str, list[int]] = defaultdict(list)
+    for rec in records:
+        times[rec.author].append(rec.created_utc)
+    n = BURST_LIMIT
+
+    def burst(stamps: list[int]) -> bool:
+        """Whether some n + 1 records span less than the window."""
+        ordered = np.sort(stamps)
+        return bool((ordered[n:] - ordered[:len(ordered) - n] < BURST_WINDOW_SECONDS).any())
+
+    bots = {author for author, stamps in times.items()
+            if author in BOT_DENY_LIST or author.lower().endswith(BOT_SUFFIX)
+            or (len(stamps) > n and burst(stamps))}
     return _mask(records, lambda r: r.author in bots)
 
 
@@ -333,7 +324,7 @@ def noise_mask(records: Sequence[RawRecord]) -> np.ndarray:
     return _mask(texts, lambda text: len(text) < NOISE_MIN_CHARS or bool(_URL_ONLY_RE.match(text)))
 
 
-def truncation_mask(records: Sequence[RawRecord], max_per_post: int = 10) -> np.ndarray:
+def truncation_mask(records: Sequence[RawRecord], max_per_post: int) -> np.ndarray:
     """Flag every comment of a post after its first ``max_per_post`` in the order
     given; in the ledger's (created_utc, id) order these are its earliest."""
     seen: Counter[str] = Counter()
@@ -345,7 +336,7 @@ def truncation_mask(records: Sequence[RawRecord], max_per_post: int = 10) -> np.
     return drop
 
 
-def activity_mask(records: Sequence[RawRecord], min_interactions: int = 2) -> np.ndarray:
+def activity_mask(records: Sequence[RawRecord], min_interactions: int) -> np.ndarray:
     """Flag every record of authors with fewer than ``min_interactions`` records."""
     counts = Counter(r.author for r in records)
     return _mask(records, lambda r: counts[r.author] < min_interactions)
@@ -376,6 +367,10 @@ def build_ledger(records: Iterable[RawRecord], drops: Sequence[Callable]) -> Led
     for code, drop in enumerate(drops):
         alive = np.flatnonzero(codes == KEPT)
         codes[alive[drop([rows[i] for i in alive.tolist()])]] = code
+    return _ledger(rows, codes)
+
+
+def _ledger(rows: list[RawRecord], codes: np.ndarray) -> Ledger:
     return Ledger(rows, codes, _mask(rows, lambda r: r.kind is RecordKind.POST))
 
 
@@ -422,18 +417,16 @@ def snapshot(records: Iterable[RawRecord]) -> StageSnapshot:
     return StageSnapshot(build_ledger(records, [repeat_mask]), 0)
 
 
-def run_pipeline(
-    records: Iterable[RawRecord],
-    settings: PipelineSettings = PipelineSettings(),
-) -> list[StageSnapshot]:
+def run_pipeline(records: Iterable[RawRecord], max_comments_per_post: int = 10,
+                 min_interactions: int = 2) -> list[StageSnapshot]:
     """Run every filter over one ledger and return stages 0..3 as its views;
     record counts are non-increasing across stages."""
     ledger = build_ledger(records, [  # in FILTERS order
         repeat_mask,
-        lambda rows: bot_mask(rows, settings.bot_rule),
+        bot_mask,
         noise_mask,
-        lambda rows: truncation_mask(rows, settings.max_comments_per_post),
-        lambda rows: activity_mask(rows, settings.min_interactions),
+        lambda rows: truncation_mask(rows, max_comments_per_post),
+        lambda rows: activity_mask(rows, min_interactions),
         deleted_mask,
     ])
     return [StageSnapshot(ledger, stage_id) for stage_id in range(N_STAGES)]
@@ -511,9 +504,13 @@ def write_stages(
     Stage 0 is written as every ledger row, repeats included, every later stage
     as the records it removed: one ``{"kind", "id", "reason"}`` line each in
     ledger order, filter by filter, the reason being the filter's manifest
-    key.  No file replaces its target before all are written.
+    key.  No file replaces its target before all are written, and the files of
+    every later stage, left by an earlier run, are removed first.
     """
     out = Path(out_dir)
+    for stage_id in range(stages[-1].stage_id + 1, N_STAGES):
+        records_path(out, stage_id).unlink(missing_ok=True)
+        manifest_path(out, stage_id).unlink(missing_ok=True)
     with ExitStack() as files:
         for snap in stages:
             ledger = snap.ledger
@@ -536,26 +533,30 @@ def load_records(path: str | Path) -> list[RawRecord]:
     return list(decode_lines(path, "stage record", decode_record))
 
 
-def _ledger_row(stage_id: int) -> Callable[[object], tuple[str, str]]:
-    """Decoder of stage ``stage_id``'s removal-ledger rows: the (kind, id) a
-    row names, its reason being one of the stage's filters."""
-    reasons = tuple(key for stage, key in FILTERS if stage == stage_id)
+def _ledger_row(stage_id: int, removed: dict[RecordKind, dict[str, int]]
+                ) -> Callable[[object], None]:
+    """Decoder of stage ``stage_id``'s removal-ledger rows: each row enters the
+    code of its reason, a filter of the stage, in ``removed`` under the (kind,
+    id) it names, which no earlier row may name."""
 
-    def decode(obj: object) -> tuple[str, str]:
+    def decode(obj: object) -> None:
         if not isinstance(obj, dict):
             raise ValueError(f"a ledger row must be a JSON object, got {type(obj).__name__}")
-        key = RecordKind(obj.get("kind")).value, read_id(obj, "id")
-        if obj.get("reason") not in reasons:
-            raise ValueError(f"reason {obj.get('reason')!r} is not a filter of stage {stage_id}")
-        return key
+        kind, rec_id, reason = RecordKind(obj.get("kind")), read_id(obj, "id"), obj.get("reason")
+        if (stage_id, reason) not in FILTERS:
+            raise ValueError(f"reason {reason!r} is not a filter of stage {stage_id}")
+        if rec_id in removed[kind]:
+            raise ValueError(f"{(kind.value, rec_id)} is already removed by an earlier row")
+        removed[kind][rec_id] = FILTERS.index((stage_id, reason))
 
     return decode
 
 
 def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
     """Records of the highest stage with a removal ledger (stage 0 without one), in
-    ledger order: the first stage-0 row of each (kind, id) less every record the
-    ledgers up to that stage name.  Each ledger row must remove its own stage-0 record."""
+    ledger order: the stage's view of the ledger rebuilt from the stage-0 rows,
+    their repeats, and the code each ledger row up to that stage gives the
+    record it names.  Each ledger row must remove its own stage-0 record."""
     base = Path(directory)
     if not records_path(base, 0).exists():
         raise DataError(f"no stage records found under {base}")
@@ -563,22 +564,18 @@ def latest_stage_records(directory: str | Path) -> tuple[int, list[RawRecord]]:
         raise DataError(f"{base} holds per-stage record files of an older format; "
                         "preprocess into a fresh directory")
     stage_id = max((k for k in range(1, N_STAGES) if records_path(base, k).exists()), default=0)
-    rows = [(k, key) for k in range(1, stage_id + 1)
-            for key in decode_lines(records_path(base, k), "removal ledger", _ledger_row(k))]
-    removed = {key for _, key in rows}
-    records, seen = [], {kind.value: set() for kind in RecordKind}  # ids by kind
-    for rec in decode_lines(records_path(base, 0), "stage record", decode_record):
-        ids = seen[rec.kind.value]
-        if rec.id not in ids:
-            ids.add(rec.id)
-            if (rec.kind.value, rec.id) not in removed:
-                records.append(rec)
-    matched = {key for key in removed if key[1] in seen[key[0]]}
-    if len(matched) != len(rows):
-        unmatched = Counter(key for _, key in rows)
-        unmatched.subtract(matched)
-        first = next((f"; {records_path(base, k)} names {key}, which matches none"
-                      for k, key in rows if unmatched[key] > 0), "")
-        raise DataError(f"{base}: the removal ledgers hold {len(rows)} rows but remove "
-                        f"{len(matched)} stage-0 records{first}")
-    return stage_id, records
+    removed: dict[RecordKind, dict[str, int]] = {kind: {} for kind in RecordKind}  # id -> code
+    for k in range(1, stage_id + 1):
+        for _ in decode_lines(records_path(base, k), "removal ledger", _ledger_row(k, removed)):
+            pass
+    records = load_records(records_path(base, 0))
+    # The first row of each (kind, id) takes the code its ledger row gives; its
+    # repeats, coming later, find none and then get code 0.
+    codes = np.fromiter((removed[r.kind].pop(r.id, KEPT) for r in records), dtype=np.int8,
+                        count=len(records))
+    codes[repeat_mask(records)] = 0
+    for kind, ids in removed.items():
+        for rec_id, code in ids.items():  # a row left over matched nothing
+            raise DataError(f"{records_path(base, FILTERS[code][0])} names "
+                            f"{(kind.value, rec_id)}, which matches no stage-0 record")
+    return stage_id, StageSnapshot(_ledger(records, codes), stage_id).records

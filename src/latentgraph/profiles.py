@@ -442,11 +442,12 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
     source = Path(path)
     if not source.exists():
         raise ConfigError(f"emotion lexicon not found: {source}")
+    rows = [(n, line.strip()) for n, line in numbered_lines(source, "emotion lexicon")
+            if not line.lstrip().startswith("#")]
+    if rows and rows[0][1].lower().replace(" ", "") == "term,emotion":
+        del rows[0]  # the header, the first line that is neither blank nor a comment
     table: dict[str, str] = {}
-    for n, line in numbered_lines(source, "emotion lexicon"):
-        line = line.strip()
-        if line.startswith("#") or (n == 1 and line.lower().replace(" ", "") == "term,emotion"):
-            continue
+    for n, line in rows:
         parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"{source}:{n}: expected 'term,emotion'")

@@ -30,7 +30,7 @@ from latentgraph.metrics import (
     reciprocity,
 )
 from latentgraph.errors import UndefinedMetricError
-from latentgraph.ingest import N_STAGES, PipelineSettings, run_pipeline
+from latentgraph.ingest import N_STAGES, run_pipeline
 from latentgraph.synthetic import make_synthetic_dump
 from latentgraph.temporal import triad_series, triangle_closures
 from oracles import (
@@ -217,7 +217,7 @@ def test_criterion_5_triad_series_properties():
 def test_criterion_6_preprocessing_ledger():
     crit = Criterion(6, "preprocessing ledger", 5.0)
     dump = make_synthetic_dump(100, 600, seed=2026)
-    stages = run_pipeline(dump.records, PipelineSettings())
+    stages = run_pipeline(dump.records)
     ok = len(stages) == N_STAGES
     ok &= [snap.stage_id for snap in stages] == sorted(dump.expected_removed)
     for snap in stages:

@@ -1,3 +1,4 @@
+import ast
 import gzip
 import json
 import shutil
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from latentgraph import cli
 from latentgraph.cli import _merge_config, build_parser, main, run_all
 from latentgraph.config import (
     DOMAIN_AGENT_COUNTS,
+    FIELD_NAMES,
     RunConfig,
     config_digest,
     default_config,
@@ -670,6 +673,7 @@ GOOD_EDGES = f"{EDGE_HEADER}\n{GOOD_EDGE}\n".encode()
 AGENT = {"agent_id": "A000", "label": "a", "members": ["A"], "centroid": [1.0], "keywords": []}
 LEDGER_ROW = b'{"kind":"post","id":"nope","reason":"bot_removal"}\n'
 LEDGER = "{tmp}/stages/stage1.removed.jsonl"
+BOT_ROW = b'{"kind":"post","id":"p000000","reason":"bot_removal"}\n'
 GRAPHML = graphml("AB", ("A", "B", 3, "maybe"))
 # A node named "", which an edge end left out must not stand for.
 GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/>')
@@ -756,6 +760,16 @@ GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/
                   LEDGER_ROW + b'{"kind":"post","id":"p000000","reason":"activity_threshold"}\n'},
                  ["chains", "--in", "{tmp}/stages"], 2, LEDGER + ":2",
                  id="ledger-row-reason-of-another-stage"),
+    # A row naming a record that an earlier row removed, in its own ledger or
+    # in an earlier stage's.
+    pytest.param({"stages/stage1.removed.jsonl": BOT_ROW + BOT_ROW},
+                 ["agents", "--in", "{tmp}/stages"], 2, LEDGER + ":2",
+                 id="ledger-row-repeated-in-one-ledger"),
+    pytest.param({"stages/stage1.removed.jsonl": BOT_ROW,
+                  "stages/stage2.removed.jsonl":
+                  b'\n{"kind":"post","id":"p000000","reason":"activity_threshold"}\n'},
+                 ["chains", "--in", "{tmp}/stages"], 2, "{tmp}/stages/stage2.removed.jsonl:2",
+                 id="ledger-row-repeated-across-stages"),
     # A row naming no stage-0 record is refused once every ledger row is read.
     pytest.param({"stages/stage1.removed.jsonl": LEDGER_ROW},
                  ["agents", "--in", "{tmp}/stages"], 2, LEDGER, id="ledger-row-matching-nothing"),
@@ -803,3 +817,30 @@ def test_faulty_input_exits_with_its_code_and_names_the_file(
     err = capsys.readouterr().err
     assert named.format(**fill) in err
     assert "internal error" not in err
+
+
+def _attributes_read(tree: ast.AST, owner: str) -> set[str]:
+    """Every ``<owner>.<attr>`` that ``tree`` reads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == owner}
+
+
+def test_every_setting_and_flag_is_read():
+    """No flag does nothing: every RunConfig field is read as ``config.<field>``
+    outside config.py, and every other parser dest as ``args.<dest>`` in cli.py."""
+    package = Path(cli.__file__).parent
+    read = set().union(*(_attributes_read(ast.parse(path.read_text(encoding="utf-8")), "config")
+                         for path in package.glob("*.py") if path.name != "config.py"))
+    assert FIELD_NAMES - read == set()
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    dests = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            keywords = {k.arg: k.value for k in node.keywords}
+            if "action" in keywords and keywords["action"].value in ("help", "version"):
+                continue
+            dest = keywords.get("dest")
+            dests.add(dest.value if dest else node.args[0].value.lstrip("-").replace("-", "_"))
+    assert {"indir", "max_comments_per_post"} <= dests  # the walk found the parser
+    assert dests - FIELD_NAMES - _attributes_read(tree, "args") == set()

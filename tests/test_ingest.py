@@ -7,10 +7,12 @@ import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latentgraph.ingest as ingestmod
 from latentgraph.chains import extract_chains, group_threads
 from latentgraph.errors import DataError, SchemaError
 from latentgraph.inference import extract_events
@@ -18,8 +20,8 @@ from latentgraph.ingest import (
     COMMENT_TRUNCATION,
     DUPLICATE_REMOVAL,
     N_STAGES,
-    BotRule,
-    PipelineSettings,
+    BURST_LIMIT,
+    BURST_WINDOW_SECONDS,
     RawRecord,
     RecordKind,
     activity_mask,
@@ -264,13 +266,24 @@ class TestFilterBots:
     def test_plain_author_kept(self):
         assert bot_mask([comment("c1", author="alice")]).sum() == 0
 
+    @staticmethod
+    def burst(author, n, span):
+        """``n`` records of ``author``, the first at t=1000 and the last ``span`` s later."""
+        return [comment(f"{author}{i}", author=author, t=1000 + i * span // (n - 1))
+                for i in range(n)]
+
     def test_burst_rule(self):
-        rule = BotRule(burst_limit=5, burst_window_seconds=100)
-        burst = [comment(f"c{i}", author="flooder", t=1000 + i) for i in range(6)]
-        calm = [comment(f"d{i}", author="casual", t=1000 + i * 1000) for i in range(6)]
-        mask = bot_mask(burst + calm, rule)
-        assert {r.author for r in kept(burst + calm, mask)} == {"casual"}
-        assert mask.sum() == 6
+        assert (BURST_LIMIT, BURST_WINDOW_SECONDS) == (500, 86400)
+        flood = self.burst("flooder", BURST_LIMIT + 1, BURST_WINDOW_SECONDS - 1)
+        calm = self.burst("casual", 6, 6000)
+        mask = bot_mask(flood + calm)
+        assert {r.author for r in kept(flood + calm, mask)} == {"casual"}
+        assert mask.sum() == BURST_LIMIT + 1
+
+    @pytest.mark.parametrize("n, span", [(BURST_LIMIT + 1, BURST_WINDOW_SECONDS),
+                                         (BURST_LIMIT, 60)], ids=["whole-window", "at-limit"])
+    def test_burst_at_the_limits_is_not_a_bot(self, n, span):
+        assert bot_mask(self.burst("steady", n, span)).sum() == 0
 
     def test_fixture_count(self):
         recs = [comment(f"c{i}", author="spambot") for i in range(4)]
@@ -309,7 +322,7 @@ class TestTruncateComments:
         for seed in range(5):
             shuffled = list(recs)
             random.Random(seed).shuffle(shuffled)
-            stages = run_pipeline(shuffled, PipelineSettings(min_interactions=1))
+            stages = run_pipeline(shuffled, min_interactions=1)
             assert stages[1].manifest[COMMENT_TRUNCATION] == 1
             ids = {r.id for r in stages[1].records}
             assert "caa" in ids and "czz" not in ids
@@ -347,7 +360,7 @@ class TestDropDeleted:
 class TestDuplicates:
     def test_repeated_comment_counted_once(self):
         recs = [post("p1"), comment("c1"), comment("c1")]
-        stages = run_pipeline(recs, PipelineSettings(min_interactions=1))
+        stages = run_pipeline(recs, min_interactions=1)
         assert stages[0].manifest == {DUPLICATE_REMOVAL: 1}
         final = stages[-1].records
         assert [r.id for r in final] == ["p1", "c1"]
@@ -379,7 +392,7 @@ class TestDuplicates:
 class TestRunPipeline:
     def test_synthetic_manifests_match_plants(self):
         dump = make_synthetic_dump(100, 600, seed=5)
-        stages = run_pipeline(dump.records, PipelineSettings())
+        stages = run_pipeline(dump.records)
         assert len(stages) == N_STAGES
         for snap in stages:
             assert snap.manifest == dump.expected_removed[snap.stage_id]
@@ -387,7 +400,7 @@ class TestRunPipeline:
 
     def test_monotone_counts(self):
         dump = make_synthetic_dump(60, 300, seed=8)
-        stages = run_pipeline(dump.records, PipelineSettings())
+        stages = run_pipeline(dump.records)
         for prev, cur in zip(stages, stages[1:]):
             assert cur.post_count <= prev.post_count
             assert cur.comment_count <= prev.comment_count
@@ -399,14 +412,14 @@ class TestRunPipeline:
                     parent=f"p{i % 9}")
             for i in range(9)
         ]
-        stages = run_pipeline(recs, PipelineSettings())
+        stages = run_pipeline(recs)
         for snap in stages[1:4]:
             assert snap.total == len(recs)
             assert all(v == 0 for v in snap.manifest.values())
 
     def test_idempotence_of_each_stage(self):
         dump = make_synthetic_dump(60, 300, seed=9)
-        stages = run_pipeline(dump.records, PipelineSettings())
+        stages = run_pipeline(dump.records)
         stage1 = stages[1].records
         assert bot_mask(stage1).sum() == 0
         assert truncation_mask(stage1, 10).sum() == 0
@@ -415,7 +428,7 @@ class TestRunPipeline:
 
     def test_manifest_conservation(self):
         dump = make_synthetic_dump(80, 400, seed=10)
-        stages = run_pipeline(dump.records, PipelineSettings())
+        stages = run_pipeline(dump.records)
         for prev, cur in zip(stages, stages[1:]):
             assert prev.total == cur.total + sum(cur.manifest.values())
 
@@ -424,8 +437,8 @@ class TestRunPipeline:
         records = list(dump.records)
         shuffled = list(records)
         random.Random(1).shuffle(shuffled)
-        a = run_pipeline(records, PipelineSettings())
-        b = run_pipeline(shuffled, PipelineSettings())
+        a = run_pipeline(records)
+        b = run_pipeline(shuffled)
         for snap_a, snap_b in zip(a, b):
             assert snap_a.records == snap_b.records
             assert snap_a.manifest == snap_b.manifest
@@ -434,7 +447,7 @@ class TestRunPipeline:
 class TestPersistence:
     def test_snapshot_round_trip(self, tmp_path):
         dump = make_synthetic_dump(30, 150, seed=2)
-        stages = run_pipeline(dump.records, PipelineSettings())
+        stages = run_pipeline(dump.records)
         write_stages(stages, tmp_path)
         assert load_records(tmp_path / "stage0.records.jsonl") == stages[0].records
         for snap in reversed(stages):
@@ -454,8 +467,18 @@ class TestPersistence:
             assert reasons == {key: n for key, n in snap.manifest.items() if n}
             ledger_path.unlink()
 
+    def test_fewer_stages_remove_the_later_stages_files(self, tmp_path):
+        """Stage 0 written over a preprocessed directory removes the older run's
+        later ledgers and manifests, so the directory reads as the new stage 0."""
+        write_stages(run_pipeline(make_synthetic_dump(60, 360, seed=1).records), tmp_path)
+        stage0 = snapshot(make_synthetic_dump(60, 360, seed=2).records)
+        write_stages([stage0], tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "stage0.manifest.json", "stage0.records.jsonl"]
+        assert latest_stage_records(tmp_path) == (0, stage0.records)
+
     def test_older_per_stage_record_files_rejected(self, tmp_path):
-        stages = run_pipeline(make_synthetic_dump(30, 150, seed=3).records, PipelineSettings())
+        stages = run_pipeline(make_synthetic_dump(30, 150, seed=3).records)
         write_stages(stages, tmp_path)
         (tmp_path / "stage6.records.jsonl").write_text("")
         with pytest.raises(DataError):
@@ -478,9 +501,7 @@ class TestPersistence:
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         dump = make_synthetic_dump(30, 150, seed=13)
-        stages = run_pipeline(dump.records, PipelineSettings())
-
-        import latentgraph.ingest as ingestmod
+        stages = run_pipeline(dump.records)
 
         real_write = ingestmod.atomic_write
         calls = {"n": 0}
@@ -524,9 +545,8 @@ def ledger_records(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(ledger_records(), max_size=40))
 def test_ledger_replay_gives_every_stage(records):
-    pipeline = PipelineSettings(bot_rule=BotRule(burst_limit=3, burst_window_seconds=2),
-                                max_comments_per_post=2)
-    stages = run_pipeline(records, pipeline)
+    with mock.patch.multiple(ingestmod, BURST_LIMIT=3, BURST_WINDOW_SECONDS=2):
+        stages = run_pipeline(records, max_comments_per_post=2)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_stages(stages, out)
@@ -538,8 +558,6 @@ def test_ledger_replay_gives_every_stage(records):
 def test_only_ingest_opens_files():
     """Every file the package reads or writes is opened in ingest.py, so a bad
     input always becomes the same DataError and every artifact is atomic."""
-    import latentgraph.ingest as ingestmod
-
     src = Path(ingestmod.__file__).parent
     openers = [path.name for path in sorted(src.glob("*.py"))
                if "open(" in path.read_text(encoding="utf-8") and path.name != "ingest.py"]
@@ -562,7 +580,7 @@ PERMUTED_DUMP = with_planted_repeats(make_synthetic_dump(16, 96, seed=4).records
 
 def ledger_views(records):
     """Every stage view and manifest, then the final stage's events and chains."""
-    stages = run_pipeline(records, PipelineSettings())
+    stages = run_pipeline(records)
     final = stages[-1].records
     events = extract_events([r for r in final if r.kind is RecordKind.POST],
                             [r for r in final if r.kind is RecordKind.COMMENT])
@@ -590,8 +608,6 @@ def test_only_the_ledger_orders_records():
     """``record_sort_key`` is the one (created_utc, id) order: no other module
     builds a sort key on ``created_utc``, and only the ledger's sort and a
     thread's time order use it."""
-    import latentgraph.ingest as ingestmod
-
     def scoped(node, scope):
         """Every node under ``node`` with the dotted name of its enclosing def."""
         for child in ast.iter_child_nodes(node):

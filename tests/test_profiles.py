@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from latentgraph import chains, cli, profiles
 from latentgraph.config import default_config
 from latentgraph.errors import ConfigError, DataError
-from latentgraph.ingest import PipelineSettings, RawRecord, RecordKind, run_pipeline
+from latentgraph.ingest import RawRecord, RecordKind, run_pipeline
 from latentgraph.profiles import (
     RESIDUAL_LABEL,
     AgentProfile,
@@ -277,6 +277,13 @@ class TestEnrichment:
         with pytest.raises(ConfigError):
             load_lexicon(tmp_path / "missing.csv")
 
+    @pytest.mark.parametrize("head", ["# demo\n", "\n", "# demo\n\n"],
+                             ids=["comment", "blank", "comment-and-blank"])
+    def test_lexicon_header_after_comments_and_blank_lines(self, tmp_path, head):
+        path = tmp_path / "lex.csv"
+        path.write_text(head + "term,emotion\nhappy,joy\n")
+        assert load_lexicon(path) == {"happy": "joy"}
+
 
 class TestAssignAgent:
     def make_profiles(self):
@@ -378,7 +385,7 @@ def counting_tokenize(monkeypatch):
 
 def final_records(seed):
     dump = make_synthetic_dump(30, 180, seed=seed)
-    return list(run_pipeline(dump.records, PipelineSettings())[-1].records)
+    return list(run_pipeline(dump.records)[-1].records)
 
 
 @pytest.fixture(scope="module")

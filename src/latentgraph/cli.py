@@ -7,7 +7,8 @@ files and calls its one stage.  ``main`` turns the flags and the config file
 into one ``RunConfig`` (``config.merge_config``) and validates it once for
 every command but ``validate``.  ``metrics`` loads only graph files that
 ``graph.build`` could have written.  Exit codes: 0 success, 1 usage or
-config error, 2 data error, 3 internal failure.
+config error (an output path that cannot be made among them), 2 data error,
+3 internal failure.
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.graph.suffix == ".csv":
+    inner = args.graph.with_suffix("") if args.graph.suffix == ".gz" else args.graph
+    if inner.suffix == ".csv":
         graph = graphmod.load_graph_edges_csv(args.graph)
     else:
         graph = graphmod.load_graphml(args.graph)
@@ -306,8 +308,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
     require_valid(config)
     if not config.posts_path or not config.comments_path or not config.out_dir:
         raise ConfigError("run-all needs posts_path, comments_path, and out_dir")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = ingestmod.output_dir(config.out_dir)
     timings: dict[str, float] = {}
 
     @contextmanager
@@ -372,19 +373,10 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
 def _write_replication_report(config: RunConfig, report, out: Path) -> None:
     """Side-by-side comparison against the published reference metrics."""
     reference = REFERENCE_METRICS.get(config.domain)
-    computed = {
-        "nodes": report.nodes,
-        "edges": report.edges,
-        "density": report.density,
-        "clustering": report.clustering,
-        "reciprocity": report.reciprocity,
-        "avg_path_length": report.avg_path_length,
-        "modularity": report.modularity,
-        "n_communities": len(report.communities),
-        "largest_community": report.largest_community,
-    }
+    computed = {**report.to_dict(), "n_communities": len(report.communities)}
     rows = {}
-    for name, value in computed.items():
+    for name in next(iter(REFERENCE_METRICS.values())):  # every domain compares these
+        value = computed[name]
         ref = reference.get(name) if reference else None
         delta = None
         if isinstance(ref, (int, float)) and isinstance(value, (int, float)):

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DataError
-from .inference import GRAPH_EDGES_CSV_FIELDS, FollowEdge, FollowStatus, edge_row, read_edge_rows
+from .inference import GRAPH_EDGES_CSV_FIELDS, FollowEdge, FollowStatus, read_edge_rows
 from .ingest import atomic_write, open_input, write_csv
 
 
@@ -125,7 +126,7 @@ def apply_coverage(graph: InteractionGraph, fraction: float = 0.0001) -> Interac
 # ---------------------------------------------------------------------------
 
 def write_graph_edges_csv(graph: InteractionGraph, path: str | Path) -> None:
-    write_csv(path, GRAPH_EDGES_CSV_FIELDS, (edge_row(e) + [e.weight] for e in graph.edges))
+    write_csv(path, GRAPH_EDGES_CSV_FIELDS, map(attrgetter(*GRAPH_EDGES_CSV_FIELDS), graph.edges))
 
 
 def _rebuild(source: str | Path, edges: list[FollowEdge], nodes: Iterable[str] = ()):

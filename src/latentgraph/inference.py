@@ -26,26 +26,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import RawRecord, RecordKind, decode_lines, open_input, read_id, read_time
-from .ingest import write_csv, write_jsonl
+from .ingest import row_dict, write_csv, write_jsonl
 
 SECONDS_PER_DAY = 86400
 DEFAULT_MAYBE_MIN = 2
 DEFAULT_FORSURE_MIN = 3
-
-EDGES_CSV_FIELDS = [
-    "source",
-    "target",
-    "status",
-    "windows_hit",
-    "total_comments",
-    "first_seen",
-    "last_seen",
-    "status_time",
-]
-GRAPH_EDGES_CSV_FIELDS = EDGES_CSV_FIELDS + ["weight"]
-
-TIMELINE_CSV_FIELDS = ["time", "source", "target", "status"]
-
 
 class FollowStatus(str, Enum):
     NONE = "none"
@@ -68,13 +53,7 @@ class InteractionEvent:
     comment_id: str
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "time": self.time,
-            "post_id": self.post_id,
-            "comment_id": self.comment_id,
-        }
+        return row_dict(self)
 
     @classmethod
     def from_dict(cls, obj: object) -> "InteractionEvent":
@@ -154,7 +133,7 @@ class ExtractionStats:
     orphans: int = 0
 
     def to_dict(self) -> dict:
-        return {"events": self.events, "self_replies": self.self_replies, "orphans": self.orphans}
+        return row_dict(self)
 
 
 def extract_events(
@@ -381,33 +360,36 @@ def event_timeline(edges: Iterable[FollowEdge]) -> list[TimelineRow]:
 
 
 # ---------------------------------------------------------------------------
-# Persistence
+# Persistence: each CSV writer reads its artifact's columns off each row by
+# name and leaves the spelling to the csv module (None as an empty field, a
+# float by its repr, a status by its value); an events.jsonl line is the
+# event's own fields.
 # ---------------------------------------------------------------------------
-
-def _opt(value: int | None) -> str:
-    return "" if value is None else str(value)
-
 
 def _opt_int(text: str) -> int | None:
     return int(text) if text else None
 
 
-def edge_row(edge: FollowEdge) -> list:
-    """The ``EDGES_CSV_FIELDS`` row of one edge."""
-    return [
-        edge.source,
-        edge.target,
-        edge.status.value,
-        edge.windows_hit,
-        edge.total_comments,
-        _opt(edge.first_seen),
-        _opt(edge.last_seen),
-        _opt(edge.status_time),
-    ]
+# The edges.csv columns in file order, each with the reader of its text;
+# every edge writer and ``read_edge_rows`` take the layout from here.
+EDGE_COLUMNS = {
+    "source": str,
+    "target": str,
+    "status": FollowStatus,
+    "windows_hit": int,
+    "total_comments": int,
+    "first_seen": _opt_int,
+    "last_seen": _opt_int,
+    "status_time": _opt_int,
+}
+EDGES_CSV_FIELDS = list(EDGE_COLUMNS)
+GRAPH_EDGES_CSV_FIELDS = EDGES_CSV_FIELDS + ["weight"]
+TIMELINE_CSV_FIELDS = ["time", "source", "target", "status"]
 
 
 def write_edges_csv(edges: Iterable[FollowEdge], path: str | Path) -> None:
-    write_csv(path, EDGES_CSV_FIELDS, map(edge_row, edges))
+    """An edges.csv: the ``EDGES_CSV_FIELDS`` of each edge, in the order given."""
+    write_csv(path, EDGES_CSV_FIELDS, map(attrgetter(*EDGES_CSV_FIELDS), edges))
 
 
 def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]:
@@ -433,16 +415,7 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
             for row in reader:
                 if None in row or None in row.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                edge = FollowEdge(
-                    source=row["source"],
-                    target=row["target"],
-                    status=FollowStatus(row["status"]),
-                    windows_hit=int(row["windows_hit"]),
-                    total_comments=int(row["total_comments"]),
-                    first_seen=_opt_int(row["first_seen"]),
-                    last_seen=_opt_int(row["last_seen"]),
-                    status_time=_opt_int(row["status_time"]),
-                )
+                edge = FollowEdge(**{name: read(row[name]) for name, read in EDGE_COLUMNS.items()})
                 if weighted and int(row["weight"]) != edge.total_comments:
                     raise ValueError(f"weight {row['weight']} is not total_comments "
                                      f"{edge.total_comments}")
@@ -461,8 +434,7 @@ def load_edges_csv(path: str | Path) -> list[FollowEdge]:
 
 
 def write_timeline_csv(rows: Iterable[TimelineRow], path: str | Path) -> None:
-    write_csv(path, TIMELINE_CSV_FIELDS,
-              ([row.time, row.source, row.target, row.status.value] for row in rows))
+    write_csv(path, TIMELINE_CSV_FIELDS, map(attrgetter(*TIMELINE_CSV_FIELDS), rows))
 
 
 def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> None:

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError
 
 # Manifest keys, shared with fixtures and tests.
 DUPLICATE_REMOVAL = "duplicate_removal"
@@ -88,6 +88,13 @@ class RecordKind(str, Enum):
     COMMENT = "comment"
 
 
+def row_dict(row) -> dict:
+    """A dataclass row's fields by name, in field order, for a JSON writer.
+    Read by ``getattr``: ``vars(row)`` would give every row a ``__dict__``
+    that stays with it for its lifetime."""
+    return {name: getattr(row, name) for name in row.__dataclass_fields__}
+
+
 @dataclass(frozen=True)
 class RawRecord:
     """One post or comment in normalized form.
@@ -107,7 +114,7 @@ class RawRecord:
     parent_id: str | None = None
 
     def to_dict(self) -> dict:
-        return {**vars(self), "kind": self.kind.value}
+        return row_dict(self)
 
 
 def record_sort_key(rec: RawRecord) -> tuple[int, str]:
@@ -204,15 +211,17 @@ def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord
 
 @contextmanager
 def open_input(path: str | Path, what: str, newline: str | None = None) -> Iterator[TextIO]:
-    """The one opener of input files: plain or ``.gz`` text as UTF-8.  A missing
-    file, or an OSError or UnicodeDecodeError raised while the block reads it,
-    is a DataError naming the file."""
+    """The one opener of input files: plain or ``.gz`` text as UTF-8, less a
+    leading byte-order mark.  A missing file, or an OSError or
+    UnicodeDecodeError raised while the block reads it, is a DataError naming
+    the file."""
     source = Path(path)
     if not source.exists():
         raise DataError(f"{what} file not found: {source}")
     try:
-        with (gzip.open(source, "rt", encoding="utf-8", newline=newline)
-              if source.suffix == ".gz" else open(source, encoding="utf-8", newline=newline)) as fh:
+        with (gzip.open(source, "rt", encoding="utf-8-sig", newline=newline)
+              if source.suffix == ".gz"
+              else open(source, encoding="utf-8-sig", newline=newline)) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
@@ -436,17 +445,37 @@ def run_pipeline(records: Iterable[RawRecord], max_comments_per_post: int = 10,
 # Stage persistence
 # ---------------------------------------------------------------------------
 
+def output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made if missing; a path that cannot be one (a
+    file, or a path through a file) is a ConfigError naming it."""
+    directory = Path(path)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {directory}: {exc}") from exc
+    return directory
+
+
 @contextmanager
 def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """Write UTF-8 text to a temp file beside ``path`` that replaces ``path`` only
-    when the block exits cleanly, so a crash never leaves a half-written file."""
+    when the block exits cleanly, so a crash never leaves a half-written file.
+    A directory or temp file that cannot be made, or a ``path`` that cannot be
+    replaced (a directory), is a ConfigError naming it; an error raised while
+    the block writes is not."""
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    tmp = output_dir(target.parent) / f".{target.name}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target}: {exc}") from exc
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {target}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -505,9 +534,10 @@ def write_stages(
     as the records it removed: one ``{"kind", "id", "reason"}`` line each in
     ledger order, filter by filter, the reason being the filter's manifest
     key.  No file replaces its target before all are written, and the files of
-    every later stage, left by an earlier run, are removed first.
+    every later stage, left by an earlier run, are removed first.  An
+    ``out_dir`` that cannot be made a directory is a ConfigError.
     """
-    out = Path(out_dir)
+    out = output_dir(out_dir)
     for stage_id in range(stages[-1].stage_id + 1, N_STAGES):
         records_path(out, stage_id).unlink(missing_ok=True)
         manifest_path(out, stage_id).unlink(missing_ok=True)
@@ -517,7 +547,7 @@ def write_stages(
             if snap.stage_id == 0:
                 rows = (rec.to_dict() for rec in ledger.records)
             else:
-                rows = ({"kind": r.kind.value, "id": r.id, "reason": FILTERS[code][1]}
+                rows = ({"kind": r.kind, "id": r.id, "reason": FILTERS[code][1]}
                         for code in snap.codes
                         for r in compress(ledger.records, (ledger.codes == code).tolist()))
             fh = files.enter_context(atomic_write(records_path(out, snap.stage_id)))

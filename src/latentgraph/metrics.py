@@ -34,7 +34,7 @@ from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import UndefinedMetricError
 from .graph import InteractionGraph
-from .ingest import json_document, write_json
+from .ingest import json_document, row_dict, write_json
 
 DEFAULT_DEGREE_TOP_K = 10
 
@@ -461,25 +461,13 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "density": self.density,
-            "clustering": self.clustering,
-            "reciprocity": self.reciprocity,
-            "avg_path_length": self.avg_path_length,
-            "in_degree_top": [[n, c] for n, c in self.in_degree_top],
-            "out_degree_top": [[n, c] for n, c in self.out_degree_top],
-            "assortativity": self.assortativity,
-            "modularity": self.modularity,
-            "communities": self.communities,
-            "largest_community": self.largest_community,
-            "filter_bubble": self.filter_bubble,
-        }
-        for name in sorted(self.reasons):
-            out[f"{name}_reason"] = self.reasons[name]
+        """The metric fields in field order, a ``<name>_reason`` per undefined
+        metric, then the conventions and the config."""
+        out = row_dict(self)
+        reasons, config = out.pop("reasons"), out.pop("config")
+        out.update((f"{name}_reason", reasons[name]) for name in sorted(reasons))
         out["conventions"] = dict(CONVENTIONS)
-        out["config"] = dict(self.config)
+        out["config"] = dict(config)
         return out
 
     def to_json(self) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -271,11 +272,5 @@ def sweep(
 
 
 def write_sweep_csv(report: SweepReport, path: str | Path) -> None:
-    def fmt(value: float | None) -> str:
-        return "" if value is None else repr(value)
-
-    write_csv(path, SWEEP_CSV_FIELDS, (
-        [cell.window_days, cell.maybe_min, cell.forsure_min, cell.coverage, cell.nodes,
-         cell.edges, fmt(cell.clustering), fmt(cell.reciprocity), fmt(cell.modularity)]
-        for cell in report.cells
-    ))
+    """A sweep.csv: the ``SWEEP_CSV_FIELDS`` of each cell; an undefined metric is empty."""
+    write_csv(path, SWEEP_CSV_FIELDS, map(attrgetter(*SWEEP_CSV_FIELDS), report.cells))

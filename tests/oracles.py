@@ -5,12 +5,15 @@ library: window materialization instead of index arithmetic, Floyd-Warshall
 instead of BFS, triple loops instead of adjacency intersection, exhaustive
 partition search instead of greedy merging, a greedy modularity run that
 rebuilds its community-pair table after every merge instead of updating it,
-path collection by dynamic programming instead of DFS enumeration, and term
-vectors from per-token counters instead of a bucket table.
+path collection by dynamic programming instead of DFS enumeration, term
+vectors from per-token counters instead of a bucket table, and CSV fields
+spelled one by one instead of by the csv encoder.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -447,6 +450,36 @@ def oracle_term_vector(texts: Sequence[str], dim: int = 4096) -> np.ndarray:
         for bucket, n in buckets.items():
             vec[bucket] = n / norm
     return vec
+
+
+# ---------------------------------------------------------------------------
+# CSV artifact spelling
+# ---------------------------------------------------------------------------
+
+def oracle_csv_field(value: object) -> str:
+    """One field as the CSV artifacts spell it: None as "", a float by its
+    repr, an int in decimal, a status by its value, a string as itself."""
+    if value is None:
+        return ""
+    if isinstance(value, FollowStatus):
+        return value.value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise TypeError(f"no CSV spelling for {value!r}")
+
+
+def oracle_csv_bytes(header: Sequence[str], rows: Sequence[Sequence[object]]) -> bytes:
+    """The bytes of a CSV artifact: the header, then each row's fields spelled
+    one by one, quoted by the csv module, with "\n" line ends, in UTF-8."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([oracle_csv_field(value) for value in row] for row in rows)
+    return buffer.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

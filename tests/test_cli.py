@@ -64,6 +64,12 @@ class TestValidate:
         assert default_config("climate").k_agents == 14
         assert default_config("covid").k_agents == 7
 
+    def test_config_byte_order_mark_is_not_text(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("\ufeff" + json.dumps({"domain": "climate"}), encoding="utf-8")
+        assert load_config(path).domain == "climate"
+        assert main(["validate", "--config", str(path)]) == 0
+
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"no_such_knob": 1}))
@@ -355,6 +361,17 @@ class TestRunAll:
         assert report["reference_available"] is True
         assert report["metrics"]["density"]["reference"] == 0.192
         assert "computed" in report["metrics"]["density"]
+
+    def test_metrics_reads_a_gzipped_graph_edges_csv(self, small_dump, tmp_path):
+        """``metrics`` picks its reader by the suffix in front of ``.gz``."""
+        out = tmp_path / "out"
+        assert run_all(replace(self.run_config(small_dump, out), level="user")) == 0
+        plain = out / "graph.edges.csv"
+        packed = tmp_path / "graph.edges.csv.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        for graph, report in ((plain, "plain.json"), (packed, "packed.json")):
+            assert main(["metrics", "--graph", str(graph), "--out", str(tmp_path / report)]) == 0
+        assert (tmp_path / "packed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_missing_paths_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -817,6 +834,30 @@ def test_faulty_input_exits_with_its_code_and_names_the_file(
     err = capsys.readouterr().err
     assert named.format(**fill) in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("argv, out, named", [
+    (["run-all", "--posts", "{posts}", "--comments", "{comments}"], "{file}", "{file}"),
+    (["infer", "--events", "{events}"], "{file}/edges.csv", "{file}"),
+    (["ingest", "--posts", "{posts}", "--comments", "{comments}"], "{file}/sub", "{file}"),
+    (["infer", "--events", "{events}"], "{dir}", "{dir}"),
+], ids=["run-all-out-is-a-file", "infer-out-under-a-file", "ingest-out-under-a-file",
+        "infer-out-is-a-directory"])
+def test_unwritable_output_path_exits_1(tmp_path, capsys, small_dump, events_path, argv, out,
+                                        named):
+    """An output path that cannot be made a directory or file exits 1 naming it; never 3."""
+    _, posts, comments, _ = small_dump
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    fill = dict(posts=posts, comments=comments, events=events_path, file=blocker, dir=taken)
+    assert main([arg.format(**fill) for arg in argv] + ["--out", out.format(**fill)]) == 1
+    err = capsys.readouterr().err
+    assert named.format(**fill) in err
+    assert "internal error" not in err
+    assert blocker.read_text() == "a file, not a directory\n"
+    assert list(taken.iterdir()) == []
 
 
 def _attributes_read(tree: ast.AST, owner: str) -> set[str]:

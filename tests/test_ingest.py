@@ -80,6 +80,17 @@ class TestParseDump:
         assert rec.created_utc == 100
         assert rec.link_id is None and rec.parent_id is None
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_byte_order_mark_keeps_the_first_record(self, tmp_path, suffix):
+        lines = [json.dumps({"id": f"p{i}", "author": "u", "created_utc": 10 + i,
+                             "title": "t", "selftext": "", "subreddit": "s"}) for i in range(2)]
+        data = ("\ufeff" + "\n".join(lines) + "\n").encode("utf-8")
+        path = tmp_path / f"posts{suffix}"
+        path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        records, skipped = load_dump(path, RecordKind.POST)
+        assert [r.id for r in records] == ["p0", "p1"]
+        assert skipped == 0
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_text("")

@@ -277,11 +277,11 @@ class TestEnrichment:
         with pytest.raises(ConfigError):
             load_lexicon(tmp_path / "missing.csv")
 
-    @pytest.mark.parametrize("head", ["# demo\n", "\n", "# demo\n\n"],
-                             ids=["comment", "blank", "comment-and-blank"])
+    @pytest.mark.parametrize("head", ["# demo\n", "\n", "# demo\n\n", "\ufeff"],
+                             ids=["comment", "blank", "comment-and-blank", "byte-order-mark"])
     def test_lexicon_header_after_comments_and_blank_lines(self, tmp_path, head):
         path = tmp_path / "lex.csv"
-        path.write_text(head + "term,emotion\nhappy,joy\n")
+        path.write_text(head + "term,emotion\nhappy,joy\n", encoding="utf-8")
         assert load_lexicon(path) == {"happy": "joy"}
 
 

@@ -19,10 +19,20 @@ cosine 0.  A cosine within ``SIM_BAND`` of a threshold is recomputed as
 ``float(v_i @ v_j)`` of the normalized vectors (``TermTable.vector``), so
 every decision is the one that per-pair float would make.  ``connect`` only
 assembles a thread's DAG from the successor lists the pass computed.
+
+Only the chains that can reach the top K are enumerated.  ``count_paths``
+gives each DAG's chain count and longest chain in one pass; the manifest's
+``chains_total`` and ``truncated_posts`` come from those counts, and
+``linearize`` runs only for a thread that hits a cap or whose longest chain
+reaches the K-th longest length among the chains kept so far.  Chains below
+that length are dropped as it rises, so the top K, ranked by
+``rank_and_select``, is the one ranked from every thread's chains.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -299,6 +309,28 @@ def linearize(
     return chains, stats
 
 
+def count_paths(graph: SemanticGraph) -> tuple[int, int]:
+    """(chains, longest): the number of maximal paths of at least one edge
+    and the edge count of the longest, in one reverse pass over nodes in a
+    topological order (``connect``'s time order).  ``linearize`` emits
+    exactly these chains unless ``chains > max_chains`` or
+    ``longest > max_depth``, and then it marks a truncation.
+    """
+    n = len(graph.nodes)
+    paths = [1] * n
+    depth = [0] * n
+    is_source = [True] * n
+    for i in range(n - 1, -1, -1):
+        succ = graph.children[i]
+        if succ:
+            paths[i] = sum(paths[j] for j in succ)
+            depth[i] = 1 + max(depth[j] for j in succ)
+            for j in succ:
+                is_source[j] = False
+    chains = sum(p for p, src, succ in zip(paths, is_source, graph.children) if src and succ)
+    return chains, max(depth, default=0)
+
+
 def rank_and_select(
     chains: Sequence[InteractionChain], k: int = DEFAULT_TOP_K
 ) -> list[InteractionChain]:
@@ -328,8 +360,9 @@ def extract_chains(
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
     thresholds = [sim_threshold, *(census_thresholds or ())]
-    all_chains: list[InteractionChain] = []
-    truncated_posts = 0
+    kept: list[InteractionChain] = []
+    bar = 1 if top_k else math.inf  # the length a chain needs to stay in the running
+    chains_total = truncated_posts = 0
     counts = np.zeros((len(thresholds), len(CENSUS_CATEGORIES)), dtype=np.int64)
     threads = group_threads(records)
     if table is None:
@@ -338,15 +371,24 @@ def extract_chains(
         for row, threshold in zip(counts, thresholds):
             row += np.bincount(block.categories(threshold), minlength=len(CENSUS_CATEGORIES))
         for thread, children in zip(block.threads, block.children(sim_threshold)):
-            chains, stats = linearize(connect(thread, children, agent_of))
-            if stats.truncated_chains or stats.truncated_depth:
-                truncated_posts += 1
-            all_chains.extend(chains)
+            dag = connect(thread, children, agent_of)
+            paths, longest = count_paths(dag)
+            truncated = paths > DEFAULT_MAX_CHAINS_PER_POST or longest > DEFAULT_MAX_DEPTH
+            truncated_posts += truncated
+            # Which paths a truncated thread emits depends on the DFS order.
+            if truncated or longest >= bar:
+                chains, stats = linearize(dag)
+                paths = stats.chains
+                kept += [c for c in chains if c.length >= bar]
+                if top_k and len(kept) >= top_k:
+                    bar = heapq.nlargest(top_k, (c.length for c in kept))[-1]
+                    kept = [c for c in kept if c.length >= bar]
+            chains_total += paths
     rows = [{"threshold": t, **dict(zip(CENSUS_CATEGORIES, row))}
             for t, row in zip(thresholds, counts.tolist())]
     manifest = {
         "threads": len(threads),
-        "chains_total": len(all_chains),
+        "chains_total": chains_total,
         "truncated_posts": truncated_posts,
         "sim_threshold": sim_threshold,
         "top_k": top_k,
@@ -354,7 +396,7 @@ def extract_chains(
     }
     if census_thresholds is not None:
         manifest["census_rows"] = rows[1:]
-    return rank_and_select(all_chains, top_k), manifest
+    return rank_and_select(kept, top_k), manifest
 
 
 def chain_census(threads: Sequence[Thread], thresholds: Sequence[float]) -> list[dict]:

@@ -47,7 +47,7 @@ EXIT_INTERNAL = 3
 
 # Graph writer per export suffix, by name: the writer is looked up on
 # ``graph`` when it is called, so a wrapped module attribute is honoured.
-GRAPH_WRITERS = {".csv": "write_graph_edges_csv", ".graphml": "write_graphml", ".dot": "write_dot"}
+GRAPH_WRITERS = {".csv": "write_graph_edges_csv", ".graphml": "write_graphml"}
 
 
 def _write_sidecar(out_path: Path, config: RunConfig, extra: dict | None = None) -> None:
@@ -80,7 +80,7 @@ def _graph_path(text: str) -> Path:
     path = Path(text)
     if path.suffix not in GRAPH_WRITERS:
         raise argparse.ArgumentTypeError(
-            f"cannot infer export format from {path.name!r} (use .csv, .graphml, or .dot)")
+            f"cannot infer export format from {path.name!r} (use .csv or .graphml)")
     return path
 
 

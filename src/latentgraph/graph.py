@@ -211,20 +211,3 @@ def load_graphml(path: str | Path) -> InteractionGraph:
         raise DataError(f"{source}: edge endpoints {undeclared} are not declared <node>s")
     return _rebuild(source, edges, nodes)
 
-
-def _dot_quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def write_dot(graph: InteractionGraph, path: str | Path) -> None:
-    lines = ["digraph interactions {"]
-    for node in graph.nodes:
-        lines.append(f"  {_dot_quote(node)};")
-    for edge in graph.edges:
-        lines.append(
-            f"  {_dot_quote(edge.source)} -> {_dot_quote(edge.target)} "
-            f'[weight={edge.weight}, status="{edge.status.value}"];'
-        )
-    lines.append("}")
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")

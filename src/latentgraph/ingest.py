@@ -480,10 +480,20 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         tmp.unlink(missing_ok=True)
 
 
+class _LineFeedRows(NamedTuple):
+    """A text file taking csv rows that end in "\r\n", which makes the writer
+    quote a field holding "\r" as well as "\n"; each row ends in "\n"."""
+
+    fh: TextIO
+
+    def write(self, row: str) -> int:
+        return self.fh.write(row[:-2] + "\n")
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Atomically write a CSV artifact: ``header``, then ``rows``, "\n" line ends."""
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(_LineFeedRows(fh), lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 

@@ -206,7 +206,8 @@ def _finite_vector(value) -> np.ndarray:
 def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
     """Load per-user embedding vectors from JSONL lines {"user", "vector"}.
 
-    Vectors are L2-normalized on load; users missing from the file get the
+    Vectors are L2-normalized on load, a -0.0 entry reading as 0.0 (k-means
+    sums only nonzeros, from 0.0); users missing from the file get the
     zero vector and end up in the residual agent.  A bad row, a ``user`` that
     is not a non-empty string, a user given a second row, or a vector whose
     length differs from the first row's, is a DataError naming its line.
@@ -225,7 +226,7 @@ def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
         if user in seen:
             raise ValueError(f"user {user!r} already has a row")
         seen.add(user)
-        vec = _finite_vector(obj["vector"])
+        vec = _finite_vector(obj["vector"]) + 0.0
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
@@ -308,12 +309,14 @@ def _kmeans_pp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]:
     """Spherical k-means over the nonzero rows of the user matrix.
 
-    Dropping zero-vector users (no usable text) copies the matrix, and so
-    does every centroid update, which gathers each cluster's rows
-    (``matrix[assign == cluster]``) in each iteration; a profile's centroid is
-    a copy of its cluster's last one.  Zero-vector users go to a dedicated
-    residual agent appended after the k clusters.  Raises ConfigError when k
-    exceeds the usable user count.
+    Dropping zero-vector users (no usable text) copies the matrix.  The
+    matrix's nonzeros are taken once, and each centroid update sums them
+    per (cluster, bucket) in row order, the order in which
+    ``matrix[assign == cluster].mean(axis=0)`` adds them, so the centroids
+    are that mean's bit for bit without copying any rows; a profile's
+    centroid is a copy of its cluster's last one.  Zero-vector users go to a
+    dedicated residual agent appended after the k clusters.  Raises
+    ConfigError when k exceeds the usable user count.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -329,27 +332,34 @@ def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(matrix, k, rng)
+    dim = matrix.shape[1]
+    nz_row, nz_bucket = np.nonzero(matrix)  # row-major: each bucket's rows ascend
+    nz_value = matrix[nz_row, nz_bucket]
 
     assign = np.full(len(usable), -1, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
         sims = matrix @ centroids.T
         new_assign = np.argmax(sims, axis=1)
         # Revive empty clusters with the point that fits its own cluster
-        # worst; pinning its sims high keeps it from being grabbed again
+        # worst, never a cluster's last member (that cluster would empty in
+        # turn); pinning its sims high keeps it from being grabbed again
         # when several clusters empty in the same iteration.
         for cluster in range(k):
             if not np.any(new_assign == cluster):
                 fit = sims[np.arange(len(usable)), new_assign]
+                fit[np.bincount(new_assign, minlength=k)[new_assign] == 1] = np.inf
                 loner = int(np.argmin(fit))
                 new_assign[loner] = cluster
                 sims[loner, :] = 2.0
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for cluster in range(k):
-            rows = matrix[assign == cluster]
-            if len(rows):
-                centroids[cluster] = _normalize(rows.mean(axis=0))
+        # Revival leaves no cluster empty.
+        sums = np.bincount(assign[nz_row] * dim + nz_bucket, weights=nz_value,
+                           minlength=k * dim).reshape(k, dim)
+        centroids = sums / np.bincount(assign, minlength=k)[:, None]
+        for centroid in centroids:
+            _normalize(centroid)
 
     groups = [np.flatnonzero(assign == cluster) for cluster in range(k)]
     # Stable agent numbering: clusters ordered by their smallest member id,

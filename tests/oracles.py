@@ -6,14 +6,13 @@ instead of BFS, triple loops instead of adjacency intersection, exhaustive
 partition search instead of greedy merging, a greedy modularity run that
 rebuilds its community-pair table after every merge instead of updating it,
 path collection by dynamic programming instead of DFS enumeration, term
-vectors from per-token counters instead of a bucket table, and CSV fields
-spelled one by one instead of by the csv encoder.
+vectors from per-token counters instead of a bucket table, CSV fields
+spelled one by one instead of by the csv encoder, and k-means centroids as
+the mean of each cluster's copied rows instead of sums of the nonzeros.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import random
@@ -421,6 +420,44 @@ def oracle_maximal_paths(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
 
 
 # ---------------------------------------------------------------------------
+# Spherical k-means
+# ---------------------------------------------------------------------------
+
+def oracle_kmeans(matrix: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(assignment, centroids, revivals) of ``profiles.cluster_users``' k-means
+    over the rows of ``matrix`` (all nonzero), each centroid update the
+    normalized ``rows.mean(axis=0)`` of a copy of its cluster's rows;
+    ``revivals`` counts the empty clusters refilled along the way."""
+    from latentgraph.profiles import KMEANS_MAX_ITER, _kmeans_pp_init
+
+    centroids = _kmeans_pp_init(matrix, k, np.random.default_rng(seed))
+    n = len(matrix)
+    assign = np.full(n, -1, dtype=np.int64)
+    revivals = 0
+    for _ in range(KMEANS_MAX_ITER):
+        sims = matrix @ centroids.T
+        new_assign = np.argmax(sims, axis=1)
+        for cluster in range(k):
+            if not np.any(new_assign == cluster):
+                sizes = Counter(new_assign.tolist())
+                loner = min((i for i in range(n) if sizes[int(new_assign[i])] > 1),
+                            key=lambda i: sims[i, new_assign[i]])
+                new_assign[loner] = cluster
+                sims[loner, :] = 2.0
+                revivals += 1
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for cluster in range(k):
+            rows = matrix[assign == cluster]
+            if len(rows):
+                mean = rows.mean(axis=0)
+                norm = np.linalg.norm(mean)
+                centroids[cluster] = mean / norm if norm > 0 else mean
+    return assign, centroids, revivals
+
+
+# ---------------------------------------------------------------------------
 # Hashed term vectors
 # ---------------------------------------------------------------------------
 
@@ -472,14 +509,18 @@ def oracle_csv_field(value: object) -> str:
     raise TypeError(f"no CSV spelling for {value!r}")
 
 
+def _oracle_csv_quote(text: str) -> str:
+    """A field holding a comma, a quote, "\r" or "\n" is quoted, its quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def oracle_csv_bytes(header: Sequence[str], rows: Sequence[Sequence[object]]) -> bytes:
     """The bytes of a CSV artifact: the header, then each row's fields spelled
-    one by one, quoted by the csv module, with "\n" line ends, in UTF-8."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([oracle_csv_field(value) for value in row] for row in rows)
-    return buffer.getvalue().encode("utf-8")
+    and quoted one by one, with "\n" line ends, in UTF-8."""
+    lines = [header, *([oracle_csv_field(value) for value in row] for row in rows)]
+    return "".join(",".join(map(_oracle_csv_quote, line)) + "\n" for line in lines).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

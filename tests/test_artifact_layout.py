@@ -10,7 +10,12 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from latentgraph.chains import CENSUS_CSV_FIELDS
-from latentgraph.graph import InteractionGraph, write_graph_edges_csv
+from latentgraph.graph import (
+    InteractionGraph,
+    build,
+    load_graph_edges_csv,
+    write_graph_edges_csv,
+)
 from latentgraph.inference import (
     EDGES_CSV_FIELDS,
     GRAPH_EDGES_CSV_FIELDS,
@@ -19,6 +24,7 @@ from latentgraph.inference import (
     FollowStatus,
     InteractionEvent,
     TimelineRow,
+    load_edges_csv,
     write_edges_csv,
     write_timeline_csv,
 )
@@ -83,6 +89,30 @@ def test_csv_writers_spell_every_field_as_the_oracle(edge_list, rows, cell_list)
         SWEEP_CSV_FIELDS,
         [[c.window_days, c.maybe_min, c.forsure_min, c.coverage, c.nodes, c.edges,
           c.clustering, c.reciprocity, c.modularity] for c in cell_list])
+
+
+# Ids with a carriage return: the csv module quotes only the characters of
+# its line terminator, so "\r" has to be asked for.
+CR_EDGES = [
+    FollowEdge("a\rb", "c", 1, 2, FollowStatus.MAYBE, 10, 20, 15),
+    FollowEdge("c", "\r", 3, 4, FollowStatus.FORSURE, 5, 40, None),
+    FollowEdge("x\r\ny", "tail\r", 1, 1, FollowStatus.MAYBE, None, None, None),
+    FollowEdge("plain", "a\rb", 2, 6, FollowStatus.FORSURE, 1, 2, 3),
+]
+
+
+def test_edges_csv_reads_back_ids_holding_a_carriage_return(tmp_path):
+    path = tmp_path / "edges.csv"
+    write_edges_csv(CR_EDGES, path)
+    assert load_edges_csv(path) == CR_EDGES
+    assert path.read_bytes().split(b"\n")[-2] == b"plain,\"a\rb\",forsure,2,6,1,2,3"
+
+
+def test_graph_edges_csv_reads_back_ids_holding_a_carriage_return(tmp_path):
+    graph = build(CR_EDGES)
+    path = tmp_path / "graph.edges.csv"
+    write_graph_edges_csv(graph, path)
+    assert load_graph_edges_csv(path) == graph
 
 
 def readme_formats() -> dict[str, str]:

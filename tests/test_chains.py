@@ -435,3 +435,70 @@ def test_threshold_outside_unit_interval_is_refused(threshold):
         extract_chains([post("p1")], threshold)
     with pytest.raises(ConfigError):
         extract_chains([post("p1")], 0.1, census_thresholds=[0.2, threshold])
+
+
+# ---------------------------------------------------------------------------
+# Paths are counted before any is enumerated
+# ---------------------------------------------------------------------------
+
+@st.composite
+def time_ordered_dags(draw):
+    """A DAG whose node order is a topological order, as ``connect`` builds."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    linked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return dag_to_semantic(n, {pair for pair, keep in zip(pairs, linked) if keep})
+
+
+@settings(max_examples=300, deadline=None)
+@given(time_ordered_dags(), st.integers(1, 8), st.integers(1, 6))
+def test_path_counts_agree_with_linearize(dag, max_chains, max_depth):
+    paths, longest = chainsmod.count_paths(dag)
+    every, _ = linearize(dag, max_chains=10**9, max_depth=10**9)
+    assert paths == len(every)
+    assert longest == max((c.length for c in every), default=0)
+    chains, stats = linearize(dag, max_chains, max_depth)
+    capped = paths > max_chains or longest > max_depth
+    assert (stats.truncated_chains or stats.truncated_depth) == capped
+    if not capped:
+        assert stats.chains == paths and chains == every
+
+
+def capped_corpus():
+    """The synthetic corpus plus a thread over the chain cap whose chains are
+    one edge long (a post sharing one token with each of 201 replies) and a
+    thread over the depth cap (70 records, only neighbours sharing a token)."""
+    from latentgraph.synthetic import make_synthetic_dump
+
+    records = list(make_synthetic_dump(40, 240, seed=6).records)
+    fan = [f"fan{i:03d}" for i in range(201)]
+    records.append(post("zfan", text=" ".join(fan)))
+    records += [com(f"zfan{i:03d}", 200 + i, token, link="zfan", parent="zfan")
+                for i, token in enumerate(fan)]
+    records.append(post("zline", text="w00 w01"))
+    records += [com(f"zline{i:02d}", 100 + i, f"w{i:02d} w{i + 1:02d}", link="zline",
+                    parent="zline") for i in range(1, 70)]
+    return records
+
+
+@pytest.mark.parametrize("top_k", [0, 1, 3, 35])
+def test_extraction_enumerates_only_what_can_reach_the_top(top_k):
+    records, threshold = capped_corpus(), 0.05
+    every, truncated = [], 0
+    dags = extraction_dags(records, threshold)
+    for _, dag in dags:
+        chains, stats = linearize(dag)
+        every += chains
+        truncated += stats.truncated_chains or stats.truncated_depth
+    lengths = sorted((c.length for c in every), reverse=True)
+    if top_k:
+        assert lengths[top_k - 1] == lengths[top_k]  # the cut falls inside a tie
+    assert truncated == 2
+
+    with mock.patch.object(chainsmod, "linearize", wraps=linearize) as spy:
+        selected, manifest = extract_chains(records, threshold, top_k=top_k)
+    assert selected == rank_and_select(every, top_k)
+    assert (manifest["chains_total"], manifest["truncated_posts"]) == (len(every), truncated)
+    assert truncated <= spy.call_count < len(dags)
+    if top_k == 0:
+        assert spy.call_count == truncated

@@ -685,6 +685,14 @@ def test_graph_build_unknown_suffix_exits_1(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.csv"]
 
 
+def test_graph_build_refuses_the_removed_dot_export(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"{EDGE_HEADER}\n{GOOD_EDGE}\n")
+    assert main(["graph", "build", "--edges", str(edges), "--out", str(tmp_path / "g.dot")]) == 1
+    assert "(use .csv or .graphml)" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.csv"]
+
+
 
 GOOD_EDGES = f"{EDGE_HEADER}\n{GOOD_EDGE}\n".encode()
 AGENT = {"agent_id": "A000", "label": "a", "members": ["A"], "centroid": [1.0], "keywords": []}

@@ -10,7 +10,6 @@ from latentgraph.graph import (
     build,
     load_graph_edges_csv,
     load_graphml,
-    write_dot,
     write_graph_edges_csv,
     write_graphml,
 )
@@ -186,16 +185,6 @@ class TestCoverage:
         assert kept_hi <= kept_lo
 
 
-GOLDEN_DOT = """digraph interactions {
-  "A";
-  "B";
-  "C";
-  "A" -> "B" [weight=3, status="maybe"];
-  "B" -> "C" [weight=1, status="forsure"];
-}
-"""
-
-
 class TestExport:
     def three_node_graph(self):
         edges = [
@@ -232,16 +221,10 @@ class TestExport:
             (e.source, e.target, e.status, e.weight) for e in g.edges
         ]
 
-    def test_dot_golden(self, tmp_path):
-        path = tmp_path / "g.dot"
-        write_dot(self.three_node_graph(), path)
-        assert path.read_text() == GOLDEN_DOT
-
     def test_byte_identical_exports(self, tmp_path):
         for write, name in [
             (write_graph_edges_csv, "g.csv"),
             (write_graphml, "g.graphml"),
-            (write_dot, "g.dot"),
         ]:
             write(self.three_node_graph(), tmp_path / ("a_" + name))
             write(self.three_node_graph(), tmp_path / ("b_" + name))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from latentgraph import chains, cli, profiles
 from latentgraph.config import default_config
@@ -33,7 +33,7 @@ from latentgraph.profiles import (
     TextCounts,
 )
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
-from oracles import oracle_fnv1a, oracle_term_vector
+from oracles import oracle_fnv1a, oracle_kmeans, oracle_term_vector
 
 
 # JSON text of ``vector`` values that are not a non-empty 1-D list of finite
@@ -337,6 +337,17 @@ class TestPersistence:
         assert np.allclose(vectors.matrix[0], [0.6, 0.8])
         assert not np.any(vectors.matrix[2])
 
+    def test_embedding_negative_zero_reads_as_zero(self, tmp_path):
+        # k-means sums only nonzeros, from 0.0; a -0.0 kept would make a
+        # centroid of all -0.0 members differ from its members' mean.
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"user": "u1", "vector": [-0.0, 1.0]}\n'
+                        '{"user": "u2", "vector": [-0.0, 2.0]}\n')
+        vectors = load_embeddings(path, ["u1", "u2"])
+        assert not np.signbit(vectors.matrix).any()
+        [agent] = cluster_users(vectors, 1, seed=0)
+        assert agent.centroid.tobytes() == np.array([0.0, 1.0]).tobytes()
+
     @pytest.mark.parametrize("vector", BAD_EMBEDDING_VECTORS)
     def test_bad_embedding_vector_is_data_error(self, tmp_path, vector):
         path = tmp_path / "emb.jsonl"
@@ -365,6 +376,54 @@ def test_cluster_partition_invariant(user_texts, seed):
     members = [u for p in profiles for u in p.members]
     assert sorted(members) == sorted(user_texts)
     assert len(members) == len(set(members))
+
+
+@st.composite
+def user_matrices(draw):
+    """(UserVectors, k, seed): rows drawn from a small pool of sparse or signed
+    vectors, so repeats make k-means++ pick equal centres and clusters empty."""
+    dim = draw(st.integers(2, 12))
+    entry = st.one_of(st.just(0.0), st.integers(1, 5).map(float),
+                      st.floats(-1, 1, allow_subnormal=False).map(lambda x: x + 0.0))
+    pool = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=14))
+    matrix = np.array([pool[i] for i in picks], dtype=np.float64)
+    for row in matrix:
+        profiles._normalize(row)
+    usable = int(matrix.any(axis=1).sum())
+    assume(usable >= 1)
+    users = tuple(f"u{i:02d}" for i in range(len(matrix)))
+    return profiles.UserVectors(users, matrix), draw(st.integers(1, usable)), draw(st.integers(0, 999))
+
+
+def assert_centroids_match_the_copied_row_means(vectors, k, seed):
+    """Every agent's centroid is bit-equal to the copy-based k-means' for the
+    same members; returns how many empty clusters that run revived."""
+    usable = vectors.matrix.any(axis=1)
+    assign, centroids, revivals = oracle_kmeans(vectors.matrix[usable], k, seed)
+    users = np.array(vectors.users)[usable]
+    expected = {tuple(users[assign == c]): centroids[c].tobytes() for c in range(k)}
+    agents = [p for p in cluster_users(vectors, k, seed) if p.label != RESIDUAL_LABEL]
+    assert {p.members: p.centroid.tobytes() for p in agents} == expected
+    return revivals
+
+
+@settings(max_examples=300, deadline=None)
+@given(user_matrices())
+def test_cluster_centroids_equal_the_copied_row_means(case):
+    revivals = assert_centroids_match_the_copied_row_means(*case)
+    event("revived an empty cluster" if revivals else "no revival")
+
+
+def test_revival_never_takes_a_clusters_last_member():
+    # Eleven equal rows and one other, k = 12: taking the worst-fitting
+    # point of any cluster once emptied a cluster that stayed empty.
+    matrix = np.zeros((12, 12))
+    matrix[:, 11] = 1.0
+    matrix[9] = np.eye(12)[10]
+    vectors = profiles.UserVectors(tuple(f"u{i:02d}" for i in range(12)), matrix)
+    assert assert_centroids_match_the_copied_row_means(vectors, 12, seed=0) > 0
+    assert sorted(len(p.members) for p in cluster_users(vectors, 12, seed=0)) == [1] * 12
 
 
 # ---------------------------------------------------------------------------

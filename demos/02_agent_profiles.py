@@ -17,7 +17,7 @@ print(f"{len(table.users)} surviving users")
 vectors = build_user_vectors(table)
 profiles = cluster_users(vectors, k=4, seed=42)
 profiles = [
-    enrich(p, [counts[u] for u in p.members], DEMO_LEXICON, vocab) for p in profiles
+    enrich(p, [counts[u] for u in p.members], DEMO_LEXICON, vocab, vectors) for p in profiles
 ]
 
 for p in profiles:

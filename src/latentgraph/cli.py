@@ -110,12 +110,11 @@ def agents_stage(records, config: RunConfig, out: Path, source_stage: int | None
     term table."""
     lexicon = profilesmod.load_lexicon(config.lexicon_path) if config.lexicon_path else {}
     table, vocab, counts = profilesmod.term_table(records, lexicon=lexicon)
-    if config.embeddings_path:
-        vectors = profilesmod.load_embeddings(config.embeddings_path, table.users)
-    else:
-        vectors = profilesmod.build_user_vectors(table)
+    terms = profilesmod.build_user_vectors(table)
+    vectors = (profilesmod.load_embeddings(config.embeddings_path, table.users)
+               if config.embeddings_path else terms)
     profiles = [
-        profilesmod.enrich(p, [counts[user] for user in p.members], lexicon, vocab)
+        profilesmod.enrich(p, [counts[user] for user in p.members], lexicon, vocab, terms)
         for p in profilesmod.cluster_users(vectors, config.k_agents, config.seed)
     ]
     profilesmod.save_profiles(profiles, out)

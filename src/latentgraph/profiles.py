@@ -1,20 +1,24 @@
 """User-to-agent aggregation.
 
 Users are represented by hashed term-frequency vectors over their combined
-post/comment text, grouped with seeded spherical k-means, and each cluster
-becomes one agent profile carrying keywords, emotion frequencies, and style
-features.  Everything is deterministic for a fixed (input, dim, seed):
-the token hash is FNV-1a 64-bit modulo the vector dimension, numpy's RNG is
-seeded, and all tie-breaks go through sorted ids.
+post/comment text, kept as sparse CSR rows (``UserVectors``), grouped with
+seeded spherical k-means over those rows, and each cluster becomes one agent
+profile carrying keywords, emotion frequencies, and style features.
+Everything is deterministic for a fixed (input, dim, seed): the token hash
+is FNV-1a 64-bit modulo the vector dimension, numpy's RNG is seeded, all
+tie-breaks go through sorted ids, and every dot product adds a row's
+nonzero products left to right in bucket order, whatever the BLAS.
 
-Precomputed per-user embeddings can be injected instead of the hashed
-vectors (``load_embeddings``); clustering and enrichment are unchanged.
+Precomputed per-user embeddings can be clustered instead of the hashed
+vectors (``load_embeddings``); keywords still come from the members' term
+rows.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -57,10 +61,34 @@ def token_bucket(token: str, dim: int) -> int:
 
 
 class UserVectors(NamedTuple):
-    """One L2-normalized row per user, in sorted user order; zero rows have no text."""
+    """One L2-normalized row per user, in sorted user order, as CSR arrays.
+
+    Row ``i`` holds ``values[indptr[i]:indptr[i + 1]]`` at the strictly
+    ascending ``buckets`` of the same slice; no zero is stored, so a user
+    without text has an empty row.
+    """
 
     users: tuple[str, ...]
-    matrix: np.ndarray  # (len(users), dim) float64
+    dim: int
+    indptr: np.ndarray  # int64, one more entry than there are users
+    buckets: np.ndarray  # int32
+    values: np.ndarray  # float64
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` as a dense vector."""
+        vec = np.zeros(self.dim, dtype=np.float64)
+        start, end = self.indptr[i], self.indptr[i + 1]
+        vec[self.buckets[start:end]] = self.values[start:end]
+        return vec
+
+    def mean_of(self, users: Sequence[str]) -> np.ndarray:
+        """The L2-normalized mean of the rows of ``users`` (all in these
+        vectors), each bucket summed in row order: for a cluster's members,
+        bit for bit the centroid ``cluster_users`` gives it."""
+        rows = np.array(sorted(bisect_left(self.users, u) for u in users), dtype=np.int64)
+        take = _spans(self.indptr[rows], self.indptr[rows + 1] - self.indptr[rows])
+        sums = np.bincount(self.buckets[take], weights=self.values[take], minlength=self.dim)
+        return _normalize(sums / max(len(rows), 1))
 
 
 @dataclass(frozen=True)
@@ -102,6 +130,13 @@ class _TokenIds(dict):
     def __missing__(self, token: str) -> int:
         token_id = self[token] = len(self)
         return token_id
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``start .. start + length - 1`` of each span, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
@@ -173,19 +208,49 @@ def term_table(
 def build_user_vectors(table: TermTable) -> UserVectors:
     """Each user's row: the summed term counts of its records, L2-normalized.
 
-    The counts are integers, so the sums are exact whatever the record order.
+    Records are sorted by user once, and each block of whole users' tokens
+    is counted per (user, bucket) on its own, so no temporary outgrows a
+    block.  The counts are integers, so the sums, and each row's sum of
+    squares, are exact in any order: scaling only the nonzeros gives the
+    bytes of the normalized dense row.
     """
-    matrix = np.zeros((len(table.users), table.dim), dtype=np.float64)
-    tokens_per_record = np.diff(table.offsets)
-    # A thousand records at a time keeps the index arrays small.
-    for first in range(0, len(table.user_of), 1024):
-        last = min(first + 1024, len(table.user_of))
-        users = np.repeat(table.user_of[first:last], tokens_per_record[first:last])
-        buckets = table.buckets[table.offsets[first]:table.offsets[last]]
-        np.add.at(matrix, (users, buckets), 1.0)
-    for vec in matrix:
-        _normalize(vec)
-    return UserVectors(table.users, matrix)
+    n_users = len(table.users)
+    order = np.argsort(table.user_of, kind="stable")
+    user_of = table.user_of[order]
+    starts = table.offsets[:-1][order]
+    lengths = np.diff(table.offsets)[order]
+    first_record = np.searchsorted(user_of, np.arange(n_users + 1))
+    first_token = np.concatenate(([0], np.cumsum(lengths)))[first_record]
+    row_nnz, bucket_parts, value_parts = [], [], []
+    low = 0
+    while low < n_users:
+        # As many whole users as fit in 2^14 tokens, and at least one.
+        high = max(low + 1, int(np.searchsorted(first_token, first_token[low] + (1 << 14),
+                                                side="right")) - 1)
+        records = slice(first_record[low], first_record[high])
+        take = _spans(starts[records], lengths[records])
+        owner = np.repeat(user_of[records].astype(np.int64) - low, lengths[records])
+        keys, counts = np.unique(owner * table.dim + table.buckets[take], return_counts=True)
+        owner = keys // table.dim
+        counts = counts.astype(np.float64)
+        nnz = np.bincount(owner, minlength=high - low)
+        norms = np.sqrt(np.bincount(owner, weights=counts * counts, minlength=high - low))
+        row_nnz.append(nnz)
+        bucket_parts.append((keys % table.dim).astype(np.int32))
+        value_parts.append(counts / np.repeat(norms, nnz))
+        low = high
+    return _stack_rows(table.users, table.dim, row_nnz, bucket_parts, value_parts)
+
+
+def _stack_rows(users: tuple[str, ...], dim: int, row_nnz: list, bucket_parts: list,
+                value_parts: list) -> UserVectors:
+    """UserVectors from consecutive runs of rows: their nonzero counts, and
+    their buckets and values in row order."""
+    indptr = np.zeros(len(users) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.zeros(0, np.int64), *row_nnz]), out=indptr[1:])
+    buckets = np.concatenate([np.zeros(0, np.int32), *bucket_parts])
+    values = np.concatenate([np.zeros(0, np.float64), *value_parts])
+    return UserVectors(users, dim, indptr, buckets, values)
 
 
 def _finite_vector(value) -> np.ndarray:
@@ -206,9 +271,9 @@ def _finite_vector(value) -> np.ndarray:
 def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
     """Load per-user embedding vectors from JSONL lines {"user", "vector"}.
 
-    Vectors are L2-normalized on load, a -0.0 entry reading as 0.0 (k-means
-    sums only nonzeros, from 0.0); users missing from the file get the
-    zero vector and end up in the residual agent.  A bad row, a ``user`` that
+    Vectors are L2-normalized on load and only their nonzeros kept, so a
+    -0.0 entry reads as 0.0; users missing from the file get an empty row
+    and end up in the residual agent.  A bad row, a ``user`` that
     is not a non-empty string, a user given a second row, or a vector whose
     length differs from the first row's, is a DataError naming its line.
     """
@@ -226,20 +291,21 @@ def load_embeddings(path: str | Path, users: Sequence[str]) -> UserVectors:
         if user in seen:
             raise ValueError(f"user {user!r} already has a row")
         seen.add(user)
-        vec = _finite_vector(obj["vector"]) + 0.0
+        vec = _normalize(_finite_vector(obj["vector"]))
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
             raise ValueError("inconsistent embedding dimension")
-        return user, _normalize(vec)
+        buckets = np.flatnonzero(vec)
+        return user, (buckets.astype(np.int32), vec[buckets])
 
     table = dict(decode_lines(source, "embedding row", decode))
     ordered = tuple(sorted(users))
-    matrix = np.zeros((len(ordered), dim or DEFAULT_DIM), dtype=np.float64)
-    for row, user in enumerate(ordered):
-        if user in table:
-            matrix[row] = table[user]
-    return UserVectors(ordered, matrix)
+    empty = (np.zeros(0, np.int32), np.zeros(0, np.float64))
+    rows = [table.get(user, empty) for user in ordered]
+    row_nnz = np.array([len(buckets) for buckets, _ in rows], dtype=np.int64)
+    return _stack_rows(ordered, dim or DEFAULT_DIM, [row_nnz],
+                       [b for b, _ in rows], [v for _, v in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +352,21 @@ class AgentProfile:
         )
 
 
-def _kmeans_pp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding in cosine space (squared distance = 2 - 2*sim)."""
-    n = matrix.shape[0]
+def _dots(vectors: UserVectors, row_of: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Each row's dot product with the dense ``vec``: its nonzero products
+    added left to right in bucket order, from 0.0 (``row_of`` names each
+    nonzero's row)."""
+    return np.bincount(row_of, weights=vectors.values * vec[vectors.buckets],
+                       minlength=len(vectors.users))
+
+
+def _kmeans_pp_init(vectors: UserVectors, row_of: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding in cosine space (squared distance = 2 - 2*sim);
+    the first centroids are the chosen rows, densified."""
+    n = len(vectors.users)
     centers = [int(rng.integers(n))]
-    dist = 2.0 - 2.0 * (matrix @ matrix[centers[0]])
+    dist = 2.0 - 2.0 * _dots(vectors, row_of, vectors.row(centers[0]))
     dist = np.maximum(dist, 0.0)
     for _ in range(1, k):
         total = float(dist.sum())
@@ -302,43 +378,47 @@ def _kmeans_pp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             nxt = int(rng.choice(n, p=dist / total))
         centers.append(nxt)
-        dist = np.minimum(dist, np.maximum(2.0 - 2.0 * (matrix @ matrix[nxt]), 0.0))
-    return matrix[centers].copy()
+        sims = _dots(vectors, row_of, vectors.row(nxt))
+        dist = np.minimum(dist, np.maximum(2.0 - 2.0 * sims, 0.0))
+    return np.array([vectors.row(c) for c in centers])
 
 
 def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]:
-    """Spherical k-means over the nonzero rows of the user matrix.
+    """Spherical k-means over the nonempty user rows.
 
-    Dropping zero-vector users (no usable text) copies the matrix.  The
-    matrix's nonzeros are taken once, and each centroid update sums them
-    per (cluster, bucket) in row order, the order in which
-    ``matrix[assign == cluster].mean(axis=0)`` adds them, so the centroids
-    are that mean's bit for bit without copying any rows; a profile's
-    centroid is a copy of its cluster's last one.  Zero-vector users go to a
-    dedicated residual agent appended after the k clusters.  Raises
-    ConfigError when k exceeds the usable user count.
+    No dense ``users × dim`` array is built.  Dropping the empty rows (no
+    usable text) only drops their ``indptr`` entries.  Every similarity,
+    in the seeding and in each assignment, adds a row's nonzero products
+    left to right in bucket order (``_dots``), so it does not depend on the
+    BLAS.  Each centroid update sums the nonzeros per (cluster, bucket) in
+    row order with one ``np.bincount``, the order in which
+    ``rows.mean(axis=0)`` of the cluster's densified rows adds them, so the
+    centroids are that mean's bit for bit; a profile's centroid is a copy
+    of its cluster's last one.  Zero-vector users go to a dedicated
+    residual agent appended after the k clusters.  Raises ConfigError when
+    k exceeds the usable user count.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    users, matrix = vectors
-    nonzero = matrix.any(axis=1)
+    users, dim, indptr = vectors.users, vectors.dim, vectors.indptr
+    nonzero = np.diff(indptr) > 0
     usable = np.flatnonzero(nonzero)
     if len(usable) < k:
         raise ConfigError(
             f"k={k} exceeds the {len(usable)} users with nonzero vectors"
         )
-    if len(usable) < len(users):
-        matrix = matrix[usable]
+    kept = vectors._replace(users=tuple(users[i] for i in usable),
+                            indptr=np.append(indptr[usable], indptr[-1]))
+    row_of = np.repeat(np.arange(len(usable)), np.diff(kept.indptr))
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(matrix, k, rng)
-    dim = matrix.shape[1]
-    nz_row, nz_bucket = np.nonzero(matrix)  # row-major: each bucket's rows ascend
-    nz_value = matrix[nz_row, nz_bucket]
+    centroids = _kmeans_pp_init(kept, row_of, k, rng)
+    sims = np.empty((len(usable), k), dtype=np.float64)
 
     assign = np.full(len(usable), -1, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
-        sims = matrix @ centroids.T
+        for cluster in range(k):
+            sims[:, cluster] = _dots(kept, row_of, centroids[cluster])
         new_assign = np.argmax(sims, axis=1)
         # Revive empty clusters with the point that fits its own cluster
         # worst, never a cluster's last member (that cluster would empty in
@@ -355,25 +435,24 @@ def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]
             break
         assign = new_assign
         # Revival leaves no cluster empty.
-        sums = np.bincount(assign[nz_row] * dim + nz_bucket, weights=nz_value,
-                           minlength=k * dim).reshape(k, dim)
-        centroids = sums / np.bincount(assign, minlength=k)[:, None]
+        centroids = np.bincount(assign[row_of] * dim + kept.buckets, weights=kept.values,
+                                minlength=k * dim).reshape(k, dim)
+        centroids /= np.bincount(assign, minlength=k)[:, None]
         for centroid in centroids:
             _normalize(centroid)
 
     groups = [np.flatnonzero(assign == cluster) for cluster in range(k)]
     # Stable agent numbering: clusters ordered by their smallest member id,
     # which is their first row because rows are in sorted user order.
-    order = sorted(range(k), key=lambda c: users[usable[groups[c][0]]])
+    order = sorted(range(k), key=lambda c: kept.users[groups[c][0]])
 
     profiles = []
     for rank, cluster in enumerate(order):
-        rows = groups[cluster]
         profiles.append(
             AgentProfile(
                 agent_id=f"A{rank:03d}",
                 label=f"Agent{rank:03d}",
-                members=tuple(users[i] for i in usable[rows]),
+                members=tuple(kept.users[i] for i in groups[cluster]),
                 centroid=centroids[cluster].copy(),
             )
         )
@@ -383,7 +462,7 @@ def cluster_users(vectors: UserVectors, k: int, seed: int) -> list[AgentProfile]
                 agent_id=f"A{k:03d}",
                 label=RESIDUAL_LABEL,
                 members=tuple(users[i] for i in np.flatnonzero(~nonzero)),
-                centroid=np.zeros(matrix.shape[1], dtype=np.float64),
+                centroid=np.zeros(dim, dtype=np.float64),
             )
         )
     return profiles
@@ -423,13 +502,17 @@ def enrich(
     member_counts: Sequence[TextCounts],
     lexicon: Mapping[str, str],
     vocab: Mapping[int, Counter],
+    terms: UserVectors,
 ) -> AgentProfile:
     """Fill keywords, emotion frequencies, and style features for one agent.
 
-    Emotion is lexicon hits per emotion over tokens; style is tokens per
-    sentence and the share of sentences ending in '?' or '!'.
+    Keywords are the top buckets of the normalized mean of the members'
+    term rows ``terms`` (on hashed vectors, the agent's centroid; on
+    embeddings, not the embedding dimensions).  Emotion is lexicon hits per
+    emotion over tokens; style is tokens per sentence and the share of
+    sentences ending in '?' or '!'.
     """
-    keywords = tuple(top_terms(agent.centroid, vocab))
+    keywords = tuple(top_terms(terms.mean_of(agent.members), vocab))
     label = agent.label
     if keywords:
         label = "".join(_camel(t) for t in keywords[:2])

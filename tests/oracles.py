@@ -423,19 +423,47 @@ def oracle_maximal_paths(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
 # Spherical k-means
 # ---------------------------------------------------------------------------
 
+def oracle_dot(row: np.ndarray, vec: np.ndarray) -> float:
+    """The documented k-means dot product: the row's nonzero entries times
+    ``vec``'s, added left to right in bucket order, from 0.0."""
+    total = 0.0
+    for bucket in np.flatnonzero(row):
+        total += float(row[bucket]) * float(vec[bucket])
+    return total
+
+
 def oracle_kmeans(matrix: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(assignment, centroids, revivals) of ``profiles.cluster_users``' k-means
-    over the rows of ``matrix`` (all nonzero), each centroid update the
-    normalized ``rows.mean(axis=0)`` of a copy of its cluster's rows;
-    ``revivals`` counts the empty clusters refilled along the way."""
-    from latentgraph.profiles import KMEANS_MAX_ITER, _kmeans_pp_init
+    over the rows of ``matrix`` (all nonzero): k-means++ seeding on squared
+    cosine distance, then every similarity an ``oracle_dot`` and each
+    centroid update the normalized ``rows.mean(axis=0)`` of a copy of its
+    cluster's rows; ``revivals`` counts the empty clusters refilled along
+    the way."""
+    from latentgraph.profiles import KMEANS_MAX_ITER
 
-    centroids = _kmeans_pp_init(matrix, k, np.random.default_rng(seed))
     n = len(matrix)
+    rng = np.random.default_rng(seed)
+
+    def distances(center: int) -> np.ndarray:
+        sims = np.array([oracle_dot(row, matrix[center]) for row in matrix])
+        return np.maximum(2.0 - 2.0 * sims, 0.0)
+
+    chosen = [int(rng.integers(n))]
+    dist = distances(chosen[0])
+    for _ in range(1, k):
+        total = float(dist.sum())
+        if total <= 0.0:
+            nxt = min(set(range(n)) - set(chosen))
+        else:
+            nxt = int(rng.choice(n, p=dist / total))
+        chosen.append(nxt)
+        dist = np.minimum(dist, distances(nxt))
+    centroids = matrix[chosen].copy()
+
     assign = np.full(n, -1, dtype=np.int64)
     revivals = 0
     for _ in range(KMEANS_MAX_ITER):
-        sims = matrix @ centroids.T
+        sims = np.array([[oracle_dot(row, c) for c in centroids] for row in matrix])
         new_assign = np.argmax(sims, axis=1)
         for cluster in range(k):
             if not np.any(new_assign == cluster):

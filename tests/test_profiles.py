@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from latentgraph.config import default_config
 from latentgraph.errors import ConfigError, DataError
 from latentgraph.ingest import RawRecord, RecordKind, run_pipeline
 from latentgraph.profiles import (
+    DEFAULT_DIM,
     RESIDUAL_LABEL,
     AgentProfile,
     build_member_index,
@@ -68,6 +70,32 @@ def user_vectors(user_texts, dim, lexicon=None):
     return build_user_vectors(table), vocab, counts
 
 
+def rows_of(vectors):
+    """Every user row of ``vectors``, densified."""
+    return [vectors.row(i) for i in range(len(vectors.users))]
+
+
+def user_vectors_of(users, matrix):
+    """UserVectors holding the nonzeros of the dense rows of ``matrix``."""
+    rows, buckets = np.nonzero(matrix)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(matrix)))))
+    return profiles.UserVectors(tuple(users), matrix.shape[1], indptr,
+                                buckets.astype(np.int32), matrix[rows, buckets])
+
+
+def assert_csr_rows(vectors):
+    """``indptr`` starts at 0 and is monotone, each row's buckets strictly
+    ascend within the dimension, and no zero is stored."""
+    indptr, buckets, values = vectors.indptr, vectors.buckets, vectors.values
+    assert len(indptr) == len(vectors.users) + 1
+    assert indptr[0] == 0 and indptr[-1] == len(buckets) == len(values)
+    assert np.all(np.diff(indptr) >= 0)
+    for start, end in zip(indptr[:-1], indptr[1:]):
+        assert np.all(np.diff(buckets[start:end]) > 0)
+    assert np.all((0 <= buckets) & (buckets < vectors.dim))
+    assert np.all(values != 0.0)
+
+
 def record_vectors(texts, dim):
     """The term-table vector of each text, one record per text."""
     table, _, _ = term_table(records_of({"u": texts}), dim)
@@ -95,13 +123,15 @@ class TestVectorize:
         texts = ["", "  ", "!!"]
         assert not np.any(record_vectors(texts, 64))
         vectors, _, _ = user_vectors({"u": texts}, 64)
-        assert not np.any(vectors.matrix)
+        assert vectors.indptr.tolist() == [0, 0]
+        assert not np.any(vectors.row(0))
 
     def test_determinism(self):
         texts = ["The quick brown fox?", "jumps over 2 lazy dogs!"]
-        a = user_vectors({"u": texts}, 256)[0].matrix
-        b = user_vectors({"u": list(texts)}, 256)[0].matrix
-        assert np.array_equal(a, b)
+        a = user_vectors({"u": texts}, 256)[0]
+        b = user_vectors({"u": list(texts)}, 256)[0]
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_dim_floor(self):
         with pytest.raises(ConfigError):
@@ -131,8 +161,24 @@ class TestVectorize:
         texts = planted_users(3)
         vectors, _, _ = user_vectors(texts, 256)
         assert vectors.users == tuple(sorted(texts))
-        for user, row in zip(*vectors):
+        for user, row in zip(vectors.users, rows_of(vectors)):
             assert np.array_equal(row, oracle_term_vector(texts[user], 256))
+
+    def test_user_rows_span_token_blocks(self):
+        # Users are counted in blocks of about 2^14 tokens; three users hold
+        # more than a block each, and records arrive in shuffled order.
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(500)]
+        texts = {f"u{u:03d}": [" ".join(rng.choices(words, k=10001 if u in (5, 150, 299)
+                                                     else rng.randint(0, 50)))
+                               for _ in range(4)]
+                 for u in range(300)}
+        records = records_of(texts)
+        rng.shuffle(records)
+        vectors = build_user_vectors(term_table(records, 64)[0])
+        assert_csr_rows(vectors)
+        for user, row in zip(vectors.users, rows_of(vectors)):
+            assert row.tobytes() == oracle_term_vector(texts[user], 64).tobytes()
 
 
 def planted_users(n_per_group=20, seed=0):
@@ -207,18 +253,20 @@ class TestClustering:
     def test_centroid_is_normalized_mean(self):
         texts = planted_users(6)
         vectors, _, _ = user_vectors(texts, 256)
-        by_user = dict(zip(*vectors))
+        by_user = dict(zip(vectors.users, rows_of(vectors)))
         for profile in cluster_users(vectors, 2, seed=5):
             mean = np.mean([by_user[u] for u in profile.members], axis=0)
             mean /= np.linalg.norm(mean)
             assert np.allclose(profile.centroid, mean, atol=1e-12)
+            # Keywords read the members' term rows: on hashed vectors, the centroid.
+            assert vectors.mean_of(profile.members).tobytes() == profile.centroid.tobytes()
 
 
 def features(texts, lexicon):
     """Emotion and style of one user's texts, through the one text pass."""
-    _, vocab, counts = user_vectors({"u": texts}, 64, lexicon)
+    vectors, vocab, counts = user_vectors({"u": texts}, 64, lexicon)
     agent = AgentProfile("A000", "Agent000", ("u",), np.zeros(64))
-    enriched = enrich(agent, [counts["u"]], lexicon, vocab)
+    enriched = enrich(agent, [counts["u"]], lexicon, vocab, vectors)
     return enriched.emotion, enriched.style
 
 
@@ -246,7 +294,7 @@ class TestEnrichment:
         texts = {"u1": ["solar solar wind power"], "u2": ["solar wind wind power"]}
         vectors, vocab, counts = user_vectors(texts, 512)
         profile = cluster_users(vectors, 1, seed=0)[0]
-        enriched = enrich(profile, [counts[u] for u in profile.members], {}, vocab)
+        enriched = enrich(profile, [counts[u] for u in profile.members], {}, vocab, vectors)
         assert set(enriched.keywords) == {"solar", "wind", "power"}
         assert enriched.label == "".join(
             w.capitalize() for w in enriched.keywords[:2]
@@ -255,11 +303,11 @@ class TestEnrichment:
     def test_counts_sum_over_members(self):
         lexicon = {"angry": "anger"}
         texts = {"u1": ["angry words. more?"], "u2": ["calm!", ""]}
-        _, _, counts = user_vectors(texts, 64, lexicon)
+        vectors, _, counts = user_vectors(texts, 64, lexicon)
         assert counts["u1"] == TextCounts(3, 2, 1, 0, Counter(anger=1))
         assert counts["u2"] == TextCounts(1, 1, 0, 1, Counter())
         agent = AgentProfile("A000", "Agent000", ("u1", "u2"), np.zeros(64))
-        enriched = enrich(agent, [counts["u1"], counts["u2"]], lexicon, {})
+        enriched = enrich(agent, [counts["u1"], counts["u2"]], lexicon, {}, vectors)
         assert enriched.emotion == {"anger": 1 / 4}
         assert enriched.style == {"avg_sentence_length": 4 / 3,
                                   "question_rate": 1 / 3, "exclamation_rate": 1 / 3}
@@ -267,7 +315,7 @@ class TestEnrichment:
     def test_top_terms_maps_buckets_back(self):
         texts = {"u": ["alpha alpha alpha beta beta gamma"]}
         vectors, vocab, _ = user_vectors(texts, 512)
-        terms = top_terms(vectors.matrix[0], vocab, top_k=3)
+        terms = top_terms(vectors.row(0), vocab, top_k=3)
         assert terms == ["alpha", "beta", "gamma"]
 
     def test_lexicon_loader(self, tmp_path):
@@ -303,7 +351,7 @@ class TestPersistence:
         vectors, vocab, counts = user_vectors(texts, 256, lexicon)
         profiles = cluster_users(vectors, 2, seed=9)
         profiles = [
-            enrich(p, [counts[u] for u in p.members], lexicon, vocab) for p in profiles
+            enrich(p, [counts[u] for u in p.members], lexicon, vocab, vectors) for p in profiles
         ]
         path = tmp_path / "agents.json"
         save_profiles(profiles, path)
@@ -321,7 +369,8 @@ class TestPersistence:
         for name in ("one.json", "two.json"):
             vectors, vocab, counts = user_vectors(texts, 256)
             profiles = cluster_users(vectors, 2, seed=4)
-            profiles = [enrich(p, [counts[u] for u in p.members], {}, vocab) for p in profiles]
+            profiles = [enrich(p, [counts[u] for u in p.members], {}, vocab, vectors)
+                        for p in profiles]
             save_profiles(profiles, tmp_path / name)
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
@@ -334,8 +383,8 @@ class TestPersistence:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         vectors = load_embeddings(path, ["u1", "u2", "u3"])
         assert vectors.users == ("u1", "u2", "u3")
-        assert np.allclose(vectors.matrix[0], [0.6, 0.8])
-        assert not np.any(vectors.matrix[2])
+        assert np.allclose(vectors.row(0), [0.6, 0.8])
+        assert not np.any(vectors.row(2))
 
     def test_embedding_negative_zero_reads_as_zero(self, tmp_path):
         # k-means sums only nonzeros, from 0.0; a -0.0 kept would make a
@@ -344,7 +393,8 @@ class TestPersistence:
         path.write_text('{"user": "u1", "vector": [-0.0, 1.0]}\n'
                         '{"user": "u2", "vector": [-0.0, 2.0]}\n')
         vectors = load_embeddings(path, ["u1", "u2"])
-        assert not np.signbit(vectors.matrix).any()
+        assert not np.signbit(vectors.values).any()
+        assert not np.signbit(rows_of(vectors)).any()
         [agent] = cluster_users(vectors, 1, seed=0)
         assert agent.centroid.tobytes() == np.array([0.0, 1.0]).tobytes()
 
@@ -369,7 +419,7 @@ class TestPersistence:
 )
 def test_cluster_partition_invariant(user_texts, seed):
     vectors, _, _ = user_vectors(user_texts, 64)
-    usable = int(vectors.matrix.any(axis=1).sum())
+    usable = int(np.count_nonzero(np.diff(vectors.indptr)))
     if usable < 2:
         return
     profiles = cluster_users(vectors, 2, seed=seed)
@@ -392,15 +442,16 @@ def user_matrices(draw):
         profiles._normalize(row)
     usable = int(matrix.any(axis=1).sum())
     assume(usable >= 1)
-    users = tuple(f"u{i:02d}" for i in range(len(matrix)))
-    return profiles.UserVectors(users, matrix), draw(st.integers(1, usable)), draw(st.integers(0, 999))
+    users = [f"u{i:02d}" for i in range(len(matrix))]
+    return user_vectors_of(users, matrix), draw(st.integers(1, usable)), draw(st.integers(0, 999))
 
 
 def assert_centroids_match_the_copied_row_means(vectors, k, seed):
     """Every agent's centroid is bit-equal to the copy-based k-means' for the
     same members; returns how many empty clusters that run revived."""
-    usable = vectors.matrix.any(axis=1)
-    assign, centroids, revivals = oracle_kmeans(vectors.matrix[usable], k, seed)
+    matrix = np.array(rows_of(vectors))
+    usable = matrix.any(axis=1)
+    assign, centroids, revivals = oracle_kmeans(matrix[usable], k, seed)
     users = np.array(vectors.users)[usable]
     expected = {tuple(users[assign == c]): centroids[c].tobytes() for c in range(k)}
     agents = [p for p in cluster_users(vectors, k, seed) if p.label != RESIDUAL_LABEL]
@@ -421,9 +472,69 @@ def test_revival_never_takes_a_clusters_last_member():
     matrix = np.zeros((12, 12))
     matrix[:, 11] = 1.0
     matrix[9] = np.eye(12)[10]
-    vectors = profiles.UserVectors(tuple(f"u{i:02d}" for i in range(12)), matrix)
+    vectors = user_vectors_of([f"u{i:02d}" for i in range(12)], matrix)
     assert assert_centroids_match_the_copied_row_means(vectors, 12, seed=0) > 0
     assert sorted(len(p.members) for p in cluster_users(vectors, 12, seed=0)) == [1] * 12
+
+
+_EMBEDDING_ENTRY = st.one_of(st.just(0.0), st.just(-0.0),
+                             st.floats(-1e6, 1e6, allow_subnormal=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.dictionaries(
+    st.sampled_from(["u1", "u2", "u3", "u4"]),
+    st.lists(_EMBEDDING_ENTRY, min_size=dim, max_size=dim), min_size=1)))
+def test_embedding_rows_are_the_normalized_dense_rows(tmp_path_factory, table):
+    # Users absent from the file, and all-zero vectors, get empty rows.
+    path = tmp_path_factory.mktemp("emb") / "emb.jsonl"
+    path.write_text("".join(json.dumps({"user": u, "vector": v}) + "\n" for u, v in table.items()))
+    vectors = load_embeddings(path, ["u4", "u3", "u2", "u1", "u0"])
+    assert vectors.users == ("u0", "u1", "u2", "u3", "u4")
+    assert vectors.dim == len(next(iter(table.values())))
+    assert_csr_rows(vectors)
+    for user, row in zip(vectors.users, rows_of(vectors)):
+        dense = np.array(table.get(user, [0.0] * vectors.dim))
+        norm = np.linalg.norm(dense)
+        expected = (dense / norm if norm > 0 else dense) + 0.0  # -0.0 reads as 0.0
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_embedding_agents_take_keywords_from_their_members_terms(tmp_path):
+    # Embedding dimensions are not token buckets: keywords are the top terms
+    # of the normalized mean of the members' term rows, summed in row order.
+    records = list(run_pipeline(make_synthetic_dump(200, 1200, seed=3).records)[-1].records)
+    texts = defaultdict(list)
+    for record in records:
+        texts[record.author].append(record.text)
+    rng = np.random.default_rng(0)
+    embeddings = tmp_path / "emb.jsonl"
+    embeddings.write_text("".join(
+        json.dumps({"user": user, "vector": rng.normal(size=64).tolist()}) + "\n"
+        for user in sorted(texts)))
+    config = replace(default_config(), k_agents=4, embeddings_path=str(embeddings))
+    built, _ = cli.agents_stage(records, config, tmp_path / "agents.json")
+    _, vocab, _ = term_table(records)
+    assert len(built) == 4
+    for agent in built:
+        total = np.zeros(DEFAULT_DIM)
+        for user in agent.members:  # members ascend, as the rows do
+            total = total + oracle_term_vector(texts[user])
+        mean = total / len(agent.members)
+        mean /= np.linalg.norm(mean)
+        assert agent.keywords and agent.keywords == tuple(top_terms(mean, vocab))
+        assert agent.label == "".join(w.capitalize() for w in agent.keywords[:2])
+
+
+def test_user_rows_and_clustering_hold_no_dense_user_matrix():
+    table, _, _ = term_table(make_synthetic_dump(2000, 12000).records)
+    tracemalloc.start()
+    try:
+        cluster_users(profiles.build_user_vectors(table), 12, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(table.users) * table.dim * 8 / 4
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +671,12 @@ _TEXTS = st.lists(st.lists(_PIECES, max_size=12).map("".join), max_size=4)
     ),
 )
 def test_counts_match_per_text_features(user_texts, lexicon):
-    _, vocab, counts = user_vectors(user_texts, 64, lexicon)
+    vectors, vocab, counts = user_vectors(user_texts, 64, lexicon)
     # Users are the authors of records, so a user without texts has none.
     members = tuple(sorted(u for u, texts in user_texts.items() if texts))
     assert sorted(counts) == list(members)
     agent = AgentProfile("A000", "Agent000", members, np.zeros(64))
-    enriched = enrich(agent, [counts[u] for u in members], lexicon, vocab)
+    enriched = enrich(agent, [counts[u] for u in members], lexicon, vocab, vectors)
     texts = [t for u in members for t in user_texts[u]]
     assert enriched.emotion == oracle_emotion(texts, lexicon)
     assert enriched.style == oracle_style(texts)
@@ -579,8 +690,10 @@ def test_term_vectors_match_the_reference_vectorizer(user_texts):
     table, _, _ = term_table(records, 16)
     for row, record in enumerate(records):
         assert np.array_equal(table.vector(row), oracle_term_vector([record.text], 16))
-    for user, row in zip(*build_user_vectors(table)):
-        assert np.array_equal(row, oracle_term_vector(user_texts[user], 16))
+    vectors = build_user_vectors(table)
+    assert_csr_rows(vectors)
+    for user, row in zip(vectors.users, rows_of(vectors)):
+        assert row.tobytes() == oracle_term_vector(user_texts[user], 16).tobytes()
 
 
 def test_run_all_tokenizes_each_final_record_once(monkeypatch, dump_files, tmp_path):

@@ -32,10 +32,12 @@ print(f"events: {stats.events} (self-replies dropped: {stats.self_replies}, "
 grid = WindowGrid.from_events(events, 30 * SECONDS_PER_DAY)
 print(f"window grid: origin={grid.origin}, {grid.n} windows of 30 days")
 
+# infer_all holds every pair as columns; follows() builds the maybe and
+# forsure edges alone, which are all the timeline and the graph need.
 edges = infer_all(events, grid, maybe_min=2, forsure_min=3)
 print("status counts:", dict(Counter(e.status.value for e in edges)))
 
-rows = event_timeline(edges)
+rows = event_timeline(edges.follows())
 print(f"\nfirst follow events on the timeline ({len(rows)} total):")
 for row in rows[:8]:
     print(f"  t={row.time}  {row.source} -> {row.target}  [{row.status.value}]")

@@ -25,7 +25,7 @@ events, _ = extract_events(posts, comments, index)
 grid = WindowGrid.from_events(events, 30 * SECONDS_PER_DAY)
 edges = infer_all(events, grid)
 
-graph = build(edges, EdgeClass.ALL, known_agents=[p.agent_id for p in profiles])
+graph = build(edges.follows(), EdgeClass.ALL, known_agents=[p.agent_id for p in profiles])
 print(f"graph: {graph.node_count} agents, {graph.edge_count} edges, "
       f"total weight {graph.total_weight()}")
 

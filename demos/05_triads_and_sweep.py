@@ -15,7 +15,7 @@ events, _ = extract_events(posts, comments)
 grid = WindowGrid.from_events(events, 30 * SECONDS_PER_DAY)
 edges = infer_all(events, grid)
 
-series = triad_series(edges, interval_len=182 * SECONDS_PER_DAY)
+series = triad_series(edges.follows(), interval_len=182 * SECONDS_PER_DAY)
 print("triadic closures per six-month interval")
 print(f"{'interval':>8} {'cum_all':>8} {'new_all':>8} {'cum_forsure':>12}")
 for i in range(series.n_intervals):

@@ -134,14 +134,17 @@ def events_stage(records, id_map, out: Path
     return events, stats
 
 
-def infer_stage(events, config: RunConfig, edges_out: Path,
-                timeline_out: Path) -> list[infermod.FollowEdge]:
-    """Classify every pair and write the edge list and its event timeline."""
+def infer_stage(events, config: RunConfig, edges_out: Path, timeline_out: Path
+                ) -> tuple[list[infermod.FollowEdge], dict[str, int]]:
+    """Classify every pair, write the edge list of all pairs and the event
+    timeline of the follows, and return the follows (the maybe and forsure
+    edges, the only ones built) with the pair and status counts."""
     grid = infermod.WindowGrid.from_events(events, config.window_days * infermod.SECONDS_PER_DAY)
     edges = infermod.infer_all(events, grid, config.maybe_min, config.forsure_min)
     infermod.write_edges_csv(edges, edges_out)
-    infermod.write_timeline_csv(infermod.event_timeline(edges), timeline_out)
-    return edges
+    follows = edges.follows()
+    infermod.write_timeline_csv(infermod.event_timeline(follows), timeline_out)
+    return follows, edges.status_counts()
 
 
 def graph_stage(edges, config: RunConfig, outs, include=graphmod.EdgeClass.ALL,
@@ -224,10 +227,9 @@ def cmd_agents(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_infer(args: argparse.Namespace, config: RunConfig) -> int:
     events = infermod.load_events_jsonl(args.events)
     timeline = args.timeline or args.out.parent / "timeline.csv"
-    edges = infer_stage(events, config, args.out, timeline)
-    _write_sidecar(args.out, config, {"events": len(events), "pairs": len(edges)})
-    positive = sum(1 for e in edges if e.status is not infermod.FollowStatus.NONE)
-    print(f"classified {len(edges)} pairs ({positive} with follow relations)")
+    follows, counts = infer_stage(events, config, args.out, timeline)
+    _write_sidecar(args.out, config, {"events": len(events), "pairs": counts["pairs"]})
+    print(f"classified {counts['pairs']} pairs ({len(follows)} with follow relations)")
     return EXIT_OK
 
 
@@ -328,15 +330,16 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
     with timed("infer"):
         id_map = profilesmod.build_member_index(profiles) if agent_level else None
         events, stats = events_stage(final_records, id_map, out / "events.jsonl")
-        edges = infer_stage(events, config, out / "edges.csv", out / "timeline.csv")
+        follows, inference = infer_stage(events, config, out / "edges.csv",
+                                         out / "timeline.csv")
     with timed("graph"):
         known = [p.agent_id for p in profiles] if agent_level else []
-        graph = graph_stage(edges, config, [out / "graph.graphml", out / "graph.edges.csv"],
+        graph = graph_stage(follows, config, [out / "graph.graphml", out / "graph.edges.csv"],
                             known_agents=known)
     with timed("metrics"):
         report = metrics_stage(graph, config, out / "metrics.json")
     with timed("triads"):
-        triads_stage(edges, config, out / "triads.csv")
+        triads_stage(follows, config, out / "triads.csv")
     with timed("chains"):
         _, chain_manifest = chains_stage(final_records, config, out / "chains.jsonl",
                                          agent_of=id_map, table=table)
@@ -351,6 +354,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         "input_digests": input_digests,
         "skipped_lines": skipped_lines,
         "extraction": stats.to_dict(),
+        "inference": inference,
         "chains": chain_manifest,
         # Greedy modularity runs behind metrics.json; none on an edgeless graph.
         "community_restarts": (

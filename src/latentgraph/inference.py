@@ -16,11 +16,11 @@ pair and cutoff is a few vectorized reads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -124,6 +124,9 @@ class FollowEdge:
     def weight(self) -> int:
         """The pair's weight in the interaction graph: its comment count."""
         return self.total_comments
+
+
+_EDGE_FIELDS = tuple(f.name for f in fields(FollowEdge))
 
 
 @dataclass
@@ -256,7 +259,7 @@ class PairTable:
 
     def edges(
         self, grid: WindowGrid, maybe_min: int, forsure_min: int, cutoff: int | None = None
-    ) -> list[FollowEdge]:
+    ) -> PairEdges:
         """Every pair's edge over its events at or before ``cutoff``, in
         (source, target) order; a pair with no such event has none."""
         check_thresholds(maybe_min, forsure_min)
@@ -275,24 +278,95 @@ class PairTable:
             return np.where(reached, starts[at], -1)
 
         maybe_row, forsure_row = milestone(maybe_min), milestone(forsure_min)
-        status = (maybe_row >= 0).astype(np.int64) + (forsure_row >= 0)
+        status = (maybe_row >= 0).astype(np.int8) + (forsure_row >= 0)
         status_row = np.where(forsure_row >= 0, forsure_row,
                               np.where(maybe_row >= 0, maybe_row, self.first))
         keep = np.flatnonzero(comments)
         last_row = self.first + comments - 1
 
-        def times_at(rows: np.ndarray) -> list:
-            picked = rows[keep]
-            values = self.times[np.maximum(picked, 0)].tolist()
-            return [v if r >= 0 else None for v, r in zip(values, picked.tolist())]
+        def times_at(rows: np.ndarray) -> np.ndarray:
+            return self.times[np.maximum(rows[keep], 0)]
 
-        ids = self.ids
-        columns = zip(self.source[keep].tolist(), self.target[keep].tolist(),
-                      windows_hit[keep].tolist(), comments[keep].tolist(),
-                      status[keep].tolist(), times_at(self.first), times_at(last_row),
-                      times_at(status_row), times_at(maybe_row), times_at(forsure_row))
-        return [FollowEdge(ids[s], ids[t], hit, n, _STATUSES[code], first, last, at, maybe, sure)
-                for s, t, hit, n, code, first, last, at, maybe, sure in columns]
+        return PairEdges(self.ids, self.source[keep], self.target[keep], windows_hit[keep],
+                         comments[keep], status[keep], times_at(self.first), times_at(last_row),
+                         times_at(status_row), times_at(maybe_row), times_at(forsure_row))
+
+
+# Pairs per block when a PairEdges builds edges or CSV rows from its columns.
+EDGE_BLOCK = 2**14
+# The status a pair must reach before its milestone column holds a time.
+_MILESTONE_STATUS = {"maybe_time": 1, "forsure_time": 2}
+
+
+@dataclass(frozen=True, eq=False)
+class PairEdges(Sequence[FollowEdge]):
+    """Every pair's classified edge, held as one column per ``FollowEdge``
+    field in (source, target) order.
+
+    A read-only sequence of ``FollowEdge``: ``len`` reads the columns, and
+    indexing and iteration build each pair's edge only when it is asked for.
+    ``follows()`` builds the maybe and forsure edges alone and ``csv_rows()``
+    gives the edges.csv rows straight from the columns.  ``source`` and
+    ``target`` hold indices into ``ids`` and ``status`` an index into
+    (NONE, MAYBE, FORSURE); a milestone time is None for a pair below its
+    status.  Time columns are object arrays of Python ints when the event
+    times leave the int64-safe range.
+    """
+
+    ids: Sequence[str]
+    source: np.ndarray
+    target: np.ndarray
+    windows_hit: np.ndarray
+    total_comments: np.ndarray
+    status: np.ndarray
+    first_seen: np.ndarray
+    last_seen: np.ndarray
+    status_time: np.ndarray
+    maybe_time: np.ndarray
+    forsure_time: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._edges(np.arange(len(self))[index])
+        return self._edges([range(len(self))[index]])[0]
+
+    def __iter__(self) -> Iterator[FollowEdge]:
+        for start in range(0, len(self), EDGE_BLOCK):
+            yield from self._edges(slice(start, start + EDGE_BLOCK))
+
+    def follows(self) -> list[FollowEdge]:
+        """The maybe and forsure edges, in (source, target) order."""
+        return self._edges(np.flatnonzero(self.status))
+
+    def status_counts(self) -> dict[str, int]:
+        """The number of pairs, and of maybe and of forsure pairs."""
+        _, maybe, forsure = np.bincount(self.status, minlength=3).tolist()
+        return {"pairs": len(self), "maybe": maybe, "forsure": forsure}
+
+    def csv_rows(self) -> Iterator[tuple]:
+        """Every pair's ``EDGES_CSV_FIELDS``, built one block of pairs at a time."""
+        for start in range(0, len(self), EDGE_BLOCK):
+            block = slice(start, start + EDGE_BLOCK)
+            yield from zip(*(self._values(name, block) for name in EDGES_CSV_FIELDS))
+
+    def _values(self, name: str, rows) -> list:
+        """Column ``name`` at ``rows`` as the values a ``FollowEdge`` holds."""
+        values = getattr(self, name)[rows].tolist()
+        if name in ("source", "target"):
+            return [self.ids[code] for code in values]
+        if name == "status":
+            return [_STATUSES[code] for code in values]
+        if name in _MILESTONE_STATUS:
+            least = _MILESTONE_STATUS[name]
+            return [t if code >= least else None
+                    for t, code in zip(values, self.status[rows].tolist())]
+        return values
+
+    def _edges(self, rows) -> list[FollowEdge]:
+        return list(map(FollowEdge, *(self._values(name, rows) for name in _EDGE_FIELDS)))
 
 
 def classify(
@@ -321,8 +395,8 @@ def infer_all(
     grid: WindowGrid,
     maybe_min: int = DEFAULT_MAYBE_MIN,
     forsure_min: int = DEFAULT_FORSURE_MIN,
-) -> list[FollowEdge]:
-    """Classify every ordered pair; output sorted by (source, target)."""
+) -> PairEdges:
+    """Classify every ordered pair; the edges as columns, sorted by (source, target)."""
     return PairTable(events).edges(grid, maybe_min, forsure_min)
 
 
@@ -388,8 +462,11 @@ TIMELINE_CSV_FIELDS = ["time", "source", "target", "status"]
 
 
 def write_edges_csv(edges: Iterable[FollowEdge], path: str | Path) -> None:
-    """An edges.csv: the ``EDGES_CSV_FIELDS`` of each edge, in the order given."""
-    write_csv(path, EDGES_CSV_FIELDS, map(attrgetter(*EDGES_CSV_FIELDS), edges))
+    """An edges.csv: the ``EDGES_CSV_FIELDS`` of each edge, in the order given;
+    a ``PairEdges`` is written from its columns, with no edge built."""
+    rows = (edges.csv_rows() if isinstance(edges, PairEdges)
+            else map(attrgetter(*EDGES_CSV_FIELDS), edges))
+    write_csv(path, EDGES_CSV_FIELDS, rows)
 
 
 def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]:

@@ -183,8 +183,8 @@ def snapshot_series(
     table = infermod.PairTable(events)
     reports = []
     for cutoff in checkpoints:
-        edges = table.edges(grid, config.maybe_min, config.forsure_min, cutoff)
-        built = graphmod.build(edges, config.include, known_agents=config.known_agents)
+        follows = table.edges(grid, config.maybe_min, config.forsure_min, cutoff).follows()
+        built = graphmod.build(follows, config.include, known_agents=config.known_agents)
         graph = graphmod.apply_coverage(built, config.coverage)
         reports.append(metricsmod.full_report(graph, seed=config.seed,
                                               config={"checkpoint": cutoff}))
@@ -255,8 +255,8 @@ def sweep(
     for window_days in window_days_list:
         grid = WindowGrid.from_events(events, int(round(window_days * SECONDS_PER_DAY)))
         for maybe_min, forsure_min in thresholds:
-            edges = table.edges(grid, maybe_min, forsure_min)
-            built = graphmod.build(edges, include, known_agents=known_agents)
+            follows = table.edges(grid, maybe_min, forsure_min).follows()
+            built = graphmod.build(follows, include, known_agents=known_agents)
             for coverage in coverage_list:
                 covered = graphmod.apply_coverage(built, coverage)
                 key = (covered.nodes, tuple((e.source, e.target, e.weight) for e in covered.edges))

@@ -7,8 +7,10 @@ partition search instead of greedy merging, a greedy modularity run that
 rebuilds its community-pair table after every merge instead of updating it,
 path collection by dynamic programming instead of DFS enumeration, term
 vectors from per-token counters instead of a bucket table, CSV fields
-spelled one by one instead of by the csv encoder, and k-means centroids as
-the mean of each cluster's copied rows instead of sums of the nonzeros.
+spelled one by one instead of by the csv encoder, edges.csv rows read off
+each built edge instead of off the pair table's columns, and k-means
+centroids as the mean of each cluster's copied rows instead of sums of the
+nonzeros.
 """
 
 from __future__ import annotations
@@ -18,12 +20,21 @@ import math
 import random
 import re
 from collections import Counter
-from typing import Mapping, Sequence
+from operator import attrgetter
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from latentgraph.graph import InteractionGraph
-from latentgraph.inference import FollowEdge, FollowStatus, InteractionEvent, WindowGrid
+from latentgraph.inference import (
+    EDGES_CSV_FIELDS,
+    FollowEdge,
+    FollowStatus,
+    InteractionEvent,
+    WindowGrid,
+)
+from latentgraph.ingest import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +560,12 @@ def oracle_csv_bytes(header: Sequence[str], rows: Sequence[Sequence[object]]) ->
     and quoted one by one, with "\n" line ends, in UTF-8."""
     lines = [header, *([oracle_csv_field(value) for value in row] for row in rows)]
     return "".join(",".join(map(_oracle_csv_quote, line)) + "\n" for line in lines).encode("utf-8")
+
+
+def oracle_write_edges_csv(edges: Iterable[FollowEdge], path: Path) -> None:
+    """The per-edge edges.csv writer: every edge built first, then its
+    ``EDGES_CSV_FIELDS`` read off by name."""
+    write_csv(path, EDGES_CSV_FIELDS, map(attrgetter(*EDGES_CSV_FIELDS), list(edges)))
 
 
 # ---------------------------------------------------------------------------

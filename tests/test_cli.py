@@ -1,8 +1,10 @@
 import ast
+import csv
 import gzip
 import json
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from latentgraph.config import (
     validate,
 )
 from latentgraph.errors import ConfigError
+from latentgraph.inference import FollowEdge, FollowStatus
 from latentgraph.ingest import N_STAGES
 from latentgraph.metrics import community_restarts
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
@@ -372,6 +375,39 @@ class TestRunAll:
         for graph, report in ((plain, "plain.json"), (packed, "packed.json")):
             assert main(["metrics", "--graph", str(graph), "--out", str(tmp_path / report)]) == 0
         assert (tmp_path / "packed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def user_level_run(self, tmp_path):
+        """The output directory of a user-level run_all on a corpus where
+        many pairs stay NONE, and the status counts of its edges.csv rows."""
+        posts, comments = make_synthetic_dump(200, 1200, seed=1).write_dumps(tmp_path)
+        out = tmp_path / "out"
+        config = replace(default_config(), level="user", k_agents=4, posts_path=str(posts),
+                         comments_path=str(comments), out_dir=str(out))
+        assert run_all(config) == 0
+        with open(out / "edges.csv", encoding="utf-8", newline="") as fh:
+            return out, Counter(row["status"] for row in csv.DictReader(fh))
+
+    def test_manifest_counts_the_edges_csv_statuses(self, tmp_path):
+        out, statuses = self.user_level_run(tmp_path)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["inference"] == {"pairs": statuses.total(), "maybe": statuses["maybe"],
+                                         "forsure": statuses["forsure"]}
+
+    def test_only_follows_become_edge_objects(self, tmp_path, monkeypatch):
+        """NONE pairs reach edges.csv from the pair table's columns; only the
+        maybe and forsure pairs are ever built as ``FollowEdge``s."""
+        built = []
+        init = FollowEdge.__init__
+
+        def counted(edge, *args, **kwargs):
+            init(edge, *args, **kwargs)
+            built.append(edge.status)
+
+        monkeypatch.setattr(FollowEdge, "__init__", counted)
+        _, statuses = self.user_level_run(tmp_path)
+        assert statuses["none"] > 0
+        assert Counter(built) == Counter({FollowStatus.MAYBE: statuses["maybe"],
+                                          FollowStatus.FORSURE: statuses["forsure"]})
 
     def test_missing_paths_is_config_error(self):
         with pytest.raises(ConfigError):

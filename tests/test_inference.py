@@ -1,11 +1,17 @@
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentgraph import inference
 from latentgraph.errors import ConfigError
 from latentgraph.ingest import RawRecord, RecordKind
 from latentgraph.inference import (
+    EDGE_BLOCK,
     FollowStatus,
     InteractionEvent,
     PairTable,
@@ -20,7 +26,7 @@ from latentgraph.inference import (
     write_events_jsonl,
     write_timeline_csv,
 )
-from oracles import oracle_classify
+from oracles import oracle_classify, oracle_write_edges_csv
 
 
 def ev(source="u", target="v", time=0, cid="c0"):
@@ -143,7 +149,7 @@ class TestOracleEquivalence:
 
 class TestInferAll:
     def test_empty(self):
-        assert infer_all([], WindowGrid(0, DAY, 0)) == []
+        assert list(infer_all([], WindowGrid(0, DAY, 0))) == []
 
     def test_planted_statuses(self):
         evs = []
@@ -166,7 +172,7 @@ class TestInferAll:
         grid = WindowGrid.from_events(events, window_len)
         shuffled = list(events)
         rng.shuffle(shuffled)
-        assert infer_all(events, grid) == infer_all(shuffled, grid)
+        assert list(infer_all(events, grid)) == list(infer_all(shuffled, grid))
 
     def test_output_sorted_by_pair(self):
         evs = events_at([10], "z", "a") + events_at([20], "a", "z")
@@ -221,9 +227,16 @@ ID_TEXT = st.text(st.one_of(st.characters(min_codepoint=0x80), st.characters(cat
                   min_size=1, max_size=3)
 
 
+# Ids a UTF-8 file can hold (no lone surrogate), with the characters a CSV
+# field must quote.
+CSV_ID_TEXT = st.text(st.one_of(st.characters(min_codepoint=0x80, exclude_categories=["Cs"]),
+                                st.sampled_from(',"\r\n')),
+                      min_size=1, max_size=3)
+
+
 @st.composite
-def pair_streams(draw):
-    names = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
+def pair_streams(draw, id_text=ID_TEXT):
+    names = draw(st.lists(id_text, min_size=1, max_size=3, unique=True))
     pool = names + [name + "\x00" for name in names]
     base = draw(st.sampled_from([0, -10**9, 2**62 - 100, 2**70, -(2**70)]))
     rows = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool),
@@ -258,7 +271,40 @@ def test_pair_table_at_cutoff_matches_oracle_on_filtered_events(stream, window_l
                 by_pair.setdefault((e.source, e.target), []).append(e)
         want = [oracle_classify(by_pair[key], grid, maybe_min, forsure_min)
                 for key in sorted(by_pair)]
-        assert table.edges(grid, maybe_min, forsure_min, cutoff) == want
+        assert list(table.edges(grid, maybe_min, forsure_min, cutoff)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pair_streams(CSV_ID_TEXT),
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 2, 5, EDGE_BLOCK]),
+)
+def test_column_writer_matches_the_per_edge_writer(stream, window_len, maybe_min, extra, block):
+    """edges.csv written from the pair table's columns, one block of pairs at
+    a time, has the bytes of the per-edge writer over the built edges; and
+    iteration, indexing, ``follows()`` and the status counts agree."""
+    events, cutoffs = stream
+    grid = WindowGrid.from_events(events, window_len)
+    table = PairTable(events)
+    with mock.patch.object(inference, "EDGE_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
+        columns, reference = Path(tmp) / "columns.csv", Path(tmp) / "reference.csv"
+        for cutoff in cutoffs:
+            view = table.edges(grid, maybe_min, maybe_min + extra, cutoff)
+            edges = list(view)
+            assert [view[i] for i in range(-len(view), 0)] == view[::-1][::-1] == edges
+            with pytest.raises(IndexError):
+                view[len(view)]
+            assert view.follows() == [e for e in edges if e.status is not FollowStatus.NONE]
+            statuses = Counter(e.status for e in edges)
+            assert view.status_counts() == {"pairs": len(edges),
+                                            "maybe": statuses[FollowStatus.MAYBE],
+                                            "forsure": statuses[FollowStatus.FORSURE]}
+            write_edges_csv(view, columns)
+            oracle_write_edges_csv(view, reference)
+            assert columns.read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("outside", [-1, 3 * DAY])

@@ -4,6 +4,7 @@ A rename in ``latentgraph`` would otherwise leave ``perfbench/run.py --trace 1``
 failing only when the benchmark runs.
 """
 
+import csv
 import importlib
 import importlib.util
 import json
@@ -44,18 +45,20 @@ RUN_ALL_LAYERS = {
 }
 
 
-def traced_run_all(monkeypatch, tmp_path):
-    """The tracer module, the layer metrics of a traced agent-level run_all
-    and its output directory."""
+def traced_run_all(monkeypatch, tmp_path, level="agent", corpus=(30, 180, 5)):
+    """The tracer module, the layer metrics of a traced run_all at ``level``
+    over the synthetic ``corpus`` (posts, comments, seed) and its output
+    directory."""
     from dataclasses import replace
 
     from latentgraph.config import default_config
     from latentgraph.synthetic import make_synthetic_dump
 
     tracer_module = load_tracer(monkeypatch)
-    posts, comments = make_synthetic_dump(30, 180, seed=5).write_dumps(tmp_path)
+    n_posts, n_comments, seed = corpus
+    posts, comments = make_synthetic_dump(n_posts, n_comments, seed=seed).write_dumps(tmp_path)
     out = tmp_path / "out"
-    config = replace(default_config(), k_agents=3, posts_path=str(posts),
+    config = replace(default_config(), k_agents=3, level=level, posts_path=str(posts),
                      comments_path=str(comments), out_dir=str(out))
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -83,6 +86,18 @@ def test_traced_run_all_stage_counters_match_the_written_stages(monkeypatch, tmp
     assert layers["ingest.run_pipeline.kept_ratio"] == totals[-1] / totals[0]
     stage_bytes = sum(path.stat().st_size for path in out.glob("stage*"))
     assert layers["ingest.write_stages.bytes"] == stage_bytes > 0
+
+
+def test_traced_user_level_inference_counters_match_the_edges_csv(monkeypatch, tmp_path):
+    """``infer_all`` returns its pairs as columns; the tracer counts pairs and
+    follows off that view, and both must agree with the rows of edges.csv."""
+    _, layers, out = traced_run_all(monkeypatch, tmp_path, level="user", corpus=(200, 1200, 1))
+    with open(out / "edges.csv", encoding="utf-8", newline="") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    follows = sum(status != "none" for status in statuses)
+    assert 0 < follows < len(statuses)
+    assert layers["inference.infer_all.pairs"] == len(statuses)
+    assert layers["inference.infer_all.follow_ratio"] == follows / len(statuses)
 
 
 def test_traced_extraction_compares_each_thread_pair_once(monkeypatch):

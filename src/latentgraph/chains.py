@@ -120,20 +120,6 @@ class InteractionChain:
         return self.nodes[0].time
 
 
-def _record_terms(table: TermTable, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(position, bucket, count) of every distinct term of the records at
-    ``rows``, a record's position being its index in ``rows``; sorted by
-    position, then bucket."""
-    first = table.offsets[rows]
-    lengths = table.offsets[rows + 1] - first
-    gathered_at = np.cumsum(lengths) - lengths
-    token_at = np.arange(lengths.sum()) + np.repeat(first - gathered_at, lengths)
-    keys, count = np.unique(np.repeat(np.arange(len(rows)), lengths) * table.dim
-                            + table.buckets[token_at], return_counts=True)
-    pos, bucket = np.divmod(keys, table.dim)
-    return pos, bucket, count
-
-
 def _shared_bucket_dots(group: np.ndarray, pos: np.ndarray, count: np.ndarray,
                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Self-join of the terms on ``group``, their (thread, bucket): every pair
@@ -172,7 +158,7 @@ class _Block:
         self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
 
         rows = np.fromiter((row_of[id(rec)] for t in threads for rec in t.records), np.int64, n)
-        pos, bucket, count = _record_terms(table, rows)
+        pos, bucket, count = table.counts(rows, np.arange(n))
         squares = np.bincount(pos, weights=count * count, minlength=n)
         self.left, self.right, dots = _shared_bucket_dots(
             self.thread_of[pos] * table.dim + bucket, pos, count, n)
@@ -249,64 +235,40 @@ def connect(
     return SemanticGraph(post_id=thread.post.id, nodes=nodes, children=tuple(children))
 
 
-@dataclass
-class LinearizeStats:
-    chains: int = 0
-    truncated_chains: bool = False
-    truncated_depth: bool = False
-
-
 def linearize(
     graph: SemanticGraph,
     max_chains: int = DEFAULT_MAX_CHAINS_PER_POST,
     max_depth: int = DEFAULT_MAX_DEPTH,
-) -> tuple[list[InteractionChain], LinearizeStats]:
+) -> list[InteractionChain]:
     """Enumerate maximal source-to-sink paths as linear chains.
 
     A chain needs at least one edge; isolated records produce nothing.
-    Enumeration is depth-first with children in id order, bounded by the
-    caps; hitting a cap marks the stats rather than failing.
+    Enumeration is depth-first with children in id order: the first
+    ``max_chains`` chains of at most ``max_depth`` edges.  Whether a cap
+    dropped any chain is ``count_paths``' to tell.
     """
-    n = len(graph.nodes)
-    indegree = [0] * n
+    indegree = [0] * len(graph.nodes)
     for succ in graph.children:
         for j in succ:
             indegree[j] += 1
-    sources = [i for i in range(n) if indegree[i] == 0 and graph.children[i]]
-
-    stats = LinearizeStats()
     chains: list[InteractionChain] = []
     path: list[int] = []
 
     def visit(node: int) -> None:
-        if stats.truncated_chains:
-            return
         path.append(node)
-        try:
-            if len(path) - 1 >= max_depth and graph.children[node]:
-                stats.truncated_depth = True
-                return
-            if not graph.children[node]:
-                if len(path) > 1:
-                    if len(chains) >= max_chains:
-                        stats.truncated_chains = True
-                        return
-                    chains.append(
-                        InteractionChain(
-                            post_id=graph.post_id,
-                            nodes=tuple(graph.nodes[i] for i in path),
-                        )
-                    )
-                return
-            for child in graph.children[node]:
-                visit(child)
-        finally:
-            path.pop()
+        succ = graph.children[node]
+        if not succ:
+            chains.append(InteractionChain(graph.post_id, tuple(graph.nodes[i] for i in path)))
+        elif len(path) <= max_depth:
+            for child in succ:
+                if len(chains) < max_chains:
+                    visit(child)
+        path.pop()
 
-    for source in sources:
-        visit(source)
-    stats.chains = len(chains)
-    return chains, stats
+    for source, succ in enumerate(graph.children):
+        if succ and not indegree[source] and len(chains) < max_chains:
+            visit(source)
+    return chains
 
 
 def count_paths(graph: SemanticGraph) -> tuple[int, int]:
@@ -314,7 +276,7 @@ def count_paths(graph: SemanticGraph) -> tuple[int, int]:
     and the edge count of the longest, in one reverse pass over nodes in a
     topological order (``connect``'s time order).  ``linearize`` emits
     exactly these chains unless ``chains > max_chains`` or
-    ``longest > max_depth``, and then it marks a truncation.
+    ``longest > max_depth``, and then fewer.
     """
     n = len(graph.nodes)
     paths = [1] * n
@@ -377,8 +339,8 @@ def extract_chains(
             truncated_posts += truncated
             # Which paths a truncated thread emits depends on the DFS order.
             if truncated or longest >= bar:
-                chains, stats = linearize(dag)
-                paths = stats.chains
+                chains = linearize(dag)
+                paths = len(chains)
                 kept += [c for c in chains if c.length >= bar]
                 if top_k and len(kept) >= top_k:
                     bar = heapq.nlargest(top_k, (c.length for c in kept))[-1]

@@ -10,7 +10,7 @@ always written in sorted order so identical inputs produce identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -20,7 +20,7 @@ from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DataError
-from .inference import GRAPH_EDGES_CSV_FIELDS, FollowEdge, FollowStatus, read_edge_rows
+from .inference import GRAPH_EDGES_CSV_FIELDS, FollowEdge, FollowStatus, load_edges_csv
 from .ingest import atomic_write, open_input, write_csv
 
 
@@ -94,12 +94,7 @@ def build(
     for edge, following in zip(retained, retained[1:]):
         if _by_pair(edge) == _by_pair(following):
             raise ValueError(f"repeated edge {edge.source} -> {edge.target}")
-    extra = tuple(sorted(set(known_agents)))
-    nodes = set(extra)
-    for edge in retained:
-        nodes.add(edge.source)
-        nodes.add(edge.target)
-    return InteractionGraph(nodes=tuple(sorted(nodes)), edges=tuple(retained), extra_nodes=extra)
+    return _with_nodes(tuple(retained), tuple(sorted(set(known_agents))))
 
 
 def apply_coverage(graph: InteractionGraph, fraction: float = 0.0001) -> InteractionGraph:
@@ -114,11 +109,13 @@ def apply_coverage(graph: InteractionGraph, fraction: float = 0.0001) -> Interac
         return graph
     threshold = fraction * graph.total_weight()
     kept = tuple(e for e in graph.edges if e.weight >= threshold)
-    nodes = set(graph.extra_nodes)
-    for edge in kept:
-        nodes.add(edge.source)
-        nodes.add(edge.target)
-    return replace(graph, nodes=tuple(sorted(nodes)), edges=kept)
+    return _with_nodes(kept, graph.extra_nodes)
+
+
+def _with_nodes(edges: tuple[FollowEdge, ...], extra_nodes: tuple[str, ...]) -> InteractionGraph:
+    """The graph of ``edges``; its nodes are their endpoints and ``extra_nodes``."""
+    nodes = set(extra_nodes).union(*((e.source, e.target) for e in edges))
+    return InteractionGraph(tuple(sorted(nodes)), edges, extra_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def _rebuild(source: str | Path, edges: list[FollowEdge], nodes: Iterable[str] =
 
 
 def load_graph_edges_csv(path: str | Path) -> InteractionGraph:
-    return _rebuild(path, read_edge_rows(path, weighted=True))
+    return _rebuild(path, load_edges_csv(path, weighted=True))
 
 
 def write_graphml(graph: InteractionGraph, path: str | Path) -> None:

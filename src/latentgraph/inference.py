@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -299,12 +300,12 @@ _MILESTONE_STATUS = {"maybe_time": 1, "forsure_time": 2}
 
 
 @dataclass(frozen=True, eq=False)
-class PairEdges(Sequence[FollowEdge]):
+class PairEdges:
     """Every pair's classified edge, held as one column per ``FollowEdge``
     field in (source, target) order.
 
-    A read-only sequence of ``FollowEdge``: ``len`` reads the columns, and
-    indexing and iteration build each pair's edge only when it is asked for.
+    An iterable of ``FollowEdge`` whose ``len`` reads the columns; iteration
+    builds each pair's edge as it comes, one block of pairs at a time.
     ``follows()`` builds the maybe and forsure edges alone and ``csv_rows()``
     gives the edges.csv rows straight from the columns.  ``source`` and
     ``target`` hold indices into ``ids`` and ``status`` an index into
@@ -328,18 +329,13 @@ class PairEdges(Sequence[FollowEdge]):
     def __len__(self) -> int:
         return len(self.status)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._edges(np.arange(len(self))[index])
-        return self._edges([range(len(self))[index]])[0]
-
     def __iter__(self) -> Iterator[FollowEdge]:
-        for start in range(0, len(self), EDGE_BLOCK):
-            yield from self._edges(slice(start, start + EDGE_BLOCK))
+        return starmap(FollowEdge, self._rows(_EDGE_FIELDS))
 
     def follows(self) -> list[FollowEdge]:
         """The maybe and forsure edges, in (source, target) order."""
-        return self._edges(np.flatnonzero(self.status))
+        rows = np.flatnonzero(self.status)
+        return list(map(FollowEdge, *(self._values(name, rows) for name in _EDGE_FIELDS)))
 
     def status_counts(self) -> dict[str, int]:
         """The number of pairs, and of maybe and of forsure pairs."""
@@ -347,10 +343,15 @@ class PairEdges(Sequence[FollowEdge]):
         return {"pairs": len(self), "maybe": maybe, "forsure": forsure}
 
     def csv_rows(self) -> Iterator[tuple]:
-        """Every pair's ``EDGES_CSV_FIELDS``, built one block of pairs at a time."""
+        """Every pair's ``EDGES_CSV_FIELDS``."""
+        return self._rows(EDGES_CSV_FIELDS)
+
+    def _rows(self, names: Sequence[str]) -> Iterator[tuple]:
+        """Every pair's values of the fields ``names``, built one block of
+        pairs at a time."""
         for start in range(0, len(self), EDGE_BLOCK):
             block = slice(start, start + EDGE_BLOCK)
-            yield from zip(*(self._values(name, block) for name in EDGES_CSV_FIELDS))
+            yield from zip(*(self._values(name, block) for name in names))
 
     def _values(self, name: str, rows) -> list:
         """Column ``name`` at ``rows`` as the values a ``FollowEdge`` holds."""
@@ -364,9 +365,6 @@ class PairEdges(Sequence[FollowEdge]):
             return [t if code >= least else None
                     for t, code in zip(values, self.status[rows].tolist())]
         return values
-
-    def _edges(self, rows) -> list[FollowEdge]:
-        return list(map(FollowEdge, *(self._values(name, rows) for name in _EDGE_FIELDS)))
 
 
 def classify(
@@ -383,11 +381,7 @@ def classify(
     edges = infer_all(events, grid, maybe_min, forsure_min)
     if len(edges) > 1:
         raise ValueError("classify expects events of a single ordered pair")
-    if not edges:
-        return FollowEdge(
-            source="", target="", windows_hit=0, total_comments=0, status=FollowStatus.NONE
-        )
-    return edges[0]
+    return next(iter(edges), FollowEdge("", "", 0, 0, FollowStatus.NONE))
 
 
 def infer_all(
@@ -445,7 +439,7 @@ def _opt_int(text: str) -> int | None:
 
 
 # The edges.csv columns in file order, each with the reader of its text;
-# every edge writer and ``read_edge_rows`` take the layout from here.
+# every edge writer and ``load_edges_csv`` take the layout from here.
 EDGE_COLUMNS = {
     "source": str,
     "target": str,
@@ -461,15 +455,13 @@ GRAPH_EDGES_CSV_FIELDS = EDGES_CSV_FIELDS + ["weight"]
 TIMELINE_CSV_FIELDS = ["time", "source", "target", "status"]
 
 
-def write_edges_csv(edges: Iterable[FollowEdge], path: str | Path) -> None:
-    """An edges.csv: the ``EDGES_CSV_FIELDS`` of each edge, in the order given;
-    a ``PairEdges`` is written from its columns, with no edge built."""
-    rows = (edges.csv_rows() if isinstance(edges, PairEdges)
-            else map(attrgetter(*EDGES_CSV_FIELDS), edges))
-    write_csv(path, EDGES_CSV_FIELDS, rows)
+def write_edges_csv(edges: PairEdges, path: str | Path) -> None:
+    """An edges.csv: every pair's ``EDGES_CSV_FIELDS`` in (source, target)
+    order, written from the columns with no edge built."""
+    write_csv(path, EDGES_CSV_FIELDS, edges.csv_rows())
 
 
-def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]:
+def load_edges_csv(path: str | Path, weighted: bool = False) -> list[FollowEdge]:
     """The edges of an edges.csv, in file order.
 
     With ``weighted`` the file is a graph.edges.csv: it must also have a
@@ -504,10 +496,6 @@ def read_edge_rows(path: str | Path, weighted: bool = False) -> list[FollowEdge]
             # The csv reader counts the line it rejects; DictReader's count lags it.
             raise DataError(f"{source}:{reader.reader.line_num}: bad {kind} row: {exc}") from exc
     return edges
-
-
-def load_edges_csv(path: str | Path) -> list[FollowEdge]:
-    return read_edge_rows(path)
 
 
 def write_timeline_csv(rows: Iterable[TimelineRow], path: str | Path) -> None:

@@ -107,8 +107,8 @@ class TermTable(NamedTuple):
 
     Record ``r``'s token buckets, in token order, are
     ``buckets[offsets[r]:offsets[r + 1]]``; ``user_of[r]`` is the row of its
-    author in the sorted ``users``.  Agents sum these counts per user and
-    chains per record.
+    author in the sorted ``users``.  ``counts`` is the one term count of
+    both stages: agents sum it per user and chains per record.
     """
 
     dim: int
@@ -122,6 +122,16 @@ class TermTable(NamedTuple):
         start, end = self.offsets[row], self.offsets[row + 1]
         counts = np.bincount(self.buckets[start:end], minlength=self.dim)
         return _normalize(counts.astype(np.float64))
+
+    def counts(self, rows: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(owner, bucket, count) of every distinct term of the records at
+        ``rows``, each summed over the records of one owner, ``owner[i] >= 0``
+        owning ``rows[i]``; sorted by owner, then bucket."""
+        first = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - first
+        keys, count = np.unique(np.repeat(np.asarray(owner, np.int64), lengths) * self.dim
+                                + self.buckets[_spans(first, lengths)], return_counts=True)
+        return *np.divmod(keys, self.dim), count
 
 
 class _TokenIds(dict):
@@ -208,19 +218,17 @@ def term_table(
 def build_user_vectors(table: TermTable) -> UserVectors:
     """Each user's row: the summed term counts of its records, L2-normalized.
 
-    Records are sorted by user once, and each block of whole users' tokens
-    is counted per (user, bucket) on its own, so no temporary outgrows a
-    block.  The counts are integers, so the sums, and each row's sum of
-    squares, are exact in any order: scaling only the nonzeros gives the
-    bytes of the normalized dense row.
+    Records are sorted by user once, and each block of whole users is
+    counted per (user, bucket) by ``TermTable.counts`` on its own, so no
+    temporary outgrows a block.  The counts are integers, so the sums, and
+    each row's sum of squares, are exact in any order: scaling only the
+    nonzeros gives the bytes of the normalized dense row.
     """
     n_users = len(table.users)
     order = np.argsort(table.user_of, kind="stable")
     user_of = table.user_of[order]
-    starts = table.offsets[:-1][order]
-    lengths = np.diff(table.offsets)[order]
     first_record = np.searchsorted(user_of, np.arange(n_users + 1))
-    first_token = np.concatenate(([0], np.cumsum(lengths)))[first_record]
+    first_token = np.concatenate(([0], np.cumsum(np.diff(table.offsets)[order])))[first_record]
     row_nnz, bucket_parts, value_parts = [], [], []
     low = 0
     while low < n_users:
@@ -228,15 +236,12 @@ def build_user_vectors(table: TermTable) -> UserVectors:
         high = max(low + 1, int(np.searchsorted(first_token, first_token[low] + (1 << 14),
                                                 side="right")) - 1)
         records = slice(first_record[low], first_record[high])
-        take = _spans(starts[records], lengths[records])
-        owner = np.repeat(user_of[records].astype(np.int64) - low, lengths[records])
-        keys, counts = np.unique(owner * table.dim + table.buckets[take], return_counts=True)
-        owner = keys // table.dim
+        owner, bucket, counts = table.counts(order[records], user_of[records] - low)
         counts = counts.astype(np.float64)
         nnz = np.bincount(owner, minlength=high - low)
         norms = np.sqrt(np.bincount(owner, weights=counts * counts, minlength=high - low))
         row_nnz.append(nnz)
-        bucket_parts.append((keys % table.dim).astype(np.int32))
+        bucket_parts.append(bucket.astype(np.int32))
         value_parts.append(counts / np.repeat(norms, nnz))
         low = high
     return _stack_rows(table.users, table.dim, row_nnz, bucket_parts, value_parts)

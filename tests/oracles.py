@@ -528,6 +528,17 @@ def oracle_term_vector(texts: Sequence[str], dim: int = 4096) -> np.ndarray:
     return vec
 
 
+def oracle_term_counts(texts: Sequence[str], rows: Sequence[int], owners: Sequence[int],
+                       dim: int) -> list[tuple[int, int, int]]:
+    """The sorted (owner, bucket, count) triples: each token of ``texts[row]``
+    counted one at a time in its FNV-1a bucket under that row's owner."""
+    counts: Counter = Counter()
+    for row, owner in zip(rows, owners):
+        for token in _WORD.findall(texts[row].lower()):
+            counts[owner, oracle_fnv1a(token.encode("utf-8")) % dim] += 1
+    return sorted((owner, bucket, n) for (owner, bucket), n in counts.items())
+
+
 # ---------------------------------------------------------------------------
 # CSV artifact spelling
 # ---------------------------------------------------------------------------

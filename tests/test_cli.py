@@ -27,6 +27,7 @@ from latentgraph.inference import FollowEdge, FollowStatus
 from latentgraph.ingest import N_STAGES
 from latentgraph.metrics import community_restarts
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
+from oracles import oracle_write_edges_csv
 
 
 @pytest.fixture(scope="module")
@@ -421,8 +422,6 @@ class TestRunAll:
 
 class TestTriads:
     def interval_lengths(self, args, tmp_path):
-        from latentgraph.inference import FollowEdge, FollowStatus, write_edges_csv
-
         day = 86_400
         edges = [
             FollowEdge(a, b, windows_hit=3, total_comments=3, status=FollowStatus.FORSURE,
@@ -430,7 +429,7 @@ class TestTriads:
             for a, b, t in [("a", "b", 0), ("b", "c", 40), ("a", "c", 90)]
         ]
         edges_path = tmp_path / "edges.csv"
-        write_edges_csv(edges, edges_path)
+        oracle_write_edges_csv(edges, edges_path)
         out = tmp_path / "triads.csv"
         assert main(["triads", "--edges", str(edges_path), "--out", str(out), *args]) == 0
         rows = out.read_text().splitlines()[1:]

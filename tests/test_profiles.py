@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from latentgraph import chains, cli, profiles
 from latentgraph.config import default_config
@@ -35,7 +35,7 @@ from latentgraph.profiles import (
     TextCounts,
 )
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
-from oracles import oracle_fnv1a, oracle_kmeans, oracle_term_vector
+from oracles import oracle_fnv1a, oracle_kmeans, oracle_term_counts, oracle_term_vector
 
 
 # JSON text of ``vector`` values that are not a non-empty 1-D list of finite
@@ -694,6 +694,24 @@ def test_term_vectors_match_the_reference_vectorizer(user_texts):
     assert_csr_rows(vectors)
     for user, row in zip(vectors.users, rows_of(vectors)):
         assert row.tobytes() == oracle_term_vector(user_texts[user], 16).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_PIECES, max_size=12).map("".join), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 99), st.integers(0, 4)), max_size=10),
+       st.sampled_from([16, 4096]))
+@example(["", "alpha"], [], 16)
+@example(["", "ab cd ab", "cd"], [(1, 3), (0, 0), (1, 3), (2, 1), (1, 0), (2, 3)], 16)
+def test_term_counts_match_the_per_token_counter(texts, picks, dim):
+    """``TermTable.counts`` sums each owner's terms over repeated, unordered
+    rows under unsorted, repeated owners; a record without tokens, or no
+    row at all, adds nothing."""
+    table, _, _ = term_table(records_of({"u": texts}), dim)
+    rows = [row % len(texts) for row, _ in picks]
+    owners = [owner for _, owner in picks]
+    got = table.counts(np.array(rows, dtype=np.int64), np.array(owners, dtype=np.int64))
+    assert list(zip(*(column.tolist() for column in got))) == oracle_term_counts(
+        texts, rows, owners, dim)
 
 
 def test_run_all_tokenizes_each_final_record_once(monkeypatch, dump_files, tmp_path):

@@ -20,8 +20,11 @@ cosine 0.  A cosine within ``SIM_BAND`` of a threshold is recomputed as
 every decision is the one that per-pair float would make.  ``connect`` only
 assembles a thread's DAG from the successor lists the pass computed.
 
-Only the chains that can reach the top K are enumerated.  ``count_paths``
-gives each DAG's chain count and longest chain in one pass; the manifest's
+Only the chains that can reach the top K are enumerated.  One reverse pass
+over a DAG (``_reach``) gives each node's path count, longest and shortest
+distance to a sink, and whether it is a source; ``count_paths`` reads each
+DAG's chain count and longest chain off it, and ``linearize`` enters only
+nodes with a sink within the depth left.  The manifest's
 ``chains_total`` and ``truncated_posts`` come from those counts, and
 ``linearize`` runs only for a thread that hits a cap or whose longest chain
 reaches the K-th longest length among the chains kept so far.  Chains below
@@ -235,6 +238,23 @@ def connect(
     return SemanticGraph(post_id=thread.post.id, nodes=nodes, children=tuple(children))
 
 
+def _reach(graph: SemanticGraph) -> tuple[list[int], list[int], list[int], list[bool]]:
+    """One reverse pass over the nodes in a topological order (``connect``'s
+    time order): per node, its number of paths to a sink, its longest and its
+    shortest distance in edges to a sink, and whether it is a source."""
+    n = len(graph.nodes)
+    paths, longest, shortest, is_source = [1] * n, [0] * n, [0] * n, [True] * n
+    for i in range(n - 1, -1, -1):
+        succ = graph.children[i]
+        if succ:
+            paths[i] = sum(map(paths.__getitem__, succ))
+            longest[i] = 1 + max(map(longest.__getitem__, succ))
+            shortest[i] = 1 + min(map(shortest.__getitem__, succ))
+            for j in succ:
+                is_source[j] = False
+    return paths, longest, shortest, is_source
+
+
 def linearize(
     graph: SemanticGraph,
     max_chains: int = DEFAULT_MAX_CHAINS_PER_POST,
@@ -244,13 +264,12 @@ def linearize(
 
     A chain needs at least one edge; isolated records produce nothing.
     Enumeration is depth-first with children in id order: the first
-    ``max_chains`` chains of at most ``max_depth`` edges.  Whether a cap
-    dropped any chain is ``count_paths``' to tell.
+    ``max_chains`` chains of at most ``max_depth`` edges.  The walk enters
+    only a node from which some sink lies within the depth left, so every
+    node it enters ends a chain it emits, and its work is bounded by chains
+    times depth.  Whether a cap dropped any chain is ``count_paths``' to tell.
     """
-    indegree = [0] * len(graph.nodes)
-    for succ in graph.children:
-        for j in succ:
-            indegree[j] += 1
+    _, _, shortest, is_source = _reach(graph)
     chains: list[InteractionChain] = []
     path: list[int] = []
 
@@ -259,38 +278,26 @@ def linearize(
         succ = graph.children[node]
         if not succ:
             chains.append(InteractionChain(graph.post_id, tuple(graph.nodes[i] for i in path)))
-        elif len(path) <= max_depth:
-            for child in succ:
-                if len(chains) < max_chains:
-                    visit(child)
+        for child in succ:
+            if len(chains) < max_chains and len(path) + shortest[child] <= max_depth:
+                visit(child)
         path.pop()
 
-    for source, succ in enumerate(graph.children):
-        if succ and not indegree[source] and len(chains) < max_chains:
+    for source, nearest in enumerate(shortest):
+        if is_source[source] and 0 < nearest <= max_depth and len(chains) < max_chains:
             visit(source)
     return chains
 
 
 def count_paths(graph: SemanticGraph) -> tuple[int, int]:
     """(chains, longest): the number of maximal paths of at least one edge
-    and the edge count of the longest, in one reverse pass over nodes in a
-    topological order (``connect``'s time order).  ``linearize`` emits
-    exactly these chains unless ``chains > max_chains`` or
+    and the edge count of the longest, read off ``_reach``.  ``linearize``
+    emits exactly these chains unless ``chains > max_chains`` or
     ``longest > max_depth``, and then fewer.
     """
-    n = len(graph.nodes)
-    paths = [1] * n
-    depth = [0] * n
-    is_source = [True] * n
-    for i in range(n - 1, -1, -1):
-        succ = graph.children[i]
-        if succ:
-            paths[i] = sum(paths[j] for j in succ)
-            depth[i] = 1 + max(depth[j] for j in succ)
-            for j in succ:
-                is_source[j] = False
-    chains = sum(p for p, src, succ in zip(paths, is_source, graph.children) if src and succ)
-    return chains, max(depth, default=0)
+    paths, longest, _, is_source = _reach(graph)
+    chains = sum(p for p, src, depth in zip(paths, is_source, longest) if src and depth)
+    return chains, max(longest, default=0)
 
 
 def rank_and_select(
@@ -316,12 +323,16 @@ def extract_chains(
 
     ``table`` is the term table of ``records``; without it one is built over
     all of them.  The manifest carries the census counts of the threads at
-    ``sim_threshold``, and with ``census_thresholds`` the census rows at
-    each of them under ``census_rows``; one similarity pass serves all.
+    ``sim_threshold`` under ``census``, and the census rows at each of
+    ``census_thresholds`` (``[sim_threshold]`` when None) under
+    ``census_rows``; one similarity pass serves all, and each distinct
+    threshold is scored once.
     """
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
-    thresholds = [sim_threshold, *(census_thresholds or ())]
+    if census_thresholds is None:
+        census_thresholds = [sim_threshold]
+    thresholds = list(dict.fromkeys([sim_threshold, *census_thresholds]))
     kept: list[InteractionChain] = []
     bar = 1 if top_k else math.inf  # the length a chain needs to stay in the running
     chains_total = truncated_posts = 0
@@ -346,18 +357,16 @@ def extract_chains(
                     bar = heapq.nlargest(top_k, (c.length for c in kept))[-1]
                     kept = [c for c in kept if c.length >= bar]
             chains_total += paths
-    rows = [{"threshold": t, **dict(zip(CENSUS_CATEGORIES, row))}
-            for t, row in zip(thresholds, counts.tolist())]
+    census = {t: dict(zip(CENSUS_CATEGORIES, row)) for t, row in zip(thresholds, counts.tolist())}
     manifest = {
         "threads": len(threads),
         "chains_total": chains_total,
         "truncated_posts": truncated_posts,
         "sim_threshold": sim_threshold,
         "top_k": top_k,
-        "census": {c: rows[0][c] for c in CENSUS_CATEGORIES},
+        "census": census[sim_threshold],
+        "census_rows": [{"threshold": t, **census[t]} for t in census_thresholds],
     }
-    if census_thresholds is not None:
-        manifest["census_rows"] = rows[1:]
     return rank_and_select(kept, top_k), manifest
 
 

@@ -45,11 +45,6 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-# Graph writer per export suffix, by name: the writer is looked up on
-# ``graph`` when it is called, so a wrapped module attribute is honoured.
-GRAPH_WRITERS = {".csv": "write_graph_edges_csv", ".graphml": "write_graphml"}
-
-
 def _write_sidecar(out_path: Path, config: RunConfig, extra: dict | None = None) -> None:
     """Companion manifest declaring which config produced an artifact."""
     payload = {"tool": f"latent-graph {__version__}", "config_digest": config_digest(config)}
@@ -76,9 +71,9 @@ def _integers(text: str) -> list[int]:
 
 
 def _graph_path(text: str) -> Path:
-    """An export path whose suffix names a graph writer (an argparse ``type=``)."""
+    """An export path whose suffix names a graph format (an argparse ``type=``)."""
     path = Path(text)
-    if path.suffix not in GRAPH_WRITERS:
+    if path.suffix not in graphmod.GRAPH_SUFFIXES:
         raise argparse.ArgumentTypeError(
             f"cannot infer export format from {path.name!r} (use .csv or .graphml)")
     return path
@@ -149,12 +144,12 @@ def infer_stage(events, config: RunConfig, edges_out: Path, timeline_out: Path
 
 def graph_stage(edges, config: RunConfig, outs, include=graphmod.EdgeClass.ALL,
                 known_agents=()) -> graphmod.InteractionGraph:
-    """The graph after coverage, written to each path in ``outs`` by the
-    writer its suffix names."""
+    """The graph after coverage, written to each path in ``outs`` in the
+    format its suffix names."""
     built = graphmod.build(edges, include, known_agents=known_agents)
     covered = graphmod.apply_coverage(built, config.coverage)
     for path in outs:
-        getattr(graphmod, GRAPH_WRITERS[path.suffix])(covered, path)
+        graphmod.write_graph(covered, path)
     return covered
 
 
@@ -176,12 +171,11 @@ def triads_stage(edges, config: RunConfig, out: Path,
 
 def chains_stage(records, config: RunConfig, out: Path, agent_of=None,
                  top_k: int = chainsmod.DEFAULT_TOP_K, census_thresholds=None, table=None):
-    """The top chains, written to ``out``, and ``census.csv`` beside it: one row
-    at ``sim_threshold``, or one per ``census_thresholds``, all from one
-    similarity pass over ``table``, the records' term table (``extract_chains``
-    builds it when none is given).  Both are computed before either is written."""
-    if census_thresholds is None:
-        census_thresholds = [config.sim_threshold]
+    """The top chains, written to ``out``, and ``census.csv`` beside it, the
+    census rows ``extract_chains`` gives for ``census_thresholds``, all from
+    one similarity pass over ``table``, the records' term table
+    (``extract_chains`` builds it when none is given).  Both are computed
+    before either is written."""
     selected, manifest = chainsmod.extract_chains(records, config.sim_threshold, top_k, agent_of,
                                                   table, census_thresholds)
     census = manifest.pop("census_rows")
@@ -245,12 +239,7 @@ def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace, config: RunConfig) -> int:
-    inner = args.graph.with_suffix("") if args.graph.suffix == ".gz" else args.graph
-    if inner.suffix == ".csv":
-        graph = graphmod.load_graph_edges_csv(args.graph)
-    else:
-        graph = graphmod.load_graphml(args.graph)
-    print(metrics_stage(graph, config, args.out).to_json(), end="")
+    print(metrics_stage(graphmod.load_graph(args.graph), config, args.out).to_json(), end="")
     return EXIT_OK
 
 

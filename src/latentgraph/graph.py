@@ -208,3 +208,24 @@ def load_graphml(path: str | Path) -> InteractionGraph:
         raise DataError(f"{source}: edge endpoints {undeclared} are not declared <node>s")
     return _rebuild(source, edges, nodes)
 
+
+# Export suffixes ``write_graph`` knows.  ``write_graph`` and ``load_graph``
+# call the format's function by its module name when they run, so a wrapped
+# module attribute is honoured.
+GRAPH_SUFFIXES = (".csv", ".graphml")
+
+
+def write_graph(graph: InteractionGraph, path: str | Path) -> None:
+    """``graph`` written in the format that ``path``'s suffix names: ``.csv``
+    is the edge list, ``.graphml`` GraphML."""
+    suffix = Path(path).suffix
+    if suffix not in GRAPH_SUFFIXES:
+        raise ValueError(f"cannot infer graph format from {Path(path).name!r}")
+    (write_graph_edges_csv if suffix == ".csv" else write_graphml)(graph, path)
+
+
+def load_graph(path: str | Path) -> InteractionGraph:
+    """The graph of a file ``write_graph`` wrote, plain or ``.gz``: an edge
+    list when its inner suffix is ``.csv``, GraphML otherwise."""
+    inner = Path(path).with_suffix("") if Path(path).suffix == ".gz" else Path(path)
+    return (load_graph_edges_csv if inner.suffix == ".csv" else load_graphml)(path)

@@ -317,9 +317,10 @@ def bot_mask(records: Sequence[RawRecord]) -> np.ndarray:
     n = BURST_LIMIT
 
     def burst(stamps: list[int]) -> bool:
-        """Whether some n + 1 records span less than the window."""
-        ordered = np.sort(stamps)
-        return bool((ordered[n:] - ordered[:len(ordered) - n] < BURST_WINDOW_SECONDS).any())
+        """Whether some n + 1 records span less than the window, compared as
+        exact integers at any magnitude."""
+        ordered = sorted(stamps)
+        return any(last - first < BURST_WINDOW_SECONDS for first, last in zip(ordered, ordered[n:]))
 
     bots = {author for author, stamps in times.items()
             if author in BOT_DENY_LIST or author.lower().endswith(BOT_SUFFIX)

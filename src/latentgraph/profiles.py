@@ -16,6 +16,7 @@ rows.
 
 from __future__ import annotations
 
+import csv
 import re
 from array import array
 from bisect import bisect_left
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, decode_lines, numbered_lines, read_id, read_json, write_json
+from .ingest import RawRecord, decode_lines, open_input, read_id, read_json, write_json
 
 DEFAULT_DIM = 4096
 RESIDUAL_LABEL = "GeneralChat"
@@ -536,20 +537,21 @@ def enrich(
 
 
 def load_lexicon(path: str | Path) -> dict[str, str]:
-    """Read a term,emotion CSV into a lowercase term -> emotion map."""
+    """Read a term,emotion CSV, quoted fields included, into a lowercase
+    term -> emotion map; blank lines and lines starting with ``#`` are skipped."""
     source = Path(path)
     if not source.exists():
         raise ConfigError(f"emotion lexicon not found: {source}")
-    rows = [(n, line.strip()) for n, line in numbered_lines(source, "emotion lexicon")
-            if not line.lstrip().startswith("#")]
-    if rows and rows[0][1].lower().replace(" ", "") == "term,emotion":
+    with open_input(source, "emotion lexicon", newline="") as fh:
+        rows = [(n, next(csv.reader([line]))) for n, line in enumerate(fh, 1)
+                if line.strip() and not line.lstrip().startswith("#")]
+    if rows and [field.lower().replace(" ", "") for field in rows[0][1]] == ["term", "emotion"]:
         del rows[0]  # the header, the first line that is neither blank nor a comment
     table: dict[str, str] = {}
-    for n, line in rows:
-        parts = line.split(",")
-        if len(parts) != 2:
+    for n, fields in rows:
+        if len(fields) != 2:
             raise DataError(f"{source}:{n}: expected 'term,emotion'")
-        table[parts[0].strip().lower()] = parts[1].strip().lower()
+        table[fields[0].strip().lower()] = fields[1].strip().lower()
     return table
 
 

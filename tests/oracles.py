@@ -5,7 +5,8 @@ library: window materialization instead of index arithmetic, Floyd-Warshall
 instead of BFS, triple loops instead of adjacency intersection, exhaustive
 partition search instead of greedy merging, a greedy modularity run that
 rebuilds its community-pair table after every merge instead of updating it,
-path collection by dynamic programming instead of DFS enumeration, term
+path collection by dynamic programming instead of DFS enumeration, a chain
+walk that enters every child instead of only those with a sink in reach, term
 vectors from per-token counters instead of a bucket table, CSV fields
 spelled one by one instead of by the csv encoder, edges.csv rows read off
 each built edge instead of off the pair table's columns, and k-means
@@ -26,6 +27,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from latentgraph.chains import (
+    DEFAULT_MAX_CHAINS_PER_POST,
+    DEFAULT_MAX_DEPTH,
+    InteractionChain,
+    SemanticGraph,
+)
 from latentgraph.graph import InteractionGraph
 from latentgraph.inference import (
     EDGES_CSV_FIELDS,
@@ -428,6 +435,38 @@ def oracle_maximal_paths(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
                 if len(path) > 1:
                     result.add(path)
     return result
+
+
+def oracle_linearize(
+    graph: SemanticGraph,
+    max_chains: int = DEFAULT_MAX_CHAINS_PER_POST,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> list[InteractionChain]:
+    """The unpruned depth-first walk: it enters every child while the path
+    is at most ``max_depth`` edges long, and emits the first ``max_chains``
+    maximal chains of at most ``max_depth`` edges, children in id order."""
+    indegree = [0] * len(graph.nodes)
+    for succ in graph.children:
+        for j in succ:
+            indegree[j] += 1
+    chains: list[InteractionChain] = []
+    path: list[int] = []
+
+    def visit(node: int) -> None:
+        path.append(node)
+        succ = graph.children[node]
+        if not succ:
+            chains.append(InteractionChain(graph.post_id, tuple(graph.nodes[i] for i in path)))
+        elif len(path) <= max_depth:
+            for child in succ:
+                if len(chains) < max_chains:
+                    visit(child)
+        path.pop()
+
+    for source, succ in enumerate(graph.children):
+        if succ and not indegree[source] and len(chains) < max_chains:
+            visit(source)
+    return chains
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from latentgraph.chains import (
     write_census_csv,
 )
 from latentgraph.ingest import RawRecord, RecordKind
-from oracles import oracle_maximal_paths, oracle_term_vector
+from oracles import oracle_linearize, oracle_maximal_paths, oracle_term_vector
 
 
 def post(pid, author="op", t=100, text="shared topic words here"):
@@ -424,8 +425,31 @@ def test_one_pass_serves_extraction_and_census():
     assert manifest["census_rows"] == chain_census(group_threads(records), thresholds)
     assert manifest["census_rows"][2] == {"threshold": 0.3, **manifest["census"]}
     _, plain = extract_chains(records, 0.3)
-    assert "census_rows" not in plain
-    assert plain == {k: v for k, v in manifest.items() if k != "census_rows"}
+    assert plain["census_rows"] == [{"threshold": 0.3, **plain["census"]}]
+    assert {k: v for k, v in plain.items() if k != "census_rows"} == {
+        k: v for k, v in manifest.items() if k != "census_rows"}
+
+
+def test_extraction_scores_each_distinct_threshold_once(monkeypatch, tmp_path):
+    """``run-all``'s chains stage scores its one threshold once per block, and
+    a repeated census threshold is scored once but keeps its row."""
+    from latentgraph.cli import chains_stage
+    from latentgraph.config import default_config
+    from latentgraph.synthetic import make_synthetic_dump
+
+    records = make_synthetic_dump(40, 240, seed=3).records
+    monkeypatch.setattr(chainsmod, "BLOCK_THREADS", 7)
+    blocks = math.ceil(len(group_threads(records)) / 7)
+    real = chainsmod._Block.categories
+    with mock.patch.object(chainsmod._Block, "categories", autospec=True,
+                           side_effect=real) as spy:
+        chains_stage(records, default_config(), tmp_path / "chains.jsonl")
+        assert spy.call_count == blocks
+        spy.reset_mock()
+        _, manifest = extract_chains(records, 0.1, census_thresholds=[0.3, 0.1, 0.3])
+        assert spy.call_count == 2 * blocks
+    assert [row["threshold"] for row in manifest["census_rows"]] == [0.3, 0.1, 0.3]
+    assert manifest["census_rows"][1] == {"threshold": 0.1, **manifest["census"]}
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5])
@@ -441,9 +465,9 @@ def test_threshold_outside_unit_interval_is_refused(threshold):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def time_ordered_dags(draw):
+def time_ordered_dags(draw, max_nodes=12):
     """A DAG whose node order is a topological order, as ``connect`` builds."""
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, max_nodes))
     pairs = list(itertools.combinations(range(n), 2))
     linked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return dag_to_semantic(n, {pair for pair, keep in zip(pairs, linked) if keep})
@@ -463,6 +487,29 @@ def test_path_counts_agree_with_linearize(dag, max_chains, max_depth):
     capped = linearize(dag, max_chains, max_depth)
     assert capped == [c for c in every if c.length <= max_depth][:max_chains]
     assert (capped != every) == (paths > max_chains or longest > max_depth)
+
+
+@settings(max_examples=500, deadline=None)
+@given(time_ordered_dags(max_nodes=14),
+       st.none() | st.tuples(st.integers(1, 7), st.integers(0, 4)))
+def test_linearize_matches_the_unpruned_walk(dag, caps):
+    """Skipping every child with no sink within the depth left drops no
+    chain the unpruned walk emits, under small caps and the defaults."""
+    caps = () if caps is None else caps
+    assert linearize(dag, *caps) == oracle_linearize(dag, *caps)
+
+
+@pytest.mark.parametrize("n, emitted", [(90, 200), (400, 0)])
+def test_ladder_thread_walks_only_what_it_can_emit(n, emitted):
+    """Each record links to the next two: the paths number in the Fibonacci
+    numbers, but the walk is bounded by the chains it emits times the depth."""
+    dag = dag_to_semantic(n, {(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n})
+    start = time.perf_counter()
+    chains = linearize(dag)
+    assert time.perf_counter() - start < 1.0
+    assert len(chains) == emitted
+    assert all(c.length <= chainsmod.DEFAULT_MAX_DEPTH for c in chains)
+    assert chainsmod.count_paths(dag)[1] == n - 1
 
 
 def capped_corpus():

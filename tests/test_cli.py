@@ -16,6 +16,7 @@ from latentgraph.cli import _merge_config, build_parser, main, run_all
 from latentgraph.config import (
     DOMAIN_AGENT_COUNTS,
     FIELD_NAMES,
+    REFERENCE_METRICS,
     RunConfig,
     config_digest,
     default_config,
@@ -28,6 +29,9 @@ from latentgraph.ingest import N_STAGES
 from latentgraph.metrics import community_restarts
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
 from oracles import oracle_write_edges_csv
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,13 @@ class TestValidate:
         path.write_text("\ufeff" + json.dumps({"domain": "climate"}), encoding="utf-8")
         assert load_config(path).domain == "climate"
         assert main(["validate", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_is_valid_for_its_domain(self, path):
+        config = load_config(path)
+        assert validate(config) == []
+        assert config.k_agents == DOMAIN_AGENT_COUNTS[config.domain]
+        assert config.domain in REFERENCE_METRICS
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "c.json"

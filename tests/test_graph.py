@@ -1,3 +1,4 @@
+import gzip
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from latentgraph.graph import (
     InteractionGraph,
     apply_coverage,
     build,
+    load_graph,
     load_graph_edges_csv,
     load_graphml,
+    write_graph,
     write_graph_edges_csv,
     write_graphml,
 )
@@ -232,6 +235,21 @@ class TestExport:
             assert (tmp_path / ("a_" + name)).read_bytes() == (
                 tmp_path / ("b_" + name)
             ).read_bytes()
+
+    @pytest.mark.parametrize("name, write, load", [
+        ("g.csv", write_graph_edges_csv, load_graph_edges_csv),
+        ("g.graphml", write_graphml, load_graphml)], ids=["csv", "graphml"])
+    def test_the_suffix_picks_the_format(self, tmp_path, name, write, load):
+        g = self.three_node_graph()
+        write_graph(g, tmp_path / name)
+        write(g, tmp_path / ("own_" + name))
+        assert (tmp_path / name).read_bytes() == (tmp_path / ("own_" + name)).read_bytes()
+        packed = tmp_path / (name + ".gz")
+        packed.write_bytes(gzip.compress((tmp_path / name).read_bytes()))
+        for path in (tmp_path / name, packed):
+            assert load_graph(path) == load(tmp_path / name)
+        with pytest.raises(ValueError, match="g.dot"):
+            write_graph(g, tmp_path / "g.dot")
 
     def test_graphml_escapes_ids(self, tmp_path):
         edges = [follow_edge('we"ird<&', "ok", MAYBE)]

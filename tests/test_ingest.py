@@ -278,9 +278,9 @@ class TestFilterBots:
         assert bot_mask([comment("c1", author="alice")]).sum() == 0
 
     @staticmethod
-    def burst(author, n, span):
-        """``n`` records of ``author``, the first at t=1000 and the last ``span`` s later."""
-        return [comment(f"{author}{i}", author=author, t=1000 + i * span // (n - 1))
+    def burst(author, n, span, start=1000):
+        """``n`` records of ``author``, the first at ``start`` and the last ``span`` s later."""
+        return [comment(f"{author}{i}", author=author, t=start + i * span // (n - 1))
                 for i in range(n)]
 
     def test_burst_rule(self):
@@ -295,6 +295,13 @@ class TestFilterBots:
                                          (BURST_LIMIT, 60)], ids=["whole-window", "at-limit"])
     def test_burst_at_the_limits_is_not_a_bot(self, n, span):
         assert bot_mask(self.burst("steady", n, span)).sum() == 0
+
+    @pytest.mark.parametrize("start", [10**9, 2**63 - 100], ids=["epoch", "straddling-2^63"])
+    @pytest.mark.parametrize("span, flagged", [(BURST_WINDOW_SECONDS, 0),
+                                               (BURST_WINDOW_SECONDS - 1, BURST_LIMIT + 1)])
+    def test_burst_span_is_compared_exactly_at_any_time(self, start, span, flagged):
+        """Times are Python ints; a float cast would round a span near 2^63."""
+        assert bot_mask(self.burst("steady", BURST_LIMIT + 1, span, start)).sum() == flagged
 
     def test_fixture_count(self):
         recs = [comment(f"c{i}", author="spambot") for i in range(4)]

@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import random
 import re
@@ -324,6 +325,19 @@ class TestEnrichment:
         assert load_lexicon(path) == {"angry": "anger", "happy": "joy"}
         with pytest.raises(ConfigError):
             load_lexicon(tmp_path / "missing.csv")
+
+    def test_lexicon_reads_quoted_fields(self, tmp_path):
+        path = tmp_path / "lex.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(
+                [["term", "emotion"], ["Happy", "joy"], ["well, fine", "calm"]])
+        assert load_lexicon(path) == {"happy": "joy", "well, fine": "calm"}
+
+    def test_lexicon_bad_row_names_its_line(self, tmp_path):
+        path = tmp_path / "lex.csv"
+        path.write_text('# demo\n\nterm,emotion\n"happy",joy\nsad\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"lex\.csv:5: expected 'term,emotion'"):
+            load_lexicon(path)
 
     @pytest.mark.parametrize("head", ["# demo\n", "\n", "# demo\n\n", "\ufeff"],
                              ids=["comment", "blank", "comment-and-blank", "byte-order-mark"])

@@ -89,7 +89,7 @@ def group_threads(records: Sequence[RawRecord]) -> list[Thread]:
     return [Thread(posts[post_id], tuple(comments[post_id])) for post_id in sorted(posts)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainNode:
     record_id: str
     author_agent: str
@@ -149,7 +149,7 @@ class _Block:
     """
 
     def __init__(self, threads: Sequence[Thread], table: TermTable,
-                 row_of: Mapping[int, int], thresholds: Sequence[float]) -> None:
+                 row_of: tuple[np.ndarray, np.ndarray], thresholds: Sequence[float]) -> None:
         sizes = np.fromiter((len(t.records) for t in threads), np.int64, len(threads))
         self.threads = threads
         self.start = np.concatenate(([0], np.cumsum(sizes)))
@@ -160,7 +160,8 @@ class _Block:
         self.id_rank = np.empty(n, dtype=np.int64)
         self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
 
-        rows = np.fromiter((row_of[id(rec)] for t in threads for rec in t.records), np.int64, n)
+        addresses = np.fromiter((id(rec) for t in threads for rec in t.records), np.int64, n)
+        rows = row_of[1][np.searchsorted(row_of[0], addresses)]
         pos, bucket, count = table.counts(rows, np.arange(n))
         squares = np.bincount(pos, weights=count * count, minlength=n)
         self.left, self.right, dots = _shared_bucket_dots(
@@ -216,8 +217,11 @@ def _blocks(threads: Sequence[Thread], thresholds: Sequence[float],
             raise ConfigError(f"similarity thresholds must lie in (0, 1), got {threshold}")
     if len(records) != len(table.offsets) - 1:
         raise ValueError("the term table does not hold one row per record")
-    # Threads hold the records themselves, so a record's row is found by identity.
-    row_of = {id(rec): row for row, rec in enumerate(records)}
+    # Threads hold the records themselves, so a record's row is found by
+    # identity: the records' sorted id()s, and the row of each.
+    addresses = np.fromiter(map(id, records), np.int64, len(records))
+    rows = np.argsort(addresses)
+    row_of = (addresses[rows], rows)
     for first in range(0, len(threads), BLOCK_THREADS):
         yield _Block(threads[first:first + BLOCK_THREADS], table, row_of, thresholds)
 
@@ -270,22 +274,27 @@ def linearize(
     times depth.  Whether a cap dropped any chain is ``count_paths``' to tell.
     """
     _, _, shortest, is_source = _reach(graph)
+    children, nodes = graph.children, graph.nodes
     chains: list[InteractionChain] = []
-    path: list[int] = []
-
-    def visit(node: int) -> None:
-        path.append(node)
-        succ = graph.children[node]
-        if not succ:
-            chains.append(InteractionChain(graph.post_id, tuple(graph.nodes[i] for i in path)))
-        for child in succ:
-            if len(chains) < max_chains and len(path) + shortest[child] <= max_depth:
-                visit(child)
-        path.pop()
-
     for source, nearest in enumerate(shortest):
-        if is_source[source] and 0 < nearest <= max_depth and len(chains) < max_chains:
-            visit(source)
+        if not (is_source[source] and 0 < nearest <= max_depth and len(chains) < max_chains):
+            continue
+        # An explicit stack, so a path may be longer than the recursion limit:
+        # ``pending[k]`` holds the children of ``path[k]`` not yet entered.
+        path, pending = [source], [iter(children[source])]
+        while pending:
+            for child in pending[-1]:
+                if len(chains) < max_chains and len(path) + shortest[child] <= max_depth:
+                    path.append(child)
+                    if children[child]:
+                        pending.append(iter(children[child]))
+                        break
+                    chains.append(InteractionChain(graph.post_id,
+                                                   tuple(map(nodes.__getitem__, path))))
+                    path.pop()
+            else:
+                pending.pop()
+                path.pop()
     return chains
 
 

@@ -16,6 +16,7 @@ pair and cutoff is a few vectorized reads.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import starmap
@@ -43,7 +44,7 @@ class FollowStatus(str, Enum):
         return {"none": 0, "maybe": 1, "forsure": 2}[self.value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionEvent:
     """One reply interaction: source commented on target's content."""
 
@@ -62,10 +63,10 @@ class InteractionEvent:
         if not isinstance(obj, dict):
             raise ValueError(f"an event must be a JSON object, got {type(obj).__name__}")
         return cls(
-            source=read_id(obj, "source"),
-            target=read_id(obj, "target"),
+            source=sys.intern(read_id(obj, "source")),
+            target=sys.intern(read_id(obj, "target")),
             time=read_time(obj, "time"),
-            post_id=read_id(obj, "post_id"),
+            post_id=sys.intern(read_id(obj, "post_id")),
             comment_id=read_id(obj, "comment_id"),
         )
 
@@ -100,7 +101,7 @@ class WindowGrid:
         return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FollowEdge:
     """Classified directed relation for one ordered pair.
 
@@ -394,7 +395,7 @@ def infer_all(
     return PairTable(events).edges(grid, maybe_min, forsure_min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineRow:
     time: int
     source: str
@@ -441,8 +442,8 @@ def _opt_int(text: str) -> int | None:
 # The edges.csv columns in file order, each with the reader of its text;
 # every edge writer and ``load_edges_csv`` take the layout from here.
 EDGE_COLUMNS = {
-    "source": str,
-    "target": str,
+    "source": sys.intern,
+    "target": sys.intern,
     "status": FollowStatus,
     "windows_hit": int,
     "total_comments": int,

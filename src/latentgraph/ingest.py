@@ -41,6 +41,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -90,12 +91,11 @@ class RecordKind(str, Enum):
 
 def row_dict(row) -> dict:
     """A dataclass row's fields by name, in field order, for a JSON writer.
-    Read by ``getattr``: ``vars(row)`` would give every row a ``__dict__``
-    that stays with it for its lifetime."""
+    Read by ``getattr``: the row types are slotted, with no ``__dict__``."""
     return {name: getattr(row, name) for name in row.__dataclass_fields__}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawRecord:
     """One post or comment in normalized form.
 
@@ -196,14 +196,16 @@ def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord
     links = (None, None)
     if kind is RecordKind.COMMENT:
         read_link = read_id if dump_kind is None else _read_fullname
-        links = (read_link(obj, "link_id"), read_link(obj, "parent_id"))
+        links = (sys.intern(read_link(obj, "link_id")), sys.intern(read_link(obj, "parent_id")))
+    # Authors, subreddits and links repeat across records: each distinct value
+    # is kept once.
     return RawRecord(
         id=read_id(obj, "id"),
         kind=kind,
-        author=DELETED_AUTHOR if obj["author"] is None else read_id(obj, "author"),
+        author=DELETED_AUTHOR if obj["author"] is None else sys.intern(read_id(obj, "author")),
         created_utc=created,
         text=text,
-        subreddit=_read_text(obj, "subreddit"),
+        subreddit=sys.intern(_read_text(obj, "subreddit")),
         link_id=links[0],
         parent_id=links[1],
     )

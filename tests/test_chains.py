@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -452,6 +453,25 @@ def test_extraction_scores_each_distinct_threshold_once(monkeypatch, tmp_path):
     assert manifest["census_rows"][1] == {"threshold": 0.1, **manifest["census"]}
 
 
+@functools.cache
+def ledger_extraction():
+    """A small synthetic corpus in ledger order, and its extraction."""
+    from latentgraph.synthetic import make_synthetic_dump
+
+    records = make_synthetic_dump(100, 600, seed=2).records
+    return records, extract_chains(records, census_thresholds=[0.1, 0.3])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_extraction_does_not_depend_on_record_order(data):
+    """A record's term row is found by identity, whatever the order of the
+    records and so of the term table built over them."""
+    records, expected = ledger_extraction()
+    shuffled = data.draw(st.permutations(records))
+    assert extract_chains(shuffled, census_thresholds=[0.1, 0.3]) == expected
+
+
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5])
 def test_threshold_outside_unit_interval_is_refused(threshold):
     with pytest.raises(ConfigError):
@@ -510,6 +530,14 @@ def test_ladder_thread_walks_only_what_it_can_emit(n, emitted):
     assert len(chains) == emitted
     assert all(c.length <= chainsmod.DEFAULT_MAX_DEPTH for c in chains)
     assert chainsmod.count_paths(dag)[1] == n - 1
+
+
+def test_linearize_walks_a_path_longer_than_the_recursion_limit():
+    n = 1200
+    dag = dag_to_semantic(n, {(i, i + 1) for i in range(n - 1)})
+    assert chainsmod.count_paths(dag) == (1, n - 1)
+    (chain,) = linearize(dag, 10**9, 10**9)
+    assert chain.nodes == dag.nodes
 
 
 def capped_corpus():

@@ -36,11 +36,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,32 +59,29 @@ CENSUS_CATEGORIES = ("no_chain", "len_eq_1", "len_gt_1")
 CENSUS_CSV_FIELDS = ["threshold", *CENSUS_CATEGORIES]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Thread:
-    """A post and its comments, the comments in the order they were given."""
+    """A post and its records: the post and its comments in (created_utc, id)
+    order, the post first on a tie."""
 
     post: RawRecord
-    comments: tuple[RawRecord, ...]
-
-    @cached_property
-    def records(self) -> tuple[RawRecord, ...]:
-        """The post and its comments in (created_utc, id) order, sorted on first use."""
-        return tuple(sorted((self.post, *self.comments), key=record_sort_key))
+    records: tuple[RawRecord, ...]
 
 
 def group_threads(records: Sequence[RawRecord]) -> list[Thread]:
-    """Group records into (post, its comments) threads, ordered by post id, each
-    keeping its comments in record order (the ledger's, for stage records).
+    """Group records into threads, ordered by post id, each sorted once by
+    ``record_sort_key``.
 
     Comments whose post is absent from the record set are skipped; chains
     are a within-thread construct.
     """
-    posts = {r.id: r for r in records if r.kind is RecordKind.POST}
-    comments: dict[str, list[RawRecord]] = defaultdict(list)
+    members = {r.id: [r] for r in records if r.kind is RecordKind.POST}
     for rec in records:
-        if rec.kind is RecordKind.COMMENT and rec.link_id in posts:
-            comments[rec.link_id].append(rec)
-    return [Thread(posts[post_id], tuple(comments[post_id])) for post_id in sorted(posts)]
+        if rec.kind is RecordKind.COMMENT and rec.link_id in members:
+            members[rec.link_id].append(rec)
+    # The sort is stable and each post leads its list, so it wins a tie.
+    return [Thread(members[post_id][0], tuple(sorted(members[post_id], key=record_sort_key)))
+            for post_id in sorted(members)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,26 +201,6 @@ class _Block:
         return [tuple(per_node[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _blocks(threads: Sequence[Thread], thresholds: Sequence[float],
-            records: Sequence[RawRecord], table: TermTable) -> Iterator[_Block]:
-    """The threads scored ``BLOCK_THREADS`` at a time; ``table`` holds the
-    terms of ``records``, in order."""
-    # A pair that shares no bucket has cosine 0; only a threshold in (0, 1)
-    # keeps it unlinked without scoring it.
-    for threshold in thresholds:
-        if not 0.0 < threshold < 1.0:
-            raise ConfigError(f"similarity thresholds must lie in (0, 1), got {threshold}")
-    if len(records) != len(table.offsets) - 1:
-        raise ValueError("the term table does not hold one row per record")
-    # Threads hold the records themselves, so a record's row is found by
-    # identity: the records' sorted id()s, and the row of each.
-    addresses = np.fromiter(map(id, records), np.int64, len(records))
-    rows = np.argsort(addresses)
-    row_of = (addresses[rows], rows)
-    for first in range(0, len(threads), BLOCK_THREADS):
-        yield _Block(threads[first:first + BLOCK_THREADS], table, row_of, thresholds)
-
-
 def connect(
     thread: Thread,
     children: Sequence[Sequence[int]],
@@ -342,6 +317,11 @@ def extract_chains(
     if census_thresholds is None:
         census_thresholds = [sim_threshold]
     thresholds = list(dict.fromkeys([sim_threshold, *census_thresholds]))
+    # A pair that shares no bucket has cosine 0; only a threshold in (0, 1)
+    # keeps it unlinked without scoring it.
+    for threshold in thresholds:
+        if not 0.0 < threshold < 1.0:
+            raise ConfigError(f"similarity thresholds must lie in (0, 1), got {threshold}")
     kept: list[InteractionChain] = []
     bar = 1 if top_k else math.inf  # the length a chain needs to stay in the running
     chains_total = truncated_posts = 0
@@ -349,7 +329,15 @@ def extract_chains(
     threads = group_threads(records)
     if table is None:
         table, _, _ = term_table(records)
-    for block in _blocks(threads, thresholds, records, table):
+    if len(records) != len(table.offsets) - 1:
+        raise ValueError("the term table does not hold one row per record")
+    # Threads hold the records themselves, so a record's row is found by
+    # identity: the records' sorted id()s, and the row of each.
+    addresses = np.fromiter(map(id, records), np.int64, len(records))
+    rows = np.argsort(addresses)
+    row_of = (addresses[rows], rows)
+    for first in range(0, len(threads), BLOCK_THREADS):
+        block = _Block(threads[first:first + BLOCK_THREADS], table, row_of, thresholds)
         for row, threshold in zip(counts, thresholds):
             row += np.bincount(block.categories(threshold), minlength=len(CENSUS_CATEGORIES))
         for thread, children in zip(block.threads, block.children(sim_threshold)):

@@ -163,7 +163,7 @@ def metrics_stage(graph, config: RunConfig, out: Path) -> metricsmod.MetricsRepo
 
 def triads_stage(edges, config: RunConfig, out: Path,
                  use_status_time: bool = False) -> temporalmod.TriadSeries:
-    interval = config.interval_days * temporalmod.SECONDS_PER_DAY
+    interval = config.interval_days * infermod.SECONDS_PER_DAY
     series = temporalmod.triad_series(edges, interval, use_status_time)
     temporalmod.write_triads_csv(series, out)
     return series
@@ -299,6 +299,10 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
     if not config.posts_path or not config.comments_path or not config.out_dir:
         raise ConfigError("run-all needs posts_path, comments_path, and out_dir")
     out = ingestmod.output_dir(config.out_dir)
+    # Every other artifact is rewritten by a run that completes, so a directory
+    # with a manifest holds one whole run, and one without it an unfinished run.
+    for name in ("run_manifest.json", "replication_report.json"):
+        (out / name).unlink(missing_ok=True)
     timings: dict[str, float] = {}
 
     @contextmanager
@@ -355,10 +359,9 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         ],
         "timings_seconds": timings,
     }
-    ingestmod.write_json(out / "run_manifest.json", manifest)
-
     if replicate:
         _write_replication_report(config, report, out)
+    ingestmod.write_json(out / "run_manifest.json", manifest)
     return EXIT_OK
 
 

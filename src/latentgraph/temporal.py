@@ -25,6 +25,7 @@ from .graph import EdgeClass
 from .inference import (
     DEFAULT_FORSURE_MIN,
     DEFAULT_MAYBE_MIN,
+    SECONDS_PER_DAY,
     FollowEdge,
     FollowStatus,
     InteractionEvent,
@@ -33,7 +34,6 @@ from .inference import (
 )
 from .ingest import write_csv
 
-SECONDS_PER_DAY = 86400
 DEFAULT_INTERVAL_SECONDS = 182 * SECONDS_PER_DAY
 
 TRIADS_CSV_FIELDS = [

@@ -1,15 +1,18 @@
 """The layout of the CSV and JSONL artifacts: each writer's bytes against an
-oracle that spells every field itself, and README's quoted headers against
-the field lists the writers use."""
+oracle that spells every field itself, README's quoted headers against
+the field lists the writers use, and README's run-all artifact list against
+the files a run writes."""
 
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from latentgraph.chains import CENSUS_CSV_FIELDS
+from latentgraph.cli import run_all
+from latentgraph.config import default_config
 from latentgraph.graph import (
     InteractionGraph,
     build,
@@ -27,6 +30,7 @@ from latentgraph.inference import (
     load_edges_csv,
     write_timeline_csv,
 )
+from latentgraph.synthetic import make_synthetic_dump
 from latentgraph.temporal import (
     SWEEP_CSV_FIELDS,
     TRIADS_CSV_FIELDS,
@@ -134,3 +138,17 @@ def test_readme_quotes_every_csv_header_and_the_event_keys():
         assert quoted.get(name) == ",".join(header), name
     keys = re.findall(r'"(\w+)"', quoted["events.jsonl"])
     assert keys == [f.name for f in fields(InteractionEvent)]
+
+
+def test_readme_names_every_file_of_a_run_all_directory(tmp_path):
+    """Each file ``run-all`` writes beside the stage snapshots is named in
+    README's paragraph on the run-all artifact directory."""
+    posts, comments = make_synthetic_dump(30, 180, seed=5).write_dumps(tmp_path)
+    out = tmp_path / "out"
+    assert run_all(replace(default_config(), k_agents=4, posts_path=str(posts),
+                           comments_path=str(comments), out_dir=str(out))) == 0
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("`run-all` produces the full artifact directory"):]
+    named = set(re.findall(r"`([\w.]+)`", paragraph[:paragraph.index("\n\n")]))
+    written = {p.name for p in out.iterdir() if not p.name.startswith("stage")}
+    assert written - named == set()

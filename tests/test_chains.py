@@ -14,7 +14,6 @@ from latentgraph.errors import ConfigError
 from latentgraph.chains import (
     BLOCK_THREADS,
     SemanticGraph,
-    Thread,
     chain_census,
     extract_chains,
     group_threads,
@@ -41,7 +40,8 @@ def thread_of(texts, base_text="alpha beta gamma"):
     records = [post("p1", text=base_text)]
     for i, text in enumerate(texts):
         records.append(com(f"c{i:02d}", 200 + i * 10, text))
-    return Thread(post=records[0], comments=tuple(records[1:]))
+    (thread,) = group_threads(records)
+    return thread
 
 
 def extraction_dags(records, threshold, agent_of=None):
@@ -108,7 +108,7 @@ class TestConnect:
         records = [post("p1", t=100, text="alpha beta")]
         records.append(com("cb", 100, "alpha beta"))
         records.append(com("ca", 100, "alpha beta"))
-        thread = Thread(post=records[0], comments=tuple(records[1:]))
+        (thread,) = group_threads(records)
         dag = scored(thread, 0.1)
         ids = [n.record_id for n in dag.nodes]
         assert ids == ["ca", "cb", "p1"]  # (time, id) ascending
@@ -296,7 +296,11 @@ class TestThreading:
                    com("c3", 400, "z", link="missing", parent="missing")]
         threads = group_threads(records)
         assert [t.post.id for t in threads] == ["p1", "p2"]
-        assert [len(t.comments) for t in threads] == [1, 1]
+        assert [len(t.records) - 1 for t in threads] == [1, 1]
+
+    def test_a_post_leads_a_comment_of_the_same_time_and_id(self):
+        (thread,) = group_threads([com("p1", 100, "x"), post("p1", t=100)])
+        assert [r.kind for r in thread.records] == [RecordKind.POST, RecordKind.COMMENT]
 
 
 class TestEndToEnd:
@@ -390,7 +394,8 @@ def scored_threads(draw):
     times = draw(st.lists(st.integers(100, 103), min_size=len(texts), max_size=len(texts)))
     records = [post("p1", t=times[0], text=texts[0])]
     records += [com(f"c{i:02d}", t, text) for i, (t, text) in enumerate(zip(times[1:], texts[1:]))]
-    return Thread(post=records[0], comments=tuple(records[1:])), threshold
+    (thread,) = group_threads(records)
+    return thread, threshold
 
 
 @settings(max_examples=200, deadline=None)

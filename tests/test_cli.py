@@ -421,6 +421,35 @@ class TestRunAll:
         assert Counter(built) == Counter({FollowStatus.MAYBE: statuses["maybe"],
                                           FollowStatus.FORSURE: statuses["forsure"]})
 
+    def test_a_crashed_rerun_leaves_no_manifest(self, small_dump, tmp_path, monkeypatch):
+        """A run on corpus A, then one on corpus B into the same directory that
+        crashes before its manifest: no manifest is left to vouch for a
+        directory that now mixes the two runs' artifacts."""
+        out = tmp_path / "out"
+
+        def run(posts, comments):
+            return main(["run-all", "--posts", str(posts), "--comments", str(comments),
+                         "--out", str(out), "--level", "user", "--k-agents", "4"])
+
+        assert run(*small_dump[1:3]) == 0
+        assert (out / "run_manifest.json").exists()
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("chains crashed")
+
+        monkeypatch.setattr(cli, "chains_stage", crash)
+        assert run(*make_synthetic_dump(60, 360, seed=18).write_dumps(tmp_path)) == 3
+        assert not (out / "run_manifest.json").exists()
+
+    def test_a_plain_rerun_drops_the_replication_report(self, small_dump, tmp_path):
+        out = tmp_path / "out"
+        config = replace(self.run_config(small_dump, out), domain="climate")
+        assert run_all(config, replicate=True) == 0
+        assert (out / "replication_report.json").exists()
+        assert run_all(config) == 0
+        assert not (out / "replication_report.json").exists()
+        assert (out / "run_manifest.json").exists()
+
     def test_missing_paths_is_config_error(self):
         with pytest.raises(ConfigError):
             run_all(default_config())

@@ -150,7 +150,7 @@ class TestParseDump:
         events, stats = extract_events(posts, comments)
         assert (stats.events, stats.orphans) == (2, 0)
         (thread,) = group_threads(posts + comments)
-        assert [c.id for c in thread.comments] == ["xyz", "c2"]
+        assert [r.id for r in thread.records] == ["abc", "xyz", "c2"]
 
     def test_gzip_dump(self, tmp_path):
         path = tmp_path / "posts.jsonl.gz"
@@ -649,4 +649,4 @@ def test_only_the_ledger_orders_records():
             if "record_sort_key" in (getattr(node, "id", None), getattr(node, "attr", None)):
                 users.append(scope)
     assert keys == []
-    assert sorted(set(users)) == ["chains.Thread.records", "ingest.build_ledger"]
+    assert sorted(set(users)) == ["chains.group_threads", "ingest.build_ledger"]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from latentgraph.chains import ChainNode
+from latentgraph.chains import ChainNode, Thread
 from latentgraph.inference import (
     FollowEdge,
     FollowStatus,
@@ -88,6 +88,7 @@ def test_events_and_edges_read_back_share_their_names(loaded, tmp_path):
     InteractionEvent("bob", "alice", 200, "p1", "c1"),
     FollowEdge("bob", "alice", 2, 3, FollowStatus.MAYBE),
     ChainNode("c1", "agent_0", 200),
+    Thread(RawRecord("p1", RecordKind.POST, "alice", 100, "text", "s"), ()),
     TimelineRow(200, "bob", "alice", FollowStatus.MAYBE),
 ], ids=lambda row: type(row).__name__)
 def test_row_types_carry_no_dict(row):

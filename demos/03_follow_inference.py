@@ -32,8 +32,9 @@ print(f"events: {stats.events} (self-replies dropped: {stats.self_replies}, "
 grid = WindowGrid.from_events(events, 30 * SECONDS_PER_DAY)
 print(f"window grid: origin={grid.origin}, {grid.n} windows of 30 days")
 
-# infer_all holds every pair as columns; follows() builds the maybe and
-# forsure edges alone, which are all the timeline and the graph need.
+# infer_all returns a view that classifies pairs as it is read; follows()
+# builds the maybe and forsure edges alone, which are all the timeline and
+# the graph need.
 edges = infer_all(events, grid, maybe_min=2, forsure_min=3)
 print("status counts:", dict(Counter(e.status.value for e in edges)))
 

@@ -9,14 +9,15 @@ but fewer than ``forsure_min`` a tentative ("maybe") follow, and
 3, so exactly two active windows is a maybe and three or more a forsure.
 
 Every classification reads one ``PairTable``: the events sorted once by
-(source, target, time) into arrays, from which any window grid, threshold
-pair and cutoff is a few vectorized reads.
+(source, target, time) into arrays, which any window grid, threshold pair
+and cutoff classifies one block of pairs at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import starmap
@@ -202,25 +203,25 @@ def check_thresholds(maybe_min: int, forsure_min: int) -> None:
 
 # Times whose magnitude stays below this keep every difference inside int64.
 _INT64_SAFE = 2**62
-_STATUSES = (FollowStatus.NONE, FollowStatus.MAYBE, FollowStatus.FORSURE)
+_STATUSES = np.array([FollowStatus.NONE, FollowStatus.MAYBE, FollowStatus.FORSURE], dtype=object)
 
 
 class PairTable:
     """Every ordered pair's events, sorted once by (source, target, time).
 
     Ids are interned as their rank in ``sorted()`` order, so sorting the codes
-    sorts the pairs as Python sorts their ids.  A pair's rows are contiguous
-    and ascend in time, so the events at or before a cutoff are a prefix of
-    each pair's rows, and on a window grid its k-th active window opens at
-    the k-th row that starts a new window.  Counts and milestones at any
-    grid, threshold pair and cutoff are then ``bincount`` and index reads.
+    sorts the pairs as Python sorts their ids.  Pair ``i``'s rows are
+    ``bounds[i]:bounds[i + 1]`` and ascend in time, so the events at or
+    before a cutoff are a prefix of each pair's rows, and on a window grid
+    its k-th active window opens at the k-th row that starts a new window.
     Times that leave the int64-safe range are kept as exact Python ints.
     """
 
     def __init__(self, events: Sequence[InteractionEvent]):
         n = len(events)
         source_of, target_of, time_of = (attrgetter(f) for f in ("source", "target", "time"))
-        self.ids = sorted(set(map(source_of, events)).union(map(target_of, events)))
+        self.ids = np.array(sorted(set(map(source_of, events)).union(map(target_of, events))),
+                            dtype=object)
         code = {name: i for i, name in enumerate(self.ids)}
         width = len(self.ids)
         pair = np.fromiter(map(code.__getitem__, map(source_of, events)), np.int64, n)
@@ -235,137 +236,117 @@ class PairTable:
         pair = pair[order]
         self.times = stamps[order]
         del stamps, order
-        self.new_pair = np.ones(n, dtype=bool)
-        self.new_pair[1:] = pair[1:] != pair[:-1]
-        self.first = np.flatnonzero(self.new_pair)
-        self.source, self.target = np.divmod(pair[self.first], width)
-        del pair
-        self.pair_of_row = np.repeat(np.arange(len(self.first)),
-                                     np.diff(self.first, append=n))
-
-    def _window_starts(self, grid: WindowGrid) -> tuple[np.ndarray, np.ndarray]:
-        """The rows that open a pair's active windows on ``grid``, and the
-        position of each pair's first such row; ValueError for a time
-        outside the grid."""
-        for time in self.span or ():
-            grid.index(time)
-        times = self.times
-        if not (abs(grid.origin) < _INT64_SAFE and grid.window_len < _INT64_SAFE):
-            times = times.astype(object)
-        window = (times - grid.origin) // grid.window_len
-        opens = self.new_pair.copy()
-        opens[1:] |= window[1:] != window[:-1]
-        starts = np.flatnonzero(opens)
-        per_pair = np.bincount(self.pair_of_row[starts], minlength=len(self.first))
-        return starts, np.cumsum(per_pair) - per_pair
+        self.bounds = np.append(np.flatnonzero(np.diff(pair, prepend=-1)), n)
+        self.source, self.target = np.divmod(pair[self.bounds[:-1]], width)
 
     def edges(
         self, grid: WindowGrid, maybe_min: int, forsure_min: int, cutoff: int | None = None
     ) -> PairEdges:
         """Every pair's edge over its events at or before ``cutoff``, in
-        (source, target) order; a pair with no such event has none."""
+        (source, target) order; a pair with no such event has none.
+        ValueError for an event time outside ``grid``."""
         check_thresholds(maybe_min, forsure_min)
-        starts, first_start = self._window_starts(grid)
+        for time in self.span or ():
+            grid.index(time)
         if cutoff is None:
             cutoff = self.span[1] if self.span else 0
-        pairs = len(self.first)
-        comments = np.bincount(self.pair_of_row[self.times <= cutoff], minlength=pairs)
-        windows_hit = np.bincount(self.pair_of_row[starts[self.times[starts] <= cutoff]],
-                                  minlength=pairs)
-
-        def milestone(k: int) -> np.ndarray:
-            """Row opening each pair's k-th active window; -1 where it has fewer."""
-            reached = windows_hit >= k
-            at = np.minimum(first_start + k - 1, len(starts) - 1)
-            return np.where(reached, starts[at], -1)
-
-        maybe_row, forsure_row = milestone(maybe_min), milestone(forsure_min)
-        status = (maybe_row >= 0).astype(np.int8) + (forsure_row >= 0)
-        status_row = np.where(forsure_row >= 0, forsure_row,
-                              np.where(maybe_row >= 0, maybe_row, self.first))
-        keep = np.flatnonzero(comments)
-        last_row = self.first + comments - 1
-
-        def times_at(rows: np.ndarray) -> np.ndarray:
-            return self.times[np.maximum(rows[keep], 0)]
-
-        return PairEdges(self.ids, self.source[keep], self.target[keep], windows_hit[keep],
-                         comments[keep], status[keep], times_at(self.first), times_at(last_row),
-                         times_at(status_row), times_at(maybe_row), times_at(forsure_row))
+        return PairEdges(self, grid, maybe_min, forsure_min, cutoff)
 
 
-# Pairs per block when a PairEdges builds edges or CSV rows from its columns.
+# Pairs per block when a PairEdges classifies pairs from their rows.
 EDGE_BLOCK = 2**14
-# The status a pair must reach before its milestone column holds a time.
-_MILESTONE_STATUS = {"maybe_time": 1, "forsure_time": 2}
 
 
 @dataclass(frozen=True, eq=False)
 class PairEdges:
-    """Every pair's classified edge, held as one column per ``FollowEdge``
-    field in (source, target) order.
+    """Every pair's classified edge at ``cutoff``, in (source, target) order,
+    as a view over ``table``.
 
-    An iterable of ``FollowEdge`` whose ``len`` reads the columns; iteration
-    builds each pair's edge as it comes, one block of pairs at a time.
-    ``follows()`` builds the maybe and forsure edges alone and ``csv_rows()``
-    gives the edges.csv rows straight from the columns.  ``source`` and
-    ``target`` hold indices into ``ids`` and ``status`` an index into
-    (NONE, MAYBE, FORSURE); a milestone time is None for a pair below its
-    status.  Time columns are object arrays of Python ints when the event
-    times leave the int64-safe range.
+    An iterable of ``FollowEdge`` that holds no per-pair data: iteration,
+    ``follows()``, ``status_counts()`` and ``csv_rows()`` each classify one
+    block of ``EDGE_BLOCK`` pairs at a time from the block's rows, and build
+    an edge only where one is asked for.  ``follows()`` builds the maybe and
+    forsure edges alone.
     """
 
-    ids: Sequence[str]
-    source: np.ndarray
-    target: np.ndarray
-    windows_hit: np.ndarray
-    total_comments: np.ndarray
-    status: np.ndarray
-    first_seen: np.ndarray
-    last_seen: np.ndarray
-    status_time: np.ndarray
-    maybe_time: np.ndarray
-    forsure_time: np.ndarray
+    table: PairTable
+    grid: WindowGrid
+    maybe_min: int
+    forsure_min: int
+    cutoff: int
 
     def __len__(self) -> int:
-        return len(self.status)
+        """The number of pairs with an event at or before the cutoff."""
+        return int(np.count_nonzero(self.table.times[self.table.bounds[:-1]] <= self.cutoff))
 
     def __iter__(self) -> Iterator[FollowEdge]:
         return starmap(FollowEdge, self._rows(_EDGE_FIELDS))
 
     def follows(self) -> list[FollowEdge]:
         """The maybe and forsure edges, in (source, target) order."""
-        rows = np.flatnonzero(self.status)
-        return list(map(FollowEdge, *(self._values(name, rows) for name in _EDGE_FIELDS)))
+        return list(starmap(FollowEdge, self._rows(_EDGE_FIELDS, follows_only=True)))
 
     def status_counts(self) -> dict[str, int]:
         """The number of pairs, and of maybe and of forsure pairs."""
-        _, maybe, forsure = np.bincount(self.status, minlength=3).tolist()
-        return {"pairs": len(self), "maybe": maybe, "forsure": forsure}
+        counts = Counter(status for (status,) in self._rows(["status"], follows_only=True))
+        return {"pairs": len(self), "maybe": counts[FollowStatus.MAYBE],
+                "forsure": counts[FollowStatus.FORSURE]}
 
     def csv_rows(self) -> Iterator[tuple]:
         """Every pair's ``EDGES_CSV_FIELDS``."""
         return self._rows(EDGES_CSV_FIELDS)
 
-    def _rows(self, names: Sequence[str]) -> Iterator[tuple]:
-        """Every pair's values of the fields ``names``, built one block of
-        pairs at a time."""
-        for start in range(0, len(self), EDGE_BLOCK):
-            block = slice(start, start + EDGE_BLOCK)
-            yield from zip(*(self._values(name, block) for name in names))
+    def _rows(self, names: Sequence[str], follows_only: bool = False) -> Iterator[tuple]:
+        """The values of the ``FollowEdge`` fields ``names`` of every edge, or
+        of the maybe and forsure edges alone with ``follows_only``; each
+        block of pairs is classified from its rows when it is reached."""
+        table, grid = self.table, self.grid
+        wide = not (abs(grid.origin) < _INT64_SAFE and grid.window_len < _INT64_SAFE)
+        for start in range(0, len(table.source), EDGE_BLOCK):
+            bounds = table.bounds[start:start + EDGE_BLOCK + 1]
+            times = table.times[bounds[0]:bounds[-1]]
+            first = bounds[:-1] - bounds[0]
+            window = (times.astype(object) if wide else times) - grid.origin
+            window //= grid.window_len
+            opens = np.empty(len(times), dtype=bool)
+            opens[1:] = window[1:] != window[:-1]
+            opens[first] = True
+            starts = np.flatnonzero(opens)
+            kept = times <= self.cutoff
+            # Every pair has a row, so each reduceat segment is one pair's rows.
+            comments = np.add.reduceat(kept, first, dtype=np.int64)
+            windows_hit = np.add.reduceat(opens & kept, first, dtype=np.int64)
+            first_start = np.searchsorted(starts, first)
 
-    def _values(self, name: str, rows) -> list:
-        """Column ``name`` at ``rows`` as the values a ``FollowEdge`` holds."""
-        values = getattr(self, name)[rows].tolist()
-        if name in ("source", "target"):
-            return [self.ids[code] for code in values]
-        if name == "status":
-            return [_STATUSES[code] for code in values]
-        if name in _MILESTONE_STATUS:
-            least = _MILESTONE_STATUS[name]
-            return [t if code >= least else None
-                    for t, code in zip(values, self.status[rows].tolist())]
-        return values
+            def milestone(k: int) -> np.ndarray:
+                """Row opening each pair's k-th active window; -1 where it has fewer."""
+                at = np.minimum(first_start + k - 1, len(starts) - 1)
+                return np.where(windows_hit >= k, starts[at], -1)
+
+            maybe_row, forsure_row = milestone(self.maybe_min), milestone(self.forsure_min)
+            status = (maybe_row >= 0).astype(np.int8) + (forsure_row >= 0)
+            status_row = np.where(forsure_row >= 0, forsure_row,
+                                  np.where(maybe_row >= 0, maybe_row, first))
+            keep = np.flatnonzero(status if follows_only else comments)
+
+            def times_at(rows: np.ndarray) -> np.ndarray:
+                """The times of ``rows`` at the kept pairs; None where a row is -1."""
+                rows = rows[keep]
+                return np.where(rows >= 0, times[np.maximum(rows, 0)], None)
+
+            columns = {
+                "source": table.ids[table.source[start + keep]],
+                "target": table.ids[table.target[start + keep]],
+                "windows_hit": windows_hit[keep],
+                "total_comments": comments[keep],
+                "status": _STATUSES[status[keep]],
+                "first_seen": times_at(first),
+                "last_seen": times_at(first + comments - 1),
+                "status_time": times_at(status_row),
+                "maybe_time": times_at(maybe_row),
+                "forsure_time": times_at(forsure_row),
+            }
+            yield from zip(*(columns[name].tolist() for name in names))
 
 
 def classify(
@@ -391,7 +372,7 @@ def infer_all(
     maybe_min: int = DEFAULT_MAYBE_MIN,
     forsure_min: int = DEFAULT_FORSURE_MIN,
 ) -> PairEdges:
-    """Classify every ordered pair; the edges as columns, sorted by (source, target)."""
+    """Classify every ordered pair; a view of the edges, sorted by (source, target)."""
     return PairTable(events).edges(grid, maybe_min, forsure_min)
 
 
@@ -458,7 +439,7 @@ TIMELINE_CSV_FIELDS = ["time", "source", "target", "status"]
 
 def write_edges_csv(edges: PairEdges, path: str | Path) -> None:
     """An edges.csv: every pair's ``EDGES_CSV_FIELDS`` in (source, target)
-    order, written from the columns with no edge built."""
+    order, written one block of pairs at a time with no edge built."""
     write_csv(path, EDGES_CSV_FIELDS, edges.csv_rows())
 
 

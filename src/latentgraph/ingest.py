@@ -541,13 +541,14 @@ def write_jsonl(path: str | Path, rows: Iterable) -> None:
 def write_stages(
     stages: Sequence[StageSnapshot], out_dir: str | Path, extra: dict | None = None
 ) -> None:
-    """Persist stages as one record ledger, all files or none.
+    """Persist stages as one record ledger; a write that fails replaces no file.
 
     Stage 0 is written as every ledger row, repeats included, every later stage
     as the records it removed: one ``{"kind", "id", "reason"}`` line each in
     ledger order, filter by filter, the reason being the filter's manifest
-    key.  No file replaces its target before all are written, and the files of
-    every later stage, left by an earlier run, are removed first.  An
+    key.  No file replaces its target before all are written; then each does,
+    one at a time, stage 0's records last.  The files of every later stage,
+    left by an earlier run, are removed first.  An
     ``out_dir`` that cannot be made a directory is a ConfigError.
     """
     out = output_dir(out_dir)

@@ -225,15 +225,16 @@ STAGE_ARTIFACTS = [
 ]
 
 
-def staged_flow(posts, comments, tmp_path):
-    """``run-all`` into run/, and every stage subcommand on the same config:
-    ``ingest`` into raw/, then ``preprocess`` and the later stages into
-    staged/.  Returns (stage runner, run, raw, staged); artifacts that
-    differ from run-all's are reported by ``differing``."""
+def staged_flow(posts, comments, tmp_path, seed=3):
+    """``run-all`` into run/, and every stage subcommand on the same config
+    (four agents, the given ``seed``): ``ingest`` into raw/, then
+    ``preprocess`` and the later stages into staged/.  Returns (stage
+    runner, run, raw, staged); artifacts that differ from run-all's are
+    reported by ``differing``."""
     run, raw, staged = tmp_path / "run", tmp_path / "raw", tmp_path / "staged"
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
-        "level": "agent", "k_agents": 4, "seed": 3, "posts_path": str(posts),
+        "level": "agent", "k_agents": 4, "seed": seed, "posts_path": str(posts),
         "comments_path": str(comments), "out_dir": str(run),
     }))
 
@@ -298,6 +299,18 @@ class TestSubcommandFlow:
         assert differing(run, raw, staged) == []
         manifest = json.loads((run / "stage0.manifest.json").read_text())
         assert manifest["removed"] == {"duplicate_removal": 4}
+
+    def test_subcommands_reproduce_every_run_all_artifact(self, tmp_path):
+        """On a 200-post / 1,200-comment agent-level corpus the chained
+        subcommands write every artifact of run-all byte for byte; the agents
+        sidecar differs only by the stage it names as its source."""
+        posts, comments = make_synthetic_dump(200, 1200, seed=4).write_dumps(tmp_path)
+        _, run, raw, staged = staged_flow(posts, comments, tmp_path, seed=7)
+        assert differing(run, raw, staged) == []
+        ran, chained = (json.loads((d / "agents.json.manifest.json").read_text())
+                        for d in (run, staged))
+        assert chained.pop("source_stage") == N_STAGES - 1
+        assert chained == ran
 
     def test_seven_stage_directory_reads_as_stage_3(self, small_dump, tmp_path):
         """A directory preprocessed when stages 4-6 still existed holds their

@@ -1,6 +1,8 @@
+import json
 import random
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latentgraph import inference
+from latentgraph.cli import run_all
+from latentgraph.config import default_config
 from latentgraph.errors import ConfigError
 from latentgraph.ingest import RawRecord, RecordKind
 from latentgraph.inference import (
@@ -27,6 +31,8 @@ from latentgraph.inference import (
     write_events_jsonl,
     write_timeline_csv,
 )
+from latentgraph.synthetic import make_synthetic_dump
+from latentgraph.temporal import SnapshotConfig, snapshot_series, sweep
 from oracles import oracle_classify, oracle_csv_bytes, oracle_write_edges_csv
 
 
@@ -284,8 +290,8 @@ def test_pair_table_at_cutoff_matches_oracle_on_filtered_events(stream, window_l
     st.sampled_from([1, 2, 5, EDGE_BLOCK]),
 )
 def test_column_writer_matches_the_per_edge_writer(stream, window_len, maybe_min, extra, block):
-    """edges.csv written from the pair table's columns, one block of pairs at
-    a time, has the bytes of the per-edge writer over the built edges and of
+    """edges.csv written from the pair table, one block of pairs at a time,
+    has the bytes of the per-edge writer over the built edges and of
     the oracle's spelling of their fields; and iteration, ``follows()`` and
     the status counts agree."""
     events, cutoffs = stream
@@ -305,6 +311,34 @@ def test_column_writer_matches_the_per_edge_writer(stream, window_len, maybe_min
             oracle_write_edges_csv(view, reference)
             assert columns.read_bytes() == reference.read_bytes() == oracle_csv_bytes(
                 EDGES_CSV_FIELDS, [[getattr(e, name) for name in EDGES_CSV_FIELDS] for e in edges])
+
+
+RUN_ARTIFACTS = ("edges.csv", "timeline.csv", "graph.graphml", "graph.edges.csv",
+                 "metrics.json", "triads.csv")
+
+
+def test_block_size_leaves_every_result_unchanged(tmp_path):
+    """A user-level run, a sweep and snapshots over its events give the same
+    bytes, counts, cells and reports whatever the number of pairs per block."""
+    posts, comments = make_synthetic_dump(200, 1200, seed=1).write_dumps(tmp_path)
+    results = []
+    for block in (1, 7, EDGE_BLOCK):
+        out = tmp_path / f"block{block}"
+        config = replace(default_config(), level="user", k_agents=4, posts_path=str(posts),
+                         comments_path=str(comments), out_dir=str(out))
+        with mock.patch.object(inference, "EDGE_BLOCK", block):
+            assert run_all(config) == 0
+            events = load_events_jsonl(out / "events.jsonl")
+            grid = WindowGrid.from_events(events, 30 * DAY)
+            checkpoints = [grid.origin + k * grid.window_len for k in range(0, grid.n, 4)]
+            results.append((
+                [(out / name).read_bytes() for name in RUN_ARTIFACTS],
+                json.loads((out / "run_manifest.json").read_text())["inference"],
+                sweep(events, [7, 30], forsure_min_list=[2, 3]),
+                snapshot_series(events, grid, SnapshotConfig(), checkpoints),
+            ))
+    assert results[0][1]["pairs"] > results[0][1]["maybe"] > 0
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 @pytest.mark.parametrize("outside", [-1, 3 * DAY])

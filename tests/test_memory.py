@@ -1,12 +1,14 @@
 """Rows cost only their own data: equal strings read from files are one
-object, the row types carry no ``__dict__``, and loading a dump or
-extracting its events stays within a byte budget per row."""
+object, the row types carry no ``__dict__``, loading a dump or extracting
+its events stays within a byte budget per row, and a pair table's edges
+hold no data per pair."""
 
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from latentgraph.inference import (
     FollowEdge,
     FollowStatus,
     InteractionEvent,
+    PairTable,
     TimelineRow,
     WindowGrid,
     extract_events,
@@ -127,3 +130,21 @@ def test_rows_stay_within_their_byte_budget(tmp_path):
     held = json.loads(result.stdout.splitlines()[-1])
     assert held["per_record"] <= 400, held
     assert held["per_event"] <= 96, held
+
+
+def test_pair_edges_hold_no_per_pair_array():
+    """``PairTable.edges`` returns a view: over the pairs of the 1k-post /
+    6k-comment user-level events it holds under 1 KiB, no array of them."""
+    dump = make_synthetic_dump(1000, 6000, seed=0)
+    events, _ = extract_events(dump.posts, dump.comments)
+    table = PairTable(events)
+    grid = WindowGrid.from_events(events, 86400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        edges = table.edges(grid, 2, 3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(edges) > 1000
+    assert held < 1024, held

@@ -53,7 +53,7 @@ DEFAULT_MAX_DEPTH = 64
 # A cosine this close to a threshold is decided by the per-pair float.
 SIM_BAND = 1e-9
 # Threads scored per pass; bounds the size of the self-join's arrays.
-BLOCK_THREADS = 1000
+BLOCK_THREADS = 250
 
 CENSUS_CATEGORIES = ("no_chain", "len_eq_1", "len_gt_1")
 CENSUS_CSV_FIELDS = ["threshold", *CENSUS_CATEGORIES]

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -119,7 +120,7 @@ def agents_stage(records, config: RunConfig, out: Path, source_stage: int | None
 
 
 def events_stage(records, id_map, out: Path
-                 ) -> tuple[list[infermod.InteractionEvent], infermod.ExtractionStats]:
+                 ) -> tuple[infermod.EventTable, infermod.ExtractionStats]:
     """Interaction events of the records' replies, between agents when
     ``id_map`` maps users to agents, written to ``out``, and their counts."""
     posts = [r for r in records if r.kind is ingestmod.RecordKind.POST]
@@ -133,13 +134,16 @@ def infer_stage(events, config: RunConfig, edges_out: Path, timeline_out: Path
                 ) -> tuple[list[infermod.FollowEdge], dict[str, int]]:
     """Classify every pair, write the edge list of all pairs and the event
     timeline of the follows, and return the follows (the maybe and forsure
-    edges, the only ones built) with the pair and status counts."""
+    edges, the only ones built) with the pair and status counts.  The pairs
+    are classified twice: once for edges.csv, once for the follows."""
     grid = infermod.WindowGrid.from_events(events, config.window_days * infermod.SECONDS_PER_DAY)
     edges = infermod.infer_all(events, grid, config.maybe_min, config.forsure_min)
     infermod.write_edges_csv(edges, edges_out)
     follows = edges.follows()
     infermod.write_timeline_csv(infermod.event_timeline(follows), timeline_out)
-    return follows, edges.status_counts()
+    statuses = Counter(edge.status for edge in follows)
+    return follows, {"pairs": len(edges), "maybe": statuses[infermod.FollowStatus.MAYBE],
+                     "forsure": statuses[infermod.FollowStatus.FORSURE]}
 
 
 def graph_stage(edges, config: RunConfig, outs, include=graphmod.EdgeClass.ALL,
@@ -317,7 +321,12 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         records, skipped_lines = ingest_stage(config.posts_path, config.comments_path)
     with timed("preprocess"):
         stages = preprocess_stage(records, config, out)
+    stage_counts = [{"stage": s.stage_id, "posts": s.post_count, "comments": s.comment_count}
+                    for s in stages]
     final_records = stages[-1].records
+    # No later stage reads the input or the ledger: the records every filter
+    # removed are let go before the agents stage.
+    del records, stages
     with timed("agents"):
         profiles, table = agents_stage(final_records, config, out / "agents.json")
     with timed("infer"):
@@ -353,10 +362,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         "community_restarts": (
             metricsmod.community_restarts(graph.node_count) if graph.edge_count else 0
         ),
-        "stage_counts": [
-            {"stage": s.stage_id, "posts": s.post_count, "comments": s.comment_count}
-            for s in stages
-        ],
+        "stage_counts": stage_counts,
         "timings_seconds": timings,
     }
     if replicate:

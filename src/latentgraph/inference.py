@@ -8,9 +8,10 @@ but fewer than ``forsure_min`` a tentative ("maybe") follow, and
 ``forsure_min`` or more a confirmed ("forsure") follow.  Defaults are 2 and
 3, so exactly two active windows is a maybe and three or more a forsure.
 
-Every classification reads one ``PairTable``: the events sorted once by
-(source, target, time) into arrays, which any window grid, threshold pair
-and cutoff classifies one block of pairs at a time.
+Events are held as columns, one ``EventTable``, from their extraction or
+reload on.  Every classification reads one ``PairTable``: the events sorted
+once by (source, target, time) into arrays, which any window grid,
+threshold pair and cutoff classifies one block of pairs at a time.
 """
 
 from __future__ import annotations
@@ -18,18 +19,20 @@ from __future__ import annotations
 import csv
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import starmap
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, eq
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import RawRecord, RecordKind, decode_lines, open_input, read_id, read_time
-from .ingest import row_dict, write_csv, write_jsonl
+from .ingest import RawRecord, RecordKind, atomic_write, decode_lines, open_input, read_id
+from .ingest import read_time, row_dict, write_csv
 
 SECONDS_PER_DAY = 86400
 DEFAULT_MAYBE_MIN = 2
@@ -55,21 +58,99 @@ class InteractionEvent:
     post_id: str
     comment_id: str
 
-    def to_dict(self) -> dict:
-        return row_dict(self)
+
+EVENT_FIELDS = tuple(f.name for f in fields(InteractionEvent))
+
+# Times whose magnitude stays below this keep every difference inside int64.
+_INT64_SAFE = 2**62
+# Rows per block when an EventTable builds its events or writes its rows.
+ROW_BLOCK = 2**12
+
+
+def _object_array(values: Sequence) -> np.ndarray:
+    return np.fromiter(values, object, len(values))
+
+
+def _codes(values: Sequence[str], table: Sequence[str]) -> np.ndarray:
+    """Each value's index in ``table``."""
+    code = {value: i for i, value in enumerate(table)}
+    return np.fromiter(map(code.__getitem__, values), np.int32, len(values))
+
+
+class EventTable(Sequence):
+    """Interaction events held as columns: a read-only sequence of
+    ``InteractionEvent``, each built when it is read.
+
+    ``source`` and ``target`` are int32 codes into ``names``, the sorted
+    endpoint names, so a code is its name's rank in ``sorted()`` order, as
+    ``PairTable`` ranks ids; ``post`` holds codes into ``posts``; ``time``
+    is int64, or exact Python ints once a time leaves the int64-safe range;
+    ``comment_id`` holds each event's own id string.  A slice is a table
+    over the same name tables.  A table equals any sequence of the same
+    events.
+    """
+
+    __slots__ = ("names", "source", "target", "time", "posts", "post", "comment_id")
+
+    def __init__(self, names: np.ndarray, source: np.ndarray, target: np.ndarray,
+                 time: np.ndarray, posts: np.ndarray, post: np.ndarray, comment_id: np.ndarray):
+        self.names, self.source, self.target, self.time = names, source, target, time
+        self.posts, self.post, self.comment_id = posts, post, comment_id
 
     @classmethod
-    def from_dict(cls, obj: object) -> "InteractionEvent":
-        """Read an event row under the record decoder's id and time rules."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"an event must be a JSON object, got {type(obj).__name__}")
-        return cls(
-            source=sys.intern(read_id(obj, "source")),
-            target=sys.intern(read_id(obj, "target")),
-            time=read_time(obj, "time"),
-            post_id=sys.intern(read_id(obj, "post_id")),
-            comment_id=read_id(obj, "comment_id"),
-        )
+    def from_rows(cls, rows: Iterable[tuple[str, str, int, str, str]]) -> "EventTable":
+        """The table of ``rows``, each an event's fields in ``EVENT_FIELDS`` order."""
+        sources, targets, times, post_ids, comment_ids = [], [], [], [], []
+        for source, target, time, post_id, comment_id in rows:
+            sources.append(source)
+            targets.append(target)
+            times.append(time)
+            post_ids.append(post_id)
+            comment_ids.append(comment_id)
+        names = sorted(set(sources).union(targets))
+        posts = list(dict.fromkeys(post_ids))
+        exact = not times or (-_INT64_SAFE < min(times) and max(times) < _INT64_SAFE)
+        return cls(_object_array(names), _codes(sources, names), _codes(targets, names),
+                   np.fromiter(times, np.int64 if exact else object, len(times)),
+                   _object_array(posts), _codes(post_ids, posts), _object_array(comment_ids))
+
+    @classmethod
+    def of(cls, events: Sequence[InteractionEvent]) -> "EventTable":
+        """``events`` as a table: a table as it is, any other sequence of
+        events read into one."""
+        if isinstance(events, EventTable):
+            return events
+        return cls.from_rows(map(attrgetter(*EVENT_FIELDS), events))
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EventTable(self.names, self.source[index], self.target[index],
+                              self.time[index], self.posts, self.post[index],
+                              self.comment_id[index])
+        return InteractionEvent(self.names[self.source[index]], self.names[self.target[index]],
+                                int(self.time[index]), self.posts[self.post[index]],
+                                self.comment_id[index])
+
+    def __iter__(self) -> Iterator[InteractionEvent]:
+        return starmap(InteractionEvent, self.rows(self.names, self.posts))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def rows(self, names: np.ndarray, posts: np.ndarray) -> Iterator[tuple]:
+        """Each event's fields in ``EVENT_FIELDS`` order, with its source and
+        target read from ``names`` and its post id from ``posts`` (the name
+        tables, or arrays in step with them), ``ROW_BLOCK`` rows at a time."""
+        for start in range(0, len(self), ROW_BLOCK):
+            block = self[start:start + ROW_BLOCK]
+            yield from zip(names[block.source].tolist(), names[block.target].tolist(),
+                           block.time.tolist(), posts[block.post].tolist(),
+                           block.comment_id.tolist())
 
 
 @dataclass(frozen=True)
@@ -88,11 +169,11 @@ class WindowGrid:
 
     @classmethod
     def from_events(cls, events: Sequence[InteractionEvent], window_len: int) -> "WindowGrid":
-        if not events:
+        times = EventTable.of(events).time
+        if not len(times):
             return cls(origin=0, window_len=window_len, n=0)
-        times = [e.time for e in events]
-        origin = min(times)
-        n = (max(times) - origin) // window_len + 1
+        origin = int(times.min())
+        n = (int(times.max()) - origin) // window_len + 1
         return cls(origin=origin, window_len=window_len, n=n)
 
     def index(self, time: int) -> int:
@@ -146,8 +227,8 @@ def extract_events(
     posts: Sequence[RawRecord],
     comments: Sequence[RawRecord],
     id_map: Mapping[str, str] | None = None,
-) -> tuple[list[InteractionEvent], ExtractionStats]:
-    """Turn comments into directed interaction events.
+) -> tuple[EventTable, ExtractionStats]:
+    """Turn comments into directed interaction events, held as one table.
 
     The target is the author of the parent, found by kind: the post when
     ``parent_id == link_id``, else the comment with that id.  Both endpoints
@@ -164,29 +245,24 @@ def extract_events(
         return id_map.get(author, author) if id_map is not None else author
 
     stats = ExtractionStats()
-    events: list[InteractionEvent] = []
-    for rec in comments:
-        if rec.kind is not RecordKind.COMMENT or rec.parent_id is None:
-            continue
-        parents = post_author if rec.parent_id == rec.link_id else comment_author
-        parent_author = parents.get(rec.parent_id)
-        if parent_author is None:
-            stats.orphans += 1
-            continue
-        source = mapped(rec.author)
-        target = mapped(parent_author)
-        if source == target:
-            stats.self_replies += 1
-            continue
-        events.append(
-            InteractionEvent(
-                source=source,
-                target=target,
-                time=rec.created_utc,
-                post_id=rec.link_id or rec.parent_id,
-                comment_id=rec.id,
-            )
-        )
+
+    def rows() -> Iterator[tuple[str, str, int, str, str]]:
+        for rec in comments:
+            if rec.kind is not RecordKind.COMMENT or rec.parent_id is None:
+                continue
+            parents = post_author if rec.parent_id == rec.link_id else comment_author
+            parent_author = parents.get(rec.parent_id)
+            if parent_author is None:
+                stats.orphans += 1
+                continue
+            source = mapped(rec.author)
+            target = mapped(parent_author)
+            if source == target:
+                stats.self_replies += 1
+                continue
+            yield source, target, rec.created_utc, rec.link_id or rec.parent_id, rec.id
+
+    events = EventTable.from_rows(rows())
     stats.events = len(events)
     return events, stats
 
@@ -201,16 +277,15 @@ def check_thresholds(maybe_min: int, forsure_min: int) -> None:
         )
 
 
-# Times whose magnitude stays below this keep every difference inside int64.
-_INT64_SAFE = 2**62
 _STATUSES = np.array([FollowStatus.NONE, FollowStatus.MAYBE, FollowStatus.FORSURE], dtype=object)
 
 
 class PairTable:
     """Every ordered pair's events, sorted once by (source, target, time).
 
-    Ids are interned as their rank in ``sorted()`` order, so sorting the codes
-    sorts the pairs as Python sorts their ids.  Pair ``i``'s rows are
+    Ids are the events' ``EventTable`` codes, each a name's rank in
+    ``sorted()`` order, so sorting the codes sorts the pairs as Python sorts
+    their ids.  Pair ``i``'s rows are
     ``bounds[i]:bounds[i + 1]`` and ascend in time, so the events at or
     before a cutoff are a prefix of each pair's rows, and on a window grid
     its k-th active window opens at the k-th row that starts a new window.
@@ -218,24 +293,21 @@ class PairTable:
     """
 
     def __init__(self, events: Sequence[InteractionEvent]):
+        events = EventTable.of(events)
         n = len(events)
-        source_of, target_of, time_of = (attrgetter(f) for f in ("source", "target", "time"))
-        self.ids = np.array(sorted(set(map(source_of, events)).union(map(target_of, events))),
-                            dtype=object)
-        code = {name: i for i, name in enumerate(self.ids)}
+        self.ids = events.names
         width = len(self.ids)
-        pair = np.fromiter(map(code.__getitem__, map(source_of, events)), np.int64, n)
+        pair = events.source.astype(np.int64)
         pair *= width
-        pair += np.fromiter(map(code.__getitem__, map(target_of, events)), np.int64, n)
-        self.span = (min(map(time_of, events)), max(map(time_of, events))) if n else None
-        exact = self.span is None or (-_INT64_SAFE < self.span[0] and self.span[1] < _INT64_SAFE)
-        stamps = np.fromiter(map(time_of, events), np.int64 if exact else object, n)
+        pair += events.target
+        stamps = events.time
+        self.span = (int(stamps.min()), int(stamps.max())) if n else None
         order = np.lexsort((stamps, pair))
-        # Each unsorted column is dropped as soon as its sorted copy exists,
-        # so the table never holds more than a few int64 columns at once.
+        # The unsorted pair column is dropped as soon as its sorted copy
+        # exists, so the table never holds more than a few int64 columns at once.
         pair = pair[order]
         self.times = stamps[order]
-        del stamps, order
+        del order
         self.bounds = np.append(np.flatnonzero(np.diff(pair, prepend=-1)), n)
         self.source, self.target = np.divmod(pair[self.bounds[:-1]], width)
 
@@ -254,7 +326,7 @@ class PairTable:
 
 
 # Pairs per block when a PairEdges classifies pairs from their rows.
-EDGE_BLOCK = 2**14
+EDGE_BLOCK = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +485,7 @@ def event_timeline(edges: Iterable[FollowEdge]) -> list[TimelineRow]:
 # Persistence: each CSV writer reads its artifact's columns off each row by
 # name and leaves the spelling to the csv module (None as an empty field, a
 # float by its repr, a status by its value); an events.jsonl line is the
-# event's own fields.
+# event's own fields, filled into one template from the event table's columns.
 # ---------------------------------------------------------------------------
 
 def _opt_int(text: str) -> int | None:
@@ -484,9 +556,29 @@ def write_timeline_csv(rows: Iterable[TimelineRow], path: str | Path) -> None:
     write_csv(path, TIMELINE_CSV_FIELDS, map(attrgetter(*TIMELINE_CSV_FIELDS), rows))
 
 
+# An events.jsonl row: compact JSON of the EVENT_FIELDS, each string as
+# ``json`` spells it with ``ensure_ascii`` and the time as a whole number.
+_EVENT_ROW = '{"source":%s,"target":%s,"time":%d,"post_id":%s,"comment_id":%s}\n'
+
+
 def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> None:
-    write_jsonl(path, (event.to_dict() for event in events))
+    """An events.jsonl, written from the columns: each name is spelled once."""
+    events = EventTable.of(events)
+    names, posts = (_object_array(list(map(encode_basestring_ascii, table)))
+                    for table in (events.names, events.posts))
+    with atomic_write(path) as fh:
+        fh.writelines(_EVENT_ROW % (source, target, time, post_id, encode_basestring_ascii(cid))
+                      for source, target, time, post_id, cid in events.rows(names, posts))
 
 
-def load_events_jsonl(path: str | Path) -> list[InteractionEvent]:
-    return list(decode_lines(path, "event", InteractionEvent.from_dict))
+def _event_row(obj: object) -> tuple[str, str, int, str, str]:
+    """An event row's fields, read under the record decoder's id and time rules."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an event must be a JSON object, got {type(obj).__name__}")
+    return (sys.intern(read_id(obj, "source")), sys.intern(read_id(obj, "target")),
+            read_time(obj, "time"), sys.intern(read_id(obj, "post_id")),
+            read_id(obj, "comment_id"))
+
+
+def load_events_jsonl(path: str | Path) -> EventTable:
+    return EventTable.from_rows(decode_lines(path, "event", _event_row))

@@ -47,6 +47,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -372,9 +373,13 @@ class Ledger(NamedTuple):
 
 
 def build_ledger(records: Iterable[RawRecord], drops: Sequence[Callable]) -> Ledger:
-    """Sort ``records`` once (stably), then run ``drops`` in order, each over the
-    rows no earlier one flagged, in ledger order; ``drops[c]``'s rows get code ``c``."""
-    rows = sorted(records, key=record_sort_key)
+    """Sort ``records`` once (stably) by :func:`record_sort_key`, then run
+    ``drops`` in order, each over the rows no earlier one flagged, in ledger
+    order; ``drops[c]``'s rows get code ``c``."""
+    # Two stable sorts, by id and then by time, give the (created_utc, id)
+    # order, ties in input order, with no key tuple per record.
+    rows = sorted(records, key=attrgetter("id"))
+    rows.sort(key=attrgetter("created_utc"))
     codes = np.full(len(rows), KEPT, dtype=np.int8)
     for code, drop in enumerate(drops):
         alive = np.flatnonzero(codes == KEPT)

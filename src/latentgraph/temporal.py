@@ -247,6 +247,7 @@ def sweep(
     thresholds = list(itertools.product(maybe_min_list, forsure_min_list))
     for maybe_min, forsure_min in thresholds:
         infermod.check_thresholds(maybe_min, forsure_min)
+    events = infermod.EventTable.of(events)
     table = infermod.PairTable(events)
     # (clustering, reciprocity, modularity) per distinct covered graph: many
     # cells share one graph, and its community search is the costly part.

@@ -419,8 +419,8 @@ class TestRunAll:
                                          "forsure": statuses["forsure"]}
 
     def test_only_follows_become_edge_objects(self, tmp_path, monkeypatch):
-        """NONE pairs reach edges.csv from the pair table's columns; only the
-        maybe and forsure pairs are ever built as ``FollowEdge``s."""
+        """NONE pairs reach edges.csv from the pair table's blocks of rows; only
+        the maybe and forsure pairs are ever built as ``FollowEdge``s."""
         built = []
         init = FollowEdge.__init__
 

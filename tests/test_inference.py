@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tempfile
@@ -13,10 +14,11 @@ from latentgraph import inference
 from latentgraph.cli import run_all
 from latentgraph.config import default_config
 from latentgraph.errors import ConfigError
-from latentgraph.ingest import RawRecord, RecordKind
+from latentgraph.ingest import RawRecord, RecordKind, compact_json, row_dict
 from latentgraph.inference import (
     EDGE_BLOCK,
     EDGES_CSV_FIELDS,
+    EventTable,
     FollowStatus,
     InteractionEvent,
     PairTable,
@@ -311,6 +313,85 @@ def test_column_writer_matches_the_per_edge_writer(stream, window_len, maybe_min
             oracle_write_edges_csv(view, reference)
             assert columns.read_bytes() == reference.read_bytes() == oracle_csv_bytes(
                 EDGES_CSV_FIELDS, [[getattr(e, name) for name in EDGES_CSV_FIELDS] for e in edges])
+
+
+def pair_rows(table: PairTable) -> list[tuple[str, str, list[int]]]:
+    """Each pair of a pair table as (source, target, its times), in table order."""
+    return [(table.ids[s], table.ids[t], table.times[a:b].tolist()) for s, t, a, b
+            in zip(table.source, table.target, table.bounds[:-1], table.bounds[1:])]
+
+
+def consumer_results(events, window_len: int, cutoffs) -> tuple:
+    """What every reader of events makes of them: the pair table's rows, the
+    grid, every edge, a sweep's cells and the snapshot reports."""
+    grid = WindowGrid.from_events(events, window_len)
+    checkpoints = sorted(c for c in cutoffs if c is not None)
+    return (pair_rows(PairTable(events)), grid, list(infer_all(events, grid)),
+            sweep(events, [window_len / DAY], forsure_min_list=[2, 3]),
+            snapshot_series(events, grid, SnapshotConfig(), checkpoints))
+
+
+SLICE_BOUNDS = st.none() | st.integers(min_value=-45, max_value=45)
+
+
+ROW_BLOCKS = st.sampled_from([1, 3, inference.ROW_BLOCK])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_streams(), st.integers(min_value=1, max_value=15),
+       st.tuples(SLICE_BOUNDS, SLICE_BOUNDS, st.sampled_from([None, 1, 2, -1, -3])), ROW_BLOCKS)
+def test_an_event_table_reads_as_its_list(stream, window_len, bounds, block):
+    """An ``EventTable`` is the list of its events: the same length, items,
+    iteration and slices (a slice being a table), whatever the rows per
+    block, and every consumer, the pair table, grid, inference, sweep and
+    snapshots, gives the table and a slice of it what it gives the list and
+    the list's slice."""
+    events, cutoffs = stream
+    table = EventTable.of(events)
+    with mock.patch.object(inference, "ROW_BLOCK", block):
+        assert len(table) == len(events) and list(table) == events
+        assert table == events and events == table and table == EventTable.of(table)
+        assert [table[i] for i in range(-len(events), len(events))] == events + events
+        part, want = table[slice(*bounds)], events[slice(*bounds)]
+        assert isinstance(part, EventTable) and len(part) == len(want) and list(part) == want
+        assert table != events[:-1] and table != [*events[:-1], ev("other", "x", 0)]
+    pairs = [(key, [t for *_, t in rows]) for key, rows in itertools.groupby(
+        sorted((e.source, e.target, e.time) for e in events), key=lambda row: row[:2])]
+    assert pair_rows(PairTable(table)) == [(*key, times) for key, times in pairs]
+    assert consumer_results(table, window_len, cutoffs) == consumer_results(
+        events, window_len, cutoffs)
+    assert consumer_results(part, window_len, cutoffs) == consumer_results(
+        want, window_len, cutoffs)
+
+
+# Text a JSON encoder must escape: non-ASCII and astral characters, lone
+# surrogates, control characters, quotes and backslashes.
+JSON_TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                              st.sampled_from('"\\/\x00\x1f\x7f\u2028')),
+                    min_size=1, max_size=6)
+EVENT_TIMES = st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2**70),
+                        st.sampled_from([2**62, 2**63, -2**63 - 1, 2**64]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(InteractionEvent, JSON_TEXT, JSON_TEXT, EVENT_TIMES, JSON_TEXT,
+                          JSON_TEXT), max_size=12), ROW_BLOCKS)
+def test_the_event_writer_spells_each_row_as_json(events, block):
+    """events.jsonl, written by one template from the columns, has the bytes
+    of the generic encoder over each event's fields, for a list and for a
+    slice of its table, whatever the rows per block; reading it back gives
+    what ``json`` reads from those bytes (a surrogate pair reads back as one
+    character)."""
+    want = "".join(compact_json(row_dict(event)) + "\n" for event in events).encode()
+    with mock.patch.object(inference, "ROW_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        write_events_jsonl(events, path)
+        assert path.read_bytes() == want
+        assert load_events_jsonl(path) == [InteractionEvent(**json.loads(line))
+                                           for line in want.splitlines()]
+        write_events_jsonl(EventTable.of(events)[1::2], path)
+        assert path.read_bytes() == "".join(
+            compact_json(row_dict(event)) + "\n" for event in events[1::2]).encode()
 
 
 RUN_ARTIFACTS = ("edges.csv", "timeline.csv", "graph.graphml", "graph.edges.csv",

@@ -624,8 +624,9 @@ def test_any_input_order_gives_the_same_run(records):
 
 def test_only_the_ledger_orders_records():
     """``record_sort_key`` is the one (created_utc, id) order: no other module
-    builds a sort key on ``created_utc``, and only the ledger's sort and a
-    thread's time order use it."""
+    builds a sort key on ``created_utc``, and only a thread's time order uses
+    it; the ledger sorts by its two fields in two stable passes, which
+    ``test_the_ledger_sorts_by_record_sort_key`` checks against it."""
     def scoped(node, scope):
         """Every node under ``node`` with the dotted name of its enclosing def."""
         for child in ast.iter_child_nodes(node):
@@ -649,4 +650,16 @@ def test_only_the_ledger_orders_records():
             if "record_sort_key" in (getattr(node, "id", None), getattr(node, "attr", None)):
                 users.append(scope)
     assert keys == []
-    assert sorted(set(users)) == ["chains.group_threads", "ingest.build_ledger"]
+    assert sorted(set(users)) == ["chains.group_threads"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(1, 3),
+                          st.sampled_from(RecordKind)), max_size=30))
+def test_the_ledger_sorts_by_record_sort_key(rows):
+    """The ledger's order is one stable sort by ``record_sort_key``: ties of
+    time and id, repeats included, keep their input order."""
+    records = [RawRecord(rec_id, kind, f"u{i}", time, "text", "s")
+               for i, (rec_id, time, kind) in enumerate(rows)]
+    ledger = ingestmod.build_ledger(records, [])
+    assert list(map(id, ledger.records)) == list(map(id, sorted(records, key=record_sort_key)))

@@ -1,7 +1,7 @@
 """Rows cost only their own data: equal strings read from files are one
 object, the row types carry no ``__dict__``, loading a dump or extracting
-its events stays within a byte budget per row, and a pair table's edges
-hold no data per pair."""
+its events stays within a byte budget per row (events are columns), and a
+pair table's edges hold no data per pair."""
 
 import json
 import os
@@ -120,16 +120,28 @@ BUDGET_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_rows_stay_within_their_byte_budget(tmp_path):
-    """Bytes held per loaded record and per extracted event, under tracemalloc."""
+@pytest.fixture(scope="module")
+def held(tmp_path_factory):
+    """The budget script's bytes per record and per event."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", BUDGET_SCRIPT, str(tmp_path)], env=env,
+    result = subprocess.run([sys.executable, "-c", BUDGET_SCRIPT,
+                             str(tmp_path_factory.mktemp("budget"))], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    held = json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_rows_stay_within_their_byte_budget(held):
+    """Bytes held per loaded record and per extracted event, under tracemalloc."""
     assert held["per_record"] <= 400, held
     assert held["per_event"] <= 96, held
+
+
+def test_events_are_held_as_columns(held):
+    """``extract_events`` holds at most 40 bytes per event: a few int columns
+    and one reference to the comment's id."""
+    assert held["per_event"] <= 40, held
 
 
 def test_pair_edges_hold_no_per_pair_array():

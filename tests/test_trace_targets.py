@@ -89,8 +89,9 @@ def test_traced_run_all_stage_counters_match_the_written_stages(monkeypatch, tmp
 
 
 def test_traced_user_level_inference_counters_match_the_edges_csv(monkeypatch, tmp_path):
-    """``infer_all`` returns its pairs as columns; the tracer counts pairs and
-    follows off that view, and both must agree with the rows of edges.csv."""
+    """``infer_all`` returns a view that classifies its pairs a block at a
+    time; the tracer counts pairs and follows off that view, and both must
+    agree with the rows of edges.csv."""
     _, layers, out = traced_run_all(monkeypatch, tmp_path, level="user", corpus=(200, 1200, 1))
     with open(out / "edges.csv", encoding="utf-8", newline="") as fh:
         statuses = [row["status"] for row in csv.DictReader(fh)]

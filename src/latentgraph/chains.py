@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import RawRecord, RecordKind, record_sort_key, write_csv, write_jsonl
+from .ingest import RawRecord, RecordKind, sort_records, write_csv, write_jsonl
 from .profiles import TermTable, term_table
 
 DEFAULT_SIM_THRESHOLD = 0.1
@@ -70,7 +70,7 @@ class Thread:
 
 def group_threads(records: Sequence[RawRecord]) -> list[Thread]:
     """Group records into threads, ordered by post id, each sorted once by
-    ``record_sort_key``.
+    ``sort_records``.
 
     Comments whose post is absent from the record set are skipped; chains
     are a within-thread construct.
@@ -80,7 +80,7 @@ def group_threads(records: Sequence[RawRecord]) -> list[Thread]:
         if rec.kind is RecordKind.COMMENT and rec.link_id in members:
             members[rec.link_id].append(rec)
     # The sort is stable and each post leads its list, so it wins a tie.
-    return [Thread(members[post_id][0], tuple(sorted(members[post_id], key=record_sort_key)))
+    return [Thread(members[post_id][0], tuple(sort_records(members[post_id])))
             for post_id in sorted(members)]
 
 
@@ -335,7 +335,8 @@ def extract_chains(
     # identity: the records' sorted id()s, and the row of each.
     addresses = np.fromiter(map(id, records), np.int64, len(records))
     rows = np.argsort(addresses)
-    row_of = (addresses[rows], rows)
+    addresses = addresses[rows]
+    row_of = (addresses, rows)
     for first in range(0, len(threads), BLOCK_THREADS):
         block = _Block(threads[first:first + BLOCK_THREADS], table, row_of, thresholds)
         for row, threshold in zip(counts, thresholds):

@@ -334,6 +334,7 @@ def run_all(config: RunConfig, replicate: bool = False) -> int:
         events, stats = events_stage(final_records, id_map, out / "events.jsonl")
         follows, inference = infer_stage(events, config, out / "edges.csv",
                                          out / "timeline.csv")
+        del events  # no later stage reads the events
     with timed("graph"):
         known = [p.agent_id for p in profiles] if agent_level else []
         graph = graph_stage(follows, config, [out / "graph.graphml", out / "graph.edges.csv"],

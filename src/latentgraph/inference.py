@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import csv
 import sys
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, eq
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -77,17 +76,15 @@ def _codes(values: Sequence[str], table: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(code.__getitem__, values), np.int32, len(values))
 
 
-class EventTable(Sequence):
-    """Interaction events held as columns: a read-only sequence of
-    ``InteractionEvent``, each built when it is read.
+class EventTable:
+    """Interaction events held as columns; iterating a table builds each
+    ``InteractionEvent`` when it is reached.
 
     ``source`` and ``target`` are int32 codes into ``names``, the sorted
     endpoint names, so a code is its name's rank in ``sorted()`` order, as
     ``PairTable`` ranks ids; ``post`` holds codes into ``posts``; ``time``
     is int64, or exact Python ints once a time leaves the int64-safe range;
-    ``comment_id`` holds each event's own id string.  A slice is a table
-    over the same name tables.  A table equals any sequence of the same
-    events.
+    ``comment_id`` holds each event's own id string.
     """
 
     __slots__ = ("names", "source", "target", "time", "posts", "post", "comment_id")
@@ -115,9 +112,8 @@ class EventTable(Sequence):
                    _object_array(posts), _codes(post_ids, posts), _object_array(comment_ids))
 
     @classmethod
-    def of(cls, events: Sequence[InteractionEvent]) -> "EventTable":
-        """``events`` as a table: a table as it is, any other sequence of
-        events read into one."""
+    def of(cls, events: Iterable[InteractionEvent]) -> "EventTable":
+        """``events`` as a table: a table as it is, any other events read into one."""
         if isinstance(events, EventTable):
             return events
         return cls.from_rows(map(attrgetter(*EVENT_FIELDS), events))
@@ -125,32 +121,18 @@ class EventTable(Sequence):
     def __len__(self) -> int:
         return len(self.time)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return EventTable(self.names, self.source[index], self.target[index],
-                              self.time[index], self.posts, self.post[index],
-                              self.comment_id[index])
-        return InteractionEvent(self.names[self.source[index]], self.names[self.target[index]],
-                                int(self.time[index]), self.posts[self.post[index]],
-                                self.comment_id[index])
-
     def __iter__(self) -> Iterator[InteractionEvent]:
         return starmap(InteractionEvent, self.rows(self.names, self.posts))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
     def rows(self, names: np.ndarray, posts: np.ndarray) -> Iterator[tuple]:
         """Each event's fields in ``EVENT_FIELDS`` order, with its source and
         target read from ``names`` and its post id from ``posts`` (the name
         tables, or arrays in step with them), ``ROW_BLOCK`` rows at a time."""
         for start in range(0, len(self), ROW_BLOCK):
-            block = self[start:start + ROW_BLOCK]
-            yield from zip(names[block.source].tolist(), names[block.target].tolist(),
-                           block.time.tolist(), posts[block.post].tolist(),
-                           block.comment_id.tolist())
+            block = slice(start, start + ROW_BLOCK)
+            yield from zip(names[self.source[block]].tolist(), names[self.target[block]].tolist(),
+                           self.time[block].tolist(), posts[self.post[block]].tolist(),
+                           self.comment_id[block].tolist())
 
 
 @dataclass(frozen=True)
@@ -168,7 +150,7 @@ class WindowGrid:
             raise ConfigError("window count must be non-negative")
 
     @classmethod
-    def from_events(cls, events: Sequence[InteractionEvent], window_len: int) -> "WindowGrid":
+    def from_events(cls, events: Iterable[InteractionEvent], window_len: int) -> "WindowGrid":
         times = EventTable.of(events).time
         if not len(times):
             return cls(origin=0, window_len=window_len, n=0)
@@ -292,7 +274,7 @@ class PairTable:
     Times that leave the int64-safe range are kept as exact Python ints.
     """
 
-    def __init__(self, events: Sequence[InteractionEvent]):
+    def __init__(self, events: Iterable[InteractionEvent]):
         events = EventTable.of(events)
         n = len(events)
         self.ids = events.names
@@ -335,10 +317,10 @@ class PairEdges:
     as a view over ``table``.
 
     An iterable of ``FollowEdge`` that holds no per-pair data: iteration,
-    ``follows()``, ``status_counts()`` and ``csv_rows()`` each classify one
-    block of ``EDGE_BLOCK`` pairs at a time from the block's rows, and build
-    an edge only where one is asked for.  ``follows()`` builds the maybe and
-    forsure edges alone.
+    ``follows()`` and ``csv_rows()`` each classify one block of
+    ``EDGE_BLOCK`` pairs at a time from the block's rows, and build an edge
+    only where one is asked for.  ``follows()`` builds the maybe and forsure
+    edges alone.
     """
 
     table: PairTable
@@ -357,12 +339,6 @@ class PairEdges:
     def follows(self) -> list[FollowEdge]:
         """The maybe and forsure edges, in (source, target) order."""
         return list(starmap(FollowEdge, self._rows(_EDGE_FIELDS, follows_only=True)))
-
-    def status_counts(self) -> dict[str, int]:
-        """The number of pairs, and of maybe and of forsure pairs."""
-        counts = Counter(status for (status,) in self._rows(["status"], follows_only=True))
-        return {"pairs": len(self), "maybe": counts[FollowStatus.MAYBE],
-                "forsure": counts[FollowStatus.FORSURE]}
 
     def csv_rows(self) -> Iterator[tuple]:
         """Every pair's ``EDGES_CSV_FIELDS``."""
@@ -422,7 +398,7 @@ class PairEdges:
 
 
 def classify(
-    events: Sequence[InteractionEvent],
+    events: Iterable[InteractionEvent],
     grid: WindowGrid,
     maybe_min: int = DEFAULT_MAYBE_MIN,
     forsure_min: int = DEFAULT_FORSURE_MIN,
@@ -439,7 +415,7 @@ def classify(
 
 
 def infer_all(
-    events: Sequence[InteractionEvent],
+    events: Iterable[InteractionEvent],
     grid: WindowGrid,
     maybe_min: int = DEFAULT_MAYBE_MIN,
     forsure_min: int = DEFAULT_FORSURE_MIN,
@@ -558,10 +534,12 @@ def write_timeline_csv(rows: Iterable[TimelineRow], path: str | Path) -> None:
 
 # An events.jsonl row: compact JSON of the EVENT_FIELDS, each string as
 # ``json`` spells it with ``ensure_ascii`` and the time as a whole number.
-_EVENT_ROW = '{"source":%s,"target":%s,"time":%d,"post_id":%s,"comment_id":%s}\n'
+_EVENT_ROW = "{%s}\n" % ",".join(
+    encode_basestring_ascii(f.name) + (":%d" if f.type == "int" else ":%s")
+    for f in fields(InteractionEvent))
 
 
-def write_events_jsonl(events: Sequence[InteractionEvent], path: str | Path) -> None:
+def write_events_jsonl(events: Iterable[InteractionEvent], path: str | Path) -> None:
     """An events.jsonl, written from the columns: each name is spelled once."""
     events = EventTable.of(events)
     names, posts = (_object_array(list(map(encode_basestring_ascii, table)))

@@ -118,9 +118,13 @@ class RawRecord:
         return row_dict(self)
 
 
-def record_sort_key(rec: RawRecord) -> tuple[int, str]:
-    """The one order of records, (created_utc, id) ascending; later stages keep it."""
-    return (rec.created_utc, rec.id)
+def sort_records(records: Iterable[RawRecord]) -> list[RawRecord]:
+    """The one order of records, (created_utc, id) ascending, ties in input
+    order; later stages keep it.  Two stable sorts, by id and then by time,
+    give it with no key tuple per record."""
+    rows = sorted(records, key=attrgetter("id"))
+    rows.sort(key=attrgetter("created_utc"))
+    return rows
 
 
 _WHOLE_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.0*)?")
@@ -363,7 +367,7 @@ def deleted_mask(records: Sequence[RawRecord]) -> np.ndarray:
 
 
 class Ledger(NamedTuple):
-    """The input of a run sorted once by :func:`record_sort_key` and, per row,
+    """The input of a run sorted once by :func:`sort_records` and, per row,
     the code of the filter that removed it (``KEPT`` if none did) and whether
     it is a post."""
 
@@ -373,13 +377,10 @@ class Ledger(NamedTuple):
 
 
 def build_ledger(records: Iterable[RawRecord], drops: Sequence[Callable]) -> Ledger:
-    """Sort ``records`` once (stably) by :func:`record_sort_key`, then run
-    ``drops`` in order, each over the rows no earlier one flagged, in ledger
-    order; ``drops[c]``'s rows get code ``c``."""
-    # Two stable sorts, by id and then by time, give the (created_utc, id)
-    # order, ties in input order, with no key tuple per record.
-    rows = sorted(records, key=attrgetter("id"))
-    rows.sort(key=attrgetter("created_utc"))
+    """Sort ``records`` once by :func:`sort_records`, then run ``drops`` in
+    order, each over the rows no earlier one flagged, in ledger order;
+    ``drops[c]``'s rows get code ``c``."""
+    rows = sort_records(records)
     codes = np.full(len(rows), KEPT, dtype=np.int8)
     for code, drop in enumerate(drops):
         alive = np.flatnonzero(codes == KEPT)

@@ -121,7 +121,6 @@ def make_synthetic_dump(
     n_comments: int = 600,
     seed: int = 42,
     max_per_post: int = 10,
-    min_interactions: int = 2,
     subreddit: str = "synthetic",
     n_topics: int = 4,
 ) -> SyntheticDump:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from . import graph as graphmod
@@ -172,7 +172,7 @@ class SnapshotConfig:
 
 
 def snapshot_series(
-    events: Sequence[InteractionEvent],
+    events: Iterable[InteractionEvent],
     grid: WindowGrid,
     config: SnapshotConfig,
     checkpoints: Sequence[int],
@@ -221,7 +221,7 @@ def _defined(metric, graph: graphmod.InteractionGraph) -> float | None:
 
 
 def sweep(
-    events: Sequence[InteractionEvent],
+    events: Iterable[InteractionEvent],
     window_days_list: Sequence[float],
     maybe_min_list: Sequence[int] = (DEFAULT_MAYBE_MIN,),
     forsure_min_list: Sequence[int] = (DEFAULT_FORSURE_MIN,),

@@ -9,9 +9,10 @@ path collection by dynamic programming instead of DFS enumeration, a chain
 walk that enters every child instead of only those with a sink in reach, term
 vectors from per-token counters instead of a bucket table, CSV fields
 spelled one by one instead of by the csv encoder, edges.csv rows read off
-each built edge instead of off the pair table's columns, and k-means
+each built edge instead of off the pair table's columns, k-means
 centroids as the mean of each cluster's copied rows instead of sums of the
-nonzeros.
+nonzeros, and the record order as one key tuple per record instead of two
+stable sorts.
 """
 
 from __future__ import annotations
@@ -41,7 +42,17 @@ from latentgraph.inference import (
     InteractionEvent,
     WindowGrid,
 )
-from latentgraph.ingest import write_csv
+from latentgraph.ingest import RawRecord, write_csv
+
+
+# ---------------------------------------------------------------------------
+# Record order
+# ---------------------------------------------------------------------------
+
+def record_sort_key(rec: RawRecord) -> tuple[int, str]:
+    """A record's place in the one order of records: (created_utc, id)
+    ascending, ties left to a stable sort."""
+    return (rec.created_utc, rec.id)
 
 
 # ---------------------------------------------------------------------------

@@ -981,3 +981,21 @@ def test_every_setting_and_flag_is_read():
             dests.add(dest.value if dest else node.args[0].value.lstrip("-").replace("-", "_"))
     assert {"indir", "max_comments_per_post"} <= dests  # the walk found the parser
     assert dests - FIELD_NAMES - _attributes_read(tree, "args") == set()
+
+
+def test_every_parameter_is_read():
+    """No parameter does nothing: every function in the package reads each of
+    its parameters, save a subcommand handler's ``args`` that it has no use for."""
+    unread = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            spec = node.args
+            params = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs, spec.vararg, spec.kwarg]
+            body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
+            read = {name.id for name in ast.walk(body)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}:{param.arg}"
+                       for param in params if param and param.arg not in read]
+    assert unread == ["cli.cmd_validate:args"]

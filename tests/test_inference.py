@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 import tempfile
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -295,7 +294,7 @@ def test_column_writer_matches_the_per_edge_writer(stream, window_len, maybe_min
     """edges.csv written from the pair table, one block of pairs at a time,
     has the bytes of the per-edge writer over the built edges and of
     the oracle's spelling of their fields; and iteration, ``follows()`` and
-    the status counts agree."""
+    the pair count agree."""
     events, cutoffs = stream
     grid = WindowGrid.from_events(events, window_len)
     table = PairTable(events)
@@ -305,10 +304,7 @@ def test_column_writer_matches_the_per_edge_writer(stream, window_len, maybe_min
             view = table.edges(grid, maybe_min, maybe_min + extra, cutoff)
             edges = list(view)
             assert view.follows() == [e for e in edges if e.status is not FollowStatus.NONE]
-            statuses = Counter(e.status for e in edges)
-            assert view.status_counts() == {"pairs": len(edges),
-                                            "maybe": statuses[FollowStatus.MAYBE],
-                                            "forsure": statuses[FollowStatus.FORSURE]}
+            assert len(view) == len(edges)
             write_edges_csv(view, columns)
             oracle_write_edges_csv(view, reference)
             assert columns.read_bytes() == reference.read_bytes() == oracle_csv_bytes(
@@ -331,37 +327,26 @@ def consumer_results(events, window_len: int, cutoffs) -> tuple:
             snapshot_series(events, grid, SnapshotConfig(), checkpoints))
 
 
-SLICE_BOUNDS = st.none() | st.integers(min_value=-45, max_value=45)
-
-
 ROW_BLOCKS = st.sampled_from([1, 3, inference.ROW_BLOCK])
 
 
 @settings(max_examples=60, deadline=None)
-@given(pair_streams(), st.integers(min_value=1, max_value=15),
-       st.tuples(SLICE_BOUNDS, SLICE_BOUNDS, st.sampled_from([None, 1, 2, -1, -3])), ROW_BLOCKS)
-def test_an_event_table_reads_as_its_list(stream, window_len, bounds, block):
-    """An ``EventTable`` is the list of its events: the same length, items,
-    iteration and slices (a slice being a table), whatever the rows per
-    block, and every consumer, the pair table, grid, inference, sweep and
-    snapshots, gives the table and a slice of it what it gives the list and
-    the list's slice."""
+@given(pair_streams(), st.integers(min_value=1, max_value=15), ROW_BLOCKS)
+def test_an_event_table_reads_as_its_list(stream, window_len, block):
+    """An ``EventTable`` reads as the list of its events: the same length and
+    iteration, whatever the rows per block; ``EventTable.of`` takes a table
+    as it is; and every consumer, the pair table, grid, inference, sweep and
+    snapshots, gives the table what it gives the list."""
     events, cutoffs = stream
     table = EventTable.of(events)
     with mock.patch.object(inference, "ROW_BLOCK", block):
         assert len(table) == len(events) and list(table) == events
-        assert table == events and events == table and table == EventTable.of(table)
-        assert [table[i] for i in range(-len(events), len(events))] == events + events
-        part, want = table[slice(*bounds)], events[slice(*bounds)]
-        assert isinstance(part, EventTable) and len(part) == len(want) and list(part) == want
-        assert table != events[:-1] and table != [*events[:-1], ev("other", "x", 0)]
+        assert EventTable.of(table) is table
     pairs = [(key, [t for *_, t in rows]) for key, rows in itertools.groupby(
         sorted((e.source, e.target, e.time) for e in events), key=lambda row: row[:2])]
     assert pair_rows(PairTable(table)) == [(*key, times) for key, times in pairs]
     assert consumer_results(table, window_len, cutoffs) == consumer_results(
         events, window_len, cutoffs)
-    assert consumer_results(part, window_len, cutoffs) == consumer_results(
-        want, window_len, cutoffs)
 
 
 # Text a JSON encoder must escape: non-ASCII and astral characters, lone
@@ -378,20 +363,20 @@ EVENT_TIMES = st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2
                           JSON_TEXT), max_size=12), ROW_BLOCKS)
 def test_the_event_writer_spells_each_row_as_json(events, block):
     """events.jsonl, written by one template from the columns, has the bytes
-    of the generic encoder over each event's fields, for a list and for a
-    slice of its table, whatever the rows per block; reading it back gives
-    what ``json`` reads from those bytes (a surrogate pair reads back as one
-    character)."""
+    of the generic encoder over each event's fields, whatever the rows per
+    block; reading it back gives what ``json`` reads from those bytes (a
+    surrogate pair reads back as one character), and writing the table read
+    back gives the same bytes."""
     want = "".join(compact_json(row_dict(event)) + "\n" for event in events).encode()
     with mock.patch.object(inference, "ROW_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.jsonl"
         write_events_jsonl(events, path)
         assert path.read_bytes() == want
-        assert load_events_jsonl(path) == [InteractionEvent(**json.loads(line))
-                                           for line in want.splitlines()]
-        write_events_jsonl(EventTable.of(events)[1::2], path)
-        assert path.read_bytes() == "".join(
-            compact_json(row_dict(event)) + "\n" for event in events[1::2]).encode()
+        loaded = load_events_jsonl(path)
+        assert list(loaded) == [InteractionEvent(**json.loads(line))
+                                for line in want.splitlines()]
+        write_events_jsonl(loaded, path)
+        assert path.read_bytes() == want
 
 
 RUN_ARTIFACTS = ("edges.csv", "timeline.csv", "graph.graphml", "graph.edges.csv",
@@ -445,14 +430,14 @@ class TestExtractEvents:
         comments = [self.com("c1", "A", 150, "p1", "p1")]
         events, stats = extract_events(posts, comments)
         assert len(events) == 1
-        event = events[0]
+        [event] = events
         assert (event.source, event.target, event.time) == ("A", "B", 150)
 
     def test_self_reply_dropped(self):
         posts = [self.post("p1", "A", 100)]
         comments = [self.com("c1", "A", 150, "p1", "p1")]
         events, stats = extract_events(posts, comments)
-        assert events == []
+        assert list(events) == []
         assert stats.self_replies == 1
 
     def test_reply_chain_both_directions(self):
@@ -488,19 +473,19 @@ class TestExtractEvents:
 
     def test_orphan_counted(self):
         events, stats = extract_events([], [self.com("c1", "A", 9, "p9", "p9")])
-        assert events == [] and stats.orphans == 1
+        assert list(events) == [] and stats.orphans == 1
 
     def test_id_map_to_agents(self):
         posts = [self.post("p1", "B", 100)]
         comments = [self.com("c1", "A", 150, "p1", "p1")]
         events, _ = extract_events(posts, comments, {"A": "AG1", "B": "AG2"})
-        assert (events[0].source, events[0].target) == ("AG1", "AG2")
+        assert [(e.source, e.target) for e in events] == [("AG1", "AG2")]
 
     def test_same_agent_reply_is_self_reply(self):
         posts = [self.post("p1", "B", 100)]
         comments = [self.com("c1", "A", 150, "p1", "p1")]
         events, stats = extract_events(posts, comments, {"A": "AG", "B": "AG"})
-        assert events == [] and stats.self_replies == 1
+        assert list(events) == [] and stats.self_replies == 1
 
 
 class TestTimeline:
@@ -553,4 +538,4 @@ class TestPersistence:
         events = events_at([5, 10, 15], "x", "y")
         path = tmp_path / "events.jsonl"
         write_events_jsonl(events, path)
-        assert load_events_jsonl(path) == events
+        assert list(load_events_jsonl(path)) == events

@@ -34,14 +34,15 @@ from latentgraph.ingest import (
     load_dump,
     load_records,
     noise_mask,
-    record_sort_key,
     records_path,
     run_pipeline,
     snapshot,
+    sort_records,
     truncation_mask,
     write_stages,
 )
 from latentgraph.synthetic import make_synthetic_dump
+from oracles import record_sort_key
 
 
 def post(id, author="alice", t=100, text="a decent chunk of text", sub="s"):
@@ -514,8 +515,7 @@ class TestPersistence:
 
     def test_sort_key_total_order(self):
         records = [post("b", t=5), post("a", t=5), post("c", t=1)]
-        ordered = sorted(records, key=record_sort_key)
-        assert [r.id for r in ordered] == ["c", "a", "b"]
+        assert [r.id for r in sort_records(records)] == ["c", "a", "b"]
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         dump = make_synthetic_dump(30, 150, seed=13)
@@ -600,9 +600,9 @@ def ledger_views(records):
     """Every stage view and manifest, then the final stage's events and chains."""
     stages = run_pipeline(records)
     final = stages[-1].records
-    events = extract_events([r for r in final if r.kind is RecordKind.POST],
-                            [r for r in final if r.kind is RecordKind.COMMENT])
-    return ([(snap.records, snap.manifest) for snap in stages], events,
+    events, stats = extract_events([r for r in final if r.kind is RecordKind.POST],
+                                   [r for r in final if r.kind is RecordKind.COMMENT])
+    return ([(snap.records, snap.manifest) for snap in stages], (list(events), stats),
             extract_chains(final, top_k=100))
 
 
@@ -623,10 +623,9 @@ def test_any_input_order_gives_the_same_run(records):
 
 
 def test_only_the_ledger_orders_records():
-    """``record_sort_key`` is the one (created_utc, id) order: no other module
-    builds a sort key on ``created_utc``, and only a thread's time order uses
-    it; the ledger sorts by its two fields in two stable passes, which
-    ``test_the_ledger_sorts_by_record_sort_key`` checks against it."""
+    """``sort_records`` is the one (created_utc, id) order: no other function
+    sorts or builds a key on ``created_utc``, and the ledger and a thread's
+    time order both call it."""
     def scoped(node, scope):
         """Every node under ``node`` with the dotted name of its enclosing def."""
         for child in ast.iter_child_nodes(node):
@@ -635,31 +634,36 @@ def test_only_the_ledger_orders_records():
             yield from scoped(child, f"{scope}.{child.name}" if named else scope)
 
     def on_created_utc(node):
-        return isinstance(node, ast.Attribute) and node.attr == "created_utc"
+        """``node`` names ``created_utc``: as an attribute or as a string."""
+        return (isinstance(node, ast.Attribute) and node.attr == "created_utc"
+                or isinstance(node, ast.Constant) and node.value == "created_utc")
 
     src = Path(ingestmod.__file__).parent
-    keys, users = [], []
+    sorts, callers = set(), set()
     for path in sorted(src.glob("*.py")):
         for node, scope in scoped(ast.parse(path.read_text(encoding="utf-8")), path.stem):
-            if path.name != "ingest.py" and (
-                    (isinstance(node, ast.keyword) and node.arg == "key"
-                     and any(map(on_created_utc, ast.walk(node.value))))
+            if ((isinstance(node, ast.keyword) and node.arg == "key"
+                 and any(map(on_created_utc, ast.walk(node.value))))
                     or (isinstance(node, ast.Tuple) and node.elts
                         and on_created_utc(node.elts[0]))):
-                keys.append(f"{scope}:{node.lineno}")
-            if "record_sort_key" in (getattr(node, "id", None), getattr(node, "attr", None)):
-                users.append(scope)
-    assert keys == []
-    assert sorted(set(users)) == ["chains.group_threads"]
+                sorts.add(scope)
+            if isinstance(node, ast.Call) and "sort_records" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(scope)
+    assert sorts == {"ingest.sort_records"}
+    assert callers == {"ingest.build_ledger", "chains.group_threads"}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(1, 3),
                           st.sampled_from(RecordKind)), max_size=30))
 def test_the_ledger_sorts_by_record_sort_key(rows):
-    """The ledger's order is one stable sort by ``record_sort_key``: ties of
-    time and id, repeats included, keep their input order."""
+    """``sort_records``, and so the ledger's order, is one stable sort by the
+    oracle's ``record_sort_key`` over repeated times and ids of both kinds:
+    ties of time and id keep their input order, so a post that leads its
+    list wins a tie."""
     records = [RawRecord(rec_id, kind, f"u{i}", time, "text", "s")
                for i, (rec_id, time, kind) in enumerate(rows)]
-    ledger = ingestmod.build_ledger(records, [])
-    assert list(map(id, ledger.records)) == list(map(id, sorted(records, key=record_sort_key)))
+    want = list(map(id, sorted(records, key=record_sort_key)))
+    assert list(map(id, sort_records(records))) == want
+    assert list(map(id, ingestmod.build_ledger(records, []).records)) == want

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import RawRecord, RecordKind, atomic_write, decode_lines, open_input, read_id
-from .ingest import read_time, row_dict, write_csv
+from .ingest import read_time, row_dict, row_template, write_csv
 
 SECONDS_PER_DAY = 86400
 DEFAULT_MAYBE_MIN = 2
@@ -534,9 +534,7 @@ def write_timeline_csv(rows: Iterable[TimelineRow], path: str | Path) -> None:
 
 # An events.jsonl row: compact JSON of the EVENT_FIELDS, each string as
 # ``json`` spells it with ``ensure_ascii`` and the time as a whole number.
-_EVENT_ROW = "{%s}\n" % ",".join(
-    encode_basestring_ascii(f.name) + (":%d" if f.type == "int" else ":%s")
-    for f in fields(InteractionEvent))
+_EVENT_ROW = row_template(InteractionEvent)
 
 
 def write_events_jsonl(events: Iterable[InteractionEvent], path: str | Path) -> None:

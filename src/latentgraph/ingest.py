@@ -44,9 +44,10 @@ import re
 import sys
 from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -90,10 +91,21 @@ class RecordKind(str, Enum):
     COMMENT = "comment"
 
 
+_KINDS = {kind.value: kind for kind in RecordKind}
+
+
 def row_dict(row) -> dict:
     """A dataclass row's fields by name, in field order, for a JSON writer.
     Read by ``getattr``: the row types are slotted, with no ``__dict__``."""
     return {name: getattr(row, name) for name in row.__dataclass_fields__}
+
+
+def row_template(row_type) -> str:
+    """The ``%``-template of a dataclass row's compact JSON line, keys in field
+    order: ``%d`` for an ``int`` field, ``%s`` for a value given as JSON text."""
+    return "{%s}\n" % ",".join(
+        encode_basestring_ascii(f.name) + (":%d" if f.type == "int" else ":%s")
+        for f in fields(row_type))
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,9 +125,6 @@ class RawRecord:
     subreddit: str
     link_id: str | None = None
     parent_id: str | None = None
-
-    def to_dict(self) -> dict:
-        return row_dict(self)
 
 
 def sort_records(records: Iterable[RawRecord]) -> list[RawRecord]:
@@ -161,13 +170,23 @@ def _read_text(obj: dict, key: str) -> str:
     raise ValueError(f"{key} must be a string, got {value!r}")
 
 
+def _bare_fullname(value: str) -> str:
+    """An id less its Pushshift prefix, ``t3_`` (post) or ``t1_`` (comment)."""
+    return value[3:] if value.startswith(("t1_", "t3_")) else value
+
+
 def _read_fullname(obj: dict, key: str) -> str:
-    """``obj[key]`` as an id less its Pushshift prefix: ``t3_`` (post) or ``t1_`` (comment)."""
+    """``obj[key]`` as an id less its Pushshift prefix (see :func:`_bare_fullname`)."""
     value = read_id(obj, key)
-    bare = value[3:] if value.startswith(("t1_", "t3_")) else value
-    if bare:
+    if bare := _bare_fullname(value):
         return bare
     raise ValueError(f"{key} {value!r} names no post or comment")
+
+
+def _post_text(title: str, selftext: str) -> str:
+    """A post's text: its title and selftext; a ``[removed]``/``[deleted]`` selftext adds none."""
+    parts = (title, "" if selftext.strip() in DELETION_MARKERS else selftext)
+    return " ".join(part for part in parts if part)
 
 
 def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord:
@@ -179,11 +198,39 @@ def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord
     non-empty ``link_id`` and ``parent_id``.  Unknown fields are ignored.
 
     With ``dump_kind`` the line is a dump line of that kind: a post's text is
-    its title and selftext (a ``[removed]``/``[deleted]`` selftext adds none),
-    a comment's its body, and ``link_id``/``parent_id`` lose their Pushshift
-    prefix.  Without it the line is a stage-0 row as ``RawRecord.to_dict``
-    writes it.
+    its title and selftext (see :func:`_post_text`), a comment's its body, and
+    ``link_id``/``parent_id`` lose their Pushshift prefix.  Without it the line
+    is a stage-0 row as :func:`write_stages` writes it.
     """
+    # The guard: a line whose every field the rules read is in canonical form
+    # (an exact str, non-empty for an id; an exact int time > 0; a known kind)
+    # is a record at once.  Any other line is decided by the rule readers below.
+    if type(obj) is dict:
+        get = obj.get
+        kind, rec_id, author, created, subreddit = (
+            dump_kind, get("id"), get("author"), get("created_utc"), get("subreddit"))
+        if kind is None:
+            kind, text = get("kind"), get("text")
+            kind = type(kind) is str and _KINDS.get(kind)
+        elif kind is RecordKind.POST:
+            title, selftext = get("title"), get("selftext")
+            text = type(title) is str and type(selftext) is str and _post_text(title, selftext)
+        else:
+            text = get("body")
+        link_id = parent_id = None
+        if kind is RecordKind.COMMENT:
+            link_id, parent_id = get("link_id"), get("parent_id")
+            if dump_kind and type(link_id) is str and type(parent_id) is str:
+                link_id, parent_id = _bare_fullname(link_id), _bare_fullname(parent_id)
+        if (kind and type(rec_id) is str and rec_id and type(author) is str and author
+                and type(created) is int and created > 0 and type(text) is str
+                and type(subreddit) is str
+                and (kind is RecordKind.POST
+                     or type(link_id) is str and link_id and type(parent_id) is str and parent_id)):
+            # Authors, subreddits and links repeat across records: each distinct
+            # value is kept once.
+            return RawRecord(rec_id, kind, sys.intern(author), created, text, sys.intern(subreddit),
+                             link_id and sys.intern(link_id), parent_id and sys.intern(parent_id))
     if not isinstance(obj, dict) or "author" not in obj:
         raise ValueError(f"not a record with an author: {obj!r:.80}")
     kind = dump_kind or RecordKind(obj.get("kind"))
@@ -191,8 +238,7 @@ def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord
         text = _read_text(obj, "text")
     elif kind is RecordKind.POST:
         selftext = _read_text(obj, "selftext")
-        parts = (_read_text(obj, "title"), "" if selftext.strip() in DELETION_MARKERS else selftext)
-        text = " ".join(part for part in parts if part)
+        text = _post_text(_read_text(obj, "title"), selftext)
     else:
         text = _read_text(obj, "body")
     created = read_time(obj, "created_utc")
@@ -202,8 +248,6 @@ def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord
     if kind is RecordKind.COMMENT:
         read_link = read_id if dump_kind is None else _read_fullname
         links = (sys.intern(read_link(obj, "link_id")), sys.intern(read_link(obj, "parent_id")))
-    # Authors, subreddits and links repeat across records: each distinct value
-    # is kept once.
     return RawRecord(
         id=read_id(obj, "id"),
         kind=kind,
@@ -262,12 +306,28 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def parse_line(line: str) -> object:
+    """One JSONL line as ``json.loads(line)`` reads it, value or ValueError.  A
+    line that is one JSON value, then nothing or a "\n", is read by
+    ``raw_decode`` alone; any other goes to ``json.loads``."""
+    try:
+        value, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+        return value
+    return json.loads(line)
+
+
 def decode_lines(path: str | Path, what: str, decode: Callable[[object], object]) -> Iterator:
     """Every line of a JSONL file through ``decode``; a line it rejects with a
     ValueError is a SchemaError naming the file and line."""
     for n, line in numbered_lines(path, what):
         try:
-            value = decode(json.loads(line))
+            value = decode(parse_line(line))
         except ValueError as exc:
             raise SchemaError(f"{path}:{n}: bad {what}: {exc}") from exc
         yield value
@@ -282,7 +342,7 @@ def load_dump(path: str | Path, kind: RecordKind) -> tuple[list[RawRecord], int]
     skipped = 0
     for _, line in numbered_lines(path, "dump"):
         try:
-            records.append(decode_record(json.loads(line), kind))
+            records.append(decode_record(parse_line(line), kind))
         except ValueError:
             skipped += 1
     total = len(records) + skipped
@@ -526,6 +586,31 @@ def _json_lines(rows: Iterable) -> Iterator[str]:
     return (compact_json(row) + "\n" for row in rows)
 
 
+# The stage-0 and removal-ledger lines by template: the bytes of
+# ``compact_json`` of their dicts, each string escaped once, no dict per row.
+# A stage-0 fill lists the record's values in field order.
+_STAGE0_ROW = row_template(RawRecord)
+_LEDGER_ROW = '{"kind":%s,"id":%s,"reason":%s}\n'
+_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in RecordKind}
+
+
+def _stage0_lines(snap: StageSnapshot) -> Iterator[str]:
+    esc = encode_basestring_ascii
+    for r in snap.ledger.records:
+        yield _STAGE0_ROW % (
+            esc(r.id), _KIND_JSON[r.kind], esc(r.author), r.created_utc, esc(r.text),
+            esc(r.subreddit), "null" if r.link_id is None else esc(r.link_id),
+            "null" if r.parent_id is None else esc(r.parent_id))
+
+
+def _ledger_lines(snap: StageSnapshot) -> Iterator[str]:
+    ledger, esc = snap.ledger, encode_basestring_ascii
+    for code in snap.codes:
+        reason = esc(FILTERS[code][1])
+        for r in compress(ledger.records, (ledger.codes == code).tolist()):
+            yield _LEDGER_ROW % (_KIND_JSON[r.kind], esc(r.id), reason)
+
+
 def json_document(obj: object) -> Iterator[str]:
     """``obj`` as indented JSON with a trailing newline, streamed in chunks."""
     yield from _indented_json.iterencode(obj)
@@ -563,15 +648,8 @@ def write_stages(
         manifest_path(out, stage_id).unlink(missing_ok=True)
     with ExitStack() as files:
         for snap in stages:
-            ledger = snap.ledger
-            if snap.stage_id == 0:
-                rows = (rec.to_dict() for rec in ledger.records)
-            else:
-                rows = ({"kind": r.kind, "id": r.id, "reason": FILTERS[code][1]}
-                        for code in snap.codes
-                        for r in compress(ledger.records, (ledger.codes == code).tolist()))
             fh = files.enter_context(atomic_write(records_path(out, snap.stage_id)))
-            fh.writelines(_json_lines(rows))
+            fh.writelines((_ledger_lines if snap.stage_id else _stage0_lines)(snap))
             payload = {"stage_id": snap.stage_id, "post_count": snap.post_count,
                        "comment_count": snap.comment_count, "removed": snap.manifest}
             fh = files.enter_context(atomic_write(manifest_path(out, snap.stage_id)))
@@ -592,7 +670,9 @@ def _ledger_row(stage_id: int, removed: dict[RecordKind, dict[str, int]]
     def decode(obj: object) -> None:
         if not isinstance(obj, dict):
             raise ValueError(f"a ledger row must be a JSON object, got {type(obj).__name__}")
-        kind, rec_id, reason = RecordKind(obj.get("kind")), read_id(obj, "id"), obj.get("reason")
+        kind = obj.get("kind")
+        kind = (type(kind) is str and _KINDS.get(kind)) or RecordKind(kind)
+        rec_id, reason = read_id(obj, "id"), obj.get("reason")
         if (stage_id, reason) not in FILTERS:
             raise ValueError(f"reason {reason!r} is not a filter of stage {stage_id}")
         if rec_id in removed[kind]:

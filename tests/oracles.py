@@ -11,16 +11,20 @@ vectors from per-token counters instead of a bucket table, CSV fields
 spelled one by one instead of by the csv encoder, edges.csv rows read off
 each built edge instead of off the pair table's columns, k-means
 centroids as the mean of each cluster's copied rows instead of sums of the
-nonzeros, and the record order as one key tuple per record instead of two
-stable sorts.
+nonzeros, the record order as one key tuple per record instead of two
+stable sorts, the record decoder that sends every field through its rule
+reader instead of taking canonical lines at once, and stage files as
+``json.dumps`` of each row's dict instead of a row template.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
+import sys
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
@@ -42,7 +46,19 @@ from latentgraph.inference import (
     InteractionEvent,
     WindowGrid,
 )
-from latentgraph.ingest import RawRecord, write_csv
+from latentgraph.ingest import (
+    DELETED_AUTHOR,
+    DELETION_MARKERS,
+    FILTERS,
+    RawRecord,
+    RecordKind,
+    StageSnapshot,
+    _read_text,
+    read_id,
+    read_time,
+    row_dict,
+    write_csv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +643,65 @@ def oracle_write_edges_csv(edges: Iterable[FollowEdge], path: Path) -> None:
     """The per-edge edges.csv writer: every edge built first, then its
     ``EDGES_CSV_FIELDS`` read off by name."""
     write_csv(path, EDGES_CSV_FIELDS, map(attrgetter(*EDGES_CSV_FIELDS), list(edges)))
+
+
+# ---------------------------------------------------------------------------
+# Stage-0 codec
+# ---------------------------------------------------------------------------
+
+def _oracle_read_fullname(obj: dict, key: str) -> str:
+    value = read_id(obj, key)
+    bare = value[3:] if value.startswith(("t1_", "t3_")) else value
+    if bare:
+        return bare
+    raise ValueError(f"{key} {value!r} names no post or comment")
+
+
+def oracle_decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord:
+    """The record decoder with no guard: every field goes through its rule
+    reader, in the rules' order, so every error message is the reader's."""
+    if not isinstance(obj, dict) or "author" not in obj:
+        raise ValueError(f"not a record with an author: {obj!r:.80}")
+    kind = dump_kind or RecordKind(obj.get("kind"))
+    if dump_kind is None:
+        text = _read_text(obj, "text")
+    elif kind is RecordKind.POST:
+        selftext = _read_text(obj, "selftext")
+        parts = (_read_text(obj, "title"), "" if selftext.strip() in DELETION_MARKERS else selftext)
+        text = " ".join(part for part in parts if part)
+    else:
+        text = _read_text(obj, "body")
+    created = read_time(obj, "created_utc")
+    if created <= 0:
+        raise ValueError(f"created_utc must be positive, got {created}")
+    links = (None, None)
+    if kind is RecordKind.COMMENT:
+        read_link = read_id if dump_kind is None else _oracle_read_fullname
+        links = (sys.intern(read_link(obj, "link_id")), sys.intern(read_link(obj, "parent_id")))
+    return RawRecord(
+        id=read_id(obj, "id"),
+        kind=kind,
+        author=DELETED_AUTHOR if obj["author"] is None else sys.intern(read_id(obj, "author")),
+        created_utc=created,
+        text=text,
+        subreddit=sys.intern(_read_text(obj, "subreddit")),
+        link_id=links[0],
+        parent_id=links[1],
+    )
+
+
+def oracle_stage_text(snap: StageSnapshot) -> str:
+    """A stage's record file, each row's dict through ``json.dumps``: for stage
+    0 every ledger record, for a later stage a ``{"kind", "id", "reason"}`` row
+    per record that a filter of it removed, filter by filter in ledger order."""
+    ledger = snap.ledger
+    if snap.stage_id == 0:
+        rows = [row_dict(rec) for rec in ledger.records]
+    else:
+        rows = [{"kind": rec.kind, "id": rec.id, "reason": FILTERS[code][1]}
+                for code in snap.codes
+                for rec, rec_code in zip(ledger.records, ledger.codes.tolist()) if rec_code == code]
+    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from latentgraph.errors import DataError, SchemaError
 from latentgraph.inference import extract_events
 from latentgraph.ingest import (
     COMMENT_TRUNCATION,
+    DELETED_AUTHOR,
     DUPLICATE_REMOVAL,
     N_STAGES,
     BURST_LIMIT,
@@ -34,7 +35,9 @@ from latentgraph.ingest import (
     load_dump,
     load_records,
     noise_mask,
+    parse_line,
     records_path,
+    row_dict,
     run_pipeline,
     snapshot,
     sort_records,
@@ -42,7 +45,7 @@ from latentgraph.ingest import (
     write_stages,
 )
 from latentgraph.synthetic import make_synthetic_dump
-from oracles import record_sort_key
+from oracles import oracle_decode_record, oracle_stage_text, record_sort_key
 
 
 def post(id, author="alice", t=100, text="a decent chunk of text", sub="s"):
@@ -256,7 +259,151 @@ def raw_records(draw):
 
 @given(raw_records())
 def test_stage_row_decodes_to_the_encoded_record(rec):
-    assert decode_record(json.loads(compact_json(rec.to_dict()))) == rec
+    assert decode_record(json.loads(compact_json(row_dict(rec)))) == rec
+
+
+# ---------------------------------------------------------------------------
+# The stage-0 codec: the decoder's guard, the line parser and the row templates
+# ---------------------------------------------------------------------------
+
+class Text(str):
+    """A str subclass: the rules accept it where they accept a str, the guard never."""
+
+
+RECORD_KEYS = ("id", "kind", "author", "created_utc", "text", "title", "selftext", "body",
+               "subreddit", "link_id", "parent_id")
+ABSENT = object()
+
+# Values a field may hold that the rules may read differently from a plain one.
+ODD_VALUES = st.one_of(
+    st.sampled_from(["", "t1_", "t3_", "t1_x", "t3_t1_x", "12", "12.0", "-3", "1.5", "inf",
+                     "post", "comment", "POST", "[removed]", " [deleted] ", ABSENT]),
+    st.text(max_size=3).map(Text),
+    st.booleans(),
+    st.none(),
+    st.integers(-2**64, 2**64),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_LINK_VALUES = st.one_of(_ids, st.text().map(lambda s: "t3_" + s))
+VALID_VALUES = {
+    "id": st.text(min_size=1), "kind": st.sampled_from(["post", "comment"]),
+    "author": st.text(min_size=1), "created_utc": st.integers(1, 2**64),
+    "link_id": _LINK_VALUES, "parent_id": _LINK_VALUES,
+}
+
+
+class Row(dict):
+    """A dict subclass, as an ``object_hook`` might give."""
+
+
+@st.composite
+def parsed_lines(draw, odd_key):
+    """A parsed JSON line: mostly a record dict whose fields hold valid values
+    but ``odd_key`` and maybe one more, which hold odd values or are absent;
+    sometimes a dict subclass or no dict."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2)))
+    odd = {odd_key} | draw(st.sets(st.sampled_from(RECORD_KEYS), max_size=1))
+    values = {key: draw(ODD_VALUES if key in odd else VALID_VALUES.get(key, st.text()))
+              for key in RECORD_KEYS}
+    obj = {key: value for key, value in values.items() if value is not ABSENT}
+    return Row(obj) if draw(st.integers(0, 19)) == 0 else obj
+
+
+def decoded(decode, obj, dump_kind):
+    """What ``decode`` makes of ``obj``: each field's type and value, or the
+    type and message of the error it raises."""
+    try:
+        rec = decode(obj, dump_kind)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(type(value), value) for value in row_dict(rec).values()]
+
+
+@pytest.mark.parametrize("odd_key", RECORD_KEYS)
+@settings(max_examples=200)
+@given(data=st.data(), dump_kind=st.sampled_from([None, RecordKind.POST, RecordKind.COMMENT]))
+def test_decoder_matches_the_rule_reader_oracle(odd_key, data, dump_kind):
+    """The guard takes only lines that the rule readers would take unchanged:
+    every line decodes to the oracle's record, or fails with its error."""
+    obj = data.draw(parsed_lines(odd_key))
+    assert decoded(decode_record, obj, dump_kind) == decoded(oracle_decode_record, obj, dump_kind)
+
+
+def outcome(parse, line):
+    """What ``parse`` makes of ``line``: its value's repr, or its error."""
+    try:
+        return repr(parse(line))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+# Lines that parse as three items of one batch, yet each fails alone.
+BATCH_ONLY_LINES = ['{"a":[1', '2]}', '{},{}']
+LINE_PIECES = st.one_of(
+    st.builds(lambda value, ascii: json.dumps(value, ensure_ascii=ascii), JSON_VALUES,
+              st.booleans()),
+    st.sampled_from(["1,2", "{}x", "{} {}", '{"a":1}{"b":2}', "[]]", "nul", '"', "",
+                     *BATCH_ONLY_LINES]),
+)
+WHITESPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\ufeff"), max_size=2)
+
+
+@settings(max_examples=400)
+@given(WHITESPACE, LINE_PIECES, WHITESPACE, st.one_of(st.just(""), LINE_PIECES), WHITESPACE)
+def test_line_parser_matches_json_loads(lead, piece, gap, extra, trail):
+    line = lead + piece + gap + extra + trail
+    assert outcome(parse_line, line) == outcome(json.loads, line)
+
+
+def test_lines_that_parse_only_as_a_batch_are_each_rejected():
+    assert json.loads("[" + ",".join(BATCH_ONLY_LINES) + "]") == [{"a": [1, 2]}, {}, {}]
+    for line in BATCH_ONLY_LINES:
+        with pytest.raises(ValueError):
+            parse_line(line + "\n")
+
+
+# Strings that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates.
+ESCAPED_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé😀'),
+                                 st.characters(blacklist_categories=())), max_size=6)
+
+
+@st.composite
+def codec_records(draw):
+    kind = draw(st.sampled_from(RecordKind))
+    comment = kind is RecordKind.COMMENT
+    return RawRecord(
+        id=draw(ESCAPED_TEXT), kind=kind,
+        author=draw(st.one_of(st.sampled_from(["alice", DELETED_AUTHOR]), ESCAPED_TEXT)),
+        created_utc=draw(st.integers(-2**70, 2**70)),
+        text=draw(st.one_of(st.sampled_from(["a decent chunk of text", "[removed]"]),
+                            ESCAPED_TEXT)),
+        subreddit=draw(ESCAPED_TEXT),
+        link_id=draw(ESCAPED_TEXT) if comment else None,
+        parent_id=draw(ESCAPED_TEXT) if comment else None,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(codec_records(), max_size=12))
+def test_stage_files_are_the_per_row_json_bytes(records):
+    """The row templates write the bytes of ``json.dumps`` of each stage-0 row's
+    dict and each removal-ledger row's ``{"kind", "id", "reason"}``."""
+    stages = run_pipeline(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_stages(stages, Path(tmp))
+        for snap in stages:
+            assert records_path(Path(tmp), snap.stage_id).read_bytes() == \
+                oracle_stage_text(snap).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

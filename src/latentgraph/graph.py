@@ -4,8 +4,10 @@ A graph snapshot is immutable: its nodes and the classified follow edges it
 admitted, each weighted by the pair's interaction count
 (``FollowEdge.weight``, its ``total_comments``).  Its undirected projection
 (``InteractionGraph.projection``) is built once per graph, on first use, and
-serves every undirected metric.  Exports are bit-stable: nodes and edges are
-always written in sorted order so identical inputs produce identical files.
+serves every undirected metric; ``InteractionGraph.csr`` holds the same
+adjacency as int arrays, for the array kernels.  Exports are bit-stable:
+nodes and edges are always written in sorted order so identical inputs
+produce identical files.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 from xml.etree import ElementTree
-from xml.sax.saxutils import escape, quoteattr
+
+import numpy as np
 
 from .errors import DataError
 from .inference import GRAPH_EDGES_CSV_FIELDS, FollowEdge, FollowStatus, load_edges_csv
@@ -72,6 +76,17 @@ class InteractionGraph:
             adj[edge.source][edge.target] = adj[edge.source].get(edge.target, 0.0) + w
             adj[edge.target][edge.source] = adj[edge.target].get(edge.source, 0.0) + w
         return adj
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The projection as arrays over node codes, each node's rank in
+        ``nodes``, built on first use: node ``i``'s neighbours, ascending,
+        are ``indices[indptr[i]:indptr[i + 1]]``.  Returns ``(indptr,
+        indices)``, int64 both."""
+        code = {node: i for i, node in enumerate(self.nodes)}
+        rows = [sorted(map(code.__getitem__, self.projection[node])) for node in self.nodes]
+        indptr = np.fromiter(accumulate(map(len, rows), initial=0), np.int64, len(rows) + 1)
+        return indptr, np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
 
 
 def _admits(edge: FollowEdge, include: EdgeClass = EdgeClass.ALL) -> bool:
@@ -143,6 +158,23 @@ def load_graph_edges_csv(path: str | Path) -> InteractionGraph:
     return _rebuild(path, load_edges_csv(path, weighted=True))
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` as a quoted XML attribute value: escaped, with newline,
+    carriage return and tab as character references, in double quotes unless
+    it holds a double quote and no single one."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
     """Hand-rolled GraphML writer so output stays byte-stable.
 
@@ -156,13 +188,13 @@ def write_graphml(graph: InteractionGraph, path: str | Path) -> None:
         '  <graph id="G" edgedefault="directed">',
     ]
     for node in graph.nodes:
-        lines.append(f"    <node id={quoteattr(node)}/>")
+        lines.append(f"    <node id={_quoteattr(node)}/>")
     for edge in graph.edges:
         lines.append(
-            f"    <edge source={quoteattr(edge.source)} target={quoteattr(edge.target)}>"
+            f"    <edge source={_quoteattr(edge.source)} target={_quoteattr(edge.target)}>"
         )
         lines.append(f'      <data key="weight">{edge.weight}</data>')
-        lines.append(f'      <data key="status">{escape(edge.status.value)}</data>')
+        lines.append(f'      <data key="status">{_escape(edge.status.value)}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")

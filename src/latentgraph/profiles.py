@@ -22,6 +22,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -35,8 +37,21 @@ RESIDUAL_LABEL = "GeneralChat"
 KMEANS_MAX_ITER = 100
 TOP_KEYWORDS = 10
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
+# Records per ``term_table`` block.  A block's texts are joined and read in
+# one pass, so its transients (the joined text, its tokens) stay a few
+# hundred KiB on texts of forum length.
+TEXT_BLOCK = 1 << 9
+
+# Every byte that is not in ``[a-z0-9]`` becomes a space.
+_WORD_BYTES = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                    for c in range(256))
+# In texts joined by "\0", and closed by one: a sentence break is a '.', '!'
+# or '?' that whitespace and more of its text follow; a text's last sentence
+# ends in '?' or '!' when only whitespace follows that mark.  Two patterns,
+# since ``re`` scans for the first character of each apart but not of an
+# alternation of them.
+_BREAK_RE = re.compile(r"[.!?](?=\s+[^\s\0])")
+_FINAL_RE = re.compile(r"[?!](?=\s*\0)")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -52,9 +67,57 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercased alphanumeric tokens."""
-    return _TOKEN_RE.findall(text.lower())
+def _joined(texts: Sequence[str]) -> str:
+    """``texts`` joined by "\0"; a "\0" inside a text becomes "\1", which
+    tokenizes and splits sentences the same."""
+    joined = "\0".join(texts)
+    if joined.count("\0") >= len(texts):
+        joined = "\0".join(text.replace("\0", "\1") for text in texts)
+    return joined
+
+
+def tokenize(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The lowercased alphanumeric tokens of ``texts``, text after text, and
+    each text's token count (int64).
+
+    One pass over the joined texts: lowercased once, encoded to UTF-8 (lone
+    surrogates included), every byte outside ``[a-z0-9]`` made a space, and
+    split.  A token starts where a space byte is followed by another byte,
+    so each text's count is the number of starts before the "\0" that ends
+    it.
+    """
+    data = _joined(texts).lower().encode("utf-8", "surrogatepass")
+    words = data.translate(_WORD_BYTES)
+    inside = np.frombuffer(b" " + words, np.uint8) != 32
+    starts = np.flatnonzero(inside[1:] > inside[:-1])
+    ends = np.append(np.flatnonzero(np.frombuffer(data, np.uint8) == 0), len(data))
+    counts = np.diff(np.searchsorted(starts, ends[:len(texts)]), prepend=0)
+    return words.decode("ascii").split(), counts
+
+
+def _sentence_counts(texts: Sequence[str]) -> np.ndarray:
+    """Each text's sentences, questions and exclamations, as columns (int64).
+
+    A text splits into sentences after each '.', '!' or '?' that whitespace
+    follows, once its ends are stripped; a sentence is a question or an
+    exclamation when it ends in '?' or '!'.
+    """
+    joined = _joined(texts) + "\0"
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    ends = np.cumsum(lengths + 1) - 1  # the "\0" after each text
+    blank = np.fromiter(map(str.isspace, texts), bool, len(texts)) | (lengths == 0)
+    counts = np.zeros((len(texts), 3), dtype=np.int64)
+    counts[:, 0] = ~blank
+    for regex in (_BREAK_RE, _FINAL_RE):
+        matches = list(regex.finditer(joined))
+        text_of = np.searchsorted(ends, np.fromiter(map(re.Match.start, matches), np.int64,
+                                                    len(matches)))
+        mark = np.frombuffer("".join(map(re.Match.group, matches)).encode("ascii"), np.uint8)
+        if regex is _BREAK_RE:
+            np.add.at(counts[:, 0], text_of, 1)
+        np.add.at(counts[:, 1], text_of[mark == ord("?")], 1)
+        np.add.at(counts[:, 2], text_of[mark == ord("!")], 1)
+    return counts
 
 
 def token_bucket(token: str, dim: int) -> int:
@@ -170,34 +233,39 @@ def term_table(
 ) -> tuple[TermTable, dict[int, Counter], dict[str, TextCounts]]:
     """One pass over the records' texts: term table, vocabulary and counts.
 
-    ``tokenize`` runs once per record; each distinct token is hashed once.
-    The bucket -> original-token dictionary is what lets keywords come back
-    out of the hashed space.  Sentences split on whitespace only, so a
-    text's tokens are its sentences' tokens.  Counts are keyed by author.
+    Each block of ``TEXT_BLOCK`` records goes through ``tokenize`` once and
+    has its sentences counted once; each distinct token is hashed once.
+    Token ids and the vocabulary follow the order in which tokens first
+    appear.  The bucket -> original-token dictionary is what lets keywords
+    come back out of the hashed space.  Sentences split on whitespace only,
+    so a text's tokens are its sentences' tokens.  Counts are keyed by
+    author and summed per author within each block.
     """
     _check_dim(dim)
-    lexicon = lexicon or {}
+    emotions = sorted(set((lexicon or {}).values()))
+    emotion_code = {term: emotions.index(emotion) for term, emotion in (lexicon or {}).items()}
     id_of = _TokenIds()
     # One growing buffer, kept as the table: large temporaries freed here
     # would stay resident through clustering.
     token_ids = array("i")
     offsets = np.zeros(len(records) + 1, dtype=np.int64)
-    tallies: dict[str, list] = {}  # author -> [tokens, sentences, questions, exclamations, hits]
-    for row, rec in enumerate(records, start=1):
-        tokens = tokenize(rec.text)
+    users = tuple(sorted(set(map(attrgetter("author"), records))))
+    user_of = np.fromiter(map({user: i for i, user in enumerate(users)}.__getitem__,
+                              map(attrgetter("author"), records)), np.int32, len(records))
+    tallies = np.zeros((len(users), 4), dtype=np.int64)  # tokens, sentences, ?, !
+    hits = np.zeros((len(users), len(emotions)), dtype=np.int64)
+    for first in range(0, len(records), TEXT_BLOCK):
+        texts = [rec.text for rec in records[first:first + TEXT_BLOCK]]
+        owners = user_of[first:first + len(texts)]
+        tokens, counts = tokenize(texts)
         token_ids.extend(map(id_of.__getitem__, tokens))
-        offsets[row] = len(token_ids)
-        tally = tallies.get(rec.author)
-        if tally is None:
-            tally = tallies[rec.author] = [0, 0, 0, 0, Counter()]
-        tally[0] += len(tokens)
-        for segment in _SENTENCE_RE.split(rec.text.strip()):
-            if segment:
-                tally[1] += 1
-                tally[2] += segment.endswith("?")
-                tally[3] += segment.endswith("!")
-        if lexicon:
-            tally[4].update(lexicon[t] for t in tokens if t in lexicon)
+        offsets[first + 1:first + len(texts) + 1] = offsets[first] + np.cumsum(counts)
+        np.add.at(tallies, owners, np.column_stack((counts, _sentence_counts(texts))))
+        if emotions:
+            emotion = np.fromiter(map(emotion_code.get, tokens, repeat(-1)), np.int64,
+                                  len(tokens))
+            hit = emotion >= 0
+            np.add.at(hits, (np.repeat(owners, counts)[hit], emotion[hit]), 1)
     tokens = list(id_of)
     bucket_of_id = np.fromiter((token_bucket(t, dim) for t in tokens), np.int32, len(tokens))
     totals = np.zeros(len(tokens), dtype=np.int64)
@@ -209,11 +277,10 @@ def term_table(
     vocab: dict[int, Counter] = {}
     for token, bucket, n in zip(tokens, bucket_of_id.tolist(), totals.tolist()):
         vocab.setdefault(bucket, Counter())[token] = n
-    users = tuple(sorted(tallies))
-    index = {user: i for i, user in enumerate(users)}
-    user_of = np.fromiter((index[rec.author] for rec in records), np.int32, len(records))
     table = TermTable(dim, ids, offsets, users, user_of)
-    return table, vocab, {user: TextCounts(*tallies[user]) for user in users}
+    return table, vocab, {
+        user: TextCounts(*tally, Counter({emotions[e]: n for e, n in enumerate(row) if n}))
+        for user, tally, row in zip(users, tallies.tolist(), hits.tolist())}
 
 
 def build_user_vectors(table: TermTable) -> UserVectors:

@@ -2,19 +2,20 @@
 
 Each oracle deliberately takes a different computational route than the
 library: window materialization instead of index arithmetic, Floyd-Warshall
-instead of BFS, triple loops instead of adjacency intersection, exhaustive
-partition search instead of greedy merging, a greedy modularity run that
-rebuilds its community-pair table after every merge instead of updating it,
-path collection by dynamic programming instead of DFS enumeration, a chain
-walk that enters every child instead of only those with a sink in reach, term
-vectors from per-token counters instead of a bucket table, CSV fields
-spelled one by one instead of by the csv encoder, edges.csv rows read off
-each built edge instead of off the pair table's columns, k-means
+instead of a bit-parallel BFS, triple loops instead of adjacency
+intersection, exhaustive partition search instead of greedy merging, a greedy
+modularity run that rebuilds its community-pair table after every merge
+instead of updating it, path collection by dynamic programming instead of DFS
+enumeration, a chain walk that enters every child instead of only those with
+a sink in reach, term vectors from per-token counters instead of a bucket
+table, the term table read one text at a time instead of in joined blocks,
+CSV fields spelled one by one instead of by the csv encoder, edges.csv rows
+read off each built edge instead of off the pair table's columns, k-means
 centroids as the mean of each cluster's copied rows instead of sums of the
-nonzeros, the record order as one key tuple per record instead of two
-stable sorts, the record decoder that sends every field through its rule
-reader instead of taking canonical lines at once, and stage files as
-``json.dumps`` of each row's dict instead of a row template.
+nonzeros, the record order as one key tuple per record instead of two stable
+sorts, the record decoder that sends every field through its rule reader
+instead of taking canonical lines at once, and stage files as ``json.dumps``
+of each row's dict instead of a row template.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from latentgraph.ingest import (
     row_dict,
     write_csv,
 )
+from latentgraph.profiles import DEFAULT_DIM, TermTable, TextCounts
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +178,10 @@ def oracle_clustering(graph: InteractionGraph) -> float:
     return total / n
 
 
-def oracle_avg_path_length(graph: InteractionGraph) -> float | None:
-    """Floyd-Warshall all-pairs distances on the undirected projection."""
+def oracle_path_sums(graph: InteractionGraph) -> tuple[int, int]:
+    """(sum of the distances, count) over the ordered reachable pairs of
+    distinct nodes: Floyd-Warshall all-pairs distances on the undirected
+    projection."""
     _, a = _undirected_matrix(graph)
     n = a.shape[0]
     dist = np.full((n, n), np.inf)
@@ -186,9 +190,13 @@ def oracle_avg_path_length(graph: InteractionGraph) -> float | None:
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
     mask = np.isfinite(dist) & ~np.eye(n, dtype=bool)
-    if not mask.any():
-        return None
-    return float(dist[mask].mean())
+    return int(dist[mask].sum()), int(mask.sum())
+
+
+def oracle_avg_path_length(graph: InteractionGraph) -> float | None:
+    """The mean distance over ordered reachable pairs; None without one."""
+    total, pairs = oracle_path_sums(graph)
+    return total / pairs if pairs else None
 
 
 def oracle_triangle_count(graph: InteractionGraph) -> int:
@@ -603,6 +611,48 @@ def oracle_term_counts(texts: Sequence[str], rows: Sequence[int], owners: Sequen
         for token in _WORD.findall(texts[row].lower()):
             counts[owner, oracle_fnv1a(token.encode("utf-8")) % dim] += 1
     return sorted((owner, bucket, n) for (owner, bucket), n in counts.items())
+
+
+_TOKEN = re.compile(r"[a-z0-9]+")
+_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+
+
+def oracle_term_table(
+    records: Sequence[RawRecord],
+    dim: int = DEFAULT_DIM,
+    lexicon: Mapping[str, str] | None = None,
+) -> tuple[TermTable, dict[int, Counter], dict[str, TextCounts]]:
+    """``profiles.term_table`` one record at a time: one ``findall`` per
+    text for its tokens, one split per stripped text for its sentences, and
+    one running tally per author."""
+    lexicon = lexicon or {}
+    id_of: dict[str, int] = {}
+    token_ids: list[int] = []
+    offsets = [0]
+    tallies: dict[str, list] = {}  # author -> [tokens, sentences, questions, exclamations, hits]
+    for rec in records:
+        tokens = _TOKEN.findall(rec.text.lower())
+        token_ids.extend(id_of.setdefault(token, len(id_of)) for token in tokens)
+        offsets.append(len(token_ids))
+        tally = tallies.setdefault(rec.author, [0, 0, 0, 0, Counter()])
+        tally[0] += len(tokens)
+        for segment in _SENTENCE_SPLIT.split(rec.text.strip()):
+            if segment:
+                tally[1] += 1
+                tally[2] += segment.endswith("?")
+                tally[3] += segment.endswith("!")
+        tally[4].update(lexicon[t] for t in tokens if t in lexicon)
+    bucket_of_id = [oracle_fnv1a(token.encode("utf-8")) % dim for token in id_of]
+    totals = Counter(token_ids)
+    vocab: dict[int, Counter] = {}
+    for token, token_id in id_of.items():
+        vocab.setdefault(bucket_of_id[token_id], Counter())[token] = totals[token_id]
+    users = tuple(sorted(tallies))
+    index = {user: i for i, user in enumerate(users)}
+    table = TermTable(dim, np.array([bucket_of_id[i] for i in token_ids], dtype=np.int32),
+                      np.array(offsets, dtype=np.int64), users,
+                      np.array([index[rec.author] for rec in records], dtype=np.int32))
+    return table, vocab, {user: TextCounts(*tallies[user]) for user in users}
 
 
 # ---------------------------------------------------------------------------

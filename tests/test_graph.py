@@ -1,9 +1,15 @@
 import gzip
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentgraph import graph as graphmod
 from latentgraph.graph import (
     EdgeClass,
     InteractionGraph,
@@ -258,3 +264,24 @@ class TestExport:
         write_graphml(g, path)
         loaded = load_graphml(path)
         assert 'we"ird<&' in loaded.nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(list("&<>\"'\n\r\t") + ["&amp;", "\u00e9", "\u2028"]),
+                          st.characters()), max_size=12).map("".join))
+def test_xml_escapes_match_saxutils(text):
+    """GraphML escapes with its own two functions; they spell every string as
+    ``xml.sax.saxutils`` does."""
+    assert graphmod._escape(text) == saxutils.escape(text)
+    assert graphmod._quoteattr(text) == saxutils.quoteattr(text)
+
+
+def test_importing_the_package_loads_no_network_modules():
+    """``import latentgraph`` pulls in no URL, HTTP or TLS module."""
+    probe = ("import sys, latentgraph; "
+             "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(graphmod.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -36,6 +36,7 @@ from latentgraph.ingest import (
     run_pipeline,
     write_stages,
 )
+from latentgraph.profiles import term_table
 from latentgraph.synthetic import make_synthetic_dump
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,3 +161,18 @@ def test_pair_edges_hold_no_per_pair_array():
         tracemalloc.stop()
     assert len(edges) > 1000
     assert held < 1024, held
+
+
+def test_term_table_transients_stay_per_block():
+    """``term_table`` over the 10k-post / 60k-comment final records peaks at
+    most 2 MiB above what it returns: each block's joined text and tokens
+    are let go before the next, and counts are summed per author."""
+    records = list(run_pipeline(make_synthetic_dump(10_000, 60_000, seed=0).records)[-1].records)
+    tracemalloc.start()
+    try:
+        result = term_table(records)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0].offsets) == len(records) + 1
+    assert peak - held <= 2 * 1024 * 1024, (peak - held)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +33,7 @@ from oracles import (
     oracle_modularity,
     oracle_optimize_partition,
     oracle_pair_weights,
+    oracle_path_sums,
     oracle_projection,
     oracle_reciprocity,
     oracle_triangle_count,
@@ -130,6 +132,35 @@ class TestAvgPathLength:
     def test_edgeless_undefined(self):
         with pytest.raises(UndefinedMetricError):
             avg_path_length(make_graph([], nodes=["a", "b"]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(65, 300), st.integers(1, 5), st.floats(0.0, 0.08),
+           st.floats(0.0, 0.3), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, metricsmod.PATH_BLOCK_BYTES]))
+    def test_integer_sums_over_integer_pairs(self, n, parts, p_extra, p_alone, seed, block):
+        """The mean is exactly the oracle's distance sum over its pair count,
+        on graphs of 65-300 nodes with isolated nodes and several components,
+        so one chunk of sources spans several words, or, with a block of one
+        byte, several one-word chunks run."""
+        rng = random.Random(seed)
+        nodes = [f"n{i:03d}" for i in range(n)]
+        part_of = {v: rng.randrange(parts) for v in nodes if rng.random() >= p_alone}
+        pairs = set()
+        for part in range(parts):
+            members = [v for v in nodes if part_of.get(v) == part]
+            rng.shuffle(members)
+            # A random tree spans each part, so long paths occur.
+            pairs.update((members[rng.randrange(i)], v) for i, v in enumerate(members) if i)
+            pairs.update((u, v) for u, v in itertools.permutations(members, 2)
+                         if rng.random() < p_extra)
+        g = make_graph(sorted(pairs), nodes=nodes)
+        total, count = oracle_path_sums(g)
+        with mock.patch.object(metricsmod, "PATH_BLOCK_BYTES", block):
+            if count == 0:
+                with pytest.raises(UndefinedMetricError):
+                    avg_path_length(g)
+            else:
+                assert avg_path_length(g) == total / count
 
 
 class TestDegreeRanking:
@@ -400,6 +431,15 @@ class TestAdjacencyHelpers:
         g = make_graph([("a", "b"), ("b", "a"), ("b", "c")], weights=[2, 5, 3])
         assert g.projection == {"a": {"b": 7.0}, "b": {"a": 7.0, "c": 3.0}, "c": {"b": 3.0}}
         assert all(type(w) is float for nbrs in g.projection.values() for w in nbrs.values())
+
+    def test_csr_lists_the_projection(self):
+        g = random_digraph(random.Random(13), 30, 0.08)
+        indptr, indices = g.csr
+        code = {node: i for i, node in enumerate(g.nodes)}
+        assert indptr[0] == 0 and len(indptr) == g.node_count + 1
+        for node in g.nodes:
+            row = indices[indptr[code[node]]:indptr[code[node] + 1]].tolist()
+            assert row == sorted(code[v] for v in g.projection[node])
 
     def test_triangles_sorted_and_complete(self):
         # K4 on a..d plus a pendant edge d-e: the four triangles of K4, each once.

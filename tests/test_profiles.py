@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,13 @@ from latentgraph.profiles import (
     TextCounts,
 )
 from latentgraph.synthetic import make_synthetic_dump, write_lexicon_csv
-from oracles import oracle_fnv1a, oracle_kmeans, oracle_term_counts, oracle_term_vector
+from oracles import (
+    oracle_fnv1a,
+    oracle_kmeans,
+    oracle_term_counts,
+    oracle_term_table,
+    oracle_term_vector,
+)
 
 
 # JSON text of ``vector`` values that are not a non-empty 1-D list of finite
@@ -139,7 +146,9 @@ class TestVectorize:
             term_table(records_of({"u": ["x"]}), 8)
 
     def test_tokenizer_lowercases_alnum(self):
-        assert tokenize("Hello, WORLD-42!") == ["hello", "world", "42"]
+        tokens, counts = tokenize(["Hello, WORLD-42!", "", "\u212aelvin\x00x", "?!"])
+        assert tokens == ["hello", "world", "42", "kelvin", "x"]
+        assert counts.tolist() == [3, 0, 2, 0]
 
     def test_bucket_stable(self):
         assert token_bucket("solar", 4096) == oracle_fnv1a(b"solar") % 4096
@@ -556,12 +565,14 @@ def test_user_rows_and_clustering_hold_no_dense_user_matrix():
 # ---------------------------------------------------------------------------
 
 def counting_tokenize(monkeypatch):
+    """The texts ``profiles.tokenize`` is given, one entry per text, over all
+    of its calls."""
     calls = []
     real = profiles.tokenize
 
-    def tokenize_counted(text):
-        calls.append(text)
-        return real(text)
+    def tokenize_counted(texts):
+        calls.extend(texts)
+        return real(texts)
 
     monkeypatch.setattr(profiles, "tokenize", tokenize_counted)
     return calls
@@ -669,7 +680,7 @@ _PIECES = st.one_of(
     st.sampled_from([
         "angry", "Happy", "calm", "word", "42", " ", "  ", "\t", "\n", "\u00a0",
         "\u2003", "\u3000", "\u2028", "\x85", "\x1c", ".", "!", "?", "...", "?!",
-        "!?", "İ", "Σ", "ΣA", "aΣ", "İi", "ß", "ﬁ",
+        "!?", "İ", "Σ", "ΣA", "aΣ", "İi", "ß", "ﬁ", "\x00", "\x01", "\ud800", "\u212a",
     ]),
     st.characters(codec="utf-8"),
 )
@@ -726,6 +737,30 @@ def test_term_counts_match_the_per_token_counter(texts, picks, dim):
     got = table.counts(np.array(rows, dtype=np.int64), np.array(owners, dtype=np.int64))
     assert list(zip(*(column.tolist() for column in got))) == oracle_term_counts(
         texts, rows, owners, dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u10"]),
+                          st.lists(_PIECES, max_size=12).map("".join)), max_size=10),
+       st.dictionaries(st.sampled_from(["angry", "happy", "calm", "word", "42", "k", "i"]),
+                       st.sampled_from(["anger", "joy", "fear"])),
+       st.sampled_from([1, 3, profiles.TEXT_BLOCK]), st.sampled_from([16, 4096]))
+@example([("u1", "a?\x00 b"), ("u2", ""), ("u1", "\u212a! \ud800 x. ")], {"k": "joy"}, 1, 16)
+def test_term_table_matches_the_per_record_oracle(rows, lexicon, block, dim):
+    """Blocks of any size give the per-record pass's table, vocabulary (in
+    its insertion order) and counts."""
+    records = [RawRecord(id=f"r{i}", kind=RecordKind.POST, author=author, created_utc=i,
+                         text=text, subreddit="s") for i, (author, text) in enumerate(rows)]
+    with mock.patch.object(profiles, "TEXT_BLOCK", block):
+        table, vocab, counts = term_table(records, dim, lexicon)
+    want_table, want_vocab, want_counts = oracle_term_table(records, dim, lexicon)
+    assert (table.dim, table.users) == (want_table.dim, want_table.users)
+    for name in ("buckets", "offsets", "user_of"):
+        got, want = getattr(table, name), getattr(want_table, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    assert [(b, list(c.items())) for b, c in vocab.items()] == [
+        (b, list(c.items())) for b, c in want_vocab.items()]
+    assert list(counts.items()) == list(want_counts.items())
 
 
 def test_run_all_tokenizes_each_final_record_once(monkeypatch, dump_files, tmp_path):

@@ -12,6 +12,7 @@ produce identical files.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -210,7 +211,7 @@ def _required(source: Path, value: str | None, missing: str) -> str:
 
 def load_graphml(path: str | Path) -> InteractionGraph:
     """The graph of a GraphML file as ``write_graphml`` writes it: every node
-    has an id, and every edge its source, target, weight and status."""
+    has an id of its own, and every edge its source, target, weight and status."""
     source = Path(path)
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     try:
@@ -223,6 +224,9 @@ def load_graphml(path: str | Path) -> InteractionGraph:
         raise DataError(f"{source}: no <graph> element")
     nodes = [_required(source, node_el.get("id"), "a <node> has no id")
              for node_el in graph_el.findall("g:node", ns)]
+    repeated = sorted(node for node, n in Counter(nodes).items() if n > 1)
+    if repeated:
+        raise DataError(f"{source}: <node> ids {repeated} are declared more than once")
     edges = []
     for edge_el in graph_el.findall("g:edge", ns):
         ends = [_required(source, edge_el.get(end), f"an <edge> has no {end}")

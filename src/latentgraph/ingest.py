@@ -148,16 +148,16 @@ def read_id(obj: dict, key: str) -> str:
 
 
 def read_time(obj: dict, key: str) -> int:
-    """``obj[key]`` as whole seconds: an int, or a float or numeric string with
-    no fraction, but never a bool."""
+    """``obj[key]`` as positive whole seconds: an int, or a float or numeric
+    string with no fraction, but never a bool."""
     value = obj.get(key)
     if isinstance(value, str) and _WHOLE_NUMBER_RE.fullmatch(value):
         value = int(value.partition(".")[0])
     elif isinstance(value, float) and value.is_integer():
         value = int(value)
-    if type(value) is int:
+    if type(value) is int and value > 0:
         return value
-    raise ValueError(f"{key} must be a whole number, got {value!r}")
+    raise ValueError(f"{key} must be a positive whole number, got {value!r}")
 
 
 def _read_text(obj: dict, key: str) -> str:
@@ -242,8 +242,6 @@ def decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord
     else:
         text = _read_text(obj, "body")
     created = read_time(obj, "created_utc")
-    if created <= 0:
-        raise ValueError(f"created_utc must be positive, got {created}")
     links = (None, None)
     if kind is RecordKind.COMMENT:
         read_link = read_id if dump_kind is None else _read_fullname

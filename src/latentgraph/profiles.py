@@ -553,14 +553,12 @@ def _share(part: int, whole: int) -> float:
     return part / whole if whole else 0.0
 
 
-def top_terms(
-    centroid: np.ndarray, vocab: Mapping[int, Counter], top_k: int = TOP_KEYWORDS
-) -> list[str]:
-    """Highest-weight centroid buckets mapped back to their dominant token."""
+def top_terms(centroid: np.ndarray, vocab: Mapping[int, Counter]) -> list[str]:
+    """The ``TOP_KEYWORDS`` highest-weight centroid buckets as their dominant tokens."""
     nonzero = [(float(-centroid[b]), b) for b in np.flatnonzero(centroid)]
     nonzero.sort()
     terms = []
-    for _, bucket in nonzero[:top_k]:
+    for _, bucket in nonzero[:TOP_KEYWORDS]:
         counter = vocab.get(int(bucket))
         if not counter:
             continue

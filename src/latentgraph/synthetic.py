@@ -69,6 +69,8 @@ BOT_NAMES = ["AutoModerator", "newsbot", "tickerbot", "modbot"]
 
 _EPOCH_START = 1_577_836_800  # 2020-01-01 UTC
 _SPAN_SECONDS = 2 * 365 * 86400
+_SUBREDDIT = "synthetic"
+_MAX_PER_POST = 10  # run_pipeline's default cap, which the over-long threads exceed
 
 
 @dataclass
@@ -78,7 +80,6 @@ class SyntheticDump:
     expected_removed: dict[int, dict[str, int]]
     expected_counts: list[tuple[int, int]]  # (posts, comments) per stage 0..3
     planted: dict[str, int] = field(default_factory=dict)
-    prolific_authors: list[str] = field(default_factory=list)
 
     @property
     def records(self) -> list[RawRecord]:
@@ -106,8 +107,8 @@ def write_lexicon_csv(path: str | Path) -> Path:
     return Path(path)
 
 
-def _sentence(rng: random.Random, vocab: list[str], n_lo: int = 5, n_hi: int = 11) -> str:
-    words = [rng.choice(vocab) for _ in range(rng.randint(n_lo, n_hi))]
+def _sentence(rng: random.Random, vocab: list[str]) -> str:
+    words = [rng.choice(vocab) for _ in range(rng.randint(5, 11))]
     if rng.random() < 0.25:
         words.append(rng.choice(FILLER_WORDS))
     if rng.random() < 0.12:
@@ -120,17 +121,13 @@ def make_synthetic_dump(
     n_posts: int = 100,
     n_comments: int = 600,
     seed: int = 42,
-    max_per_post: int = 10,
-    subreddit: str = "synthetic",
-    n_topics: int = 4,
 ) -> SyntheticDump:
     """Generate a dump with planted removals and known expected manifests."""
     rng = random.Random(seed)
-    n_topics = max(1, min(n_topics, len(TOPIC_VOCABULARIES)))
 
     n_prolific = max(4, n_posts // 8)
     prolific = [f"user{i:05d}" for i in range(n_prolific)]
-    topic_of = {name: i % n_topics for i, name in enumerate(prolific)}
+    topic_of = {name: i % len(TOPIC_VOCABULARIES) for i, name in enumerate(prolific)}
 
     # Planted category sizes.
     n_bots = max(3, n_comments // 80)
@@ -163,7 +160,7 @@ def make_synthetic_dump(
             deleted_post_ids.add(pid)
         else:
             author = rng.choice(prolific)
-        vocab = TOPIC_VOCABULARIES[topic_of.get(author, i % n_topics)]
+        vocab = TOPIC_VOCABULARIES[topic_of.get(author, i % len(TOPIC_VOCABULARIES))]
         title = _sentence(rng, vocab)
         body = _sentence(rng, vocab)
         posts.append(
@@ -173,7 +170,7 @@ def make_synthetic_dump(
                 author=author,
                 created_utc=post_times[i],
                 text=f"{title} | {body}",
-                subreddit=subreddit,
+                subreddit=_SUBREDDIT,
             )
         )
 
@@ -206,7 +203,7 @@ def make_synthetic_dump(
             author=author,
             created_utc=st["time"],
             text=text,
-            subreddit=subreddit,
+            subreddit=_SUBREDDIT,
             link_id=post.id,
             parent_id=parent_id,
         )
@@ -240,7 +237,7 @@ def make_synthetic_dump(
         post = state[pid]["post"]
         excess = rng.randint(2, 5)
         truncated_total += excess
-        for _ in range(max_per_post + excess):
+        for _ in range(_MAX_PER_POST + excess):
             prolific_comment(post)
 
     # Base clean comments in normal threads, leaving room for the specials.
@@ -250,7 +247,7 @@ def make_synthetic_dump(
     base_budget = max(0, n_comments - len(comments) - special_budget)
     normal_posts = [p for p in posts if p.id not in overlong_set and p.id not in deleted_post_ids]
     for post in normal_posts:
-        state[post.id]["cap"] = max_per_post
+        state[post.id]["cap"] = _MAX_PER_POST
     idx = 0
     while base_budget > 0 and normal_posts:
         post = normal_posts[idx % len(normal_posts)]
@@ -280,7 +277,7 @@ def make_synthetic_dump(
             room[slot] = room[-1]
             room.pop()
 
-    mixed_vocab = [w for vocab in TOPIC_VOCABULARIES[:n_topics] for w in vocab]
+    mixed_vocab = [w for vocab in TOPIC_VOCABULARIES for w in vocab]
     for i in range(n_bots):
         place_special(BOT_NAMES[i % len(BOT_NAMES)], _sentence(rng, mixed_vocab), clean=False)
     for i in range(n_noise):
@@ -352,5 +349,4 @@ def make_synthetic_dump(
         expected_removed=expected_removed,
         expected_counts=expected_counts,
         planted=planted,
-        prolific_authors=prolific,
     )

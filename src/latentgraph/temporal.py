@@ -21,7 +21,6 @@ from .errors import ConfigError
 from . import graph as graphmod
 from . import inference as infermod
 from . import metrics as metricsmod
-from .graph import EdgeClass
 from .inference import (
     DEFAULT_FORSURE_MIN,
     DEFAULT_MAYBE_MIN,
@@ -60,7 +59,6 @@ SWEEP_CSV_FIELDS = [
 
 @dataclass(frozen=True)
 class TriadSeries:
-    interval_len: int
     intervals: tuple[tuple[int, int], ...]
     cumulative_all: tuple[int, ...]
     new_all: tuple[int, ...]
@@ -103,7 +101,7 @@ def triad_series(
         e for e in edges if e.status is not FollowStatus.NONE and timestamp(e) is not None
     ]
     if not considered:
-        return TriadSeries(interval_len, (), (), (), (), ())
+        return TriadSeries((), (), (), (), ())
 
     def pair_times(subset: Sequence[FollowEdge]) -> dict[tuple[str, str], int]:
         table: dict[tuple[str, str], int] = {}
@@ -142,7 +140,6 @@ def triad_series(
     cum_all, new_all = count_series(all_pairs)
     cum_fs, new_fs = count_series(forsure_pairs)
     return TriadSeries(
-        interval_len=interval_len,
         intervals=intervals,
         cumulative_all=cum_all,
         new_all=new_all,
@@ -165,8 +162,6 @@ def write_triads_csv(series: TriadSeries, path: str | Path) -> None:
 class SnapshotConfig:
     maybe_min: int = DEFAULT_MAYBE_MIN
     forsure_min: int = DEFAULT_FORSURE_MIN
-    include: EdgeClass = EdgeClass.ALL
-    coverage: float = 0.0
     seed: int = 0
     known_agents: tuple[str, ...] = ()
 
@@ -184,8 +179,7 @@ def snapshot_series(
     reports = []
     for cutoff in checkpoints:
         follows = table.edges(grid, config.maybe_min, config.forsure_min, cutoff).follows()
-        built = graphmod.build(follows, config.include, known_agents=config.known_agents)
-        graph = graphmod.apply_coverage(built, config.coverage)
+        graph = graphmod.build(follows, known_agents=config.known_agents)
         reports.append(metricsmod.full_report(graph, seed=config.seed,
                                               config={"checkpoint": cutoff}))
     return reports
@@ -226,8 +220,6 @@ def sweep(
     maybe_min_list: Sequence[int] = (DEFAULT_MAYBE_MIN,),
     forsure_min_list: Sequence[int] = (DEFAULT_FORSURE_MIN,),
     coverage_list: Sequence[float] = (0.0,),
-    include: EdgeClass = EdgeClass.ALL,
-    known_agents: Sequence[str] = (),
     seed: int = 0,
 ) -> SweepReport:
     """Cross-product robustness sweep over grid and threshold parameters.
@@ -257,7 +249,7 @@ def sweep(
         grid = WindowGrid.from_events(events, int(round(window_days * SECONDS_PER_DAY)))
         for maybe_min, forsure_min in thresholds:
             follows = table.edges(grid, maybe_min, forsure_min).follows()
-            built = graphmod.build(follows, include, known_agents=known_agents)
+            built = graphmod.build(follows)
             for coverage in coverage_list:
                 covered = graphmod.apply_coverage(built, coverage)
                 key = (covered.nodes, tuple((e.source, e.target, e.weight) for e in covered.edges))

@@ -508,7 +508,7 @@ class TestSweep:
         from latentgraph.inference import InteractionEvent, write_events_jsonl
 
         day = 86_400
-        pairs = [("a", "b", 0), ("b", "a", 1), ("a", "c", 40), ("c", "a", 41)]
+        pairs = [("a", "b", 1), ("b", "a", 2), ("a", "c", 41), ("c", "a", 42)]
         events = [InteractionEvent(a, b, t * day, "p1", f"c{i}")
                   for i, (a, b, t) in enumerate(pairs)]
         events_path = tmp_path / "events.jsonl"
@@ -631,6 +631,10 @@ def graphml(nodes: str, *edges: tuple[str, str, object, str]) -> str:
                  id="stage-not-an-object"),
     pytest.param(["infer", "--events"], "events.jsonl",
                  f"{GOOD_EVENT}\n{GOOD_EVENT.replace('86400', 'true')}\n", id="event-bool-time"),
+    pytest.param(["infer", "--events"], "events.jsonl",
+                 f"{GOOD_EVENT}\n{GOOD_EVENT.replace('86400', '0')}\n", id="event-zero-time"),
+    pytest.param(["sweep", "--events"], "events.jsonl",
+                 f"{GOOD_EVENT}\n{GOOD_EVENT.replace('86400', '-5')}\n", id="event-negative-time"),
     pytest.param(["metrics", "--graph"], "graph.graphml", graphml("AB", ("A", "B", "x", "maybe")),
                  id="graphml-weight"),
     pytest.param(["metrics", "--graph"], "graph.graphml",
@@ -894,6 +898,9 @@ GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/
     pytest.param({"g.graphml": GRAPHML.replace('<node id="A"/>', '<node id="A"/><node/>').encode()},
                  ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
                  id="graphml-node-without-id"),
+    pytest.param({"g.graphml": GRAPHML.replace('<node id="A"/>', '<node id="A"/>' * 2).encode()},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-repeated-node"),
     pytest.param({"g.graphml": GRAPHML_EMPTY_ID.replace(' source="A"', "").encode()},
                  ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
                  id="graphml-edge-without-source"),
@@ -999,3 +1006,111 @@ def test_every_parameter_is_read():
             unread += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}:{param.arg}"
                        for param in params if param and param.arg not in read]
     assert unread == ["cli.cmd_validate:args"]
+
+
+# The package and what calls it: the benchmark and the demos.
+PACKAGE = Path(cli.__file__).parent
+CALLERS = (PACKAGE, CONFIGS.parent / "perfbench", CONFIGS.parent / "demos")
+
+
+def _parsed(*directories: Path):
+    """(module name, syntax tree) of every program file in ``directories``;
+    test files are no callers."""
+    for directory in directories:
+        for path in sorted(directory.glob("*.py")):
+            if not path.name.startswith("test_"):
+                yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _name(node) -> str | None:
+    """The name a Name, an Attribute or a call of either spells."""
+    node = getattr(node, "func", node)
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _record_fields(cls: ast.ClassDef) -> list[ast.AnnAssign] | None:
+    """The annotated fields of a dataclass or NamedTuple; None for another class."""
+    if not {"dataclass", "NamedTuple"} & set(map(_name, [*cls.bases, *cls.decorator_list])):
+        return None
+    return [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def test_every_optional_parameter_has_a_caller():
+    """No option without a caller: each defaulted parameter of a function, and
+    each defaulted field of a dataclass or NamedTuple, in the package is passed
+    by some call in the package, the benchmark or the demos, by keyword, by
+    position or through ``*``/``**``.  Calls are matched by name.  A field is
+    also set when a ``replace`` or ``_replace`` names it, when it is assigned
+    or filled in place as an attribute, or when ``replace(f(...), **values)``
+    spreads values over the class that ``f`` is annotated to return."""
+    optional, returns = [], {}
+    for module, tree in _parsed(PACKAGE):
+        for node in ast.walk(tree):
+            fields = _record_fields(node) if isinstance(node, ast.ClassDef) else None
+            if fields is not None:
+                positional = [f.target.id for f in fields]
+                defaulted = [f.target.id for f in fields if f.value]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spec, returns[node.name] = node.args, _name(node.returns)
+                positional = [a.arg for a in (*spec.posonlyargs, *spec.args)]
+                defaulted = positional[len(positional) - len(spec.defaults):] + [
+                    a.arg for a, default in zip(spec.kwonlyargs, spec.kw_defaults) if default]
+                positional = positional[positional[:1] in (["self"], ["cls"]):]
+            else:
+                continue
+            optional += [(f"{module}.{node.name}:{param}", node.name, positional.index(param)
+                          if param in positional else None, param, fields is not None)
+                         for param in defaulted]
+    passed: dict[str, set] = {}  # callee -> keywords and positions it is given, "*" for all
+    set_fields = set()  # field names a replace or an attribute assignment sets
+    for _, tree in _parsed(*CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                set_fields.add(node.attr)
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                set_fields.add(_name(node.value))  # x.field[key] = ... fills the field
+            if not isinstance(node, ast.Call):
+                continue
+            given = passed.setdefault(_name(node), set())
+            given.update(keyword.arg for keyword in node.keywords if keyword.arg)
+            given.update(range(len(node.args)))
+            spread = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                keyword.arg is None for keyword in node.keywords)
+            if spread:
+                given.add("*")
+            if _name(node) in ("replace", "_replace"):
+                set_fields.update(keyword.arg for keyword in node.keywords if keyword.arg)
+                if spread and node.args and isinstance(node.args[0], ast.Call):
+                    passed.setdefault(returns.get(_name(node.args[0])), set()).add("*")
+    unpassed = sorted(label for label, callee, position, param, is_field in optional
+                      if not {param, position, "*"} & passed.get(callee, set())
+                      and not (is_field and param in set_fields))
+    assert unpassed == ["chains.linearize:max_chains", "chains.linearize:max_depth",
+                        "cli.main:argv", "inference.classify:forsure_min",
+                        "inference.classify:maybe_min", "profiles.term_table:dim"]
+
+
+def test_every_field_is_read():
+    """No field that nothing reads: each annotated field of a dataclass or
+    NamedTuple in the package is read by name in the package, the benchmark
+    or the demos, as an attribute or as a string in a field list (a list,
+    tuple or set literal, or a dict literal's keys), or its class hands
+    ``self`` whole to ``row_dict`` or ``asdict``."""
+    unread, read = [], set()
+    for _, tree in _parsed(*CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
+                names = node.keys if isinstance(node, ast.Dict) else node.elts
+                read.update(n.value for n in names if isinstance(n, ast.Constant))
+    for module, tree in _parsed(PACKAGE):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or (fields := _record_fields(cls)) is None:
+                continue
+            whole = any(_name(call) in ("row_dict", "asdict")
+                        and [getattr(arg, "id", None) for arg in call.args] == ["self"]
+                        for call in ast.walk(cls) if isinstance(call, ast.Call))
+            unread += [f"{module}.{cls.name}.{f.target.id}" for f in fields
+                       if not whole and f.target.id not in read]
+    assert unread == []

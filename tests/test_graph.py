@@ -1,6 +1,7 @@
 import gzip
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latentgraph import graph as graphmod
+from latentgraph.errors import DataError
 from latentgraph.graph import (
     EdgeClass,
     InteractionGraph,
@@ -256,6 +258,16 @@ class TestExport:
             assert load_graph(path) == load(tmp_path / name)
         with pytest.raises(ValueError, match="g.dot"):
             write_graph(g, tmp_path / "g.dot")
+
+    def test_graphml_repeated_node_is_refused(self, tmp_path):
+        path = tmp_path / "g.graphml"
+        write_graphml(self.three_node_graph(), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('<node id="B"/>', '<node id="B"/><node id="B"/>', 1),
+                        encoding="utf-8")
+        refusal = re.escape(f"{path}: <node> ids ['B'] are declared more than once")
+        with pytest.raises(DataError, match=refusal):
+            load_graphml(path)
 
     def test_graphml_escapes_ids(self, tmp_path):
         edges = [follow_edge('we"ird<&', "ok", MAYBE)]

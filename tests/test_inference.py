@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from latentgraph import inference
 from latentgraph.cli import run_all
 from latentgraph.config import default_config
-from latentgraph.errors import ConfigError
+from latentgraph.errors import ConfigError, SchemaError
 from latentgraph.ingest import RawRecord, RecordKind, compact_json, row_dict
 from latentgraph.inference import (
     EDGE_BLOCK,
@@ -364,14 +365,23 @@ EVENT_TIMES = st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2
 def test_the_event_writer_spells_each_row_as_json(events, block):
     """events.jsonl, written by one template from the columns, has the bytes
     of the generic encoder over each event's fields, whatever the rows per
-    block; reading it back gives what ``json`` reads from those bytes (a
-    surrogate pair reads back as one character), and writing the table read
-    back gives the same bytes."""
-    want = "".join(compact_json(row_dict(event)) + "\n" for event in events).encode()
+    block; reading it back refuses the first row whose time is not positive,
+    and otherwise gives what ``json`` reads from those bytes (a surrogate pair
+    reads back as one character), and writing the table read back gives the
+    same bytes."""
+    rows = [compact_json(row_dict(event)) + "\n" for event in events]
+    want = "".join(rows).encode()
     with mock.patch.object(inference, "ROW_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.jsonl"
         write_events_jsonl(events, path)
         assert path.read_bytes() == want
+        refused = [line for line, event in enumerate(events, 1) if event.time <= 0]
+        if refused:
+            refusal = re.escape(f"{path}:{refused[0]}: bad event: time must be a positive")
+            with pytest.raises(SchemaError, match=refusal):
+                load_events_jsonl(path)
+            want = "".join(row for row, event in zip(rows, events) if event.time > 0).encode()
+            path.write_bytes(want)
         loaded = load_events_jsonl(path)
         assert list(loaded) == [InteractionEvent(**json.loads(line))
                                 for line in want.splitlines()]
@@ -539,3 +549,15 @@ class TestPersistence:
         path = tmp_path / "events.jsonl"
         write_events_jsonl(events, path)
         assert list(load_events_jsonl(path)) == events
+
+    @pytest.mark.parametrize("time", [0, -5, -2**63 - 1, "0", -1.0])
+    def test_an_event_time_must_be_positive(self, tmp_path, time):
+        """An event's time follows a record's time rule: a positive whole number."""
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(events_at([5]), path)
+        row = {"source": "u", "target": "v", "time": time, "post_id": "p", "comment_id": "c"}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row) + "\n")
+        refusal = re.escape(f"{path}:2: bad event: time must be a positive whole number")
+        with pytest.raises(SchemaError, match=refusal):
+            load_events_jsonl(path)

@@ -20,6 +20,7 @@ from latentgraph.ingest import RawRecord, RecordKind, run_pipeline
 from latentgraph.profiles import (
     DEFAULT_DIM,
     RESIDUAL_LABEL,
+    TOP_KEYWORDS,
     AgentProfile,
     build_member_index,
     build_user_vectors,
@@ -325,8 +326,15 @@ class TestEnrichment:
     def test_top_terms_maps_buckets_back(self):
         texts = {"u": ["alpha alpha alpha beta beta gamma"]}
         vectors, vocab, _ = user_vectors(texts, 512)
-        terms = top_terms(vectors.row(0), vocab, top_k=3)
+        terms = top_terms(vectors.row(0), vocab)
         assert terms == ["alpha", "beta", "gamma"]
+
+    def test_top_terms_keeps_the_top_keywords(self):
+        words = [f"w{i:02d}" for i in range(TOP_KEYWORDS + 2)]
+        text = " ".join(w for i, w in enumerate(words) for _ in range(len(words) - i))
+        vectors, vocab, _ = user_vectors({"u": [text]}, 4096)
+        assert len(vocab) == len(words)  # one bucket per word
+        assert top_terms(vectors.row(0), vocab) == words[:TOP_KEYWORDS]
 
     def test_lexicon_loader(self, tmp_path):
         path = tmp_path / "lex.csv"

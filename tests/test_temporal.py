@@ -13,7 +13,7 @@ from latentgraph.inference import (
     infer_all,
 )
 from latentgraph import graph as graphmod, metrics as metricsmod
-from latentgraph.graph import EdgeClass, apply_coverage, build
+from latentgraph.graph import apply_coverage, build
 from latentgraph.metrics import (
     UndefinedMetricError,
     clustering,
@@ -162,16 +162,19 @@ def graph_key(graph):
     return graph.nodes, tuple((e.source, e.target, e.weight) for e in graph.edges)
 
 
-def distinct_graph_keys(events, windows, maybes, forsures, coverages, include):
-    """The key of every distinct covered graph of a sweep grid, built directly."""
+SWEEP_GRID = [7, 30, 90], [1, 2, 3, 4], [4, 5], [0.0, 0.05, 0.1]
+
+
+def distinct_graph_keys(events, windows, maybes, forsures, coverages):
+    """The key of every distinct covered graph of a sweep grid with a node,
+    built directly: the sweep measures no empty graph."""
     distinct = set()
     for window_days, maybe_min, forsure_min, coverage in itertools.product(
             windows, maybes, forsures, coverages):
         grid = WindowGrid.from_events(events, window_days * DAY)
         edges = infer_all(events, grid, maybe_min, forsure_min)
-        distinct.add(graph_key(apply_coverage(build(edges, include, known_agents=("k",)),
-                                              coverage)))
-    return distinct
+        distinct.add(graph_key(apply_coverage(build(edges), coverage)))
+    return distinct - {((), ())}
 
 
 def defined(metric, graph):
@@ -187,8 +190,7 @@ class TestSnapshotSeries:
         grid = WindowGrid.from_events(events, 30 * DAY)
         config = SnapshotConfig()
         reports = snapshot_series(events, grid, config, [10**12])
-        global_graph = build(infer_all(events, grid, config.maybe_min, config.forsure_min),
-                             config.include)
+        global_graph = build(infer_all(events, grid, config.maybe_min, config.forsure_min))
         assert reports[0].to_dict() == full_report(
             global_graph, seed=config.seed, config={"checkpoint": 10**12}
         ).to_dict()
@@ -210,13 +212,13 @@ class TestSnapshotSeries:
     def test_each_checkpoint_equals_inference_on_filtered_events(self):
         events = busy_event_fixture()
         grid = WindowGrid.from_events(events, 30 * DAY)
-        config = SnapshotConfig(coverage=0.05, seed=3, known_agents=("k",))
+        config = SnapshotConfig(seed=3, known_agents=("k",))
         checkpoints = [-1, 0, 45 * DAY, 200 * DAY, 460 * DAY, 10**12]
         reports = snapshot_series(events, grid, config, checkpoints)
         for cutoff, report in zip(checkpoints, reports):
             subset = [e for e in events if e.time <= cutoff]
             edges = infer_all(subset, grid, config.maybe_min, config.forsure_min)
-            graph = apply_coverage(build(edges, known_agents=config.known_agents), 0.05)
+            graph = build(edges, known_agents=config.known_agents)
             want = full_report(graph, seed=3, config={"checkpoint": cutoff})
             assert report.to_dict() == want.to_dict()
 
@@ -234,10 +236,10 @@ class TestSnapshotSeries:
 class TestSweep:
     def test_every_cell_matches_direct_run(self):
         events = busy_event_fixture()
-        windows, maybes, forsures, coverages = [7, 30, 90], [1, 2], [2, 3, 4], [0.0, 0.05, 0.1]
-        # Forsure-only edges, so that every threshold can change the graph.
-        only = EdgeClass.FORSURE_ONLY
-        report = sweep(events, windows, maybes, forsures, coverages, only, known_agents=("k",))
+        # A sweep graph holds maybe and forsure edges alike, so the window,
+        # maybe_min and coverage are what change it.
+        windows, maybes, forsures, coverages = SWEEP_GRID
+        report = sweep(events, windows, maybes, forsures, coverages)
         params = list(itertools.product(windows, maybes, forsures, coverages))
         assert len(report.cells) == len(params)
         for cell, (window_days, maybe_min, forsure_min, coverage) in zip(report.cells, params):
@@ -245,16 +247,15 @@ class TestSweep:
                 window_days, maybe_min, forsure_min, coverage)
             grid = WindowGrid.from_events(events, window_days * DAY)
             edges = infer_all(events, grid, maybe_min, forsure_min)
-            direct = apply_coverage(build(edges, only, known_agents=("k",)), coverage)
+            direct = apply_coverage(build(edges), coverage)
             assert (cell.nodes, cell.edges) == (direct.node_count, direct.edge_count)
             assert cell.clustering == defined(clustering, direct)
             assert cell.reciprocity == defined(reciprocity, direct)
-            assert cell.modularity == communities(direct)[1]
+            assert cell.modularity == (communities(direct)[1] if direct.node_count else None)
 
     def test_communities_run_once_per_distinct_graph(self, monkeypatch):
         events = busy_event_fixture()
-        windows, maybes, forsures, coverages = [7, 30, 90], [1, 2], [2, 3, 4], [0.0, 0.05, 0.1]
-        only = EdgeClass.FORSURE_ONLY
+        windows, maybes, forsures, coverages = SWEEP_GRID
         searched = []
 
         def spy(graph, seed=0):
@@ -262,18 +263,17 @@ class TestSweep:
             return communities(graph, seed)
 
         monkeypatch.setattr(metricsmod, "communities", spy)
-        sweep(events, windows, maybes, forsures, coverages, only, known_agents=("k",))
-        distinct = distinct_graph_keys(events, windows, maybes, forsures, coverages, only)
+        sweep(events, windows, maybes, forsures, coverages)
+        distinct = distinct_graph_keys(events, windows, maybes, forsures, coverages)
         assert sorted(searched) == sorted(distinct)
         assert len(distinct) < len(windows) * len(maybes) * len(forsures) * len(coverages)
 
     def test_projection_built_once_per_distinct_graph(self, projection_builds):
         events = busy_event_fixture()
-        windows, maybes, forsures, coverages = [7, 30, 90], [1, 2], [2, 3, 4], [0.0, 0.05, 0.1]
-        only = EdgeClass.FORSURE_ONLY
-        sweep(events, windows, maybes, forsures, coverages, only, known_agents=("k",))
+        windows, maybes, forsures, coverages = SWEEP_GRID
+        sweep(events, windows, maybes, forsures, coverages)
         keys = [graph_key(graph) for graph in projection_builds]
-        distinct = distinct_graph_keys(events, windows, maybes, forsures, coverages, only)
+        distinct = distinct_graph_keys(events, windows, maybes, forsures, coverages)
         assert sorted(keys) == sorted(distinct)
 
     def test_bad_threshold_pair_rejected_before_any_cell(self, monkeypatch):

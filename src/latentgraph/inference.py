@@ -538,8 +538,13 @@ _EVENT_ROW = row_template(InteractionEvent)
 
 
 def write_events_jsonl(events: Iterable[InteractionEvent], path: str | Path) -> None:
-    """An events.jsonl, written from the columns: each name is spelled once."""
+    """An events.jsonl, written from the columns: each name is spelled once.
+    A time of 0 or below, which ``load_events_jsonl`` refuses, raises
+    ``ValueError`` before the file is touched."""
     events = EventTable.of(events)
+    lowest = events.time.min(initial=1)
+    if lowest <= 0:
+        raise ValueError(f"event time must be a positive whole number, got {lowest}")
     names, posts = (_object_array(list(map(encode_basestring_ascii, table)))
                     for table in (events.names, events.posts))
     with atomic_write(path) as fh:

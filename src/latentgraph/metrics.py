@@ -263,7 +263,7 @@ class _CommunityState:
         self.members[keep] |= self.members.pop(gone)
         self.deg[keep] += self.deg.pop(gone)
 
-    def move(self, node: str, dest: str | None) -> None:
+    def move(self, node: str, dest: str) -> None:
         src = self.com_of[node]
         self.members[src].discard(node)
         self.deg[src] -= self.k[node]
@@ -275,11 +275,6 @@ class _CommunityState:
             self.deg[new_key] = self.deg.pop(src)
             for other in self.members[new_key]:
                 self.com_of[other] = new_key
-        if dest is None:
-            self.com_of[node] = node
-            self.members[node] = {node}
-            self.deg[node] = self.k[node]
-            return
         self.com_of[node] = dest
         self.members[dest].add(node)
         self.deg[dest] += self.k[node]
@@ -341,7 +336,15 @@ def _merge_phase(
 
 
 def _move_phase(state: _CommunityState, m: float) -> bool:
-    """Relocate single nodes, in id order, while a move raises modularity."""
+    """Relocate single nodes, in id order, while a move raises modularity.
+
+    A node moves only into a neighbouring community, never to a fresh
+    singleton: that needs a gain above 0 and above each neighbour D's, i.e.
+    k(d_C - k) > 2ma and k d_D > 2m t_D, where k is the node's degree, a and
+    t_D its weight into the rest of its community C and into D, and d a
+    community's degree sum.  As a + sum t_D = k, these add up to
+    d_C + sum d_D > 2m + k, more than the 2m all communities' degrees sum to.
+    """
     changed = False
     while True:
         moved = False
@@ -356,21 +359,14 @@ def _move_phase(state: _CommunityState, m: float) -> bool:
             k_node = state.k[node]
             best_dq = _GAIN_EPS
             best_dest: str | None = None
-            found = False
-            candidates: list[str | None] = sorted(c for c in w_to if c != src)
-            if len(state.members[src]) > 1:
-                candidates.append(None)  # break out into a fresh singleton
-            for dest in candidates:
-                w_dest = w_to.get(dest, 0.0) if dest is not None else 0.0
-                d_dest = state.deg[dest] if dest is not None else 0.0
-                dq = (w_dest - w_src) / m - k_node * (
-                    d_dest - d_src + k_node
+            for dest in sorted(c for c in w_to if c != src):
+                dq = (w_to[dest] - w_src) / m - k_node * (
+                    state.deg[dest] - d_src + k_node
                 ) / (2.0 * m * m)
                 if dq > best_dq:
                     best_dq = dq
                     best_dest = dest
-                    found = True
-            if found:
+            if best_dest is not None:
                 state.move(node, best_dest)
                 moved = True
                 changed = True

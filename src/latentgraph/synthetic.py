@@ -16,7 +16,7 @@ ever clean surviving records, and threads of deleted posts get no comments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .ingest import (
@@ -122,7 +122,16 @@ def make_synthetic_dump(
     n_comments: int = 600,
     seed: int = 42,
 ) -> SyntheticDump:
-    """Generate a dump with planted removals and known expected manifests."""
+    """Generate a dump with planted removals and known expected manifests.
+
+    The plan, in ``rng`` order: the posts; ``_MAX_PER_POST`` plus 2-5 clean
+    comments in each over-long thread; base comments round-robin over the
+    normal threads, at most ``_MAX_PER_POST - 1`` each; planted comments,
+    each in a random normal thread with a free slot; self-replies last, their
+    texts drawn once all are placed.  ``n_comments`` is a target: planted
+    categories have fixed minimums and full threads take no more comments.
+    Raises ``ValueError`` when the planted layout does not fit.
+    """
     rng = random.Random(seed)
 
     n_prolific = max(4, n_posts // 8)
@@ -139,180 +148,131 @@ def make_synthetic_dump(
     n_deleted_posts = max(1, n_posts // 50)
     n_overlong = max(1, n_posts // 50)
 
-    singles = [f"lone{i:05d}" for i in range(n_singles)]
-
     # --- posts -----------------------------------------------------------
-    # The first 3*P posts go round-robin to the prolific pool so every one
-    # of them clears the activity threshold on posts alone.
-    if n_posts < 3 * n_prolific + n_deleted_posts + n_overlong:
+    first_deleted = 3 * n_prolific
+    if n_posts < first_deleted + n_deleted_posts + n_overlong:
         raise ValueError("n_posts too small for the planted layout")
     posts: list[RawRecord] = []
     post_times = sorted(
         rng.randrange(_EPOCH_START, _EPOCH_START + _SPAN_SECONDS) for _ in range(n_posts)
     )
-    deleted_post_ids: set[str] = set()
-    for i in range(n_posts):
-        pid = f"p{i:06d}"
-        if i < 3 * n_prolific:
+    for i, created in enumerate(post_times):
+        if i < first_deleted:
             author = prolific[i % n_prolific]
-        elif i < 3 * n_prolific + n_deleted_posts:
+        elif i < first_deleted + n_deleted_posts:
             author = "[deleted]"
-            deleted_post_ids.add(pid)
         else:
             author = rng.choice(prolific)
         vocab = TOPIC_VOCABULARIES[topic_of.get(author, i % len(TOPIC_VOCABULARIES))]
-        title = _sentence(rng, vocab)
-        body = _sentence(rng, vocab)
         posts.append(
             RawRecord(
-                id=pid,
+                id=f"p{i:06d}",
                 kind=RecordKind.POST,
                 author=author,
-                created_utc=post_times[i],
-                text=f"{title} | {body}",
+                created_utc=created,
+                text=f"{_sentence(rng, vocab)} | {_sentence(rng, vocab)}",
                 subreddit=_SUBREDDIT,
             )
         )
-
-    # Over-long threads come from clean posts only.
-    overlong_ids = [p.id for p in posts if p.id not in deleted_post_ids][:n_overlong]
-    overlong_set = set(overlong_ids)
+    clean_posts = posts[:first_deleted] + posts[first_deleted + n_deleted_posts:]
+    overlong_posts, normal_posts = clean_posts[:n_overlong], clean_posts[n_overlong:]
 
     # --- comments ---------------------------------------------------------
     comments: list[RawRecord] = []
-    comment_seq = 0
-    # Per-thread state: next timestamp, comment budget left, clean parents.
-    state: dict[str, dict] = {
-        p.id: {"time": p.created_utc, "post": p, "cap": 0, "parents": []}
-        for p in posts
-    }
+    clock = {post.id: post.created_utc for post in clean_posts}
+    parents = {post.id: [post] for post in clean_posts}  # clean records, the post first
 
-    def next_comment(
-        post: RawRecord,
-        author: str,
-        text: str,
-        parent_id: str,
-        clean: bool,
-    ) -> RawRecord:
-        nonlocal comment_seq
-        st = state[post.id]
-        st["time"] += rng.randint(120, 10_800)
+    def add_comment(post: RawRecord, author: str, text: str, parent_id: str) -> RawRecord:
+        clock[post.id] += rng.randint(120, 10_800)
         rec = RawRecord(
-            id=f"c{comment_seq:07d}",
+            id=f"c{len(comments):07d}",
             kind=RecordKind.COMMENT,
             author=author,
-            created_utc=st["time"],
+            created_utc=clock[post.id],
             text=text,
             subreddit=_SUBREDDIT,
             link_id=post.id,
             parent_id=parent_id,
         )
-        comment_seq += 1
         comments.append(rec)
-        if clean:
-            st["parents"].append(rec)
         return rec
 
-    def pick_parent(post: RawRecord, exclude_author: str | None = None) -> tuple[str, str]:
-        """Clean parent (id, author); never produces accidental self-replies."""
-        st = state[post.id]
-        candidates = [post] + st["parents"]
-        if exclude_author is not None:
-            candidates = [c for c in candidates if c.author != exclude_author]
+    def pick_parent(post: RawRecord, exclude_author: str | None = None) -> RawRecord:
+        """A clean record of the thread not by ``exclude_author``, the first
+        with probability 0.55; with none, the post itself, so a planted noise
+        or ``[removed]`` comment by the post's author may reply to its own
+        post (such comments are removed before events are extracted)."""
+        candidates = [rec for rec in parents[post.id] if rec.author != exclude_author]
         if not candidates:
-            return post.id, post.author
-        chosen = candidates[0] if rng.random() < 0.55 else rng.choice(candidates)
-        return chosen.id, chosen.author
+            return post
+        return candidates[0] if rng.random() < 0.55 else rng.choice(candidates)
 
     def prolific_comment(post: RawRecord) -> None:
-        parent_id, parent_author = pick_parent(post)
+        parent = pick_parent(post)
         author = rng.choice(prolific)
-        while author == parent_author:
+        while author == parent.author:
             author = rng.choice(prolific)
-        vocab = TOPIC_VOCABULARIES[topic_of[author]]
-        next_comment(post, author, _sentence(rng, vocab), parent_id, clean=True)
+        text = _sentence(rng, TOPIC_VOCABULARIES[topic_of[author]])
+        parents[post.id].append(add_comment(post, author, text, parent.id))
 
     truncated_total = 0
-    for pid in overlong_ids:
-        post = state[pid]["post"]
+    for post in overlong_posts:
         excess = rng.randint(2, 5)
         truncated_total += excess
         for _ in range(_MAX_PER_POST + excess):
             prolific_comment(post)
 
-    # Base clean comments in normal threads, leaving room for the specials.
-    special_budget = (
+    n_planted = (
         n_bots + n_noise + n_singles + n_deleted_comments + n_removed_body + n_self_replies
     )
-    base_budget = max(0, n_comments - len(comments) - special_budget)
-    normal_posts = [p for p in posts if p.id not in overlong_set and p.id not in deleted_post_ids]
-    for post in normal_posts:
-        state[post.id]["cap"] = _MAX_PER_POST
-    idx = 0
-    while base_budget > 0 and normal_posts:
-        post = normal_posts[idx % len(normal_posts)]
-        st = state[post.id]
-        # Keep one slot free per thread for planted specials.
-        if st["cap"] > 1:
-            prolific_comment(post)
-            st["cap"] -= 1
-            base_budget -= 1
-        idx += 1
-        if idx > 20 * len(normal_posts):
-            break
+    base_slots = normal_posts * (_MAX_PER_POST - 1)  # round-robin, one slot left per thread
+    n_base = max(0, min(n_comments - len(comments) - n_planted, len(base_slots)))
+    n_free = _MAX_PER_POST * len(normal_posts) - n_base
+    if n_planted > n_free:
+        raise ValueError(f"n_comments too large for the planted layout: {n_planted} "
+                         f"planted comments, {n_free} free slots in the normal threads")
+    free = {post.id: _MAX_PER_POST for post in normal_posts}
+    for post in base_slots[:n_base]:
+        prolific_comment(post)
+        free[post.id] -= 1
 
-    room = [p for p in normal_posts if state[p.id]["cap"] > 0]
+    room = list(normal_posts)  # the threads with a free slot
 
-    def place_special(author: str, text: str, clean: bool, self_reply: bool = False) -> None:
+    def take_slot() -> RawRecord:
         slot = rng.randrange(len(room))
         post = room[slot]
-        st = state[post.id]
-        if self_reply:
-            parent_id, author = post.id, post.author
-        else:
-            parent_id, _ = pick_parent(post, exclude_author=author)
-        next_comment(post, author, text, parent_id, clean=clean)
-        st["cap"] -= 1
-        if st["cap"] <= 0:
+        free[post.id] -= 1
+        if not free[post.id]:
             room[slot] = room[-1]
             room.pop()
+        return post
+
+    def plant(author: str, text: str) -> None:
+        post = take_slot()
+        add_comment(post, author, text, pick_parent(post, exclude_author=author).id)
 
     mixed_vocab = [w for vocab in TOPIC_VOCABULARIES for w in vocab]
     for i in range(n_bots):
-        place_special(BOT_NAMES[i % len(BOT_NAMES)], _sentence(rng, mixed_vocab), clean=False)
+        plant(BOT_NAMES[i % len(BOT_NAMES)], _sentence(rng, mixed_vocab))
     for i in range(n_noise):
-        text = "ok" if i % 2 == 0 else f"https://example.com/x{i}"
-        place_special(rng.choice(prolific), text, clean=False)
-    for name in singles:
-        place_special(name, _sentence(rng, mixed_vocab), clean=False)
+        plant(rng.choice(prolific), "ok" if i % 2 == 0 else f"https://example.com/x{i}")
+    for i in range(n_singles):
+        plant(f"lone{i:05d}", _sentence(rng, mixed_vocab))
     for _ in range(n_deleted_comments):
-        place_special("[deleted]", _sentence(rng, mixed_vocab), clean=False)
+        plant("[deleted]", _sentence(rng, mixed_vocab))
     for _ in range(n_removed_body):
-        place_special(rng.choice(prolific), "[removed]", clean=False)
+        plant(rng.choice(prolific), "[removed]")
     for _ in range(n_self_replies):
-        place_special("", "", clean=True, self_reply=True)
-
-    # Self-reply texts need real content; regenerate them with topic words.
-    for pos, rec in enumerate(comments):
-        if rec.text == "" and rec.author:
-            vocab = TOPIC_VOCABULARIES[topic_of.get(rec.author, 0)]
-            comments[pos] = RawRecord(
-                id=rec.id,
-                kind=rec.kind,
-                author=rec.author,
-                created_utc=rec.created_utc,
-                text=_sentence(rng, vocab),
-                subreddit=rec.subreddit,
-                link_id=rec.link_id,
-                parent_id=rec.parent_id,
-            )
+        post = take_slot()
+        add_comment(post, post.author, "", post.id)
+    comments[-n_self_replies:] = [
+        replace(rec, text=_sentence(rng, TOPIC_VOCABULARIES[topic_of[rec.author]]))
+        for rec in comments[-n_self_replies:]
+    ]
 
     # --- expected manifests ------------------------------------------------
-    n_posts_actual = len(posts)
-    n_comments_actual = len(comments)
-    stage1_comments = n_comments_actual - n_bots - n_noise - truncated_total
+    stage1_comments = len(comments) - n_bots - n_noise - truncated_total
     stage2_comments = stage1_comments - n_singles
-    stage3_posts = n_posts_actual - n_deleted_posts
     stage3_comments = stage2_comments - n_deleted_comments - n_removed_body
 
     expected_removed = {
@@ -326,10 +286,10 @@ def make_synthetic_dump(
         3: {DELETED_REMOVAL: n_deleted_posts + n_deleted_comments + n_removed_body},
     }
     expected_counts = [
-        (n_posts_actual, n_comments_actual),
-        (n_posts_actual, stage1_comments),
-        (n_posts_actual, stage2_comments),
-        (stage3_posts, stage3_comments),
+        (n_posts, len(comments)),
+        (n_posts, stage1_comments),
+        (n_posts, stage2_comments),
+        (n_posts - n_deleted_posts, stage3_comments),
     ]
 
     planted = {

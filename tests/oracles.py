@@ -56,7 +56,6 @@ from latentgraph.ingest import (
     StageSnapshot,
     _read_text,
     read_id,
-    read_time,
     row_dict,
     write_csv,
 )
@@ -707,6 +706,23 @@ def _oracle_read_fullname(obj: dict, key: str) -> str:
     raise ValueError(f"{key} {value!r} names no post or comment")
 
 
+def _oracle_read_time(obj: dict, key: str) -> int:
+    """``obj[key]`` as positive whole seconds, read without the package's
+    reader: a string of ASCII digits, with an optional leading "-" and an
+    optional "." followed by zeros only, or a float with no fraction, reads
+    as its int; then only an int that is not a bool and is above 0 passes."""
+    value = obj.get(key)
+    if isinstance(value, str):
+        digits, _, zeros = value.removeprefix("-").partition(".")
+        if digits and set(digits) <= set("0123456789") and set(zeros) <= {"0"}:
+            value = int(value.partition(".")[0])
+    elif isinstance(value, float) and math.isfinite(value) and value == math.floor(value):
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value > 0:
+        return value
+    raise ValueError(f"{key} must be a positive whole number, got {value!r}")
+
+
 def oracle_decode_record(obj: object, dump_kind: RecordKind | None = None) -> RawRecord:
     """The record decoder with no guard: every field goes through its rule
     reader, in the rules' order, so every error message is the reader's."""
@@ -721,9 +737,7 @@ def oracle_decode_record(obj: object, dump_kind: RecordKind | None = None) -> Ra
         text = " ".join(part for part in parts if part)
     else:
         text = _read_text(obj, "body")
-    created = read_time(obj, "created_utc")
-    if created <= 0:
-        raise ValueError(f"created_utc must be positive, got {created}")
+    created = _oracle_read_time(obj, "created_utc")
     links = (None, None)
     if kind is RecordKind.COMMENT:
         read_link = read_id if dump_kind is None else _oracle_read_fullname

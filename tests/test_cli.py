@@ -913,6 +913,20 @@ GRAPHML_EMPTY_ID = GRAPHML.replace('<node id="A"/>', '<node id="A"/><node id=""/
     pytest.param({"g.graphml": GRAPHML.replace('<data key="status">maybe</data>', "").encode()},
                  ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
                  id="graphml-edge-without-status"),
+    pytest.param({"g.graphml": b"<graphml><graph"},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-not-parsed"),
+    pytest.param({"g.graphml": GRAPHML.split("<graph ")[0].encode() + b"</graphml>\n"},
+                 ["metrics", "--graph", "{tmp}/g.graphml"], 2, "{tmp}/g.graphml",
+                 id="graphml-without-graph"),
+    pytest.param({"edges.csv": b"source,target,status\nA,B,maybe\n"},
+                 ["graph", "build", "--edges", "{tmp}/edges.csv"], 2, "{tmp}/edges.csv",
+                 id="graph-edges-missing-columns"),
+    pytest.param({"events.jsonl": b'["A", "B"]\n'},
+                 ["infer", "--events", "{tmp}/events.jsonl"], 2, "{tmp}/events.jsonl:1",
+                 id="event-row-not-an-object"),
+    pytest.param({"notes.txt": b"not a stage file\n"},
+                 ["agents", "--in", "{tmp}"], 2, "under {tmp}", id="agents-in-without-stages"),
     pytest.param({}, ["run-all", "--posts", "{tmp}/nope.jsonl", "--comments", "{comments}"], 2,
                  "{tmp}/nope.jsonl", id="run-all-missing-posts"),
     pytest.param({}, ["run-all", "--posts", "{posts}", "--comments", "{comments}",

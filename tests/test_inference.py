@@ -365,23 +365,20 @@ EVENT_TIMES = st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2
 def test_the_event_writer_spells_each_row_as_json(events, block):
     """events.jsonl, written by one template from the columns, has the bytes
     of the generic encoder over each event's fields, whatever the rows per
-    block; reading it back refuses the first row whose time is not positive,
-    and otherwise gives what ``json`` reads from those bytes (a surrogate pair
-    reads back as one character), and writing the table read back gives the
-    same bytes."""
-    rows = [compact_json(row_dict(event)) + "\n" for event in events]
-    want = "".join(rows).encode()
+    block; reading it back gives what ``json`` reads from those bytes (a
+    surrogate pair reads back as one character), and writing the table read
+    back gives the same bytes.  A table with a time that is not positive,
+    which the reader would refuse, is refused before the file is created."""
     with mock.patch.object(inference, "ROW_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.jsonl"
+        if any(event.time <= 0 for event in events):
+            with pytest.raises(ValueError, match="event time must be a positive whole number"):
+                write_events_jsonl(events, path)
+            assert not path.exists()
+            events = [event for event in events if event.time > 0]
+        want = "".join(compact_json(row_dict(event)) + "\n" for event in events).encode()
         write_events_jsonl(events, path)
         assert path.read_bytes() == want
-        refused = [line for line, event in enumerate(events, 1) if event.time <= 0]
-        if refused:
-            refusal = re.escape(f"{path}:{refused[0]}: bad event: time must be a positive")
-            with pytest.raises(SchemaError, match=refusal):
-                load_events_jsonl(path)
-            want = "".join(row for row, event in zip(rows, events) if event.time > 0).encode()
-            path.write_bytes(want)
         loaded = load_events_jsonl(path)
         assert list(loaded) == [InteractionEvent(**json.loads(line))
                                 for line in want.splitlines()]
@@ -549,6 +546,15 @@ class TestPersistence:
         path = tmp_path / "events.jsonl"
         write_events_jsonl(events, path)
         assert list(load_events_jsonl(path)) == events
+
+    @pytest.mark.parametrize("time", [0, -5, -2**63 - 1])
+    def test_the_writer_refuses_a_time_the_reader_refuses(self, tmp_path, time):
+        """Every events.jsonl the writer writes reads back: a table with a
+        time of 0 or below raises before the target is created."""
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(ValueError, match=f"positive whole number, got {time}$"):
+            write_events_jsonl(events_at([5, time]), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("time", [0, -5, -2**63 - 1, "0", -1.0])
     def test_an_event_time_must_be_positive(self, tmp_path, time):
